@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nbestkernel import OptimizerConfig, SpaceSpec, afd_greedy, as_element, residual_decay_sweep
+from nbestkernel import OptimizerConfig, SpaceSpec, afd_decay_sweep, as_element, residual_decay_sweep
 
 
 def main(argv=None) -> int:
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     )
     cfg = OptimizerConfig(seed=args.seed)
     global_results = residual_decay_sweep(spec, f, args.n_max, cfg)
-    greedy_results = [afd_greedy(spec, f, n, cfg) for n in range(args.n_max + 1)]
+    greedy_results = afd_decay_sweep(spec, f, args.n_max, cfg)
 
     rows = [
         (n, greedy_results[n].residual, global_results[n].residual)

@@ -47,6 +47,7 @@ from .orthosystem import (
 from .engine import (
     ApproximationResult,
     OptimizerConfig,
+    afd_decay_sweep,
     afd_greedy,
     bvc_profile,
     energy,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,7 @@ from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, as_element
 from .engine import (
     ApproximationResult,
     OptimizerConfig,
+    afd_decay_sweep,
     afd_greedy,
     nbest,
     residual_decay_sweep,
@@ -78,7 +80,7 @@ def _complex_pair(v, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
         _fail(path, "expected a [re, im] number pair")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_number(v[0], f"{path}/0"), _number(v[1], f"{path}/1"))
 
 
 def _positive_int(v, path: str, minimum: int = 0) -> int:
@@ -90,7 +92,13 @@ def _positive_int(v, path: str, minimum: int = 0) -> int:
 def _number(v, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         _fail(path, "expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        _fail(path, "number out of floating-point range")
+    if not math.isfinite(x):
+        _fail(path, "expected a finite number")
+    return x
 
 
 def _parse_space(obj, path: str) -> SpaceSpec:
@@ -320,7 +328,7 @@ def emit_decay_table(results) -> str:
 
 
 def _dump_json(payload, path: Path) -> None:
-    path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_task(cfg: TaskConfig, out_dir: Path, threads: int | None = None, seed: int | None = None) -> int:
@@ -331,7 +339,7 @@ def run_task(cfg: TaskConfig, out_dir: Path, threads: int | None = None, seed: i
     if seed is not None:
         optimizer = OptimizerConfig(**{**optimizer.__dict__, "seed": seed})
     if threads is not None:
-        optimizer = OptimizerConfig(**{**optimizer.__dict__, "workers": max(1, threads)})
+        optimizer = OptimizerConfig(**{**optimizer.__dict__, "workers": threads})
     result_path = out_dir / cfg.output.get("result", "result.json")
     decay_path = out_dir / cfg.output.get("decay", "decay.csv")
     report_path = out_dir / cfg.output.get("report", "report.json")
@@ -377,7 +385,7 @@ def run_task(cfg: TaskConfig, out_dir: Path, threads: int | None = None, seed: i
         raise ConfigError("/signal: afd and nbest tasks need a single-function signal")
     if cfg.n_max is not None:
         if cfg.task == "afd":
-            results = [afd_greedy(cfg.space, signal, n, optimizer) for n in range(cfg.n_max + 1)]
+            results = afd_decay_sweep(cfg.space, signal, cfg.n_max, optimizer)
         else:
             results = residual_decay_sweep(cfg.space, signal, cfg.n_max, optimizer)
         decay_path.write_text(emit_decay_table(results))
@@ -405,7 +413,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="task config JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker cap for multistart")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
     try:

@@ -1,20 +1,27 @@
 """Captured-energy objective, greedy node selection and multistart global search.
 
 The objective for a node tuple is the energy captured by projecting onto the
-tuple's kernel span.  Greedy selection maximizes the per-step energy increment
-over a coarse disc grid refined by local search; the global engine adds
-stratified multistart seeds, derivative-free descent over all node coordinates
-at once, and a merge polish that re-optimizes near-coincident nodes as a single
-higher-multiplicity node.  Existence theory confines maxima to a compact disc
-of radius ``1 - delta``, which is the search region.
+tuple's kernel span, ``sum_m p_m v_m^H G^{-1} v_m`` with pairings
+``v_i = <f, K_i>`` and kernel Gram matrix ``G``, evaluated through one Cholesky
+factorization.  Its Wirtinger gradient is closed-form because the derivative
+of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
+Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
+(MGS), which also produces every reported value and the final coefficients.
+
+Greedy selection maximizes the per-step energy increment over a coarse disc
+grid refined by local search; the global engine adds stratified multistart
+seeds, descent over all node coordinates at once, and a merge polish that
+re-optimizes near-coincident nodes as a single higher-multiplicity node.
+Existence theory confines maxima to a compact disc of radius ``1 - delta``,
+which is the search region.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,6 +40,15 @@ from .orthosystem import _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
 _CLUSTER_TOL = 0.02
+# Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
+# it the energy loses about eps / ratio**2 relative accuracy and MGS takes over.
+_PIVOT_FLOOR = 1e-4
+# Kernel rows are built as products of two power blocks of this length.  Block
+# powers below _TINY_POWER are flushed to zero: they are negligible against
+# the leading term 1, and flushing keeps every row entry and every product of
+# two entries out of the subnormal range, where arithmetic is slow.
+_POWER_BLOCK = 32
+_TINY_POWER = 1e-75
 
 
 @dataclass
@@ -42,10 +58,13 @@ class OptimizerConfig:
     ``delta`` is the boundary margin (search radius ``1 - delta``),
     ``grid_density`` the coarse Cartesian grid points per axis,
     ``ftol``/``xtol`` the relative objective / absolute coordinate tolerances
-    of the local searches, ``fd_step`` the relative step of the central
-    finite-difference polish, and ``merge_tol`` the node-merging distance.
-    All randomness flows from ``seed``; identical configs give identical
-    results regardless of ``workers``.
+    of the local searches, and ``merge_tol`` the node-merging distance.  The
+    quasi-Newton polish uses the analytic gradient of the captured energy;
+    ``fd_step`` is only the relative step of the central differences it falls
+    back to, with MGS values, when a node is clamped, merges with another
+    node, or the Gram matrix is too ill-conditioned.  All randomness flows
+    from ``seed``.  ``workers`` is accepted and validated but has no effect:
+    the searches run sequentially.
     """
 
     delta: float = 0.05
@@ -65,10 +84,15 @@ class OptimizerConfig:
             raise ValueError(
                 f"boundary margin must lie in [{1.0 - DEFAULT_RADIUS_CAP}, 1), got {self.delta}"
             )
+        for name in ("delta", "ftol", "xtol", "fd_step", "merge_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.grid_density < 4:
             raise ValueError("grid_density must be at least 4")
-        if self.ftol <= 0.0 or self.xtol <= 0.0:
-            raise ValueError("ftol and xtol must be positive")
+        if self.ftol <= 0.0 or self.xtol <= 0.0 or self.fd_step <= 0.0:
+            raise ValueError("ftol, xtol and fd_step must be positive")
+        if self.merge_tol < 0.0:
+            raise ValueError("merge_tol must be non-negative")
         if self.multistart < 0 or self.max_iter < 1 or self.workers < 1:
             raise ValueError("multistart, max_iter and workers must be sensible")
 
@@ -91,6 +115,16 @@ class ApproximationResult:
     degraded: bool = False
 
 
+class _Capture(NamedTuple):
+    """One objective evaluation.  ``grad`` is dE/da per moving node when it
+    was asked for and the Gram path held; ``mgs`` says MGS gave the value."""
+
+    value: float
+    degraded: bool
+    grad: np.ndarray | None
+    mgs: bool
+
+
 class _Bundle:
     """A weighted family of signals over one space; single signals are M = 1."""
 
@@ -99,8 +133,10 @@ class _Bundle:
         self.matrix = matrix
         self.probs = probs
         self.weighted = matrix * spec.weights
+        self.inv_weights = 1.0 / spec.weights
         self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
         self.total_sq = float(self.probs @ self.norms_sq)
+        self._falling: dict[int, np.ndarray] = {}
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -110,18 +146,103 @@ class _Bundle:
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
 
-    def captured(self, params: ParamTuple) -> tuple[float, bool]:
-        """Captured energy of the tuple; degenerate tuples fall back to the
-        longest well-conditioned prefix and report degradation."""
+    def captured(self, params: ParamTuple, owners=None, mgs: bool = False) -> _Capture:
+        """Captured energy of the tuple.
+
+        The Gram path factors the kernel Gram matrix once; ``owners`` (one
+        entry per tuple position: the index of the moving node it belongs to,
+        or -1 if fixed) asks it for the gradient too.  With ``mgs``, or when a
+        Cholesky pivot ratio falls below ``_PIVOT_FLOOR``, MGS computes the
+        value instead and no gradient is returned; degenerate tuples then fall
+        back to their longest well-conditioned prefix and report degradation.
+        """
         if not len(params):
-            return 0.0, False
+            return _Capture(0.0, False, None, False)
+        if not mgs:
+            fast = self._gram_captured(params, owners)
+            if fast is not None:
+                return fast
         system, degraded = _gram_schmidt_impl(
             self.spec, params, eps_degenerate=1e-10, allow_partial=True
         )
         if not len(system):
-            return 0.0, degraded
+            return _Capture(0.0, degraded, None, True)
         c = self.weighted @ system.basis.conj().T
-        return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
+        return _Capture(float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded, None, True)
+
+    def _powers(self, centers: np.ndarray) -> np.ndarray:
+        """Rows ``conj(c)**k`` for k = 0 .. N, as products of the powers
+        k = 32 i and k = j < 32; terms below ``_TINY_POWER`` become zero."""
+        z = np.conj(centers)[:, None]
+        low = np.empty((z.size, _POWER_BLOCK), dtype=np.complex128)
+        low[:, 0] = 1.0
+        low[:, 1:] = z
+        np.cumprod(low[:, 1:], axis=1, out=low[:, 1:])
+        high = np.empty((z.size, -(-(self.spec.max_degree + 1) // _POWER_BLOCK)), dtype=np.complex128)
+        high[:, 0] = 1.0
+        high[:, 1:] = low[:, -1:] * z
+        np.cumprod(high[:, 1:], axis=1, out=high[:, 1:])
+        low[np.abs(low) < _TINY_POWER] = 0.0
+        high[np.abs(high) < _TINY_POWER] = 0.0
+        return (high[:, :, None] * low[:, None, :]).reshape(z.size, -1)[:, : self.spec.max_degree + 1]
+
+    def _kernel_rows(self, powers: np.ndarray, orders) -> np.ndarray:
+        """Rows ``W * K`` of the order-``o`` kernels whose ``_powers`` rows are
+        given: ``k (k-1) ... (k-o+2) conj(c)**(k-o+1)``, i.e.
+        ``multiple_kernel`` times the weights."""
+        if all(o == 1 for o in orders):
+            return powers
+        n1 = powers.shape[1]
+        rows = np.zeros_like(powers)
+        for i, o in enumerate(orders):
+            rows[i, o - 1 :] = powers[i, : n1 - o + 1] * self._falling_factorial(o - 1)
+        return rows
+
+    def _falling_factorial(self, lag: int) -> np.ndarray:
+        """k (k-1) ... (k-lag+1) for k = lag .. N."""
+        out = self._falling.get(lag)
+        if out is None:
+            ks = np.arange(lag, self.spec.max_degree + 1, dtype=np.float64)
+            out = np.ones_like(ks)
+            for j in range(lag):
+                out *= ks - j
+            self._falling[lag] = out
+        return out
+
+    def _gram_captured(self, params: ParamTuple, owners) -> _Capture | None:
+        """Gram/Cholesky evaluation; None when a pivot ratio is below the floor.
+
+        With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
+        dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
+        the next-order kernel, i.e. dK_j / d(conj a_c).
+        """
+        powers = self._powers(np.asarray(params.centers, dtype=np.complex128))
+        rows = self._kernel_rows(powers, params.orders)
+        rows_conj = rows.conj()
+        gram = (rows_conj * self.inv_weights) @ rows.T  # G_ij = <K_j, K_i>
+        pairs = self.matrix @ rows_conj.T  # v_mi = <f_m, K_i>
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(chol.diagonal().real >= _PIVOT_FLOOR * np.sqrt(gram.diagonal().real)):
+            return None
+        # numpy's solver, not scipy's: the two link separate BLAS thread pools,
+        # and alternating between them in this loop stalls both.
+        y = np.linalg.solve(chol, pairs.T)
+        value = float(self.probs @ np.sum(np.abs(y) ** 2, axis=0))
+        if owners is None:
+            return _Capture(value, False, None, False)
+        x = np.linalg.solve(chol.conj().T, y)
+        moving = owners >= 0
+        nxt_orders = [o + 1 for o, own in zip(params.orders, owners) if own >= 0]
+        nxt_conj = self._kernel_rows(powers[moving], nxt_orders).conj()
+        # <r_m, K_j+> = <f_m, K_j+> - sum_i x_mi <K_i, K_j+>
+        resid_pairs = self.matrix @ nxt_conj.T - x.T @ ((rows * self.inv_weights) @ nxt_conj.T)
+        per_row = np.sum(self.probs[:, None] * x[moving].T.conj() * resid_pairs, axis=0)
+        grad = np.zeros(int(owners.max()) + 1, dtype=np.complex128)
+        np.add.at(grad, owners[moving], per_row)
+        return _Capture(value, False, grad, False)
 
     def finalize(self, points, cfg: OptimizerConfig):
         """Exact recomputation of coefficients, energy and residual."""
@@ -151,7 +272,7 @@ def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
     extension.  A numerically degenerate tuple degrades to its maximal
     well-conditioned prefix and emits ``DegenerateTupleWarning``.
     """
-    val, degraded = _Bundle.single(spec, f).captured(params)
+    val, degraded, _, _ = _Bundle.single(spec, f).captured(params)
     if degraded:
         warnings.warn(
             "degenerate node tuple: energy computed on its well-conditioned prefix",
@@ -177,30 +298,89 @@ def _search_radius(bundle: _Bundle, cfg: OptimizerConfig) -> float:
     return min(1.0 - cfg.delta, bundle.spec.radius_cap)
 
 
-def _local_search(bundle, cfg, x0, prefix=(), orders=None):
-    """Nelder-Mead descent plus an optional central-difference quasi-Newton
-    polish on the flattened real coordinates; nodes overshooting the search
-    disc are clamped radially inside the objective."""
-    radius = _search_radius(bundle, cfg)
-    prefix = tuple(prefix)
+class _Objective:
+    """Negated captured energy over the flattened real coordinates of the
+    moving nodes.
 
-    def expand(pts: np.ndarray):
-        if orders is None:
-            return prefix + tuple(pts)
-        full: list[complex] = list(prefix)
-        for p, o in zip(pts, orders):
+    ``prefix`` nodes stay fixed; with ``orders`` moving node i enters with
+    multiplicity ``orders[i]`` (merge polish).  Nodes overshooting the search
+    disc are clamped radially, and the analytic gradient is chained through
+    the clamp.  When a moving node merges with another node, or the Gram path
+    falls back to MGS, the value comes from MGS and the gradient from central
+    differences of MGS values with relative step ``fd_step``.
+    """
+
+    def __init__(self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None):
+        self.bundle = bundle
+        self.cfg = cfg
+        self.radius = _search_radius(bundle, cfg)
+        self.prefix = tuple(prefix)
+        self.reps = tuple(orders) if orders is not None else (1,) * count
+        self.free_orders = tuple(k + 1 for o in self.reps for k in range(o))
+        self.owners = np.array(
+            [-1] * len(self.prefix) + [i for i, o in enumerate(self.reps) for _ in range(o)]
+        )
+        self.mgs_evals = 0
+
+    def expand(self, pts) -> tuple:
+        full = list(self.prefix)
+        for p, o in zip(pts, self.reps):
             full.extend([complex(p)] * o)
         return tuple(full)
 
-    def fun(x: np.ndarray) -> float:
-        pts = _clamped_points(np.asarray(x, dtype=np.float64), radius)
-        val, _ = bundle.captured(bundle.make_tuple(expand(pts), cfg))
-        return -val
+    def params(self, x: np.ndarray) -> ParamTuple:
+        return self.bundle.make_tuple(self.expand(_clamped_points(x, self.radius)), self.cfg)
 
+    def _capture(self, params: ParamTuple, owners=None, mgs: bool = False) -> _Capture:
+        cap = self.bundle.captured(params, owners, mgs)
+        self.mgs_evals += cap.mgs
+        return cap
+
+    def value(self, x) -> float:
+        return -self._capture(self.params(np.asarray(x, dtype=np.float64))).value
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=np.float64)
+        params = self.params(x)
+        k = len(self.prefix)
+        separate = params.centers[k:] == params.points[k:] and params.orders[k:] == self.free_orders
+        cap = self._capture(params, self.owners if separate else None, mgs=not separate)
+        grad = np.empty_like(x)
+        if cap.grad is not None:
+            # dE/dx + i dE/dy per node; a clamped node a = R u / |u| only
+            # moves tangentially, scaled by R / |u|.
+            slope = 2.0 * np.conj(cap.grad)
+            raw = x[0::2] + 1j * x[1::2]
+            r = np.abs(raw)
+            over = r > self.radius
+            if np.any(over):
+                u = raw[over] / r[over]
+                slope[over] = (self.radius / r[over]) * 1j * u * np.imag(np.conj(u) * slope[over])
+            grad[0::2] = -slope.real
+            grad[1::2] = -slope.imag
+            return -cap.value, grad
+        for i in range(x.size):
+            step = np.zeros_like(x)
+            step[i] = self.cfg.fd_step * max(1.0, abs(x[i]))
+            up = self._capture(self.params(x + step), mgs=True).value
+            down = self._capture(self.params(x - step), mgs=True).value
+            grad[i] = (down - up) / (2.0 * step[i])
+        return -cap.value, grad
+
+
+def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
+    """Nelder-Mead descent plus an optional L-BFGS-B polish with the analytic
+    gradient, on the flattened real coordinates of the moving nodes.
+
+    The returned energy is recomputed with MGS.  ``stats``, if given, receives
+    the evaluation counts, the polish's stop message and how many evaluations
+    fell back to MGS.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
+    objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders)
     scale = max(1.0, bundle.total_sq)
     res = minimize(
-        fun,
+        objective.value,
         x0,
         method="Nelder-Mead",
         options={
@@ -211,25 +391,28 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None):
         },
     )
     best_x, best_f = res.x, float(res.fun)
+    pol = None
     if cfg.polish:
-        bounds = [(-radius, radius)] * x0.size
+        bounds = [(-objective.radius, objective.radius)] * x0.size
         pol = minimize(
-            fun,
+            objective.value_and_grad,
             best_x,
             method="L-BFGS-B",
-            jac="3-point",
+            jac=True,
             bounds=bounds,
-            options={
-                "maxiter": cfg.max_iter,
-                "ftol": 1e-15,
-                "gtol": 1e-12,
-                "finite_diff_rel_step": cfg.fd_step,
-            },
+            options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12},
         )
         if float(pol.fun) < best_f:
             best_x, best_f = pol.x, float(pol.fun)
-    pts = _clamped_points(np.asarray(best_x, dtype=np.float64), radius)
-    return expand(pts), -best_f
+    params = objective.params(np.asarray(best_x, dtype=np.float64))
+    if stats is not None:
+        stats.update(
+            nelder_mead_nfev=int(res.nfev),
+            polish_nfev=int(pol.nfev) if pol is not None else 0,
+            polish_message=str(pol.message) if pol is not None else None,
+            mgs_fallbacks=objective.mgs_evals,
+        )
+    return params.points, bundle.captured(params, mgs=True).value
 
 
 def _as_x(points) -> np.ndarray:
@@ -364,17 +547,11 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
         _as_x(s) for s in _stratified_seeds(rng, radius, n, cfg.multistart - n_top)
     )
 
-    def run(x0):
-        return _local_search(bundle, cfg, x0)
-
-    if cfg.workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(x0) for x0 in starts]
-    for pts, val in results:
+    for x0 in starts:
+        stats: dict = {}
+        pts, val = _local_search(bundle, cfg, x0, stats=stats)
         candidates.append((tuple(pts), val))
-        trace.append({"stage": "local", "energy": val})
+        trace.append({"stage": "local", "energy": val, **stats})
 
     # Merge polish: re-optimize near-coincident nodes as one repeated node, so
     # signals built from derivative kernels are recoverable exactly.
@@ -384,16 +561,19 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
         if structure is None:
             continue
         centers, orders = structure
+        stats = {}
         merged_pts, merged_val = _local_search(
-            bundle, cfg, _as_x(centers), orders=orders
+            bundle, cfg, _as_x(centers), orders=orders, stats=stats
         )
         candidates.append((tuple(merged_pts), merged_val))
-        trace.append({"stage": "merge-polish", "energy": merged_val})
+        trace.append({"stage": "merge-polish", "energy": merged_val, **stats})
 
+    # Near exact capture energies no longer separate candidates; the
+    # residual computed by finalize still does.
     def sort_key(cand):
-        pts, val = cand
+        pts, _ = cand
         rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
-        return (-val, rounded)
+        return (bundle.finalize(pts, cfg)[3], rounded)
 
     best_pts, _ = min(candidates, key=sort_key)
     return list(best_pts)
@@ -443,6 +623,28 @@ def afd_greedy(
     trace: list = []
     points, _ = _greedy_points(bundle, n, cfg, trace)
     return _single_result(bundle, points, cfg, "afd", trace)
+
+
+def afd_decay_sweep(
+    spec: SpaceSpec, f: AnalyticFunction, n_max: int, config: OptimizerConfig | None = None
+) -> list[ApproximationResult]:
+    """Greedy results for n = 0 .. n_max from one greedy run.
+
+    Greedy selection never revisits a node, so the n-node result is the
+    n-prefix of the n_max-node run, with the same trace prefix; each entry
+    equals ``afd_greedy(spec, f, n, config)``.
+    """
+    cfg = config or OptimizerConfig()
+    bundle = _Bundle.single(spec, f)
+    if n_max < 0:
+        raise ValueError("node count must be non-negative")
+    if bundle.total_sq == 0.0:
+        return [_trivial_result(bundle, cfg, "afd") for _ in range(n_max + 1)]
+    trace: list = []
+    points, _ = _greedy_points(bundle, n_max, cfg, trace)
+    return [_trivial_result(bundle, cfg, "afd")] + [
+        _single_result(bundle, points[:n], cfg, "afd", trace[:n]) for n in range(1, n_max + 1)
+    ]
 
 
 def nbest(

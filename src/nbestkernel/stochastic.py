@@ -96,7 +96,7 @@ def bochner_norm(e: Ensemble) -> float:
 
 def stochastic_energy(e: Ensemble, params: ParamTuple) -> float:
     """Expected captured energy of the shared tuple across realizations."""
-    val, degraded = _bundle(e).captured(params)
+    val, degraded, _, _ = _bundle(e).captured(params)
     if degraded:
         warnings.warn(
             "degenerate node tuple: energy computed on its well-conditioned prefix",

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from nbestkernel import ConfigError, Ensemble, ParamTuple, energy, norm
-from nbestkernel.cli import TaskConfig, emit_decay_table, main, parse_config, run_task
+from nbestkernel import ConfigError, Ensemble, OptimizerConfig, ParamTuple, afd_greedy, energy, norm
+from nbestkernel.cli import (
+    TaskConfig,
+    _dump_json,
+    _result_payload,
+    emit_decay_table,
+    main,
+    parse_config,
+    run_task,
+)
 
 SMALL_SPACE = {"family": "hardy", "degree": 256, "radius_cap": 0.9}
 
@@ -63,6 +71,60 @@ def test_parse_rejections_carry_paths(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(cfg))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda c: c["space"].update(param=float("nan")), "/space/param"),
+        (lambda c: c["space"].update(radius_cap=float("inf")), "/space/radius_cap"),
+        (
+            lambda c: c["signal"]["kernel_mix"][0].update(a=[float("nan"), 0.0]),
+            "/signal/kernel_mix/0/a/0",
+        ),
+        (
+            lambda c: c["signal"]["kernel_mix"][1].update(c=[0.0, float("-inf")]),
+            "/signal/kernel_mix/1/c/1",
+        ),
+        (lambda c: c["optimizer"].update(ftol=float("nan")), "/optimizer/ftol"),
+        (lambda c: c["optimizer"].update(merge_tol=10**400), "/optimizer/merge_tol"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(mutate, fragment):
+    cfg = json.loads(json.dumps(NBEST_CFG))
+    mutate(cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(cfg))
+    assert fragment in str(err.value)
+
+
+def test_non_finite_space_param_exits_with_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(NBEST_CFG))
+    cfg["space"] = {"family": "hardy", "param": float("nan")}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["nbest", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "/space/param" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "knob,value",
+    [("fd_step", -1.0), ("fd_step", 0.0), ("merge_tol", -1e-9), ("xtol", float("inf"))],
+)
+def test_optimizer_config_rejects_bad_floats(knob, value):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**{knob: value})
+    if value == value and abs(value) != float("inf"):
+        cfg = json.loads(json.dumps(NBEST_CFG))
+        cfg["optimizer"][knob] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(cfg))
+        assert "/optimizer" in str(err.value)
+
+
+def test_dump_json_rejects_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        _dump_json({"energy": float("nan")}, tmp_path / "out.json")
 
 
 def test_parse_rejects_two_signal_forms():
@@ -136,6 +198,60 @@ def test_decay_sweep_writes_table(tmp_path):
         assert b <= a + 1e-9
     # two-kernel signal: captured exactly from n = 2 on
     assert max(residuals[2:]) <= 1e-6 * float(rows[0][1])
+
+
+AFD_SWEEP_SIGNALS = {
+    "hardy": {"coefficients": [[1.0, 0.5], [-0.3, 0.2], [0.25, 0.0], [0.0, -0.4], [0.1, 0.1]]},
+    "bergman": {"coefficients": [[0.2, -0.1], [0.8, 0.0], [-0.5, 0.3], [0.05, 0.2]]},
+    "weighted_hardy": {"coefficients": [[0.5, 0.5], [0.0, 1.0], [0.3, -0.2], [-0.6, 0.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "family,signal",
+    [(f, s) for f, s in AFD_SWEEP_SIGNALS.items()]
+    # a single kernel: captured by the first node, so greedy stops before n_max
+    + [("bergman", {"kernel_mix": [{"a": [0.3, -0.2], "c": [1.0, 0.0]}]})],
+)
+def test_afd_decay_sweep_matches_per_n_loop(tmp_path, family, signal):
+    space = dict(SMALL_SPACE, family=family)
+    if family != "hardy":
+        space["param"] = 0.5
+    cfg = parse_config(
+        json.dumps(
+            {
+                "task": "afd",
+                "space": space,
+                "signal": signal,
+                "n_max": 4,
+                "optimizer": {"grid_density": 12, "max_iter": 60},
+            }
+        )
+    )
+    assert run_task(cfg, tmp_path / "sweep") == 0
+    per_n = [afd_greedy(cfg.space, cfg.signal, n, cfg.optimizer) for n in range(5)]
+    ref = tmp_path / "per_n"
+    ref.mkdir()
+    (ref / "decay.csv").write_text(emit_decay_table(per_n))
+    _dump_json(_result_payload(cfg, per_n[-1], 4, cfg.optimizer.seed), ref / "result.json")
+    for name in ("decay.csv", "result.json"):
+        assert (tmp_path / "sweep" / name).read_bytes() == (ref / name).read_bytes()
+    if "kernel_mix" in signal:
+        assert len(per_n[-1].params) < 4
+
+
+def test_nbest_trace_records_search_counts(tmp_path):
+    cfg = parse_config(json.dumps(NBEST_CFG))
+    assert run_task(cfg, tmp_path) == 0
+    trace = json.loads((tmp_path / "result.json").read_text())["trace"]
+    searches = [t for t in trace if t["stage"] in ("local", "merge-polish")]
+    assert searches
+    for entry in searches:
+        assert entry["nelder_mead_nfev"] >= 1
+        assert entry["polish_nfev"] >= 1
+        assert isinstance(entry["polish_message"], str)
+        assert 0 <= entry["mgs_fallbacks"]
+        assert not any("time" in key for key in entry)
 
 
 def test_emit_decay_table_shape():
@@ -230,6 +346,13 @@ def test_main_end_to_end(tmp_path):
     code = main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "2"])
     assert code == 0
     assert (tmp_path / "result.json").exists()
+
+
+def test_main_rejects_nonpositive_threads(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", NBEST_CFG)
+    code = main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "0"])
+    assert code == 1
+    assert "workers" in capsys.readouterr().err
 
 
 def test_main_missing_config(tmp_path, capsys):

@@ -1,0 +1,218 @@
+"""The Gram/Cholesky objective against the modified Gram-Schmidt reference."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbestkernel import (
+    DegenerateTupleWarning,
+    OptimizerConfig,
+    ParamTuple,
+    SpaceSpec,
+    as_element,
+    energy,
+    generate_ensemble,
+    kernel,
+    stochastic_energy,
+)
+from nbestkernel.engine import _PIVOT_FLOOR, _as_x, _Bundle, _Objective
+from nbestkernel.orthosystem import _gram_schmidt_impl
+
+SPACES = {
+    "hardy": SpaceSpec.hardy(),
+    "bergman": SpaceSpec.bergman(1.0),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5),
+}
+
+
+def _signal(spec, seed):
+    rng = np.random.default_rng(seed)
+    poly = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    return as_element(spec, poly) + kernel(spec, 0.5 - 0.3j) + kernel(spec, -0.7j)
+
+
+def _mgs_value(bundle, params):
+    """The MGS energy exactly as the reference path computes it."""
+    system, _ = _gram_schmidt_impl(bundle.spec, params, eps_degenerate=1e-10, allow_partial=True)
+    c = bundle.weighted @ system.basis.conj().T
+    return float(bundle.probs @ np.sum(np.abs(c) ** 2, axis=1))
+
+
+def _min_pivot_ratio(bundle, params):
+    rows = bundle._kernel_rows(bundle._powers(np.asarray(params.centers)), params.orders)
+    gram = (rows.conj() * bundle.inv_weights) @ rows.T
+    chol = np.linalg.cholesky(gram)
+    return float(np.min(chol.diagonal().real / np.sqrt(gram.diagonal().real)))
+
+
+def _central_differences(fun, x, h=1e-6):
+    out = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        out[i] = (fun(x + step) - fun(x - step)) / (2.0 * h)
+    return out
+
+
+# -- agreement ------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sorted(SPACES)),
+    order=st.integers(1, 3),
+    radii=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3),
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+    seed=st.integers(0, 1000),
+)
+def test_gram_matches_mgs_on_separated_nodes(family, order, radii, angles, seed):
+    spec = SPACES[family]
+    pts = [r * np.exp(1j * t) for r, t in zip(radii, angles)]
+    # keep distinct nodes at least 0.25 apart, so the Gram path is well conditioned
+    distinct = []
+    for p in pts:
+        if all(abs(p - q) >= 0.25 for q in distinct):
+            distinct.append(complex(p))
+    params = ParamTuple(tuple([distinct[0]] * order + distinct[1:]))
+    bundle = _Bundle.single(spec, _signal(spec, seed))
+    fast = bundle.captured(params)
+    assert not fast.mgs
+    assert not fast.degraded
+    ref = _mgs_value(bundle, params)
+    assert abs(fast.value - ref) <= 1e-10 * ref
+
+
+def test_gram_matches_mgs_on_ensembles():
+    spec = SPACES["bergman"]
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, 16, seed=3)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
+    params = ParamTuple((0.1 + 0.2j, 0.1 + 0.2j, -0.6, 0.4j))
+    fast = bundle.captured(params)
+    assert not fast.mgs
+    assert fast.value == pytest.approx(_mgs_value(bundle, params), rel=1e-10)
+
+
+# -- fallback ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_pivot_floor_switches_to_mgs(family):
+    spec = SPACES[family]
+    bundle = _Bundle.single(spec, _signal(spec, 1))
+    a = 0.3 + 0.1j
+    merge_tol = 1e-7
+    seen = set()
+    for sep in (1e-1, 1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 3e-7, 1e-8, 1e-9):
+        params = ParamTuple((a, a + sep), merge_tol)
+        cap = bundle.captured(params)
+        ref = _mgs_value(bundle, params)
+        if sep <= merge_tol:
+            # merged into one node of order 2: well conditioned again
+            assert params.orders == (1, 2)
+            assert not cap.mgs
+            assert cap.value == pytest.approx(ref, rel=1e-10)
+        elif _min_pivot_ratio(bundle, params) < _PIVOT_FLOOR:
+            assert cap.mgs
+            assert cap.value == ref
+        else:
+            assert not cap.mgs
+            assert cap.value == pytest.approx(ref, rel=1e-7)
+        seen.add("merged" if sep <= merge_tol else "mgs" if cap.mgs else "gram")
+    assert seen == {"gram", "mgs", "merged"}
+
+
+def test_requested_mgs_equals_reference():
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 2))
+    params = ParamTuple((0.2, -0.4j, 0.7 + 0.1j))
+    cap = bundle.captured(params, mgs=True)
+    assert cap.mgs
+    assert cap.value == _mgs_value(bundle, params)
+
+
+def test_merged_moving_nodes_fall_back_to_mgs_differences():
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 4))
+    cfg = OptimizerConfig()
+    x = _as_x([0.3 + 0.2j, 0.3 + 0.2j + 1e-9])
+    objective = _Objective(bundle, cfg, 2)
+    value, grad = objective.value_and_grad(x)
+    # one value and 4n = 8 difference evaluations, all with MGS
+    assert objective.mgs_evals == 9
+    assert -value == _mgs_value(bundle, objective.params(x))
+    assert np.all(np.isfinite(grad))
+
+
+# -- gradient -----------------------------------------------------------------------
+
+
+GRADIENT_CASES = {
+    "plain": ((), [0.3 - 0.2j, -0.5j, 0.6 + 0.3j], None),
+    "prefix": ((0.5, -0.2 + 0.4j), [-0.3 + 0.2j], None),
+    "orders": ((), [0.3 - 0.4j, -0.5 + 0.1j], (2, 1)),
+    "clamped": ((), [0.97 + 0.1j, 0.2 - 0.9j, -0.3j], None),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_analytic_gradient_matches_central_differences(family, case):
+    spec = SPACES[family]
+    bundle = _Bundle.single(spec, _signal(spec, 5))
+    prefix, pts, orders = GRADIENT_CASES[case]
+    x = _as_x(pts)
+    objective = _Objective(bundle, OptimizerConfig(), len(pts), prefix, orders)
+    value, grad = objective.value_and_grad(x)
+    assert objective.mgs_evals == 0
+    assert value == pytest.approx(objective.value(x), rel=1e-14)
+    fd = _central_differences(objective.value, x)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_clamped_gradient_is_tangential():
+    spec = SPACES["bergman"]
+    bundle = _Bundle.single(spec, _signal(spec, 6))
+    objective = _Objective(bundle, OptimizerConfig(), 1)
+    x = _as_x([0.98 + 0.05j])
+    _, grad = objective.value_and_grad(x)
+    # the clamped node cannot move radially
+    assert abs(grad @ x) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(x)
+
+
+def test_ensemble_gradient_matches_central_differences():
+    spec = SPACES["hardy"]
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, 8, seed=1)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
+    x = _as_x([0.2 + 0.3j, -0.6j])
+    objective = _Objective(bundle, OptimizerConfig(), 2)
+    _, grad = objective.value_and_grad(x)
+    fd = _central_differences(objective.value, x)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+# -- degeneracy ---------------------------------------------------------------------
+
+
+def test_degenerate_tuple_still_warns():
+    spec = SPACES["hardy"]
+    f = _signal(spec, 7)
+    bad = ParamTuple((0.3, 0.3 + 1e-12), merge_tol=1e-14)
+    with pytest.warns(DegenerateTupleWarning):
+        val = energy(spec, f, bad)
+    assert val == energy(spec, f, ParamTuple((0.3,)))
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, 4, seed=2)
+    with pytest.warns(DegenerateTupleWarning):
+        stochastic_energy(ens, bad)
+
+
+def test_ill_conditioned_tuple_is_exact_without_warning():
+    spec = SPACES["hardy"]
+    f = _signal(spec, 8)
+    close = ParamTuple((0.3, 0.3 + 1e-6), merge_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateTupleWarning)
+        val = energy(spec, f, close)
+    assert val == _mgs_value(_Bundle.single(spec, f), close)
