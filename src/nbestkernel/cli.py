@@ -31,6 +31,12 @@ from .verify import battery
 
 _TASKS = ("afd", "nbest", "stochastic", "verify")
 
+# Size limits, checked before anything is allocated: the space degree N, and
+# the M * (N + 1) complex entries of an ensemble's coefficient matrix (2**24,
+# 256 MiB per copy; the search holds a few copies).
+_MAX_DEGREE = 1 << 16
+_MAX_ENSEMBLE_ENTRIES = 1 << 24
+
 _OPTIMIZER_KEYS = {
     "delta": float,
     "grid_density": int,
@@ -83,10 +89,22 @@ def _complex_pair(v, path: str) -> complex:
     return complex(_number(v[0], f"{path}/0"), _number(v[1], f"{path}/1"))
 
 
-def _positive_int(v, path: str, minimum: int = 0) -> int:
+def _positive_int(v, path: str, minimum: int = 0, maximum: int | None = None) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
         _fail(path, f"expected an integer >= {minimum}")
+    if maximum is not None and v > maximum:
+        _fail(path, f"expected an integer <= {maximum}")
     return v
+
+
+def _check_ensemble_size(m: int, path: str, spec: SpaceSpec) -> None:
+    limit = _MAX_ENSEMBLE_ENTRIES // (spec.max_degree + 1)
+    if m > limit:
+        _fail(
+            path,
+            f"{m} realizations exceed the {limit} that fit in {_MAX_ENSEMBLE_ENTRIES} "
+            f"coefficients at degree {spec.max_degree}",
+        )
 
 
 def _number(v, path: str) -> float:
@@ -109,7 +127,9 @@ def _parse_space(obj, path: str) -> SpaceSpec:
     param = _number(obj.get("param", 0.0), f"{path}/param")
     if family == "bergman" and param <= -1.0:
         _fail(f"{path}/param", "bergman exponent must exceed -1")
-    degree = _positive_int(obj.get("degree", DEFAULT_DEGREE), f"{path}/degree", minimum=1)
+    degree = _positive_int(
+        obj.get("degree", DEFAULT_DEGREE), f"{path}/degree", minimum=1, maximum=_MAX_DEGREE
+    )
     kwargs = {}
     if "radius_cap" in obj:
         kwargs["radius_cap"] = _number(obj["radius_cap"], f"{path}/radius_cap")
@@ -169,6 +189,7 @@ def _parse_signal(obj, path: str, spec: SpaceSpec):
         rows = obj["realizations"]
         if not isinstance(rows, list) or not rows:
             _fail(f"{path}/realizations", "expected a non-empty list of coefficient lists")
+        _check_ensemble_size(len(rows), f"{path}/realizations", spec)
         funcs = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or not row:
@@ -197,6 +218,7 @@ def _parse_signal(obj, path: str, spec: SpaceSpec):
     )
     kind = rnd["kind"]
     m = _positive_int(rnd["M"], f"{path}/random/M", minimum=1)
+    _check_ensemble_size(m, f"{path}/random/M", spec)
     seed = _positive_int(rnd["seed"], f"{path}/random/seed", minimum=0)
     if kind == "decaying_gaussian":
         if "gamma" not in rnd:

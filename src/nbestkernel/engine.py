@@ -49,6 +49,12 @@ _PIVOT_FLOOR = 1e-4
 # two entries out of the subnormal range, where arithmetic is slow.
 _POWER_BLOCK = 32
 _TINY_POWER = 1e-75
+# Ensemble compression keeps a realization's Gram-Schmidt residual only when
+# its norm exceeds _RANK_TOL times the realization's own norm, so the factor
+# drops at most _RANK_TOL**2 * total_sq of energy in any direction.
+# Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
+_RANK_TOL = 1e-8
+_RANK_BLOCK = 64
 
 
 @dataclass
@@ -142,6 +148,82 @@ class _Bundle:
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
         _check_member(spec, f)
         return cls(spec, f.coeffs[None, :], np.ones(1))
+
+    def compressed(self) -> "_Bundle":
+        """An exact rank-r factor of the ensemble, or ``self`` when r = M.
+
+        Energies, gradients, grid increments and residuals depend on the
+        realizations only through the form ``F^H diag(p) F``, so r unit-weight
+        rows ``R`` with ``R^H R`` equal to it give the same search.  The
+        realizations, as unit vectors ``u_m = f_m sqrt(W) / ||f_m||`` in which
+        space norms are l2 norms, are deflated by pivoted two-pass
+        Gram-Schmidt into orthonormal rows ``Q``; a residual of norm at most
+        ``_RANK_TOL`` is dropped.  With ``B_m = sqrt(p_m) ||f_m|| u_m Q^H`` and
+        ``T`` the triangular factor of ``B``, the factor is
+        ``R = T Q / sqrt(W)``.  Entries of ``u_m`` below ``_TINY_POWER`` are
+        flushed to zero, as in ``_powers``.  When M <= N + 1, one Cholesky
+        factorization of the M x M Gram matrix of the ``u_m`` detects full
+        rank and skips the deflation.
+        """
+        m, n1 = self.matrix.shape
+        if m == 1:
+            return self
+        norms = np.sqrt(self.norms_sq)
+        live = (self.probs > 0.0) & (norms > 0.0)
+        inv_norms = np.zeros(m)
+        inv_norms[live] = 1.0 / norms[live]
+        root_w = np.sqrt(self.spec.weights)
+
+        def units(rows: slice) -> np.ndarray:
+            out = self.matrix[rows] * inv_norms[rows, None] * root_w
+            out[np.abs(out) < _TINY_POWER] = 0.0
+            return out
+
+        def keeps_every_row(rows: slice) -> bool:
+            # Cholesky pivots of the rows' Gram matrix are the residual norms
+            # of Gram-Schmidt in row order.  Its rounding stays below 8 n1 eps
+            # times its trace (at most the number of rows), far above
+            # _RANK_TOL**2, so pivots above that bound keep every row.
+            u = units(rows)
+            gram = np.empty((len(u), len(u)), dtype=np.complex128)
+            for start in range(0, len(u), _RANK_BLOCK):  # conjugate copies stay block-sized
+                gram[:, start : start + _RANK_BLOCK] = u @ u[start : start + _RANK_BLOCK].conj().T
+            del u
+            try:
+                pivots = np.linalg.cholesky(gram).diagonal().real
+            except np.linalg.LinAlgError:
+                return False
+            return bool(np.min(pivots) ** 2 > 8.0 * n1 * np.finfo(np.float64).eps * len(pivots))
+
+        # Full rank returns at once; the first block screens out deficient
+        # ensembles before the M x M Gram matrix is formed.
+        if m <= n1 and keeps_every_row(slice(0, _RANK_BLOCK)) and keeps_every_row(slice(None)):
+            return self
+        basis = np.empty((min(m, n1), n1), dtype=np.complex128)
+        r = 0
+        blocks = [slice(start, start + _RANK_BLOCK) for start in range(0, m, _RANK_BLOCK)]
+        for rows in blocks:
+            block = units(rows)
+            for _ in range(2):
+                block -= (block @ basis[:r].conj().T) @ basis[:r]
+            while r < len(basis):
+                parts = block.view(np.float64)
+                left = np.einsum("ij,ij->i", parts, parts)
+                k = int(np.argmax(left))
+                if left[k] <= _RANK_TOL**2:
+                    break
+                q = block[k] - (block[k] @ basis[:r].conj().T) @ basis[:r]
+                q /= np.linalg.norm(q)
+                block -= np.outer(block @ q.conj(), q)
+                basis[r] = q
+                r += 1
+        if r == m:
+            return self
+        basis = basis[:r]
+        scale = np.sqrt(self.probs) * norms
+        coords = np.vstack([scale[rows, None] * (units(rows) @ basis.conj().T) for rows in blocks])
+        factor = np.linalg.qr(coords, mode="r") @ basis / root_w
+        return _Bundle(self.spec, factor, np.ones(r))
 
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
@@ -514,13 +596,21 @@ def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray
 
 
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=None):
+    """Greedy, multistart and merge-polish candidates; returns the points of
+    the one with the smallest residual.  Each candidate is recorded by one
+    trace entry, and a final ``select`` entry gives the index in ``trace`` of
+    the winner's entry and its stage."""
     radius = _search_radius(bundle, cfg)
     greedy_trace: list = []
     greedy_pts, greedy_energy = _greedy_points(bundle, n, cfg, greedy_trace)
     trace.append({"stage": "greedy", "steps": greedy_trace, "energy": greedy_energy})
 
-    candidates: list[tuple[tuple, float]] = [(tuple(greedy_pts), greedy_energy)]
+    # (points, energy, index of the candidate's trace entry)
+    candidates: list[tuple[tuple, float, int]] = [
+        (tuple(greedy_pts), greedy_energy, len(trace) - 1)
+    ]
     if bundle.total_sq - greedy_energy <= _EXACT_CAPTURE_TOL * max(bundle.total_sq, 1.0):
+        trace.append({"stage": "select", "winner": len(trace) - 1, "from": "greedy"})
         return list(greedy_pts)
 
     starts: list[np.ndarray] = []
@@ -550,13 +640,13 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
     for x0 in starts:
         stats: dict = {}
         pts, val = _local_search(bundle, cfg, x0, stats=stats)
-        candidates.append((tuple(pts), val))
         trace.append({"stage": "local", "energy": val, **stats})
+        candidates.append((tuple(pts), val, len(trace) - 1))
 
     # Merge polish: re-optimize near-coincident nodes as one repeated node, so
     # signals built from derivative kernels are recoverable exactly.
     ranked = sorted(candidates, key=lambda c: -c[1])
-    for pts, _ in ranked[:3]:
+    for pts, _, _ in ranked[:3]:
         structure = _cluster_structure(pts)
         if structure is None:
             continue
@@ -565,17 +655,18 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
         merged_pts, merged_val = _local_search(
             bundle, cfg, _as_x(centers), orders=orders, stats=stats
         )
-        candidates.append((tuple(merged_pts), merged_val))
         trace.append({"stage": "merge-polish", "energy": merged_val, **stats})
+        candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
 
     # Near exact capture energies no longer separate candidates; the
     # residual computed by finalize still does.
     def sort_key(cand):
-        pts, _ = cand
+        pts = cand[0]
         rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
         return (bundle.finalize(pts, cfg)[3], rounded)
 
-    best_pts, _ = min(candidates, key=sort_key)
+    best_pts, _, entry = min(candidates, key=sort_key)
+    trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
     return list(best_pts)
 
 

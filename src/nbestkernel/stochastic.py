@@ -4,6 +4,12 @@ The probability space is discretized by sample averaging: an ensemble holds M
 realizations with weights summing to one, the expected captured energy is the
 weighted sum of per-realization energies, and the search runs over a single
 node tuple shared by all realizations.
+
+That energy is quadratic in the realizations, so the search runs on an exact
+rank-r factor of the ensemble (r <= min(M, N+1); r = 1 for random multiples of
+one function) and its cost does not grow with M.  The per-realization
+coefficients, the expected energy and the residual of the chosen tuple are
+computed from all M realizations.
 """
 
 from __future__ import annotations
@@ -107,7 +113,11 @@ def stochastic_energy(e: Ensemble, params: ParamTuple) -> float:
 
 
 def stochastic_nbest(e: Ensemble, n: int, config: OptimizerConfig | None = None) -> StochasticResult:
-    """Maximize expected captured energy over one shared node tuple."""
+    """Maximize expected captured energy over one shared node tuple.
+
+    The search runs on the ensemble's exact low-rank factor; the trace opens
+    with a ``compress`` entry giving M and the rank r it ran on.
+    """
     cfg = config or OptimizerConfig()
     bundle = _bundle(e)
     if n < 0:
@@ -122,8 +132,9 @@ def stochastic_nbest(e: Ensemble, n: int, config: OptimizerConfig | None = None)
             bochner_norm=base.norm,
             trace=[],
         )
-    trace: list = []
-    points = _nbest_points(bundle, n, cfg, trace)
+    factor = bundle.compressed()
+    trace: list = [{"stage": "compress", "realizations": len(e), "rank": len(factor.probs)}]
+    points = _nbest_points(factor, n, cfg, trace)
     params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
     return StochasticResult(
         params=params,

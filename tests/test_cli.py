@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nbestkernel import ConfigError, Ensemble, OptimizerConfig, ParamTuple, afd_greedy, energy, norm
+from nbestkernel import cli
 from nbestkernel.cli import (
     TaskConfig,
     _dump_json,
@@ -359,3 +360,62 @@ def test_main_missing_config(tmp_path, capsys):
     code = main(["nbest", "--config", str(tmp_path / "absent.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- size limits ------------------------------------------------------------------
+
+MIX_ATOMS = [{"a": [0.3, 0.0], "c": [1.0, 0.0]}]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+@pytest.mark.parametrize(
+    "space,signal,fragment",
+    [
+        ({"family": "hardy", "degree": 10**9}, {"coefficients": [[1.0, 0.0]]}, "/space/degree"),
+        ({"family": "hardy", "degree": 65537}, {"coefficients": [[1.0, 0.0]]}, "/space/degree"),
+        (
+            {"family": "hardy"},
+            {"random": {"kind": "kernel_mix", "atoms": MIX_ATOMS, "M": 10**8, "seed": 1}},
+            "/signal/random/M",
+        ),
+        (
+            {"family": "hardy"},
+            {"random": {"kind": "decaying_gaussian", "gamma": 2.0, "M": 16369, "seed": 1}},
+            "/signal/random/M",
+        ),
+        ({"family": "hardy"}, {"realizations": [[[1.0, 0.0]]] * 16369}, "/signal/realizations"),
+    ],
+)
+def test_parse_rejects_oversized_inputs_before_allocating(monkeypatch, space, signal, fragment):
+    # 16368 = 2**24 // 1025 realizations fit at the default degree 1024
+    monkeypatch.setattr(cli, "generate_ensemble", _refuse)
+    monkeypatch.setattr(cli, "as_element", _refuse)
+    if fragment == "/space/degree":
+        monkeypatch.setattr(cli, "SpaceSpec", _refuse)
+    payload = {"task": "stochastic", "space": space, "signal": signal, "n": 1}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert fragment in str(err.value)
+
+
+def test_parse_admits_ensembles_up_to_the_limit(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "generate_ensemble", lambda spec, kind, p, m, seed: sizes.append(m))
+    for m in (10240, 16368):
+        signal = {"random": {"kind": "kernel_mix", "atoms": MIX_ATOMS, "M": m, "seed": 1}}
+        payload = {"task": "stochastic", "space": {"family": "hardy"}, "signal": signal}
+        parse_config(json.dumps(payload))
+    assert sizes == [10240, 16368]
+
+
+def test_main_reports_oversized_ensemble_with_its_pointer(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "generate_ensemble", _refuse)
+    signal = {"random": {"kind": "kernel_mix", "atoms": MIX_ATOMS, "M": 10**8, "seed": 1}}
+    payload = {"task": "stochastic", "space": {"family": "hardy"}, "signal": signal, "n": 2}
+    path = _write(tmp_path, "cfg.json", payload)
+    assert main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "/signal/random/M" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()

@@ -175,6 +175,8 @@ def test_nbest_single_kernel(hardy):
     res = nbest(hardy, f, 1, FAST)
     assert abs(res.params.points[0] - b) <= 1e-5
     assert res.energy == pytest.approx(norm_sq(hardy, f), rel=1e-10)
+    # greedy captures the kernel exactly and is named the winner
+    assert res.trace == [res.trace[0], {"stage": "select", "winner": 0, "from": "greedy"}]
 
 
 def test_nbest_dominates_greedy(hardy):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbestkernel import (
     DivergenceRiskError,
@@ -19,6 +21,9 @@ from nbestkernel import (
     stochastic_energy,
     stochastic_nbest,
 )
+from nbestkernel.engine import _Bundle, _disc_grid, _grid_increments, _nbest_points
+from nbestkernel.orthosystem import _gram_schmidt_impl
+from nbestkernel.spaces import kernel_matrix
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
 
@@ -185,3 +190,117 @@ def test_stochastic_boundary_decay():
         for w in np.exp(2j * np.pi * np.arange(32) / 32)
     )
     assert rim <= 0.05 * interior
+
+
+# -- exact low-rank factor ----------------------------------------------------------
+
+FACTOR_SPACES = {
+    "hardy": SpaceSpec.hardy(24, radius_cap=0.5),
+    "bergman": SpaceSpec.bergman(1.0, 24, radius_cap=0.5),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5, 24, radius_cap=0.5),
+}
+# (rank, M): rank 1, rank 3 and full rank; M > N + 1 = 25 makes the full-rank
+# ensemble compressible to its 25 columns.
+FACTOR_SHAPES = {"rank1": (1, 16), "rank3": (3, 16), "full": (25, 40)}
+
+
+def _low_rank_bundle(spec, rank, m, zero_weights):
+    rng = np.random.default_rng(5)
+    n1 = spec.max_degree + 1
+    base = rng.standard_normal((rank, n1)) + 1j * rng.standard_normal((rank, n1))
+    mix = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    probs = rng.uniform(0.5, 1.5, m)
+    if zero_weights:
+        probs[::3] = 0.0
+    return _Bundle(spec, mix @ (base / (1.0 + np.arange(n1))), probs / probs.sum())
+
+
+@pytest.mark.parametrize("shape", sorted(FACTOR_SHAPES))
+@pytest.mark.parametrize("family", sorted(FACTOR_SPACES))
+@settings(max_examples=12, deadline=None)
+@given(
+    zero_weights=st.booleans(),
+    radii=st.lists(st.floats(0.0, 0.45), min_size=1, max_size=3),
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+    double=st.booleans(),
+)
+def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles, double):
+    spec = FACTOR_SPACES[family]
+    rank, m = FACTOR_SHAPES[shape]
+    full = _low_rank_bundle(spec, rank, m, zero_weights)
+    factor = full.compressed()
+    assert factor.matrix.shape == (rank, spec.max_degree + 1)
+    assert np.array_equal(factor.probs, np.ones(rank))
+    scale = full.total_sq
+    assert factor.total_sq == pytest.approx(scale, rel=1e-12, abs=0.0)
+
+    distinct = []
+    for p in (r * np.exp(1j * t) for r, t in zip(radii, angles)):
+        if all(abs(p - q) >= 0.2 for q in distinct):
+            distinct.append(complex(p))
+    points = [distinct[0]] * (1 + double) + distinct[1:]
+    owners = np.array([0] * (1 + double) + list(range(1, len(distinct))))
+    params = ParamTuple(tuple(points), radius_cap=0.5)
+
+    for kwargs in ({}, {"mgs": True}):
+        got, want = factor.captured(params, **kwargs), full.captured(params, **kwargs)
+        assert got.mgs == want.mgs
+        assert abs(got.value - want.value) <= 1e-12 * scale
+    got, want = factor.captured(params, owners), full.captured(params, owners)
+    assert (got.grad is None) == (want.grad is None)
+    if want.grad is not None:
+        assert np.max(np.abs(got.grad - want.grad)) <= 1e-12 * scale
+
+    system, _ = _gram_schmidt_impl(spec, params, 1e-10, allow_partial=True)
+    grid_rows = kernel_matrix(spec, _disc_grid(0.45, 8))
+    got = _grid_increments(factor, grid_rows, system.basis)
+    want = _grid_increments(full, grid_rows, system.basis)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    ok = np.isfinite(want)
+    assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
+
+    cfg = OptimizerConfig()
+    _, _, got_energy, got_residual, _ = factor.finalize(points, cfg)
+    _, _, want_energy, want_residual, _ = full.finalize(points, cfg)
+    assert abs(got_residual**2 - want_residual**2) <= 1e-12 * scale
+    assert abs(got_energy - want_energy) <= 1e-12 * scale
+
+
+def test_factor_of_single_and_full_rank_bundles_is_the_bundle(hardy_small):
+    single = _Bundle.single(hardy_small, kernel(hardy_small, 0.3))
+    assert single.compressed() is single
+    e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 32, seed=1)
+    full = _Bundle(e.spec, e.matrix, e.probs)
+    assert full.compressed() is full
+    # a zero weight removes a realization from the ensemble's form
+    probs = np.r_[0.0, np.full(31, 1.0 / 31)]
+    thinned = _Bundle(e.spec, e.matrix, probs).compressed()
+    assert thinned.matrix.shape[0] == 31
+
+
+def test_full_rank_search_is_the_uncompressed_search(hardy_small):
+    e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
+    res = stochastic_nbest(e, 2, FAST)
+    bundle = _Bundle(e.spec, e.matrix, e.probs)
+    trace = [{"stage": "compress", "realizations": 6, "rank": 6}]
+    points = _nbest_points(bundle, 2, FAST, trace)
+    params, coeffs, cap, residual, _ = bundle.finalize(points, FAST)
+    assert res.params.points == params.points
+    assert np.array_equal(res.coefficients, coeffs)
+    assert (res.expected_energy, res.expected_residual) == (cap, residual)
+    assert res.trace == trace
+
+
+def test_trace_names_rank_and_winner(hardy_small):
+    e = generate_ensemble(
+        hardy_small, "kernel_mix", {"atoms": [(0.3, 1.0, 1), (-0.4, 1.0, 1)]}, 64, seed=7
+    )
+    res = stochastic_nbest(e, 2, FAST)
+    assert res.trace[0] == {"stage": "compress", "realizations": 64, "rank": 1}
+    assert res.coefficients.shape == (64, 2)
+    select = res.trace[-1]
+    assert select["stage"] == "select"
+    entry = res.trace[select["winner"]]
+    assert entry["stage"] == select["from"]
+    assert select["from"] in ("greedy", "local", "merge-polish")
+    assert entry["energy"] == pytest.approx(res.expected_energy, rel=1e-9)
