@@ -49,7 +49,6 @@ from .engine import (
     OptimizerConfig,
     afd_decay_sweep,
     afd_greedy,
-    bvc_profile,
     energy,
     nbest,
     residual_decay_sweep,
@@ -65,6 +64,7 @@ from .stochastic import (
 from .verify import (
     ConditionReport,
     battery,
+    bvc_profile,
     check_bounded_kernel_limit,
     check_boundary_vanishing,
     check_norm_blowup,

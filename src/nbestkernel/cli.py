@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, as_element
+from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, _jsonify, as_element
 from .engine import (
     ApproximationResult,
     OptimizerConfig,
@@ -301,22 +301,6 @@ def parse_config(text: str) -> TaskConfig:
 
 def _pairs(values) -> list[list[float]]:
     return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(values).ravel()]
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return [float(np.real(obj)), float(np.imag(obj))]
-    return obj
 
 
 def _space_block(spec: SpaceSpec) -> dict:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegenerateTupleWarning, DomainError
+from .errors import DegenerateTupleWarning
 from .spaces import (
     DEFAULT_MERGE_TOL,
     DEFAULT_RADIUS_CAP,
@@ -753,31 +753,6 @@ def nbest(
     trace: list = []
     points = _nbest_points(bundle, n, cfg, trace)
     return _single_result(bundle, points, cfg, "nbest", trace)
-
-
-def bvc_profile(
-    spec: SpaceSpec, f: AnalyticFunction, radii, n_angles: int = 256
-) -> list[tuple[float, float]]:
-    """Per-radius angular supremum of the normalized kernel pairing |<f, E_a>|.
-
-    Certifies how fast captured energy dies toward the rim; used to justify
-    the compact search radius.
-    """
-    _check_member(spec, f)
-    out = []
-    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
-    for r in radii:
-        r = float(r)
-        if not 0.0 <= r < 1.0:
-            raise DomainError(f"profile radius must lie in [0, 1), got {r}")
-        denom = math.sqrt(spec.kernel_norm_sq(r))
-        if r == 0.0:
-            sup = abs(complex(np.polynomial.polynomial.polyval(0.0, f.coeffs))) / denom
-        else:
-            vals = np.polynomial.polynomial.polyval(r * angles, f.coeffs)
-            sup = float(np.max(np.abs(vals))) / denom
-        out.append((r, sup))
-    return out
 
 
 def residual_decay_sweep(

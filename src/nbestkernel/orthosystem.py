@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     ConditioningError,
@@ -181,24 +180,23 @@ def _mul_one_minus(c: np.ndarray, abar: complex) -> np.ndarray:
 
 
 def _div_geometric(c: np.ndarray, abar: complex) -> np.ndarray:
-    """Coefficients of f / (1 - abar z) via the forward recurrence."""
-    return lfilter(
-        np.asarray([1.0], dtype=np.complex128),
-        np.asarray([1.0, -abar], dtype=np.complex128),
-        c,
-    )
+    """Coefficients of f / (1 - abar z): the recurrence y_k = c_k + abar y_{k-1}."""
+    out = []
+    y = 0j
+    abar = complex(abar)
+    for ck in np.asarray(c, dtype=np.complex128).tolist():
+        y = ck + abar * y
+        out.append(y)
+    return np.array(out, dtype=np.complex128)
 
 
 def _deflate(c: np.ndarray, a: complex) -> tuple[np.ndarray, complex]:
-    """Synthetic division by (z - a): quotient (top-padded) and remainder."""
-    rev = c[:0:-1]
-    q_rev = lfilter(
-        np.asarray([1.0], dtype=np.complex128),
-        np.asarray([1.0, -a], dtype=np.complex128),
-        rev,
-    )
+    """Synthetic division by (z - a): quotient (top-padded) and remainder.
+
+    The reversed quotient is the reversed series divided by (1 - a z).
+    """
     q = np.zeros_like(c)
-    q[: c.size - 1] = q_rev[::-1]
+    q[: c.size - 1] = _div_geometric(c[:0:-1], a)[::-1]
     rem = c[0] + a * q[0]
     return q, complex(rem)
 

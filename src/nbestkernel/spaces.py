@@ -380,3 +380,20 @@ class ParamTuple:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=np.complex128)
+
+
+def _jsonify(obj):
+    """Plain JSON types for nested numpy and Python scalars; complex becomes [re, im]."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        return [float(np.real(obj)), float(np.imag(obj))]
+    return obj

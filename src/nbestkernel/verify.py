@@ -21,14 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import UnsupportedSpaceError
+from .errors import DomainError, UnsupportedSpaceError
 from .spaces import (
     AnalyticFunction,
     ParamTuple,
     SpaceSpec,
+    _check_member,
+    _jsonify,
     as_element,
     derivative_at,
-    evaluate,
+    evaluate,  # noqa: F401  (perfbench/tracer.py wraps verify.evaluate)
     kernel,
     norm,
 )
@@ -42,7 +44,6 @@ from .orthosystem import (
     project,
     zero_space_kernel,
 )
-from .engine import bvc_profile
 
 BOUNDARY_ANGLES = 512
 INTERIOR_GRID = (64, 64)
@@ -62,22 +63,11 @@ class ConditionReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, (np.bool_, bool)):
-                return bool(v)
-            if isinstance(v, (np.floating, float)):
-                return float(v)
-            if isinstance(v, (np.integer, int)):
-                return int(v)
-            return v
-
         return {
             "space": self.space,
             "check": self.check,
             "grid": self.grid,
-            "measured": {k: clean(v) for k, v in self.measured.items()},
+            "measured": _jsonify(self.measured),
             "bound": None if self.bound is None else float(self.bound),
             "passed": bool(self.passed),
             "notes": self.notes,
@@ -105,9 +95,46 @@ def family_pointwise_bound(spec: SpaceSpec) -> float:
     return float(zeta(beta))
 
 
+def _circle_values(coeffs: np.ndarray, radii, n_angles: int) -> np.ndarray:
+    """Series values at r exp(2 pi i j / n_angles), one row per radius r.
+
+    On equally spaced angles the truncated series is a DFT: the scaled
+    coefficients c_k r**k are folded modulo ``n_angles`` and each row is one
+    inverse FFT.
+    """
+    radii = np.asarray(radii, dtype=float)
+    folds = -(-coeffs.size // n_angles)
+    folded = np.zeros((radii.size, folds * n_angles), dtype=np.complex128)
+    folded[:, : coeffs.size] = coeffs * radii[:, None] ** np.arange(coeffs.size)
+    return np.fft.ifft(folded.reshape(radii.size, folds, n_angles).sum(axis=1), axis=1) * n_angles
+
+
+def _kernel_norms_sq(spec: SpaceSpec, radii) -> np.ndarray:
+    """``spec.kernel_norm_sq`` over a radius grid in one array expression."""
+    q = np.asarray(radii, dtype=float) ** 2
+    return np.sum(q[:, None] ** np.arange(spec.max_degree + 1) / spec.weights, axis=1)
+
+
 def _boundary_sup(f: AnalyticFunction, n_angles: int = BOUNDARY_ANGLES) -> float:
-    zs = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
-    return float(np.max(np.abs(evaluate(f, zs))))
+    return float(np.max(np.abs(_circle_values(f.coeffs, [1.0], n_angles))))
+
+
+def bvc_profile(
+    spec: SpaceSpec, f: AnalyticFunction, radii, n_angles: int = 256
+) -> list[tuple[float, float]]:
+    """Per-radius angular supremum of the normalized kernel pairing |<f, E_a>|.
+
+    Certifies how fast captured energy dies toward the rim; used to justify
+    the compact search radius.
+    """
+    _check_member(spec, f)
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not 0.0 <= r < 1.0:
+            raise DomainError(f"profile radius must lie in [0, 1), got {r}")
+    sups = np.abs(_circle_values(f.coeffs, radii, n_angles)).max(axis=1)
+    sups /= np.sqrt(_kernel_norms_sq(spec, radii))
+    return [(r, float(s)) for r, s in zip(radii, sups)]
 
 
 def check_norm_blowup(spec: SpaceSpec, radii=DEFAULT_RADII) -> ConditionReport:
@@ -155,17 +182,10 @@ def estimate_pointwise_bound(
     (a, z) grid with z in the closed disc exactly.
     """
     radii = np.linspace(0.0, max_radius, grid_density)
-    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
-    inv_w = 1.0 / spec.weights
-    sup = 0.0
-    arg = 0.0
-    for r in radii:
-        denom = spec.kernel_norm_sq(float(r))
-        vals = np.abs(np.polynomial.polynomial.polyval(r * angles, inv_w)) / denom
-        local = float(np.max(vals))
-        if local > sup:
-            sup = local
-            arg = float(r)
+    sups = np.abs(_circle_values(1.0 / spec.weights, radii, n_angles)).max(axis=1)
+    sups /= _kernel_norms_sq(spec, radii)
+    best = int(np.argmax(sups))  # the first radius attaining the maximum
+    sup, arg = float(sups[best]), float(radii[best])
     bound = family_pointwise_bound(spec)
     return ConditionReport(
         space=spec.label(),
@@ -233,15 +253,19 @@ def check_boundary_vanishing(
     interior_radii = np.linspace(0.0, 0.99, INTERIOR_GRID[0])
     interior = max(v for _, v in bvc_profile(spec, f, interior_radii, INTERIOR_GRID[1]))
     ratio = values[-1] / interior if interior > 0 else math.inf
+    # By maximum modulus the outermost profile value is at least this floor.
+    floor = abs(complex(f.coeffs[0])) / math.sqrt(spec.kernel_norm_sq(profile[-1][0]))
     return ConditionReport(
         space=spec.label(),
         check="boundary-vanishing",
         grid=f"profile radii {list(radii)}; interior polar "
         f"{INTERIOR_GRID[0]}x{INTERIOR_GRID[1]} up to 0.99",
-        measured={"profile": values, "interior_max": interior, "rim_ratio": ratio},
+        measured={"profile": values, "interior_max": interior, "rim_ratio": ratio,
+                  "rim_floor": floor},
         bound=0.05,
         passed=bool(decreasing and ratio <= 0.05),
-        notes="rim ratio compares the outermost profile value to the interior maximum",
+        notes="rim ratio compares the outermost profile value to the interior maximum; "
+        "rim floor |f(0)| / ||K_r|| bounds that value from below",
     )
 
 

@@ -419,3 +419,21 @@ def test_main_reports_oversized_ensemble_with_its_pointer(monkeypatch, tmp_path,
     assert main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "/signal/random/M" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """A fresh `import nbestkernel.cli` must not load scipy.signal, which drags
+    in scipy.stats and doubles the start-up time of every task."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nbestkernel
+
+    src = str(Path(nbestkernel.__file__).resolve().parent.parent)
+    code = "import sys, nbestkernel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -362,3 +362,40 @@ def test_reduced_remainder_boundary_growth(family, param):
     g_sup = float(np.max(np.abs(evaluate(g, circle))))
     c = family_pointwise_bound(spec)
     assert g_sup <= m * (1 + c) ** len(params) * (1 + 1e-6)
+
+
+# -- geometric division and deflation ---------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 1100),
+    radius=st.one_of(st.just(0.0), st.just(0.99), st.floats(0.0, 0.99)),
+    angle=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_geometric_recurrence_matches_lfilter(size, radius, angle, seed):
+    """_div_geometric and _deflate against scipy's IIR filter, the reference the
+    recurrence replaced, for node radii up to the default radius cap."""
+    from scipy.signal import lfilter
+
+    from nbestkernel.orthosystem import _deflate, _div_geometric
+
+    def ref(c, x):
+        return lfilter([1.0 + 0j], [1.0 + 0j, -x], c)
+
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / (1.0 + np.arange(size))
+    a = radius * np.exp(1j * angle)
+    # error scale: the recurrence applied to |c| with |a|
+    scale = ref(np.abs(c), abs(a)).real
+    got = _div_geometric(c, np.conj(a))
+    assert np.all(np.abs(got - ref(c, np.conj(a))) <= 1e-14 * scale)
+
+    # synthetic division by (z - a) is Horner's scheme run on the reversed series
+    rev = c[:0:-1]
+    q, rem = _deflate(c, a)
+    assert np.all(np.abs(q[:-1] - ref(rev, a)[::-1]) <= 1e-14 * ref(np.abs(rev), abs(a)).real[::-1])
+    assert q[-1] == 0
+    horner_scale = np.polynomial.polynomial.polyval(abs(a), np.abs(c))
+    assert abs(rem - np.polynomial.polynomial.polyval(a, c)) <= 1e-14 * horner_scale

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbestkernel import (
+    ConditionReport,
     ParamTuple,
     SpaceSpec,
     UnsupportedSpaceError,
@@ -19,6 +22,7 @@ from nbestkernel import (
     estimate_pointwise_bound,
     family_pointwise_bound,
 )
+from nbestkernel.verify import _circle_values
 
 
 def _random_signal(spec, seed, degree=16):
@@ -125,6 +129,61 @@ def test_boundary_vanishing_weighted_rim_ratio_exceeds_threshold(dirichlet):
     vals = rep.measured["profile"]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert rep.measured["rim_ratio"] > 0.05
+    # For f = 1 the profile is exactly the analytic floor 1 / ||K_r||, so the
+    # red flag is a property of the norm's growth, not of the angular grid.
+    assert rep.measured["rim_floor"] == pytest.approx(vals[-1], rel=1e-12)
+    assert rep.measured["rim_floor"] / rep.measured["interior_max"] > 0.05
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec.hardy(), SpaceSpec.bergman(1.0), SpaceSpec.weighted_hardy(0.5)])
+def test_boundary_vanishing_rim_floor_is_lower_bound(spec):
+    f = _random_signal(spec, 6)
+    rep = check_boundary_vanishing(spec, f)
+    floor = abs(f.coeffs[0]) / math.sqrt(spec.kernel_norm_sq(0.999))
+    assert rep.measured["rim_floor"] == pytest.approx(floor, rel=1e-15)
+    assert floor <= rep.measured["profile"][-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 1100),
+    n_angles=st.integers(1, 600),
+    radii=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1025, n_angles=512, radii=[0.0, 0.5, 1.0], seed=0)  # longer than n_angles
+@example(size=100, n_angles=512, radii=[0.0, 0.999, 1.0], seed=1)  # shorter than n_angles
+@example(size=1025, n_angles=100, radii=[0.0, 0.9, 1.0], seed=2)  # n_angles does not divide N+1
+def test_circle_values_match_horner(size, n_angles, radii, seed):
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / (1.0 + np.arange(size))
+    got = _circle_values(c, radii, n_angles)
+    assert got.shape == (len(radii), n_angles)
+    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    for r, row in zip(radii, got):
+        ref = np.polynomial.polynomial.polyval(r * angles, c)
+        scale = np.polynomial.polynomial.polyval(r, np.abs(c))
+        assert np.max(np.abs(row - ref)) <= 1e-12 * scale
+
+
+def test_report_to_dict_plain_types():
+    rep = ConditionReport(
+        space="s",
+        check="c",
+        grid="g",
+        measured={
+            "values": (np.float64(0.5), 1.0),
+            "count": np.int64(3),
+            "ok": np.bool_(True),
+            "closed_form": [None, np.float32(0.25)],
+        },
+        bound=np.float64(2.0),
+        passed=np.bool_(False),
+    )
+    assert json.dumps(rep.to_dict(), sort_keys=True) == (
+        '{"bound": 2.0, "check": "c", "grid": "g", "measured": {"closed_form": [null, 0.25], '
+        '"count": 3, "ok": true, "values": [0.5, 1.0]}, "notes": "", "passed": false, "space": "s"}'
+    )
 
 
 def test_bounded_kernel_limit_values():
