@@ -8,16 +8,18 @@ of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
 Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
 (MGS), which also produces every reported value and the final coefficients.
 
-Greedy selection maximizes the per-step energy increment over a coarse disc
-grid refined by local search; the global engine adds stratified multistart
-seeds, descent over all node coordinates at once, and a merge polish that
-re-optimizes near-coincident nodes as a single higher-multiplicity node.
-Existence theory confines maxima to a compact disc of radius ``1 - delta``,
-which is the search region.
+Every local search is L-BFGS-B on that gradient.  Greedy selection maximizes
+the per-step energy increment over a coarse disc grid refined by local search;
+the global engine adds stratified multistart seeds, descent over all node
+coordinates at once, and a merge polish that searches again from the best
+inexact candidate with its closest pair as one order-2 node.  Existence theory
+confines maxima to a compact disc of radius ``1 - delta``, which is the search
+region.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +41,6 @@ from .spaces import (
 from .orthosystem import _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
-_CLUSTER_TOL = 0.02
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
 # it the energy loses about eps / ratio**2 relative accuracy and MGS takes over.
 _PIVOT_FLOOR = 1e-4
@@ -62,15 +63,16 @@ class OptimizerConfig:
     """Knobs for the greedy and global engines.
 
     ``delta`` is the boundary margin (search radius ``1 - delta``),
-    ``grid_density`` the coarse Cartesian grid points per axis,
-    ``ftol``/``xtol`` the relative objective / absolute coordinate tolerances
-    of the local searches, and ``merge_tol`` the node-merging distance.  The
-    quasi-Newton polish uses the analytic gradient of the captured energy;
-    ``fd_step`` is only the relative step of the central differences it falls
-    back to, with MGS values, when a node is clamped, merges with another
-    node, or the Gram matrix is too ill-conditioned.  All randomness flows
-    from ``seed``.  ``workers`` is accepted and validated but has no effect:
-    the searches run sequentially.
+    ``grid_density`` the coarse Cartesian grid points per axis, ``ftol`` the
+    relative energy shortfall at which greedy selection stops early,
+    ``max_iter`` the iteration cap of each local search, and ``merge_tol``
+    the node-merging distance.  The local searches use the analytic gradient
+    of the captured energy; ``fd_step`` is only the relative step of the
+    central differences they fall back to, with MGS values, when a node
+    merges with another node or the Gram matrix is too ill-conditioned.  All
+    randomness flows from ``seed``.  ``xtol``, ``workers`` and ``polish`` are
+    accepted and validated but have no effect: the searches run sequentially,
+    and every one of them is the gradient search.
     """
 
     delta: float = 0.05
@@ -367,12 +369,16 @@ def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
 # -- local search -------------------------------------------------------------
 
 
-def _clamped_points(x: np.ndarray, radius: float) -> np.ndarray:
+def _reflected_points(x: np.ndarray, radius: float) -> np.ndarray:
+    """Nodes of the coordinates ``x``; one at |u| > radius is mirrored in the
+    search circle to radius ``2 radius - |u|``.  A radial clamp would leave a
+    flat shelf outside the circle, on which a gradient search that overshoots
+    the circle stalls; the mirror leads it back."""
     pts = x[0::2] + 1j * x[1::2]
     r = np.abs(pts)
     over = r > radius
     if np.any(over):
-        pts = np.where(over, pts * (radius / np.maximum(r, 1e-300)), pts)
+        pts = np.where(over, pts * ((2.0 * radius - r) / np.maximum(r, 1e-300)), pts)
     return pts
 
 
@@ -386,10 +392,10 @@ class _Objective:
 
     ``prefix`` nodes stay fixed; with ``orders`` moving node i enters with
     multiplicity ``orders[i]`` (merge polish).  Nodes overshooting the search
-    disc are clamped radially, and the analytic gradient is chained through
-    the clamp.  When a moving node merges with another node, or the Gram path
-    falls back to MGS, the value comes from MGS and the gradient from central
-    differences of MGS values with relative step ``fd_step``.
+    disc are mirrored back into it, and the analytic gradient is chained
+    through the mirror.  When a moving node merges with another node, or the
+    Gram path falls back to MGS, the value comes from MGS and the gradient
+    from central differences of MGS values with relative step ``fd_step``.
     """
 
     def __init__(self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None):
@@ -411,7 +417,7 @@ class _Objective:
         return tuple(full)
 
     def params(self, x: np.ndarray) -> ParamTuple:
-        return self.bundle.make_tuple(self.expand(_clamped_points(x, self.radius)), self.cfg)
+        return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)), self.cfg)
 
     def _capture(self, params: ParamTuple, owners=None, mgs: bool = False) -> _Capture:
         cap = self.bundle.captured(params, owners, mgs)
@@ -429,15 +435,17 @@ class _Objective:
         cap = self._capture(params, self.owners if separate else None, mgs=not separate)
         grad = np.empty_like(x)
         if cap.grad is not None:
-            # dE/dx + i dE/dy per node; a clamped node a = R u / |u| only
-            # moves tangentially, scaled by R / |u|.
+            # dE/dx + i dE/dy per node; a mirrored node a = (2R - |u|) u / |u|
+            # moves against u radially and by (2R - |u|) / |u| tangentially.
             slope = 2.0 * np.conj(cap.grad)
             raw = x[0::2] + 1j * x[1::2]
             r = np.abs(raw)
             over = r > self.radius
             if np.any(over):
                 u = raw[over] / r[over]
-                slope[over] = (self.radius / r[over]) * 1j * u * np.imag(np.conj(u) * slope[over])
+                along = np.conj(u) * slope[over]
+                stretch = (2.0 * self.radius - r[over]) / r[over]
+                slope[over] = u * (-along.real + 1j * stretch * along.imag)
             grad[0::2] = -slope.real
             grad[1::2] = -slope.imag
             return -cap.value, grad
@@ -451,47 +459,28 @@ class _Objective:
 
 
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
-    """Nelder-Mead descent plus an optional L-BFGS-B polish with the analytic
-    gradient, on the flattened real coordinates of the moving nodes.
+    """L-BFGS-B with the analytic gradient of the captured energy, started at
+    ``x0`` on the flattened real coordinates of the moving nodes.
 
     The returned energy is recomputed with MGS.  ``stats``, if given, receives
-    the evaluation counts, the polish's stop message and how many evaluations
-    fell back to MGS.
+    the evaluation count, the stop message and how many evaluations fell back
+    to MGS.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders)
-    scale = max(1.0, bundle.total_sq)
     res = minimize(
-        objective.value,
+        objective.value_and_grad,
         x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.max_iter,
-            "maxfev": 2 * cfg.max_iter,
-            "xatol": cfg.xtol,
-            "fatol": cfg.ftol * scale,
-        },
+        method="L-BFGS-B",
+        jac=True,
+        bounds=[(-objective.radius, objective.radius)] * x0.size,
+        options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12},
     )
-    best_x, best_f = res.x, float(res.fun)
-    pol = None
-    if cfg.polish:
-        bounds = [(-objective.radius, objective.radius)] * x0.size
-        pol = minimize(
-            objective.value_and_grad,
-            best_x,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        if float(pol.fun) < best_f:
-            best_x, best_f = pol.x, float(pol.fun)
-    params = objective.params(np.asarray(best_x, dtype=np.float64))
+    params = objective.params(np.asarray(res.x, dtype=np.float64))
     if stats is not None:
         stats.update(
-            nelder_mead_nfev=int(res.nfev),
-            polish_nfev=int(pol.nfev) if pol is not None else 0,
-            polish_message=str(pol.message) if pol is not None else None,
+            polish_nfev=int(res.nfev),
+            polish_message=str(res.message),
             mgs_fallbacks=objective.mgs_evals,
         )
     return params.points, bundle.captured(params, mgs=True).value
@@ -565,24 +554,6 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list):
     return points, total
 
 
-def _cluster_structure(points):
-    """Group near-coincident nodes; returns (centers, orders) or None."""
-    centers: list[complex] = []
-    orders: list[int] = []
-    for p in points:
-        for i, c in enumerate(centers):
-            if abs(p - c) <= _CLUSTER_TOL:
-                orders[i] += 1
-                centers[i] = c + (p - c) / orders[i]
-                break
-        else:
-            centers.append(complex(p))
-            orders.append(1)
-    if len(centers) == len(points):
-        return None
-    return centers, orders
-
-
 def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray]:
     """Area-uniform random node sets with radius stratification across starts."""
     seeds = []
@@ -593,6 +564,39 @@ def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray
         th = rng.uniform(0.0, 2.0 * math.pi, size=n)
         seeds.append(rr * np.exp(1j * th))
     return seeds
+
+
+def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace: list):
+    """Search again from the best candidate with two nodes or more that is not
+    at exact capture, its closest pair merged into one order-2 node at the
+    midpoint, so that signals built from derivative kernels are recovered.
+    The result joins ``candidates`` and ``trace``.
+
+    Where a split pair stalls depends on the signal, because the energy is
+    flat to fourth order in the split, so no distance decides the merge.
+    """
+    mergeable = [
+        c for c in candidates
+        if len(c[0]) >= 2
+        and bundle.total_sq - c[1] > _EXACT_CAPTURE_TOL * max(bundle.total_sq, 1.0)
+    ]
+    if not mergeable:
+        return
+    pts, _, source = max(mergeable, key=lambda c: c[1])
+    i, j = min(
+        itertools.combinations(range(len(pts)), 2),
+        key=lambda ij: abs(pts[ij[0]] - pts[ij[1]]),
+    )
+    centers = [complex(p) for k, p in enumerate(pts) if k != j]
+    centers[i] = (pts[i] + pts[j]) / 2.0
+    orders = [1] * len(centers)
+    orders[i] = 2
+    stats: dict = {}
+    merged_pts, merged_val = _local_search(
+        bundle, cfg, _as_x(centers), orders=orders, stats=stats
+    )
+    trace.append({"stage": "merge-polish", "energy": merged_val, "merged_from": source, **stats})
+    candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
 
 
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=None):
@@ -643,20 +647,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
         trace.append({"stage": "local", "energy": val, **stats})
         candidates.append((tuple(pts), val, len(trace) - 1))
 
-    # Merge polish: re-optimize near-coincident nodes as one repeated node, so
-    # signals built from derivative kernels are recoverable exactly.
-    ranked = sorted(candidates, key=lambda c: -c[1])
-    for pts, _, _ in ranked[:3]:
-        structure = _cluster_structure(pts)
-        if structure is None:
-            continue
-        centers, orders = structure
-        stats = {}
-        merged_pts, merged_val = _local_search(
-            bundle, cfg, _as_x(centers), orders=orders, stats=stats
-        )
-        trace.append({"stage": "merge-polish", "energy": merged_val, **stats})
-        candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
+    _merge_polish(bundle, cfg, candidates, trace)
 
     # Near exact capture energies no longer separate candidates; the
     # residual computed by finalize still does.

@@ -248,11 +248,13 @@ def test_nbest_trace_records_search_counts(tmp_path):
     searches = [t for t in trace if t["stage"] in ("local", "merge-polish")]
     assert searches
     for entry in searches:
-        assert entry["nelder_mead_nfev"] >= 1
+        assert "nelder_mead_nfev" not in entry
         assert entry["polish_nfev"] >= 1
         assert isinstance(entry["polish_message"], str)
         assert 0 <= entry["mgs_fallbacks"]
         assert not any("time" in key for key in entry)
+        if entry["stage"] == "merge-polish":
+            assert trace[entry["merged_from"]]["stage"] in ("greedy", "local")
 
 
 def test_emit_decay_table_shape():

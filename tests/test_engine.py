@@ -22,6 +22,7 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
+from nbestkernel.engine import _Bundle, _merge_polish
 from nbestkernel.errors import DomainError
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -207,6 +208,66 @@ def test_nbest_pythagoras_and_dominance_bergman():
     f = _random_signal(spec, 77)
     res = nbest(spec, f, 2, FAST)
     assert res.energy + res.residual**2 == pytest.approx(res.norm**2, rel=1e-8)
+
+
+MERGE_SPACES = {
+    "hardy": SpaceSpec.hardy(),
+    "bergman": SpaceSpec.bergman(1.0),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5),
+}
+DOUBLE_NODE, SINGLE_NODE = 0.05 + 0.5j, -0.28 + 0.61j
+
+
+def _double_node_signal(spec):
+    """K^2_a + K_b + 0.7 K_a: its best three-node tuple has a double node."""
+    return (
+        multiple_kernel(spec, DOUBLE_NODE, 2)
+        + kernel(spec, SINGLE_NODE)
+        + 0.7 * kernel(spec, DOUBLE_NODE)
+    )
+
+
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nbest_recovers_double_node(family, seed):
+    spec = MERGE_SPACES[family]
+    cfg = OptimizerConfig(multistart=8, grid_density=12, max_iter=60, seed=seed)
+    res = nbest(spec, _double_node_signal(spec), 3, cfg)
+    assert res.residual <= 1e-6 * res.norm
+
+
+def test_merge_polish_merges_a_pair_of_any_separation():
+    spec = MERGE_SPACES["hardy"]
+    bundle = _Bundle.single(spec, _double_node_signal(spec))
+    cfg = OptimizerConfig(max_iter=60)
+    split = (SINGLE_NODE, DOUBLE_NODE - 0.015, DOUBLE_NODE + 0.015)
+    worse = (SINGLE_NODE, DOUBLE_NODE, 0.0)
+    candidates = [
+        (pts, bundle.captured(bundle.make_tuple(pts, cfg), mgs=True).value, k)
+        for k, pts in enumerate((worse, split))
+    ]
+    assert candidates[0][1] < candidates[1][1] < bundle.total_sq
+    trace = [{"stage": "local"}, {"stage": "local"}]
+    _merge_polish(bundle, cfg, candidates, trace)
+    # the best candidate's pair, 0.03 apart, became one order-2 node
+    assert trace[-1]["stage"] == "merge-polish"
+    assert trace[-1]["merged_from"] == 1
+    merged_pts, _, entry = candidates[-1]
+    assert entry == len(trace) - 1
+    params, _, _, residual, _ = bundle.finalize(merged_pts, cfg)
+    assert sorted(params.orders) == [1, 1, 2]
+    assert residual <= 1e-6 * math.sqrt(bundle.total_sq)
+
+
+def test_merge_polish_skips_exact_capture():
+    spec = MERGE_SPACES["hardy"]
+    bundle = _Bundle.single(spec, kernel(spec, 0.2) + kernel(spec, 0.5j))
+    cfg = OptimizerConfig()
+    pts = (0.2, 0.5j)
+    candidates = [(pts, bundle.captured(bundle.make_tuple(pts, cfg), mgs=True).value, 0)]
+    trace = [{"stage": "local"}]
+    _merge_polish(bundle, cfg, candidates, trace)
+    assert len(candidates) == 1 and len(trace) == 1
 
 
 def test_nbest_deterministic(hardy):

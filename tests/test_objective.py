@@ -172,14 +172,20 @@ def test_analytic_gradient_matches_central_differences(family, case):
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
-def test_clamped_gradient_is_tangential():
+def test_overshooting_node_is_mirrored():
     spec = SPACES["bergman"]
     bundle = _Bundle.single(spec, _signal(spec, 6))
     objective = _Objective(bundle, OptimizerConfig(), 1)
-    x = _as_x([0.98 + 0.05j])
-    _, grad = objective.value_and_grad(x)
-    # the clamped node cannot move radially
-    assert abs(grad @ x) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(x)
+    u = np.exp(0.05j)
+    outside, inside = (_as_x([(objective.radius + s * 0.03) * u]) for s in (1, -1))
+    value_out, grad_out = objective.value_and_grad(outside)
+    value_in, grad_in = objective.value_and_grad(inside)
+    assert value_out == pytest.approx(value_in, rel=1e-14)
+    # the radial slope outside is the mirrored slope inside, so a search that
+    # overshoots the circle is led back instead of stalling on a flat shelf
+    radial = _as_x([u])
+    assert abs(grad_in @ radial) > 1e-3 * np.linalg.norm(grad_in)
+    assert grad_out @ radial == pytest.approx(-(grad_in @ radial), rel=1e-9)
 
 
 def test_ensemble_gradient_matches_central_differences():
