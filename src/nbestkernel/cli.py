@@ -26,7 +26,7 @@ from .engine import (
     nbest,
     residual_decay_sweep,
 )
-from .stochastic import Ensemble, generate_ensemble, stochastic_nbest
+from .stochastic import Ensemble, generate_ensemble, kernel_mix, stochastic_nbest
 from .verify import battery
 
 _TASKS = ("afd", "nbest", "stochastic", "verify")
@@ -156,15 +156,6 @@ def _parse_atoms(items, path: str, spec: SpaceSpec) -> list[tuple[complex, compl
     return atoms
 
 
-def _mix_function(spec: SpaceSpec, atoms) -> AnalyticFunction:
-    from .spaces import multiple_kernel
-
-    coeffs = np.zeros(spec.max_degree + 1, dtype=np.complex128)
-    for a, c, order in atoms:
-        coeffs += c * multiple_kernel(spec, a, order).coeffs
-    return AnalyticFunction(coeffs)
-
-
 def _parse_signal(obj, path: str, spec: SpaceSpec):
     obj = _expect_mapping(
         obj, path, {"coefficients", "kernel_mix", "random", "realizations", "weights"}, set()
@@ -184,7 +175,7 @@ def _parse_signal(obj, path: str, spec: SpaceSpec):
             _fail(f"{path}/coefficients", "more coefficients than the space degree allows")
         return as_element(spec, values)
     if form == "kernel_mix":
-        return _mix_function(spec, _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec))
+        return kernel_mix(spec, _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec))
     if form == "realizations":
         rows = obj["realizations"]
         if not isinstance(rows, list) or not rows:

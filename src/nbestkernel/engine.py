@@ -12,9 +12,11 @@ Every local search is L-BFGS-B on that gradient.  Greedy selection maximizes
 the per-step energy increment over a coarse disc grid refined by local search;
 the global engine adds stratified multistart seeds, descent over all node
 coordinates at once, and a merge polish that searches again from the best
-inexact candidate with its closest pair as one order-2 node.  Existence theory
-confines maxima to a compact disc of radius ``1 - delta``, which is the search
-region.
+inexact candidate with its closest pair as one order-2 node.  A decay sweep
+runs greedy once, to its largest node count: greedy results finalize
+prefixes of that run, and each n-best search starts from its n-prefix.
+Existence theory confines maxima to a compact disc of radius ``1 - delta``,
+which is the search region.
 """
 
 from __future__ import annotations
@@ -145,6 +147,7 @@ class _Bundle:
         self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
+        self._grids: dict[tuple, tuple] = {}
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -519,16 +522,32 @@ def _grid_increments(bundle: _Bundle, grid_rows: np.ndarray, basis: np.ndarray) 
     return out
 
 
-def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list):
-    """Sequential node selection; stops early once the signal is captured."""
-    radius = _search_radius(bundle, cfg)
-    grid = _disc_grid(radius, cfg.grid_density)
-    grid_rows = kernel_matrix(bundle.spec, grid)
-    points: list[complex] = []
-    basis = np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
-    total = 0.0
-    for step in range(n):
-        inc = _grid_increments(bundle, grid_rows, basis)
+def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> tuple:
+    """The disc grid of the search, its kernel rows and each grid kernel's
+    increment on the empty span, built once per bundle, radius and density."""
+    key = (_search_radius(bundle, cfg), cfg.grid_density)
+    if key not in bundle._grids:
+        grid = _disc_grid(*key)
+        rows = kernel_matrix(bundle.spec, grid)
+        empty = np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
+        bundle._grids[key] = grid, rows, _grid_increments(bundle, rows, empty)
+    return bundle._grids[key]
+
+
+def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=()):
+    """Sequential node selection after the fixed ``prefix`` up to n nodes;
+    stops early once the signal is captured.  Each step appends its node and
+    the energy captured after it to ``trace``."""
+    grid, grid_rows, single = _search_grid(bundle, cfg)
+    points = list(prefix)
+    for step in range(len(points), n):
+        if points:
+            system, _ = _gram_schmidt_impl(
+                bundle.spec, bundle.make_tuple(points, cfg), 1e-10, allow_partial=True
+            )
+            inc = _grid_increments(bundle, grid_rows, system.basis)
+        else:
+            inc = single
         best = int(np.argmax(inc))
         if not np.isfinite(inc[best]) or inc[best] <= 0.0:
             break
@@ -536,10 +555,6 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list):
             bundle, cfg, _as_x([grid[best]]), prefix=tuple(points)
         )
         points = list(new_pts)
-        system, _ = _gram_schmidt_impl(
-            bundle.spec, bundle.make_tuple(points, cfg), 1e-10, allow_partial=True
-        )
-        basis = system.basis
         trace.append(
             {
                 "step": step + 1,
@@ -551,7 +566,12 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list):
             bundle.total_sq, 1.0
         ):
             break
-    return points, total
+    return points
+
+
+# perfbench/tracer.py times the warm extension of a sweep under this name.
+def _extend_greedily(bundle, points, n, cfg, trace):
+    return _greedy_points(bundle, n, cfg, trace, prefix=points)
 
 
 def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray]:
@@ -599,15 +619,20 @@ def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace
     candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
 
 
-def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=None):
+def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy=None, warm=()):
     """Greedy, multistart and merge-polish candidates; returns the points of
-    the one with the smallest residual.  Each candidate is recorded by one
-    trace entry, and a final ``select`` entry gives the index in ``trace`` of
-    the winner's entry and its stage."""
+    the one with the smallest residual.  ``greedy`` holds the points and
+    trace steps of the greedy run to n nodes, which is run here when it is
+    not given; ``warm`` holds more start tuples.  Each candidate is recorded
+    by one trace entry, and a final ``select`` entry gives the index in
+    ``trace`` of the winner's entry and its stage."""
     radius = _search_radius(bundle, cfg)
-    greedy_trace: list = []
-    greedy_pts, greedy_energy = _greedy_points(bundle, n, cfg, greedy_trace)
-    trace.append({"stage": "greedy", "steps": greedy_trace, "energy": greedy_energy})
+    if greedy is None:
+        steps: list = []
+        greedy = _greedy_points(bundle, n, cfg, steps), steps
+    greedy_pts, steps = greedy
+    greedy_energy = steps[-1]["energy"] if steps else 0.0
+    trace.append({"stage": "greedy", "steps": steps, "energy": greedy_energy})
 
     # (points, energy, index of the candidate's trace entry)
     candidates: list[tuple[tuple, float, int]] = [
@@ -620,17 +645,10 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
     starts: list[np.ndarray] = []
     if len(greedy_pts) == n:
         starts.append(_as_x(greedy_pts))
-    if warm:
-        for pts in warm:
-            if len(pts) == n:
-                starts.append(_as_x(pts))
+    starts.extend(_as_x(pts) for pts in warm if len(pts) == n)
 
     rng = np.random.default_rng(cfg.seed)
-    grid = _disc_grid(radius, cfg.grid_density)
-    grid_rows = kernel_matrix(bundle.spec, grid)
-    single = _grid_increments(
-        bundle, grid_rows, np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
-    )
+    grid, _, single = _search_grid(bundle, cfg)
     top = grid[np.argsort(single)[::-1][: max(3 * n, 8)]]
     n_top = cfg.multistart // 2
     for _ in range(n_top):
@@ -691,42 +709,53 @@ def _single_result(bundle, points, cfg, method, trace) -> ApproximationResult:
     )
 
 
+def _run(spec, f, n: int, config, method: str, sweep: bool) -> list[ApproximationResult]:
+    """Results for n nodes, or with ``sweep`` for each of 0 .. n, from one
+    greedy run to n nodes.
+
+    Greedy selection never revisits a node, so the run to k nodes is the
+    k-prefix of the run to n, with the same trace prefix.  ``afd`` finalizes
+    that prefix; ``nbest`` searches from it, and in a sweep also from the
+    greedy extension of the (k-1)-node result.
+    """
+    cfg = config or OptimizerConfig()
+    bundle = _Bundle.single(spec, f)
+    if n < 0:
+        raise ValueError("node count must be non-negative")
+    steps: list = []
+    points = _greedy_points(bundle, n, cfg, steps) if n > 0 and bundle.total_sq > 0.0 else []
+    results: list[ApproximationResult] = []
+    prev: list = []
+    for k in range(n + 1) if sweep else (n,):
+        if k == 0 or bundle.total_sq == 0.0:
+            results.append(_trivial_result(bundle, cfg, method))
+        elif method == "afd":
+            results.append(_single_result(bundle, points[:k], cfg, method, steps[:k]))
+        else:
+            warm = []
+            if prev and len(prev) == k - 1:
+                warm.append(_extend_greedily(bundle, prev, k, cfg, []))
+            trace: list = []
+            best = _nbest_points(bundle, k, cfg, trace, (points[:k], steps[:k]), warm)
+            results.append(_single_result(bundle, best, cfg, method, trace))
+            prev = list(results[-1].params.points)
+    return results
+
+
 def afd_greedy(
     spec: SpaceSpec, f: AnalyticFunction, n: int, config: OptimizerConfig | None = None
 ) -> ApproximationResult:
     """Greedy approximation: each node maximizes the energy increment given
     the nodes already chosen, via grid search plus local refinement."""
-    cfg = config or OptimizerConfig()
-    bundle = _Bundle.single(spec, f)
-    if n < 0:
-        raise ValueError("node count must be non-negative")
-    if n == 0 or bundle.total_sq == 0.0:
-        return _trivial_result(bundle, cfg, "afd")
-    trace: list = []
-    points, _ = _greedy_points(bundle, n, cfg, trace)
-    return _single_result(bundle, points, cfg, "afd", trace)
+    return _run(spec, f, n, config, "afd", sweep=False)[0]
 
 
 def afd_decay_sweep(
     spec: SpaceSpec, f: AnalyticFunction, n_max: int, config: OptimizerConfig | None = None
 ) -> list[ApproximationResult]:
-    """Greedy results for n = 0 .. n_max from one greedy run.
-
-    Greedy selection never revisits a node, so the n-node result is the
-    n-prefix of the n_max-node run, with the same trace prefix; each entry
-    equals ``afd_greedy(spec, f, n, config)``.
-    """
-    cfg = config or OptimizerConfig()
-    bundle = _Bundle.single(spec, f)
-    if n_max < 0:
-        raise ValueError("node count must be non-negative")
-    if bundle.total_sq == 0.0:
-        return [_trivial_result(bundle, cfg, "afd") for _ in range(n_max + 1)]
-    trace: list = []
-    points, _ = _greedy_points(bundle, n_max, cfg, trace)
-    return [_trivial_result(bundle, cfg, "afd")] + [
-        _single_result(bundle, points[:n], cfg, "afd", trace[:n]) for n in range(1, n_max + 1)
-    ]
+    """Greedy results for n = 0 .. n_max from one greedy run; each entry
+    equals ``afd_greedy(spec, f, n, config)``."""
+    return _run(spec, f, n_max, config, "afd", sweep=True)
 
 
 def nbest(
@@ -735,57 +764,12 @@ def nbest(
     """Best n-node approximation by multistart global search over the compact
     search disc, warm-started from the greedy solution.  The returned energy
     never falls below the greedy energy."""
-    cfg = config or OptimizerConfig()
-    bundle = _Bundle.single(spec, f)
-    if n < 0:
-        raise ValueError("node count must be non-negative")
-    if n == 0 or bundle.total_sq == 0.0:
-        return _trivial_result(bundle, cfg, "nbest")
-    trace: list = []
-    points = _nbest_points(bundle, n, cfg, trace)
-    return _single_result(bundle, points, cfg, "nbest", trace)
+    return _run(spec, f, n, config, "nbest", sweep=False)[0]
 
 
 def residual_decay_sweep(
     spec: SpaceSpec, f: AnalyticFunction, n_max: int, config: OptimizerConfig | None = None
 ) -> list[ApproximationResult]:
-    """Global results for n = 0 .. n_max with chained warm starts, so the
-    residual column is nonincreasing."""
-    cfg = config or OptimizerConfig()
-    bundle = _Bundle.single(spec, f)
-    results = [_trivial_result(bundle, cfg, "nbest")]
-    prev: list[complex] = []
-    for n in range(1, n_max + 1):
-        if bundle.total_sq == 0.0:
-            results.append(_trivial_result(bundle, cfg, "nbest"))
-            continue
-        trace: list = []
-        warm = []
-        if prev and len(prev) == n - 1:
-            extension_trace: list = []
-            extended, _ = _extend_greedily(bundle, list(prev), n, cfg, extension_trace)
-            warm.append(extended)
-        points = _nbest_points(bundle, n, cfg, trace, warm=warm)
-        res = _single_result(bundle, points, cfg, "nbest", trace)
-        results.append(res)
-        prev = list(res.params.points)
-    return results
-
-
-def _extend_greedily(bundle, points, n, cfg, trace):
-    radius = _search_radius(bundle, cfg)
-    grid = _disc_grid(radius, cfg.grid_density)
-    grid_rows = kernel_matrix(bundle.spec, grid)
-    total = 0.0
-    while len(points) < n:
-        system, _ = _gram_schmidt_impl(
-            bundle.spec, bundle.make_tuple(points, cfg), 1e-10, allow_partial=True
-        )
-        inc = _grid_increments(bundle, grid_rows, system.basis)
-        best = int(np.argmax(inc))
-        if not np.isfinite(inc[best]) or inc[best] <= 0.0:
-            break
-        new_pts, total = _local_search(bundle, cfg, _as_x([grid[best]]), prefix=tuple(points))
-        points = list(new_pts)
-        trace.append({"step": len(points), "energy": total})
-    return points, total
+    """Global results for n = 0 .. n_max from one greedy run, with chained
+    warm starts, so the residual column is nonincreasing."""
+    return _run(spec, f, n_max, config, "nbest", sweep=True)

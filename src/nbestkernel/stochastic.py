@@ -147,6 +147,15 @@ def stochastic_nbest(e: Ensemble, n: int, config: OptimizerConfig | None = None)
     )
 
 
+def kernel_mix(spec: SpaceSpec, atoms) -> AnalyticFunction:
+    """The sum of ``c`` times the order-``order`` kernel at ``a`` over the
+    ``(a, c, order)`` atoms."""
+    coeffs = np.zeros(spec.max_degree + 1, dtype=np.complex128)
+    for a, c, order in atoms:
+        coeffs += complex(c) * multiple_kernel(spec, complex(a), int(order)).coeffs
+    return AnalyticFunction(coeffs)
+
+
 def generate_ensemble(
     spec: SpaceSpec, kind: str, params: dict, m: int, seed: int
 ) -> Ensemble:
@@ -162,11 +171,7 @@ def generate_ensemble(
     rng = np.random.default_rng(seed)
     n1 = spec.max_degree + 1
     if kind == "kernel_mix":
-        atoms = params["atoms"]
-        base = np.zeros(n1, dtype=np.complex128)
-        for atom in atoms:
-            a, c, order = atom
-            base += complex(c) * multiple_kernel(spec, complex(a), int(order)).coeffs
+        base = kernel_mix(spec, params["atoms"]).coeffs
         scheme = params.get("xi", "complex_normal")
         if scheme == "ones":
             xi = np.ones(m, dtype=np.complex128)

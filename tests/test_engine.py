@@ -9,6 +9,7 @@ from nbestkernel import (
     OptimizerConfig,
     ParamTuple,
     SpaceSpec,
+    afd_decay_sweep,
     afd_greedy,
     as_element,
     bvc_profile,
@@ -22,7 +23,7 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
-from nbestkernel.engine import _Bundle, _merge_polish
+from nbestkernel.engine import _Bundle, _greedy_points, _merge_polish
 from nbestkernel.errors import DomainError
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -335,3 +336,44 @@ def test_residual_decay_sweep_exact_span(hardy):
         assert b <= a + 1e-9
     for r in results[2:]:
         assert r.residual <= 1e-6 * r.norm
+
+
+# -- shared greedy run ---------------------------------------------------------------
+
+SWEEP_CFG = OptimizerConfig(grid_density=12, multistart=2, max_iter=40, seed=5)
+
+
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+def test_greedy_from_a_prefix_of_its_run_repeats_the_run(family):
+    spec = MERGE_SPACES[family]
+    bundle = _Bundle.single(spec, _random_signal(spec, 21))
+    n = 3
+    pts = _greedy_points(bundle, n, SWEEP_CFG, [])
+    assert len(pts) == n
+    for k in range(n):
+        assert _greedy_points(bundle, n, SWEEP_CFG, [], prefix=pts[:k]) == pts
+    # a prefix from elsewhere stays fixed, and steps count from its end
+    steps: list = []
+    assert _greedy_points(bundle, 2, SWEEP_CFG, steps, prefix=[0.1j])[0] == 0.1j
+    assert [s["step"] for s in steps] == [2]
+
+
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+def test_residual_sweep_searches_from_prefixes_of_one_greedy_run(family):
+    spec = MERGE_SPACES[family]
+    f = _random_signal(spec, 22)
+    n_max = 3
+    steps = afd_decay_sweep(spec, f, n_max, SWEEP_CFG)[n_max].trace
+    assert len(steps) == n_max
+    for n, res in enumerate(residual_decay_sweep(spec, f, n_max, SWEEP_CFG)[1:], start=1):
+        greedy = res.trace[0]
+        assert greedy["stage"] == "greedy"
+        assert greedy["steps"] == steps[:n]
+        assert greedy["energy"] == steps[n - 1]["energy"]
+
+
+@pytest.mark.parametrize("sweep", [afd_decay_sweep, residual_decay_sweep])
+def test_sweep_rejects_negative_node_count(sweep):
+    spec = SpaceSpec.hardy(64, radius_cap=0.5)
+    with pytest.raises(ValueError, match="node count must be non-negative"):
+        sweep(spec, _random_signal(spec, 23), -2)
