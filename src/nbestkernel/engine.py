@@ -8,13 +8,15 @@ of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
 Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
 (MGS), which also produces every reported value and the final coefficients.
 
-Every local search is L-BFGS-B on that gradient.  Greedy selection maximizes
-the per-step energy increment over a coarse disc grid refined by local search;
-the global engine adds stratified multistart seeds, descent over all node
-coordinates at once, and a merge polish that searches again from the best
-inexact candidate with its closest pair as one order-2 node.  A decay sweep
-runs greedy once, to its largest node count: greedy results finalize
-prefixes of that run, and each n-best search starts from its n-prefix.
+Every local search is a bounded limited-memory BFGS run on that gradient
+(``minimize``, in numpy, over the box of the search radius).  Greedy
+selection maximizes the per-step energy increment over a coarse disc grid
+refined by local search; the global engine adds stratified multistart seeds,
+descent over all node coordinates at once, and a merge polish that searches
+again from the best inexact candidate with its closest pair as one order-2
+node.  A decay sweep runs greedy once, to its largest node count: greedy
+results finalize prefixes of that run, and each n-best search starts from its
+n-prefix.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
 """
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateTupleWarning
 from .spaces import (
@@ -58,6 +59,12 @@ _TINY_POWER = 1e-75
 # Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
+# Local search: correction pairs kept (scipy's L-BFGS-B default), the Armijo
+# sufficient-decrease fraction and the line search's cap on trial steps.
+_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 20
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -68,13 +75,15 @@ class OptimizerConfig:
     ``grid_density`` the coarse Cartesian grid points per axis, ``ftol`` the
     relative energy shortfall at which greedy selection stops early,
     ``max_iter`` the iteration cap of each local search, and ``merge_tol``
-    the node-merging distance.  The local searches use the analytic gradient
-    of the captured energy; ``fd_step`` is only the relative step of the
-    central differences they fall back to, with MGS values, when a node
-    merges with another node or the Gram matrix is too ill-conditioned.  All
-    randomness flows from ``seed``.  ``xtol``, ``workers`` and ``polish`` are
-    accepted and validated but have no effect: the searches run sequentially,
-    and every one of them is the gradient search.
+    the node-merging distance.  The local searches are bounded L-BFGS runs
+    (``minimize``) on the analytic gradient of the captured energy, with
+    fixed stop tolerances of their own; ``fd_step`` is only the relative
+    step of the central differences they fall back to, with MGS values, when
+    a node merges with another node or the Gram matrix is too
+    ill-conditioned.  All randomness flows from ``seed``.  ``xtol``,
+    ``workers`` and ``polish`` are accepted and validated but have no
+    effect: the searches run sequentially, and every one of them is the
+    gradient search.
     """
 
     delta: float = 0.05
@@ -314,8 +323,6 @@ class _Bundle:
             return None
         if not np.all(chol.diagonal().real >= _PIVOT_FLOOR * np.sqrt(gram.diagonal().real)):
             return None
-        # numpy's solver, not scipy's: the two link separate BLAS thread pools,
-        # and alternating between them in this loop stalls both.
         y = np.linalg.solve(chol, pairs.T)
         value = float(self.probs @ np.sum(np.abs(y) ** 2, axis=0))
         if owners is None:
@@ -461,9 +468,135 @@ class _Objective:
         return -cap.value, grad
 
 
+class _Minimum(NamedTuple):
+    """The result of ``minimize``, with the field names of scipy's."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    message: str
+
+
+def _two_loop(grad: np.ndarray, pairs: list, free: np.ndarray) -> np.ndarray:
+    """The limited-memory inverse-Hessian approximation of the ``free``
+    coordinates applied to ``grad`` there, zero elsewhere, from the
+    correction pairs ``(s, y)``, oldest first."""
+    q = np.where(free, grad, 0.0)
+    kept = []
+    for s, y in pairs:
+        s, y = np.where(free, s, 0.0), np.where(free, y, 0.0)
+        sy = s @ y
+        if sy > _EPS * (y @ y):
+            kept.append((s, y, 1.0 / sy))
+    alphas = []
+    for s, y, rho in reversed(kept):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if kept:  # initial inverse Hessian (s.y / y.y) I from the newest pair
+        s, y, rho = kept[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), a in zip(kept, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
+def _line_search(fun, x, f, g, d, t, lo, hi, resolution):
+    """Backtracking from the step ``t d``: the accepted point, its value and
+    gradient, and the evaluation count; the point is None when no step
+    decreases ``f``.  ``resolution`` is the smallest reduction of ``f`` that
+    counts as progress."""
+    for evals in range(1, _MAX_BACKTRACKS + 1):
+        x_new = np.clip(x + t * d, lo, hi)
+        step = x_new - x
+        slope = g @ step
+        f_new, g_new = fun(x_new)
+        if f_new <= f + _ARMIJO * slope:
+            return x_new, f_new, g_new, evals
+        # Where f changes by less than it resolves, the slopes decide; on a
+        # quadratic this is the same test.
+        if f_new <= f + resolution and g_new @ step <= (2.0 * _ARMIJO - 1.0) * slope:
+            return x_new, f_new, g_new, evals
+        # Minimizer of the quadratic through f, the slope and f_new, kept
+        # within [0.1 t, 0.5 t].
+        curve = f_new - f - slope if math.isfinite(f_new) else math.inf
+        shrink = min(max(-slope / (2.0 * curve), 0.1), 0.5)
+        if -slope * shrink <= resolution:
+            break
+        t *= shrink
+    return None, None, None, evals
+
+
+def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
+    """Minimize ``fun``, which returns the value and the gradient, over the box
+    ``bounds`` by limited-memory BFGS (``method`` must be "L-BFGS-B").
+
+    Directions come from the two-loop recursion over the last ``_MEMORY``
+    correction pairs, with the coordinates that the gradient presses against
+    their bound held fixed; a step that would leave the box first tries the
+    point where it meets it, or, without curvature pairs, the point halfway
+    to it.  A backtracking line search accepts the step by
+    the Armijo test, or, where ``f`` changes by less than the ``ftol`` rule
+    resolves, by the same test on the slopes at the step's two ends.  The
+    search stops at a relative reduction
+    ``(f - f_new) / max(|f|, |f_new|, 1) <= ftol``, at a projected-gradient
+    max-norm ``<= gtol``, after ``maxiter`` iterations, or with an
+    ``ABNORMAL`` message when the line search cannot decrease ``f``: when a
+    shorter step could only gain less than the ``ftol`` rule counts, or after
+    ``_MAX_BACKTRACKS`` trials.  The messages follow scipy's L-BFGS-B.
+    """
+    if method != "L-BFGS-B":
+        raise ValueError(f"unsupported method {method!r}")
+    lo, hi = np.asarray(bounds, dtype=np.float64).T
+    ftol, gtol = options["ftol"], options["gtol"]
+    x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    pairs: list = []
+    while True:
+        if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= gtol:
+            message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+            break
+        if nit >= options["maxiter"]:
+            message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+            break
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        d = -_two_loop(g, pairs, free)
+        d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
+        if not g @ d < 0.0:
+            pairs.clear()
+            d = np.where(free, -g, 0.0)
+        moving = d != 0.0
+        room = np.where(d > 0.0, hi - x, lo - x)[moving] / d[moving]
+        t = float(np.min(room, initial=1.0))
+        if not pairs and t < 1.0:
+            # Without curvature pairs the step has no length scale of its
+            # own: it stops halfway to the box instead of on the box edge.
+            t *= 0.5
+        scale = max(abs(f), 1.0)
+        x_new, f_new, g_new, evals = _line_search(fun, x, f, g, d, t, lo, hi, ftol * scale)
+        nfev += evals
+        if x_new is None:
+            message = "ABNORMAL: "
+            break
+        nit += 1
+        step, y = x_new - x, g_new - g
+        if step @ y > _EPS * (y @ y):
+            pairs.append((step, y))
+            del pairs[:-_MEMORY]
+        reduction = f - f_new
+        x, f, g = x_new, f_new, g_new
+        if reduction <= ftol * max(abs(f), scale):
+            message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+            break
+    return _Minimum(x, float(f), nfev, nit, message)
+
+
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
-    """L-BFGS-B with the analytic gradient of the captured energy, started at
-    ``x0`` on the flattened real coordinates of the moving nodes.
+    """Bounded L-BFGS (``minimize``) with the analytic gradient of the
+    captured energy, started at ``x0`` on the flattened real coordinates of
+    the moving nodes, in the box ``[-R, R]`` of the search radius R.
 
     The returned energy is recomputed with MGS.  ``stats``, if given, receives
     the evaluation count, the stop message and how many evaluations fell back
@@ -475,7 +608,6 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
         objective.value_and_grad,
         x0,
         method="L-BFGS-B",
-        jac=True,
         bounds=[(-objective.radius, objective.radius)] * x0.size,
         options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12},
     )

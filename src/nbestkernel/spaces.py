@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegreeError, DomainError, ShapeMismatchError
 
@@ -33,14 +32,19 @@ DEFAULT_TRUNCATION_TOL = 1e-5
 _FAMILIES = ("hardy", "bergman", "weighted_hardy")
 
 
-def _weight_values(family: str, param: float, ks: np.ndarray) -> np.ndarray:
-    ks = np.asarray(ks, dtype=np.float64)
+def _weight_values(family: str, param: float, count: int) -> np.ndarray:
+    """Weights W(0) .. W(count - 1)."""
+    ks = np.arange(count, dtype=np.float64)
     if family == "hardy":
         return np.ones_like(ks)
     if family == "weighted_hardy":
         return (1.0 + ks) ** param
-    # Log-gamma keeps the ratio finite for large k and large alpha.
-    return np.exp(gammaln(ks + 1.0) + gammaln(2.0 + param) - gammaln(ks + 2.0 + param))
+    # W(0) = 1 and W(k) / W(k-1) = k / (k + 1 + alpha): every factor is below
+    # 1, so the product stays finite for large k and alpha, with one rounding
+    # per factor.
+    ratios = ks / (ks + 1.0 + param)
+    ratios[0] = 1.0
+    return np.cumprod(ratios)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +83,7 @@ class SpaceSpec:
             raise ValueError("max_degree must be at least 1")
         if not 0.0 < self.radius_cap < 1.0:
             raise ValueError("radius_cap must lie in (0, 1)")
-        w = _weight_values(self.family, self.param, np.arange(self.max_degree + 1))
+        w = _weight_values(self.family, self.param, self.max_degree + 1)
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weight sequence must be finite and positive")
         w.setflags(write=False)
@@ -110,7 +114,7 @@ class SpaceSpec:
 
     def weight_beyond(self, k: int) -> float:
         """Weight W(k) for arbitrary k, including indices beyond the cache."""
-        return float(_weight_values(self.family, self.param, np.array([k]))[0])
+        return float(_weight_values(self.family, self.param, k + 1)[-1])
 
     def kernel_norm_sq(self, r: float) -> float:
         """Truncated squared kernel norm at radius ``r``, i.e. sum r**(2k) / W(k)."""

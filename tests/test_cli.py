@@ -423,9 +423,10 @@ def test_main_reports_oversized_ensemble_with_its_pointer(monkeypatch, tmp_path,
     assert not (tmp_path / "result.json").exists()
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    """A fresh `import nbestkernel.cli` must not load scipy.signal, which drags
-    in scipy.stats and doubles the start-up time of every task."""
+def test_cli_import_loads_no_scipy():
+    """A fresh `import nbestkernel.cli` loads no scipy module: scipy's
+    optimizer and special functions alone took several times numpy's import
+    time and memory, which every task pays at start-up."""
     import os
     import subprocess
     import sys
@@ -434,7 +435,7 @@ def test_cli_import_leaves_scipy_signal_out():
     import nbestkernel
 
     src = str(Path(nbestkernel.__file__).resolve().parent.parent)
-    code = "import sys, nbestkernel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    code = "import sys, nbestkernel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     )

@@ -23,7 +23,7 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
-from nbestkernel.engine import _Bundle, _greedy_points, _merge_polish
+from nbestkernel.engine import _Bundle, _greedy_points, _merge_polish, minimize
 from nbestkernel.errors import DomainError
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -377,3 +377,97 @@ def test_sweep_rejects_negative_node_count(sweep):
     spec = SpaceSpec.hardy(64, radius_cap=0.5)
     with pytest.raises(ValueError, match="node count must be non-negative"):
         sweep(spec, _random_signal(spec, 23), -2)
+
+
+# -- optimizer --------------------------------------------------------------------
+
+BOX = [(-1.0, 1.0)] * 2
+TIGHT = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12}
+
+
+def _bounded_quadratic(points=None):
+    """0.5 (x - c)^T A (x - c) with c outside the box; the minimizer over
+    [-1, 1]^2 is (1, 0.6), with the first bound active."""
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([2.0, 0.1])
+
+    def fun(x):
+        if points is not None:
+            points.append(np.array(x))
+        r = x - c
+        return 0.5 * r @ a @ r, a @ r
+
+    return fun
+
+
+def test_minimize_converges_to_an_active_bound():
+    res = minimize(_bounded_quadratic(), np.array([-0.5, -0.9]), method="L-BFGS-B",
+                   bounds=BOX, options=TIGHT)
+    assert res.x == pytest.approx([1.0, 0.6], abs=1e-12)
+    assert res.x[0] == 1.0
+    assert res.message.startswith("CONVERGENCE")
+    assert res.nit >= 1 and res.nfev >= res.nit
+    assert res.fun == pytest.approx(_bounded_quadratic()(res.x)[0], abs=1e-15)
+
+
+def test_minimize_keeps_every_iterate_in_the_box():
+    points: list = []
+    minimize(_bounded_quadratic(points), np.array([0.9, -0.99]), method="L-BFGS-B",
+             bounds=BOX, options=TIGHT)
+    pts = np.array(points)
+    assert len(pts) > 2
+    assert np.all(pts >= -1.0) and np.all(pts <= 1.0)
+
+
+def test_minimize_first_step_stops_halfway_to_the_box():
+    """Without curvature pairs a step that would leave the box stops halfway
+    to it; later steps may end on the bound."""
+    points: list = []
+    c = np.array([10.0, 0.0])
+
+    def fun(x):
+        points.append(np.array(x))
+        return 0.5 * (x - c) @ (x - c), x - c
+
+    res = minimize(fun, np.zeros(2), method="L-BFGS-B", bounds=BOX, options=TIGHT)
+    assert np.array_equal(points[1], [0.5, 0.0])
+    assert np.array_equal(res.x, [1.0, 0.0])
+
+
+def _rosenbrock(x):
+    u, v = x
+    return (1.0 - u) ** 2 + 100.0 * (v - u * u) ** 2, np.array(
+        [-2.0 * (1.0 - u) - 400.0 * u * (v - u * u), 200.0 * (v - u * u)]
+    )
+
+
+@pytest.mark.parametrize("maxiter", [1, 3, 7])
+def test_minimize_honours_maxiter(maxiter):
+    res = minimize(_rosenbrock, np.array([-1.2, 1.0]), method="L-BFGS-B",
+                   bounds=[(-2.0, 2.0)] * 2, options={**TIGHT, "maxiter": maxiter})
+    assert res.nit == maxiter
+    assert res.message.startswith("STOP")
+
+
+def test_minimize_solves_rosenbrock():
+    res = minimize(_rosenbrock, np.array([-1.2, 1.0]), method="L-BFGS-B",
+                   bounds=[(-2.0, 2.0)] * 2, options=TIGHT)
+    assert res.x == pytest.approx([1.0, 1.0], abs=1e-7)
+    assert res.nit < 100
+
+
+def test_minimize_reports_abnormal_on_inconsistent_gradient():
+    def wrong_sign(x):
+        value, grad = _bounded_quadratic()(x)
+        return value, -grad
+
+    res = minimize(wrong_sign, np.array([0.2, 0.3]), method="L-BFGS-B",
+                   bounds=BOX, options=TIGHT)
+    assert res.message.startswith("ABNORMAL")
+    assert res.nit == 0
+    assert np.array_equal(res.x, [0.2, 0.3])
+
+
+def test_minimize_accepts_only_its_own_method():
+    with pytest.raises(ValueError, match="unsupported method"):
+        minimize(_rosenbrock, np.zeros(2), method="Nelder-Mead", bounds=BOX, options=TIGHT)

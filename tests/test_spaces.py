@@ -40,6 +40,28 @@ def test_bergman_weight_matches_area_integral():
             assert weight(spec, k) == pytest.approx(oracle, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "alpha, closed_form",
+    [(0.0, lambda k: 1.0 / (k + 1.0)), (1.0, lambda k: 2.0 / ((k + 1.0) * (k + 2.0)))],
+)
+def test_bergman_weights_match_closed_forms(alpha, closed_form):
+    spec = SpaceSpec.bergman(alpha)
+    ks = np.arange(spec.max_degree + 1, dtype=np.float64)
+    np.testing.assert_allclose(spec.weights, closed_form(ks), rtol=1e-14, atol=0.0)
+    n = spec.max_degree
+    assert spec.weight_beyond(n + 2) == pytest.approx(closed_form(n + 2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.3, 2.5, 3.5, 17.25])
+def test_bergman_weights_match_log_gamma_form(alpha):
+    from scipy.special import gammaln
+
+    spec = SpaceSpec.bergman(alpha, radius_cap=0.9)
+    ks = np.arange(spec.max_degree + 1, dtype=np.float64)
+    reference = np.exp(gammaln(ks + 1.0) + gammaln(2.0 + alpha) - gammaln(ks + 2.0 + alpha))
+    np.testing.assert_allclose(spec.weights, reference, rtol=1e-11, atol=0.0)
+
+
 def test_weight_out_of_range(hardy):
     with pytest.raises(DegreeError):
         weight(hardy, hardy.max_degree + 1)

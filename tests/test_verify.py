@@ -22,7 +22,8 @@ from nbestkernel import (
     estimate_pointwise_bound,
     family_pointwise_bound,
 )
-from nbestkernel.verify import _circle_values
+from nbestkernel import spaces, verify
+from nbestkernel.verify import _circle_values, _zeta
 
 
 def _random_signal(spec, seed, degree=16):
@@ -265,3 +266,45 @@ def test_battery_deterministic_and_serializable(hardy):
     b = [r.to_dict() for r in battery(hardy, seed=5)]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     json.dumps(a)  # plain types only
+
+
+def test_zeta_matches_scipy():
+    from scipy.special import zeta
+
+    betas = np.concatenate([1.0 + np.logspace(-8, 0, 40), np.linspace(1.0001, 60.0, 400)])
+    for beta in betas:
+        assert _zeta(float(beta)) == pytest.approx(float(zeta(beta)), rel=1e-14, abs=0.0)
+
+
+# The ten spaces of scripts/certify_spaces.py.
+CERTIFY_SPACES = [
+    ("hardy", 0.0),
+    *(("bergman", alpha) for alpha in (0.0, 1.0, 2.5)),
+    *(("weighted_hardy", beta) for beta in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)),
+]
+
+
+def test_battery_flags_match_scipy_special_functions(monkeypatch):
+    """Every check passes or fails as it does with scipy's log-gamma Bergman
+    weights and scipy's zeta."""
+    from scipy.special import gammaln, zeta
+
+    def flags():
+        specs = [SpaceSpec(family, param) for family, param in CERTIFY_SPACES]
+        return [(s.label(), r.check, r.passed) for s in specs for r in battery(s)]
+
+    ours = flags()
+    inhouse_weights = spaces._weight_values
+
+    def gammaln_weights(family, param, count):
+        if family != "bergman":
+            return inhouse_weights(family, param, count)
+        ks = np.arange(count, dtype=np.float64)
+        return np.exp(gammaln(ks + 1.0) + gammaln(2.0 + param) - gammaln(ks + 2.0 + param))
+
+    monkeypatch.setattr(spaces, "_weight_values", gammaln_weights)
+    monkeypatch.setattr(verify, "_zeta", lambda s: float(zeta(s)))
+    assert flags() == ours
+    failing = {(label, check) for label, check, passed in ours if not passed}
+    assert {check for _, check in failing} == {"boundary-vanishing"}
+    assert len(failing) == 3
