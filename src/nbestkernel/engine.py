@@ -8,7 +8,7 @@ of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
 Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
 (MGS), which also produces every reported value and the final coefficients.
 
-Every local search is a bounded limited-memory BFGS run on that gradient
+Every local search is a bounded dense BFGS run on that gradient
 (``minimize``, in numpy, over the box of the search radius).  Greedy
 selection maximizes the per-step energy increment over a coarse disc grid
 refined by local search; the global engine adds stratified multistart seeds,
@@ -59,9 +59,8 @@ _TINY_POWER = 1e-75
 # Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
-# Local search: correction pairs kept (scipy's L-BFGS-B default), the Armijo
-# sufficient-decrease fraction and the line search's cap on trial steps.
-_MEMORY = 10
+# Local search: the Armijo sufficient-decrease fraction and the line search's
+# cap on trial steps.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
 _EPS = np.finfo(np.float64).eps
@@ -75,8 +74,8 @@ class OptimizerConfig:
     ``grid_density`` the coarse Cartesian grid points per axis, ``ftol`` the
     relative energy shortfall at which greedy selection stops early,
     ``max_iter`` the iteration cap of each local search, and ``merge_tol``
-    the node-merging distance.  The local searches are bounded L-BFGS runs
-    (``minimize``) on the analytic gradient of the captured energy, with
+    the node-merging distance.  The local searches are bounded dense BFGS
+    runs (``minimize``) on the analytic gradient of the captured energy, with
     fixed stop tolerances of their own; ``fd_step`` is only the relative
     step of the central differences they fall back to, with MGS values, when
     a node merges with another node or the Gram matrix is too
@@ -478,28 +477,16 @@ class _Minimum(NamedTuple):
     message: str
 
 
-def _two_loop(grad: np.ndarray, pairs: list, free: np.ndarray) -> np.ndarray:
-    """The limited-memory inverse-Hessian approximation of the ``free``
-    coordinates applied to ``grad`` there, zero elsewhere, from the
-    correction pairs ``(s, y)``, oldest first."""
-    q = np.where(free, grad, 0.0)
-    kept = []
-    for s, y in pairs:
-        s, y = np.where(free, s, 0.0), np.where(free, y, 0.0)
-        sy = s @ y
-        if sy > _EPS * (y @ y):
-            kept.append((s, y, 1.0 / sy))
-    alphas = []
-    for s, y, rho in reversed(kept):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if kept:  # initial inverse Hessian (s.y / y.y) I from the newest pair
-        s, y, rho = kept[-1]
-        q /= rho * (y @ y)
-    for (s, y, rho), a in zip(kept, reversed(alphas)):
-        q += (a - rho * (y @ q)) * s
-    return q
+def _direction(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The quasi-Newton step on the ``free`` coordinates, zero elsewhere: the
+    free block of ``B = h^-1`` has the inverse ``h_ff - h_fp h_pp^-1 h_pf``."""
+    if free.all():
+        return -(h @ g)
+    h_fp = h[np.ix_(free, ~free)]
+    inv_ff = h[np.ix_(free, free)] - h_fp @ np.linalg.solve(h[np.ix_(~free, ~free)], h_fp.T)
+    d = np.zeros_like(g)
+    d[free] = -(inv_ff @ g[free])
+    return d
 
 
 def _line_search(fun, x, f, g, d, t, lo, hi, resolution):
@@ -530,21 +517,21 @@ def _line_search(fun, x, f, g, d, t, lo, hi, resolution):
 
 def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
     """Minimize ``fun``, which returns the value and the gradient, over the box
-    ``bounds`` by limited-memory BFGS (``method`` must be "L-BFGS-B").
+    ``bounds`` by dense BFGS (``method`` must be "L-BFGS-B", in full memory).
 
-    Directions come from the two-loop recursion over the last ``_MEMORY``
-    correction pairs, with the coordinates that the gradient presses against
-    their bound held fixed; a step that would leave the box first tries the
-    point where it meets it, or, without curvature pairs, the point halfway
-    to it.  A backtracking line search accepts the step by
-    the Armijo test, or, where ``f`` changes by less than the ``ftol`` rule
-    resolves, by the same test on the slopes at the step's two ends.  The
-    search stops at a relative reduction
-    ``(f - f_new) / max(|f|, |f_new|, 1) <= ftol``, at a projected-gradient
-    max-norm ``<= gtol``, after ``maxiter`` iterations, or with an
-    ``ABNORMAL`` message when the line search cannot decrease ``f``: when a
-    shorter step could only gain less than the ``ftol`` rule counts, or after
-    ``_MAX_BACKTRACKS`` trials.  The messages follow scipy's L-BFGS-B.
+    Directions come from a dense inverse-Hessian approximation ``H``, started
+    as ``(s.y / y.y) I`` by the first correction pair and updated by every
+    pair with positive curvature, with the coordinates that the gradient
+    presses against their bound held fixed; a step that would leave the box
+    first tries the point where it meets it, or, without ``H``, the point
+    halfway to it.  A backtracking line search accepts the step by the Armijo
+    test, or, where ``f`` changes by less than the ``ftol`` rule resolves, by
+    the same test on the slopes at the step's two ends.  The search stops at a
+    relative reduction ``(f - f_new) / max(|f|, |f_new|, 1) <= ftol``, at a
+    projected-gradient max-norm ``<= gtol``, after ``maxiter`` iterations, or
+    with an ``ABNORMAL`` message when the line search cannot decrease ``f``:
+    when a shorter step could only gain less than the ``ftol`` rule counts, or
+    after ``_MAX_BACKTRACKS`` trials.  The messages follow scipy's L-BFGS-B.
     """
     if method != "L-BFGS-B":
         raise ValueError(f"unsupported method {method!r}")
@@ -553,7 +540,7 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
     x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
     f, g = fun(x)
     nfev, nit = 1, 0
-    pairs: list = []
+    h = None
     while True:
         if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= gtol:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
@@ -562,17 +549,17 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
             message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
             break
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        d = -_two_loop(g, pairs, free)
+        d = np.where(free, -g, 0.0) if h is None else _direction(h, g, free)
         d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
         if not g @ d < 0.0:
-            pairs.clear()
+            h = None
             d = np.where(free, -g, 0.0)
         moving = d != 0.0
         room = np.where(d > 0.0, hi - x, lo - x)[moving] / d[moving]
         t = float(np.min(room, initial=1.0))
-        if not pairs and t < 1.0:
-            # Without curvature pairs the step has no length scale of its
-            # own: it stops halfway to the box instead of on the box edge.
+        if h is None and t < 1.0:
+            # Without curvature information the step has no length scale of
+            # its own: it stops halfway to the box instead of on the box edge.
             t *= 0.5
         scale = max(abs(f), 1.0)
         x_new, f_new, g_new, evals = _line_search(fun, x, f, g, d, t, lo, hi, ftol * scale)
@@ -582,9 +569,12 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
             break
         nit += 1
         step, y = x_new - x, g_new - g
-        if step @ y > _EPS * (y @ y):
-            pairs.append((step, y))
-            del pairs[:-_MEMORY]
+        sy, yy = step @ y, y @ y
+        if sy > _EPS * yy:  # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy
+            h = np.eye(x.size) * (sy / yy) if h is None else h
+            hy = h @ y / sy
+            cross = np.outer(step, hy)
+            h += (1.0 + y @ hy) / sy * np.outer(step, step) - (cross + cross.T)
         reduction = f - f_new
         x, f, g = x_new, f_new, g_new
         if reduction <= ftol * max(abs(f), scale):
@@ -594,7 +584,7 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
 
 
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
-    """Bounded L-BFGS (``minimize``) with the analytic gradient of the
+    """Bounded dense BFGS (``minimize``) with the analytic gradient of the
     captured energy, started at ``x0`` on the flattened real coordinates of
     the moving nodes, in the box ``[-R, R]`` of the search radius R.
 
@@ -791,7 +781,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
         _as_x(s) for s in _stratified_seeds(rng, radius, n, cfg.multistart - n_top)
     )
 
-    for x0 in starts:
+    for x0 in {x0.tobytes(): x0 for x0 in starts}.values():  # equal starts, equal searches
         stats: dict = {}
         pts, val = _local_search(bundle, cfg, x0, stats=stats)
         trace.append({"stage": "local", "energy": val, **stats})

@@ -23,7 +23,14 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
-from nbestkernel.engine import _Bundle, _greedy_points, _merge_polish, minimize
+from nbestkernel.engine import (
+    _Bundle,
+    _direction,
+    _greedy_points,
+    _merge_polish,
+    _nbest_points,
+    minimize,
+)
 from nbestkernel.errors import DomainError
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -260,6 +267,21 @@ def test_merge_polish_merges_a_pair_of_any_separation():
     assert residual <= 1e-6 * math.sqrt(bundle.total_sq)
 
 
+def test_multistart_skips_a_warm_start_equal_to_the_greedy_tuple():
+    spec = MERGE_SPACES["hardy"]
+    bundle = _Bundle.single(spec, _random_signal(spec, 31))
+    cfg = OptimizerConfig(grid_density=12, multistart=2, max_iter=40, seed=5)
+    steps: list = []
+    greedy_pts = _greedy_points(bundle, 2, cfg, steps)
+    trace: list = []
+    warm_trace: list = []
+    plain = _nbest_points(bundle, 2, cfg, trace, (greedy_pts, steps))
+    warmed = _nbest_points(bundle, 2, cfg, warm_trace, (greedy_pts, steps), [tuple(greedy_pts)])
+    # one search from the greedy tuple, one from each multistart seed
+    assert sum(e["stage"] == "local" for e in warm_trace) == 1 + cfg.multistart
+    assert warmed == plain and warm_trace == trace
+
+
 def test_merge_polish_skips_exact_capture():
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, kernel(spec, 0.2) + kernel(spec, 0.5j))
@@ -466,6 +488,72 @@ def test_minimize_reports_abnormal_on_inconsistent_gradient():
     assert res.message.startswith("ABNORMAL")
     assert res.nit == 0
     assert np.array_equal(res.x, [0.2, 0.3])
+
+
+def test_direction_with_held_coordinates_is_the_reduced_newton_step():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((5, 5))
+    h = m @ m.T + 5.0 * np.eye(5)
+    g = rng.standard_normal(5)
+    free = np.array([True, False, True, True, False])
+    d = _direction(h, g, free)
+    b = np.linalg.inv(h)
+    assert np.array_equal(d[~free], [0.0, 0.0])
+    assert d[free] == pytest.approx(np.linalg.solve(b[np.ix_(free, free)], -g[free]), rel=1e-12)
+    assert np.array_equal(_direction(h, g, np.ones(5, dtype=bool)), -(h @ g))
+
+
+def test_minimize_reaches_the_minimizer_on_a_face_with_a_held_coordinate():
+    """0.5 (x - c)^T A (x - c) in 3-D with c beyond the face x_0 = 1: started
+    on that face, the first coordinate stays held, so every step after the
+    first takes the Schur-complement step of the other two."""
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.8], [0.5, 0.8, 2.0]])
+    c = np.array([3.0, 0.2, -0.1])
+    points: list = []
+
+    def fun(x):
+        points.append(np.array(x))
+        return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
+
+    res = minimize(fun, np.array([1.0, -0.5, 0.6]), method="L-BFGS-B",
+                   bounds=[(-1.0, 1.0)] * 3, options=TIGHT)
+    face = c[1:] - np.linalg.solve(a[1:, 1:], a[1:, 0] * (1.0 - c[0]))
+    assert res.message.startswith("CONVERGENCE")
+    assert res.nit >= 2
+    assert all(p[0] == 1.0 for p in points)
+    assert res.x[1:] == pytest.approx(face, abs=1e-10)
+
+
+def test_minimize_with_every_coordinate_held_stops_at_once():
+    calls: list = []
+
+    def fun(x):
+        calls.append(x)
+        return -x[0] + x[1] - x[2], np.array([-1.0, 1.0, -1.0])
+
+    res = minimize(fun, np.array([1.0, -1.0, 1.0]), method="L-BFGS-B",
+                   bounds=[(-1.0, 1.0)] * 3, options=TIGHT)
+    assert res.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    assert res.nit == 0 and res.nfev == 1 and len(calls) == 1
+    assert np.array_equal(res.x, [1.0, -1.0, 1.0])
+
+
+def test_minimize_ill_conditioned_quadratic_reaches_gtol():
+    """Condition number 1e4 in 6-D, minimizer inside the box: the projected
+    gradient falls below gtol within 60 iterations."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = q @ np.diag(np.logspace(0.0, 4.0, 6)) @ q.T
+    c = rng.uniform(-0.5, 0.5, 6)
+
+    def fun(x):
+        return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
+
+    res = minimize(fun, np.zeros(6), method="L-BFGS-B", bounds=[(-1.0, 1.0)] * 6,
+                   options={**TIGHT, "gtol": 1e-8})
+    assert res.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    assert res.nit <= 60
+    assert res.x == pytest.approx(c, abs=1e-8)
 
 
 def test_minimize_accepts_only_its_own_method():

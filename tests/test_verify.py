@@ -19,11 +19,14 @@ from nbestkernel import (
     check_remainder_growth_bound,
     check_zero_property,
     check_zero_space_factorization,
+    derivative_at,
     estimate_pointwise_bound,
     family_pointwise_bound,
+    kernel,
+    multiple_kernel,
 )
 from nbestkernel import spaces, verify
-from nbestkernel.verify import _circle_values, _zeta
+from nbestkernel.verify import _circle_values, _derivatives_at, _zeta
 
 
 def _random_signal(spec, seed, degree=16):
@@ -83,6 +86,23 @@ def test_zero_property_distinct_and_doubled(hardy):
     f = _random_signal(hardy, 1)
     assert check_zero_property(hardy, f, ParamTuple((0.2, -0.3))).passed
     assert check_zero_property(hardy, f, ParamTuple((0.3, 0.3))).passed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SpaceSpec.hardy(), SpaceSpec.bergman(1.0), SpaceSpec.weighted_hardy(0.5)],
+    ids=lambda spec: spec.family,
+)
+def test_derivatives_at_match_derivative_at(spec):
+    """Every order up to 3 from one table of powers, against polyder and a
+    Horner polyval per order, on full-length series out to radius 0.95."""
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        a, z = 0.95 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        f = kernel(spec, a) + 0.5 * multiple_kernel(spec, -0.4j, 2) + _random_signal(spec, 5, 8)
+        values = _derivatives_at(f, z, 4)
+        for m in range(4):
+            assert values[m] == pytest.approx(derivative_at(f, z, m), rel=1e-12)
 
 
 def test_zero_property_span_member(hardy):
