@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""sha256 digests of every output file of a fixed set of CLI tasks, as JSON.
+
+The tasks are every ``configs/*.json``, every task of the benchmark's
+``sweep``, ``multistart`` and ``stochastic`` workloads at the given seeds
+(built by ``perfbench/workloads.py``, which is only imported), and the edge
+cases in ``EDGE``.  Each task runs through ``cli.parse_config`` and
+``cli.run_task`` from this checkout's ``src`` on one BLAS thread, so two
+checkouts whose programs write the same bytes print the same digests.  Run it
+in each checkout and compare the two files:
+
+    python3 scripts/output_digests.py --seeds 1 2 3 101 > digests.json
+
+A copy of this file placed in a checkout's ``scripts/`` runs that checkout's
+program.
+"""
+
+import os
+
+# Before numpy loads: the BLAS thread count can change rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from nbestkernel import cli  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+WORKLOADS = ("sweep", "multistart", "stochastic")
+
+_SPACE = {"family": "bergman", "param": 1.0, "degree": 64, "radius_cap": 0.5}
+_SIGNAL = {"coefficients": [[1.0, 0.0], [0.5, 0.25], [-0.3, 0.0], [0.1, -0.2]]}
+_ENSEMBLE = {
+    "random": {
+        "kind": "kernel_mix",
+        "atoms": [{"a": [0.3, 0.1], "c": [1.0, 0.0]}, {"a": [-0.2, 0.3], "c": [0.8, 0.4]}],
+        "M": 8,
+        "seed": 2,
+    }
+}
+_OPTIMIZER = {"multistart": 2, "grid_density": 8, "max_iter": 40, "seed": 1}
+# Paths the configs and workloads leave out: zero nodes, a zero signal, greedy
+# at one n, and a stochastic task on one function (M = 1).
+EDGE = {
+    "afd-n0": ("afd", _SIGNAL, 0),
+    "afd-n2": ("afd", _SIGNAL, 2),
+    "nbest-n0": ("nbest", _SIGNAL, 0),
+    "nbest-zero-signal": ("nbest", {"coefficients": [[0.0, 0.0]]}, 2),
+    "stochastic-n0": ("stochastic", _ENSEMBLE, 0),
+    "stochastic-single-function": ("stochastic", _SIGNAL, 2),
+}
+
+
+def tasks(seeds):
+    """(label, config text) of every task."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield f"configs/{path.stem}", path.read_text()
+    for name in WORKLOADS:
+        for seed in seeds:
+            for task in workloads.build(name, seed):
+                yield f"{name}/{seed}/{task.id}", task.text
+    for label, (task, signal, n) in EDGE.items():
+        config = {"task": task, "space": _SPACE, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
+        yield f"edge/{label}", json.dumps(config)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 101])
+    args = ap.parse_args(argv)
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, text) in enumerate(tasks(args.seeds)):
+            out = Path(tmp) / str(i)
+            cli.run_task(cli.parse_config(text), out)
+            for path in sorted(out.iterdir()):
+                digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -156,7 +156,8 @@ def _parse_atoms(items, path: str, spec: SpaceSpec) -> list[tuple[complex, compl
     return atoms
 
 
-def _parse_signal(obj, path: str, spec: SpaceSpec):
+def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
+    """The signal at ``path``; with ``single`` only a single function is accepted."""
     obj = _expect_mapping(
         obj, path, {"coefficients", "kernel_mix", "random", "realizations", "weights"}, set()
     )
@@ -164,6 +165,8 @@ def _parse_signal(obj, path: str, spec: SpaceSpec):
     if len(forms) != 1:
         _fail(path, "exactly one of coefficients, kernel_mix, random, realizations is required")
     form = forms[0]
+    if single and form in ("random", "realizations"):
+        _fail(path, "afd and nbest tasks need a single-function signal")
     if "weights" in obj and form != "realizations":
         _fail(f"{path}/weights", "weights apply only to explicit realizations")
     if form == "coefficients":
@@ -270,7 +273,7 @@ def parse_config(text: str) -> TaskConfig:
     else:
         if "signal" not in raw:
             _fail("", "missing required field 'signal'")
-        signal = _parse_signal(raw["signal"], "/signal", spec)
+        signal = _parse_signal(raw["signal"], "/signal", spec, single=task != "stochastic")
     n = _positive_int(raw.get("n", 0), "/n", minimum=0)
     n_max = None
     if "n_max" in raw:
@@ -299,21 +302,33 @@ def _space_block(spec: SpaceSpec) -> dict:
 
 
 def _result_payload(cfg: TaskConfig, res: ApproximationResult, n: int, seed: int) -> dict:
-    return {
+    payload = {
         "task": cfg.task,
         "method": res.method,
         "space": _space_block(cfg.space),
         "n": n,
-        "norm": res.norm,
-        "energy": res.energy,
-        "residual": res.residual,
         "parameters": _pairs(res.params.points),
         "multiplicities": list(res.params.orders),
-        "coefficients": _pairs(res.coefficients),
         "seed": seed,
         "trace": _jsonify(res.trace),
         "degraded": res.degraded,
     }
+    if cfg.task == "stochastic":
+        payload.update(
+            realizations=len(res.coefficients),
+            bochner_norm=res.bochner_norm,
+            expected_energy=res.expected_energy,
+            expected_residual=res.expected_residual,
+            coefficients=[_pairs(row) for row in res.coefficients],
+        )
+    else:
+        payload.update(
+            norm=res.norm,
+            energy=res.energy,
+            residual=res.residual,
+            coefficients=_pairs(res.coefficients),
+        )
+    return payload
 
 
 def emit_decay_table(results) -> str:
@@ -353,45 +368,23 @@ def run_task(cfg: TaskConfig, out_dir: Path, threads: int | None = None, seed: i
         _dump_json(payload, report_path)
         return 0 if payload["all_passed"] else 2
 
+    signal = cfg.signal
     if cfg.task == "stochastic":
-        signal = cfg.signal
         if isinstance(signal, AnalyticFunction):
             signal = Ensemble.from_functions(cfg.space, [signal])
         res = stochastic_nbest(signal, cfg.n, optimizer)
-        payload = {
-            "task": "stochastic",
-            "method": res.method,
-            "space": _space_block(cfg.space),
-            "n": cfg.n,
-            "realizations": len(signal),
-            "bochner_norm": res.bochner_norm,
-            "expected_energy": res.expected_energy,
-            "expected_residual": res.expected_residual,
-            "parameters": _pairs(res.params.points),
-            "multiplicities": list(res.params.orders),
-            "coefficients": [_pairs(row) for row in np.atleast_2d(res.coefficients)],
-            "seed": optimizer.seed,
-            "trace": _jsonify(res.trace),
-            "degraded": res.degraded,
-        }
-        _dump_json(payload, result_path)
-        return 0
-
-    signal = cfg.signal
-    if isinstance(signal, Ensemble):
-        raise ConfigError("/signal: afd and nbest tasks need a single-function signal")
-    if cfg.n_max is not None:
+    elif cfg.n_max is not None:
         if cfg.task == "afd":
             results = afd_decay_sweep(cfg.space, signal, cfg.n_max, optimizer)
         else:
             results = residual_decay_sweep(cfg.space, signal, cfg.n_max, optimizer)
         decay_path.write_text(emit_decay_table(results))
-        final = results[-1]
-        _dump_json(_result_payload(cfg, final, cfg.n_max, optimizer.seed), result_path)
-        return 0
-    engine = afd_greedy if cfg.task == "afd" else nbest
-    res = engine(cfg.space, signal, cfg.n, optimizer)
-    _dump_json(_result_payload(cfg, res, cfg.n, optimizer.seed), result_path)
+        res = results[-1]
+    else:
+        engine = afd_greedy if cfg.task == "afd" else nbest
+        res = engine(cfg.space, signal, cfg.n, optimizer)
+    n = cfg.n if cfg.n_max is None else cfg.n_max
+    _dump_json(_result_payload(cfg, res, n, optimizer.seed), result_path)
     return 0
 
 

@@ -14,9 +14,14 @@ selection maximizes the per-step energy increment over a coarse disc grid
 refined by local search; the global engine adds stratified multistart seeds,
 descent over all node coordinates at once, and a merge polish that searches
 again from the best inexact candidate with its closest pair as one order-2
-node.  A decay sweep runs greedy once, to its largest node count: greedy
-results finalize prefixes of that run, and each n-best search starts from its
-n-prefix.
+node.
+
+Every engine, the stochastic one included, is one run of one pipeline
+(``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
+the case M = 1.  It searches on the bundle's exact low-rank factor and
+finalizes the chosen tuple on the bundle.  A decay sweep runs greedy once, to
+its largest node count: greedy results finalize prefixes of that run, and
+each n-best search starts from its n-prefix.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
 """
@@ -39,6 +44,7 @@ from .spaces import (
     ParamTuple,
     SpaceSpec,
     _check_member,
+    _falling_factorial,
     kernel_matrix,
 )
 from .orthosystem import _gram_schmidt_impl
@@ -117,10 +123,14 @@ class OptimizerConfig:
 
 @dataclass
 class ApproximationResult:
-    """Output of the greedy or global engine for a single signal.
+    """Output of every engine, for a single signal or an ensemble.
 
     ``energy`` is the captured squared norm, ``residual`` the norm of what is
     left, and the two satisfy energy + residual**2 = norm**2 up to rounding.
+    For an ensemble they are expectations: the expected captured energy, the
+    root mean square residual and the Bochner norm, also readable under those
+    names.  ``coefficients`` holds one row per realization for an ensemble and
+    is 1-D for a single signal.
     """
 
     params: ParamTuple
@@ -131,6 +141,10 @@ class ApproximationResult:
     method: str
     trace: list = field(default_factory=list)
     degraded: bool = False
+
+    expected_energy = property(lambda self: self.energy)
+    expected_residual = property(lambda self: self.residual)
+    bochner_norm = property(lambda self: self.norm)
 
 
 class _Capture(NamedTuple):
@@ -297,11 +311,7 @@ class _Bundle:
         """k (k-1) ... (k-lag+1) for k = lag .. N."""
         out = self._falling.get(lag)
         if out is None:
-            ks = np.arange(lag, self.spec.max_degree + 1, dtype=np.float64)
-            out = np.ones_like(ks)
-            for j in range(lag):
-                out *= ks - j
-            self._falling[lag] = out
+            out = self._falling[lag] = _falling_factorial(self.spec.max_degree, lag)
         return out
 
     def _gram_captured(self, params: ParamTuple, owners) -> _Capture | None:
@@ -358,6 +368,19 @@ class _Bundle:
         return params, coeffs, energy, residual, degraded
 
 
+def _energy(bundle: _Bundle, params: ParamTuple) -> float:
+    """Captured energy of the bundle; warns, at the public caller's caller,
+    when the tuple degrades."""
+    val, degraded, _, _ = bundle.captured(params)
+    if degraded:
+        warnings.warn(
+            "degenerate node tuple: energy computed on its well-conditioned prefix",
+            DegenerateTupleWarning,
+            stacklevel=3,
+        )
+    return val
+
+
 def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
     """Captured energy of ``f`` on the tuple's kernel span.
 
@@ -365,14 +388,7 @@ def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
     extension.  A numerically degenerate tuple degrades to its maximal
     well-conditioned prefix and emits ``DegenerateTupleWarning``.
     """
-    val, degraded, _, _ = _Bundle.single(spec, f).captured(params)
-    if degraded:
-        warnings.warn(
-            "degenerate node tuple: energy computed on its well-conditioned prefix",
-            DegenerateTupleWarning,
-            stacklevel=2,
-        )
-    return val
+    return _energy(_Bundle.single(spec, f), params)
 
 
 # -- local search -------------------------------------------------------------
@@ -741,17 +757,14 @@ def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace
     candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
 
 
-def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy=None, warm=()):
+def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy, warm=()):
     """Greedy, multistart and merge-polish candidates; returns the points of
     the one with the smallest residual.  ``greedy`` holds the points and
-    trace steps of the greedy run to n nodes, which is run here when it is
-    not given; ``warm`` holds more start tuples.  Each candidate is recorded
-    by one trace entry, and a final ``select`` entry gives the index in
-    ``trace`` of the winner's entry and its stage."""
+    trace steps of the greedy run to n nodes; ``warm`` holds more start
+    tuples.  Each candidate is recorded by one trace entry, and a final
+    ``select`` entry gives the index in ``trace`` of the winner's entry and
+    its stage."""
     radius = _search_radius(bundle, cfg)
-    if greedy is None:
-        steps: list = []
-        greedy = _greedy_points(bundle, n, cfg, steps), steps
     greedy_pts, steps = greedy
     greedy_energy = steps[-1]["energy"] if steps else 0.0
     trace.append({"stage": "greedy", "steps": steps, "energy": greedy_energy})
@@ -804,63 +817,62 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
 # -- public engines ------------------------------------------------------------
 
 
-def _trivial_result(bundle: _Bundle, cfg: OptimizerConfig, method: str) -> ApproximationResult:
-    params = bundle.make_tuple((), cfg)
-    return ApproximationResult(
-        params=params,
-        coefficients=np.zeros(0, dtype=np.complex128),
-        energy=0.0,
-        residual=math.sqrt(max(bundle.total_sq, 0.0)),
-        norm=math.sqrt(max(bundle.total_sq, 0.0)),
-        method=method,
-        trace=[],
-    )
+def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> ApproximationResult:
+    """The result for the tuple of ``points``, finalized on the bundle, or,
+    without points, the zero-node result; coefficients have one row per
+    realization."""
+    norm = math.sqrt(max(bundle.total_sq, 0.0))
+    if points is None:
+        params = bundle.make_tuple((), cfg)
+        coeffs = np.zeros((len(bundle.probs), 0), dtype=np.complex128)
+        cap, residual, degraded = 0.0, norm, False
+    else:
+        params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
+    return ApproximationResult(params, coeffs, cap, residual, norm, method, list(trace), degraded)
 
 
-def _single_result(bundle, points, cfg, method, trace) -> ApproximationResult:
-    params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
-    return ApproximationResult(
-        params=params,
-        coefficients=coeffs[0],
-        energy=cap,
-        residual=residual,
-        norm=math.sqrt(max(bundle.total_sq, 0.0)),
-        method=method,
-        trace=trace,
-        degraded=degraded,
-    )
-
-
-def _run(spec, f, n: int, config, method: str, sweep: bool) -> list[ApproximationResult]:
+def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[ApproximationResult]:
     """Results for n nodes, or with ``sweep`` for each of 0 .. n, from one
     greedy run to n nodes.
 
     Greedy selection never revisits a node, so the run to k nodes is the
     k-prefix of the run to n, with the same trace prefix.  ``afd`` finalizes
-    that prefix; ``nbest`` searches from it, and in a sweep also from the
-    greedy extension of the (k-1)-node result.
+    that prefix; ``nbest`` and ``stochastic_nbest`` search from it, and in a
+    sweep also from the greedy extension of the (k-1)-node result.  The
+    searches run on the bundle's exact low-rank factor, which is the bundle
+    itself for one realization and for full rank; every result is finalized
+    on the bundle.  A ``stochastic_nbest`` trace opens with a ``compress``
+    entry giving M and the rank r the search ran on.
     """
     cfg = config or OptimizerConfig()
-    bundle = _Bundle.single(spec, f)
     if n < 0:
         raise ValueError("node count must be non-negative")
+    searched = n > 0 and bundle.total_sq > 0.0
+    factor = bundle.compressed() if searched else bundle
+    opening = []
+    if method == "stochastic_nbest":
+        rank = len(factor.probs)
+        opening = [{"stage": "compress", "realizations": len(bundle.probs), "rank": rank}]
     steps: list = []
-    points = _greedy_points(bundle, n, cfg, steps) if n > 0 and bundle.total_sq > 0.0 else []
+    points = _greedy_points(factor, n, cfg, steps) if searched else []
     results: list[ApproximationResult] = []
     prev: list = []
     for k in range(n + 1) if sweep else (n,):
-        if k == 0 or bundle.total_sq == 0.0:
-            results.append(_trivial_result(bundle, cfg, method))
+        if k == 0 or not searched:
+            res = _result(bundle, cfg, method)
         elif method == "afd":
-            results.append(_single_result(bundle, points[:k], cfg, method, steps[:k]))
+            res = _result(bundle, cfg, method, points[:k], steps[:k])
         else:
             warm = []
             if prev and len(prev) == k - 1:
-                warm.append(_extend_greedily(bundle, prev, k, cfg, []))
-            trace: list = []
-            best = _nbest_points(bundle, k, cfg, trace, (points[:k], steps[:k]), warm)
-            results.append(_single_result(bundle, best, cfg, method, trace))
-            prev = list(results[-1].params.points)
+                warm.append(_extend_greedily(factor, prev, k, cfg, []))
+            trace = list(opening)
+            best = _nbest_points(factor, k, cfg, trace, (points[:k], steps[:k]), warm)
+            res = _result(bundle, cfg, method, best, trace)
+            prev = list(res.params.points)
+        if method != "stochastic_nbest":
+            res.coefficients = res.coefficients[0]
+        results.append(res)
     return results
 
 
@@ -869,7 +881,7 @@ def afd_greedy(
 ) -> ApproximationResult:
     """Greedy approximation: each node maximizes the energy increment given
     the nodes already chosen, via grid search plus local refinement."""
-    return _run(spec, f, n, config, "afd", sweep=False)[0]
+    return _run(_Bundle.single(spec, f), n, config, "afd", sweep=False)[0]
 
 
 def afd_decay_sweep(
@@ -877,7 +889,7 @@ def afd_decay_sweep(
 ) -> list[ApproximationResult]:
     """Greedy results for n = 0 .. n_max from one greedy run; each entry
     equals ``afd_greedy(spec, f, n, config)``."""
-    return _run(spec, f, n_max, config, "afd", sweep=True)
+    return _run(_Bundle.single(spec, f), n_max, config, "afd", sweep=True)
 
 
 def nbest(
@@ -886,7 +898,7 @@ def nbest(
     """Best n-node approximation by multistart global search over the compact
     search disc, warm-started from the greedy solution.  The returned energy
     never falls below the greedy energy."""
-    return _run(spec, f, n, config, "nbest", sweep=False)[0]
+    return _run(_Bundle.single(spec, f), n, config, "nbest", sweep=False)[0]
 
 
 def residual_decay_sweep(
@@ -894,4 +906,4 @@ def residual_decay_sweep(
 ) -> list[ApproximationResult]:
     """Global results for n = 0 .. n_max from one greedy run, with chained
     warm starts, so the residual column is nonincreasing."""
-    return _run(spec, f, n_max, config, "nbest", sweep=True)
+    return _run(_Bundle.single(spec, f), n_max, config, "nbest", sweep=True)

@@ -233,22 +233,15 @@ def norm(spec: SpaceSpec, f: AnalyticFunction) -> float:
 
 def kernel(spec: SpaceSpec, a: complex) -> AnalyticFunction:
     """Point-evaluation kernel at ``a``: pairing any f against it returns f(a)."""
-    a = complex(a)
-    if not np.isfinite(a) or abs(a) >= 1.0:
-        raise DomainError(f"kernel parameter must lie in the open unit disc, got |a|={abs(a):.6g}")
-    powers = np.empty(spec.max_degree + 1, dtype=np.complex128)
-    powers[0] = 1.0
-    if spec.max_degree >= 1:
-        powers[1:] = np.conj(a)
-        np.cumprod(powers[1:], out=powers[1:])
-    return AnalyticFunction(powers / spec.weights)
+    return AnalyticFunction(kernel_matrix(spec, [complex(a)])[0])
 
 
 def kernel_matrix(spec: SpaceSpec, points: np.ndarray) -> np.ndarray:
     """Rows of kernel coefficients for many parameters at once."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size and np.max(np.abs(pts)) >= 1.0:
-        raise DomainError("kernel parameters must lie in the open unit disc")
+    radius = float(np.max(np.abs(pts), initial=0.0))
+    if not radius < 1.0:  # a NaN radius fails too
+        raise DomainError(f"kernel parameter must lie in the open unit disc, got |a|={radius:.6g}")
     m = np.empty((pts.size, spec.max_degree + 1), dtype=np.complex128)
     m[:, 0] = 1.0
     if spec.max_degree >= 1:
@@ -256,6 +249,15 @@ def kernel_matrix(spec: SpaceSpec, points: np.ndarray) -> np.ndarray:
         np.cumprod(m[:, 1:], axis=1, out=m[:, 1:])
     m /= spec.weights
     return m
+
+
+def _falling_factorial(max_degree: int, lag: int) -> np.ndarray:
+    """k (k-1) ... (k-lag+1) for k = lag .. max_degree."""
+    ks = np.arange(lag, max_degree + 1, dtype=np.float64)
+    out = np.ones_like(ks)
+    for j in range(lag):
+        out *= ks - j
+    return out
 
 
 def multiple_kernel(spec: SpaceSpec, a: complex, order: int) -> AnalyticFunction:
@@ -276,13 +278,9 @@ def multiple_kernel(spec: SpaceSpec, a: complex, order: int) -> AnalyticFunction
     if order == 1:
         return kernel(spec, a)
     l = order - 1
-    ks = np.arange(spec.max_degree + 1, dtype=np.float64)
-    falling = np.ones_like(ks)
-    for j in range(l):
-        falling *= ks - j
     coeffs = np.zeros(spec.max_degree + 1, dtype=np.complex128)
-    idx = np.arange(l, spec.max_degree + 1)
-    coeffs[idx] = falling[idx] * np.conj(a) ** (idx - l) / spec.weights[idx]
+    powers = np.conj(a) ** np.arange(spec.max_degree + 1 - l)
+    coeffs[l:] = _falling_factorial(spec.max_degree, l) * powers / spec.weights[l:]
     return AnalyticFunction(coeffs)
 
 

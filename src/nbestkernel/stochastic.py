@@ -5,24 +5,27 @@ realizations with weights summing to one, the expected captured energy is the
 weighted sum of per-realization energies, and the search runs over a single
 node tuple shared by all realizations.
 
-That energy is quadratic in the realizations, so the search runs on an exact
-rank-r factor of the ensemble (r <= min(M, N+1); r = 1 for random multiples of
-one function) and its cost does not grow with M.  The per-realization
-coefficients, the expected energy and the residual of the chosen tuple are
-computed from all M realizations.
+The search is the engines' one pipeline (``engine._run``), of which a single
+signal is the case M = 1.  The energy is quadratic in the realizations, so
+the pipeline searches on an exact rank-r factor of the ensemble
+(r <= min(M, N+1); r = 1 for random multiples of one function) and its cost
+does not grow with M.  The per-realization coefficients, the expected energy
+and the residual of the chosen tuple are computed from all M realizations.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTupleWarning, DivergenceRiskError, ShapeMismatchError
-from .engine import OptimizerConfig, _Bundle, _nbest_points, _trivial_result
+from .errors import DivergenceRiskError, ShapeMismatchError
+from .engine import ApproximationResult, OptimizerConfig, _Bundle, _energy, _run
 from .spaces import AnalyticFunction, ParamTuple, SpaceSpec, multiple_kernel
+
+# perfbench/tracer.py times the multistart stage under this name.
+from .engine import _nbest_points  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,23 +75,9 @@ class Ensemble:
         return [AnalyticFunction(row) for row in self.matrix]
 
 
-@dataclass
-class StochasticResult:
-    """Shared node tuple with per-realization coefficients.
-
-    ``expected_energy + expected_residual**2 = bochner_norm**2`` up to
-    rounding; ``expected_residual`` is the root mean square residual, i.e. the
-    ensemble norm of the leftover.
-    """
-
-    params: ParamTuple
-    coefficients: np.ndarray
-    expected_energy: float
-    expected_residual: float
-    bochner_norm: float
-    method: str = "stochastic_nbest"
-    trace: list = field(default_factory=list)
-    degraded: bool = False
+# A stochastic result is the engines' result, whose expected_energy,
+# expected_residual and bochner_norm name its energy, residual and norm.
+StochasticResult = ApproximationResult
 
 
 def _bundle(e: Ensemble) -> _Bundle:
@@ -102,49 +91,19 @@ def bochner_norm(e: Ensemble) -> float:
 
 def stochastic_energy(e: Ensemble, params: ParamTuple) -> float:
     """Expected captured energy of the shared tuple across realizations."""
-    val, degraded, _, _ = _bundle(e).captured(params)
-    if degraded:
-        warnings.warn(
-            "degenerate node tuple: energy computed on its well-conditioned prefix",
-            DegenerateTupleWarning,
-            stacklevel=2,
-        )
-    return val
+    return _energy(_bundle(e), params)
 
 
-def stochastic_nbest(e: Ensemble, n: int, config: OptimizerConfig | None = None) -> StochasticResult:
+def stochastic_nbest(
+    e: Ensemble, n: int, config: OptimizerConfig | None = None
+) -> ApproximationResult:
     """Maximize expected captured energy over one shared node tuple.
 
     The search runs on the ensemble's exact low-rank factor; the trace opens
-    with a ``compress`` entry giving M and the rank r it ran on.
+    with a ``compress`` entry giving M and the rank r it ran on, and the
+    coefficients have one row per realization.
     """
-    cfg = config or OptimizerConfig()
-    bundle = _bundle(e)
-    if n < 0:
-        raise ValueError("node count must be non-negative")
-    if n == 0 or bundle.total_sq == 0.0:
-        base = _trivial_result(bundle, cfg, "stochastic_nbest")
-        return StochasticResult(
-            params=base.params,
-            coefficients=np.zeros((len(e), 0), dtype=np.complex128),
-            expected_energy=0.0,
-            expected_residual=base.residual,
-            bochner_norm=base.norm,
-            trace=[],
-        )
-    factor = bundle.compressed()
-    trace: list = [{"stage": "compress", "realizations": len(e), "rank": len(factor.probs)}]
-    points = _nbest_points(factor, n, cfg, trace)
-    params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
-    return StochasticResult(
-        params=params,
-        coefficients=coeffs,
-        expected_energy=cap,
-        expected_residual=residual,
-        bochner_norm=math.sqrt(max(bundle.total_sq, 0.0)),
-        trace=trace,
-        degraded=degraded,
-    )
+    return _run(_bundle(e), n, config, "stochastic_nbest", sweep=False)[0]
 
 
 def kernel_mix(spec: SpaceSpec, atoms) -> AnalyticFunction:

@@ -309,16 +309,21 @@ def test_stochastic_accepts_explicit_realizations(tmp_path):
     assert run_task(cfg, tmp_path) == 0
 
 
-def test_afd_rejects_ensemble_signal(tmp_path):
-    cfg_payload = {
-        "task": "afd",
-        "space": SMALL_SPACE,
-        "signal": {"random": {"kind": "decaying_gaussian", "gamma": 2.0, "M": 4, "seed": 1}},
-        "n": 1,
-    }
-    cfg = parse_config(json.dumps(cfg_payload))
-    with pytest.raises(ConfigError):
-        run_task(cfg, tmp_path)
+def test_afd_rejects_ensemble_signal(tmp_path, capsys):
+    signals = (
+        {"random": {"kind": "decaying_gaussian", "gamma": 2.0, "M": 4, "seed": 1}},
+        {"realizations": [[[1.0, 0.0]], [[0.0, 1.0]]]},
+    )
+    for task in ("afd", "nbest"):
+        for signal in signals:
+            cfg_payload = {"task": task, "space": SMALL_SPACE, "signal": signal, "n": 1}
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(cfg_payload))
+            assert str(err.value).startswith("/signal: ")
+            path = _write(tmp_path, "cfg.json", cfg_payload)
+            assert main([task, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+            assert "/signal: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 def test_verify_task_exit_codes(tmp_path):

@@ -18,6 +18,7 @@ from nbestkernel import (
     evaluate,
     inner_product,
     kernel,
+    kernel_matrix,
     multiple_kernel,
     norm,
     norm_sq,
@@ -145,6 +146,13 @@ def test_kernel_rejects_boundary(hardy):
         kernel(hardy, 1.0)
     with pytest.raises(DomainError):
         kernel(hardy, 0.8 + 0.7j)
+    # kernel_matrix agrees, row by row, and rejects non-finite parameters too
+    for bad in (1.0, 0.8 + 0.7j, math.nan, complex(0.1, math.inf)):
+        with pytest.raises(DomainError):
+            kernel_matrix(hardy, [0.2, bad])
+        with pytest.raises(DomainError):
+            kernel(hardy, bad)
+    assert np.array_equal(kernel_matrix(hardy, [0.3j])[0], kernel(hardy, 0.3j).coeffs)
 
 
 @settings(max_examples=25, deadline=None)

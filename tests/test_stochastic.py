@@ -21,7 +21,13 @@ from nbestkernel import (
     stochastic_energy,
     stochastic_nbest,
 )
-from nbestkernel.engine import _Bundle, _disc_grid, _grid_increments, _nbest_points
+from nbestkernel.engine import (
+    _Bundle,
+    _disc_grid,
+    _greedy_points,
+    _grid_increments,
+    _nbest_points,
+)
 from nbestkernel.orthosystem import _gram_schmidt_impl
 from nbestkernel.spaces import kernel_matrix
 
@@ -129,11 +135,22 @@ def test_generate_gaussian_divergence_guard():
 
 def test_stochastic_nbest_matches_nbest_for_single_realization(hardy):
     rng = np.random.default_rng(21)
-    f = as_element(hardy, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    single = stochastic_nbest(Ensemble.from_functions(hardy, [f]), 2, FAST)
-    plain = nbest(hardy, f, 2, FAST)
-    assert single.expected_energy == pytest.approx(plain.energy, rel=1e-9)
-    assert single.expected_residual == pytest.approx(plain.residual, rel=1e-6)
+    for spec in (hardy, SpaceSpec.bergman(1.0)):
+        f = as_element(spec, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        single = stochastic_nbest(Ensemble.from_functions(spec, [f]), 2, FAST)
+        plain = nbest(spec, f, 2, FAST)
+        assert single.params.points == plain.params.points
+        assert (single.expected_energy, single.expected_residual) == (plain.energy, plain.residual)
+        assert single.bochner_norm == plain.norm
+        assert single.coefficients.shape == (1, 2)
+        assert np.array_equal(single.coefficients[0], plain.coefficients)
+        # the same trace after the compress entry, whose indices it shifts by one
+        assert single.trace[0] == {"stage": "compress", "realizations": 1, "rank": 1}
+        shifted = [
+            {k: v + 1 if k in ("winner", "merged_from") else v for k, v in entry.items()}
+            for entry in plain.trace
+        ]
+        assert single.trace[1:] == shifted
 
 
 def test_stochastic_nbest_shared_parameters_recover_common_span(hardy):
@@ -283,7 +300,9 @@ def test_full_rank_search_is_the_uncompressed_search(hardy_small):
     res = stochastic_nbest(e, 2, FAST)
     bundle = _Bundle(e.spec, e.matrix, e.probs)
     trace = [{"stage": "compress", "realizations": 6, "rank": 6}]
-    points = _nbest_points(bundle, 2, FAST, trace)
+    steps: list = []
+    greedy = _greedy_points(bundle, 2, FAST, steps), steps
+    points = _nbest_points(bundle, 2, FAST, trace, greedy)
     params, coeffs, cap, residual, _ = bundle.finalize(points, FAST)
     assert res.params.points == params.points
     assert np.array_equal(res.coefficients, coeffs)
