@@ -8,11 +8,14 @@ of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
 Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
 (MGS), which also produces every reported value and the final coefficients.
 
-Every local search is a bounded dense BFGS run on that gradient
-(``minimize``, in numpy, over the box of the search radius).  Greedy
-selection maximizes the per-step energy increment over a coarse disc grid
-refined by local search; the global engine adds stratified multistart seeds,
-descent over all node coordinates at once, and a merge polish that searches
+Every local search is a bounded dense BFGS run on that gradient (in numpy,
+over the box of the search radius), run as lanes of one lockstep search
+(``_descend``): each round evaluates one trial point per active lane in one
+stacked Gram/Cholesky evaluation, while each lane keeps its own iteration.
+Greedy selection maximizes the per-step energy increment over a coarse disc
+grid refined by a local search of one lane (``minimize``); the global engine
+adds stratified multistart seeds, descent over all node coordinates at once
+from every start as the lanes of one search, and a merge polish that searches
 again from the best inexact candidate with its closest pair as one order-2
 node.
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,8 +91,9 @@ class OptimizerConfig:
     a node merges with another node or the Gram matrix is too
     ill-conditioned.  All randomness flows from ``seed``.  ``xtol``,
     ``workers`` and ``polish`` are accepted and validated but have no
-    effect: the searches run sequentially, and every one of them is the
-    gradient search.
+    effect: everything runs in one thread, the ``multistart`` starts run as
+    the lanes of one lockstep search, and every search is the gradient
+    search.
     """
 
     delta: float = 0.05
@@ -149,12 +154,44 @@ class ApproximationResult:
 
 class _Capture(NamedTuple):
     """One objective evaluation.  ``grad`` is dE/da per moving node when it
-    was asked for and the Gram path held; ``mgs`` says MGS gave the value."""
+    was asked for and the Gram path held; ``mgs`` says MGS gave the value.
+    For a ``_Nodes`` batch every field holds one entry per tuple, and a
+    tuple's ``grad`` row is meaningless where its ``mgs`` is set."""
 
-    value: float
-    degraded: bool
+    value: float | np.ndarray
+    degraded: bool | np.ndarray
     grad: np.ndarray | None
-    mgs: bool
+    mgs: bool | np.ndarray
+
+
+class _Nodes(NamedTuple):
+    """B node tuples of one structure, evaluated together without building a
+    ``ParamTuple`` for any of them: ``centers`` (B x n) holds each tuple's
+    kernel centers and ``orders`` the n kernel orders they share, as in a
+    ``ParamTuple``'s fields."""
+
+    centers: np.ndarray
+    orders: tuple
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows; a stacked matmul rounds each one as the
+    1-D ``a[i] @ b[i]`` does, so a row's result does not depend on the others."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of matrices; NaN where one fails."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        out = np.full_like(gram, np.nan)
+        for i, g in enumerate(gram):
+            try:
+                out[i] = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 class _Bundle:
@@ -169,7 +206,7 @@ class _Bundle:
         self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
-        self._grids: dict[tuple, tuple] = {}
+        self._grids: dict[tuple, _Grid] = {}
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -255,29 +292,49 @@ class _Bundle:
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
 
-    def captured(self, params: ParamTuple, owners=None, mgs: bool = False) -> _Capture:
-        """Captured energy of the tuple.
+    def captured(self, params, owners=None, mgs: bool = False) -> _Capture:
+        """Captured energy of the tuple, or of each tuple of a ``_Nodes`` batch.
 
-        The Gram path factors the kernel Gram matrix once; ``owners`` (one
-        entry per tuple position: the index of the moving node it belongs to,
-        or -1 if fixed) asks it for the gradient too.  With ``mgs``, or when a
-        Cholesky pivot ratio falls below ``_PIVOT_FLOOR``, MGS computes the
-        value instead and no gradient is returned; degenerate tuples then fall
-        back to their longest well-conditioned prefix and report degradation.
+        The Gram path factors each kernel Gram matrix once, the whole batch
+        in one stacked evaluation; ``owners`` (one entry per tuple position:
+        the index of the moving node it belongs to, or -1 if fixed) asks it
+        for the gradient too.  With ``mgs``, or for a tuple whose Cholesky
+        pivot ratio falls below ``_PIVOT_FLOOR``, MGS computes the value
+        instead and no gradient is returned; degenerate tuples then fall back
+        to their longest well-conditioned prefix and report degradation.
         """
-        if not len(params):
+        batch = isinstance(params, _Nodes)
+        if batch:
+            centers, orders = params
+        elif not len(params):
             return _Capture(0.0, False, None, False)
-        if not mgs:
-            fast = self._gram_captured(params, owners)
-            if fast is not None:
-                return fast
+        else:
+            centers = np.asarray(params.centers, dtype=np.complex128)[None]
+            orders = params.orders
+        if mgs:
+            value, grad, failed = np.empty(len(centers)), None, range(len(centers))
+        else:
+            value, grad, failed = self._gram_captured(centers, orders, owners)
+        degraded = np.zeros(len(centers), dtype=bool)
+        mgs_used = np.zeros(len(centers), dtype=bool)
+        for b in failed:
+            tup = ParamTuple(tuple(centers[b]), 0.0, self.spec.radius_cap) if batch else params
+            value[b], degraded[b] = self._mgs_captured(tup)
+            mgs_used[b] = True
+        if batch:
+            return _Capture(value, degraded, grad, mgs_used)
+        if failed:
+            return _Capture(float(value[0]), bool(degraded[0]), None, True)
+        return _Capture(float(value[0]), False, None if grad is None else grad[0], False)
+
+    def _mgs_captured(self, params: ParamTuple) -> tuple[float, bool]:
         system, degraded = _gram_schmidt_impl(
             self.spec, params, eps_degenerate=1e-10, allow_partial=True
         )
         if not len(system):
-            return _Capture(0.0, degraded, None, True)
+            return 0.0, degraded
         c = self.weighted @ system.basis.conj().T
-        return _Capture(float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded, None, True)
+        return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
 
     def _powers(self, centers: np.ndarray) -> np.ndarray:
         """Rows ``conj(c)**k`` for k = 0 .. N, as products of the powers
@@ -297,14 +354,14 @@ class _Bundle:
 
     def _kernel_rows(self, powers: np.ndarray, orders) -> np.ndarray:
         """Rows ``W * K`` of the order-``o`` kernels whose ``_powers`` rows are
-        given: ``k (k-1) ... (k-o+2) conj(c)**(k-o+1)``, i.e.
-        ``multiple_kernel`` times the weights."""
+        given (n rows, or a stack of n rows per tuple): ``k (k-1) ... (k-o+2)
+        conj(c)**(k-o+1)``, i.e. ``multiple_kernel`` times the weights."""
         if all(o == 1 for o in orders):
             return powers
-        n1 = powers.shape[1]
+        n1 = powers.shape[-1]
         rows = np.zeros_like(powers)
         for i, o in enumerate(orders):
-            rows[i, o - 1 :] = powers[i, : n1 - o + 1] * self._falling_factorial(o - 1)
+            rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * self._falling_factorial(o - 1)
         return rows
 
     def _falling_factorial(self, lag: int) -> np.ndarray:
@@ -314,38 +371,50 @@ class _Bundle:
             out = self._falling[lag] = _falling_factorial(self.spec.max_degree, lag)
         return out
 
-    def _gram_captured(self, params: ParamTuple, owners) -> _Capture | None:
-        """Gram/Cholesky evaluation; None when a pivot ratio is below the floor.
+    def _gram_captured(self, centers: np.ndarray, orders: tuple, owners):
+        """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
+        their values, with ``owners`` their gradients (one row per tuple), and
+        the tuples whose pivot ratios fall below the floor, which get neither.
 
         With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
         dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
-        the next-order kernel, i.e. dK_j / d(conj a_c).
+        the next-order kernel, i.e. dK_j / d(conj a_c).  Every step is a
+        stacked or elementwise operation, so a tuple's results are the same
+        bits whichever batch it is evaluated in.
         """
-        powers = self._powers(np.asarray(params.centers, dtype=np.complex128))
-        rows = self._kernel_rows(powers, params.orders)
+        count, n = centers.shape
+        powers = self._powers(centers.ravel()).reshape(count, n, -1)
+        rows = self._kernel_rows(powers, orders)
         rows_conj = rows.conj()
-        gram = (rows_conj * self.inv_weights) @ rows.T  # G_ij = <K_j, K_i>
-        pairs = self.matrix @ rows_conj.T  # v_mi = <f_m, K_i>
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(chol.diagonal().real >= _PIVOT_FLOOR * np.sqrt(gram.diagonal().real)):
-            return None
-        y = np.linalg.solve(chol, pairs.T)
-        value = float(self.probs @ np.sum(np.abs(y) ** 2, axis=0))
+        gram = (rows_conj * self.inv_weights) @ rows.transpose(0, 2, 1)  # G_ij = <K_j, K_i>
+        pairs = self.matrix @ rows_conj.transpose(0, 2, 1)  # v_mi = <f_m, K_i>
+        chol = _cholesky(gram)
+        floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
+        ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
+        failed = [] if ok.all() else np.flatnonzero(~ok).tolist()
+        held = ok if failed else slice(None)
+        value = np.full(count, np.nan)
+        grad = None if owners is None else np.zeros((count, owners.max() + 1), dtype=np.complex128)
+        if len(failed) == count:
+            return value, grad, failed
+        powers, rows, chol, pairs = powers[held], rows[held], chol[held], pairs[held]
+        y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
+        value[held] = _rowdot(np.sum(np.abs(y) ** 2, axis=1), self.probs)
         if owners is None:
-            return _Capture(value, False, None, False)
-        x = np.linalg.solve(chol.conj().T, y)
+            return value, grad, failed
+        x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
         moving = owners >= 0
-        nxt_orders = [o + 1 for o, own in zip(params.orders, owners) if own >= 0]
-        nxt_conj = self._kernel_rows(powers[moving], nxt_orders).conj()
+        nxt_orders = [o + 1 for o, own in zip(orders, owners) if own >= 0]
+        nxt_conj_t = self._kernel_rows(powers[:, moving], nxt_orders).conj().transpose(0, 2, 1)
         # <r_m, K_j+> = <f_m, K_j+> - sum_i x_mi <K_i, K_j+>
-        resid_pairs = self.matrix @ nxt_conj.T - x.T @ ((rows * self.inv_weights) @ nxt_conj.T)
-        per_row = np.sum(self.probs[:, None] * x[moving].T.conj() * resid_pairs, axis=0)
-        grad = np.zeros(int(owners.max()) + 1, dtype=np.complex128)
-        np.add.at(grad, owners[moving], per_row)
-        return _Capture(value, False, grad, False)
+        cross = (rows * self.inv_weights) @ nxt_conj_t
+        resid_pairs = self.matrix @ nxt_conj_t - x.transpose(0, 2, 1) @ cross
+        x_moving = x[:, moving].transpose(0, 2, 1).conj()
+        per_row = np.sum(self.probs[:, None] * x_moving * resid_pairs, axis=1)
+        part = np.zeros((len(y), grad.shape[1]), dtype=np.complex128)
+        np.add.at(part, (slice(None), owners[moving]), per_row)
+        grad[held] = part
+        return value, grad, failed
 
     def finalize(self, points, cfg: OptimizerConfig):
         """Exact recomputation of coefficients, energy and residual."""
@@ -395,11 +464,12 @@ def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
 
 
 def _reflected_points(x: np.ndarray, radius: float) -> np.ndarray:
-    """Nodes of the coordinates ``x``; one at |u| > radius is mirrored in the
-    search circle to radius ``2 radius - |u|``.  A radial clamp would leave a
-    flat shelf outside the circle, on which a gradient search that overshoots
-    the circle stalls; the mirror leads it back."""
-    pts = x[0::2] + 1j * x[1::2]
+    """Nodes of the coordinates ``x`` (one point, or one per row); one at
+    |u| > radius is mirrored in the search circle to radius ``2 radius - |u|``.
+    A radial clamp would leave a flat shelf outside the circle, on which a
+    gradient search that overshoots the circle stalls; the mirror leads it
+    back."""
+    pts = x[..., 0::2] + 1j * x[..., 1::2]
     r = np.abs(pts)
     over = r > radius
     if np.any(over):
@@ -413,14 +483,17 @@ def _search_radius(bundle: _Bundle, cfg: OptimizerConfig) -> float:
 
 class _Objective:
     """Negated captured energy over the flattened real coordinates of the
-    moving nodes.
+    moving nodes, at one point or at one point per lane of a search.
 
     ``prefix`` nodes stay fixed; with ``orders`` moving node i enters with
     multiplicity ``orders[i]`` (merge polish).  Nodes overshooting the search
     disc are mirrored back into it, and the analytic gradient is chained
-    through the mirror.  When a moving node merges with another node, or the
-    Gram path falls back to MGS, the value comes from MGS and the gradient
-    from central differences of MGS values with relative step ``fd_step``.
+    through the mirror.  The points whose moving nodes stay apart from every
+    other node are evaluated together, in one batch on the Gram path.  When a
+    moving node merges with another node, or the Gram path falls back to MGS,
+    that point's value comes from MGS and its gradient from central
+    differences of MGS values with relative step ``fd_step``;
+    ``lane_mgs_evals`` counts these MGS evaluations per lane.
     """
 
     def __init__(self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None):
@@ -429,11 +502,21 @@ class _Objective:
         self.radius = _search_radius(bundle, cfg)
         self.prefix = tuple(prefix)
         self.reps = tuple(orders) if orders is not None else (1,) * count
-        self.free_orders = tuple(k + 1 for o in self.reps for k in range(o))
+        self.merged = max(self.reps, default=1) > 1
+        fixed = bundle.make_tuple(self.prefix, cfg)
+        self.fixed_centers = np.asarray(fixed.centers, dtype=np.complex128)
+        # Each distinct fixed node enters the tuple first with order 1.
+        self.fixed_reps = self.fixed_centers[np.asarray(fixed.orders, dtype=int) == 1]
+        self.orders = fixed.orders + tuple(k + 1 for o in self.reps for k in range(o))
         self.owners = np.array(
             [-1] * len(self.prefix) + [i for i, o in enumerate(self.reps) for _ in range(o)]
         )
-        self.mgs_evals = 0
+        self.earlier = np.tri(count, k=-1, dtype=bool)
+        self.lane_mgs_evals: Counter = Counter()
+
+    @property
+    def mgs_evals(self) -> int:
+        return sum(self.lane_mgs_evals.values())
 
     def expand(self, pts) -> tuple:
         full = list(self.prefix)
@@ -444,26 +527,48 @@ class _Objective:
     def params(self, x: np.ndarray) -> ParamTuple:
         return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)), self.cfg)
 
-    def _capture(self, params: ParamTuple, owners=None, mgs: bool = False) -> _Capture:
-        cap = self.bundle.captured(params, owners, mgs)
-        self.mgs_evals += cap.mgs
-        return cap
-
     def value(self, x) -> float:
-        return -self._capture(self.params(np.asarray(x, dtype=np.float64))).value
+        return -self.bundle.captured(self.params(np.asarray(x, dtype=np.float64))).value
 
-    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+    def _apart(self, pts: np.ndarray) -> np.ndarray:
+        """Rows whose moving nodes merge with no other node, so that the
+        tuple's ``ParamTuple`` would keep them as they are."""
+        tol = self.cfg.merge_tol
+        apart = np.ones(len(pts), dtype=bool)
+        if self.fixed_reps.size:
+            apart &= (np.abs(pts[:, :, None] - self.fixed_reps) > tol).all(axis=(1, 2))
+        if pts.shape[1] > 1:
+            close = np.abs(pts[:, :, None] - pts[:, None, :]) <= tol
+            apart &= ~(close & self.earlier).any(axis=(1, 2))
+        return apart
+
+    def value_and_grad(self, x, lanes=0):
+        """The value and gradient at ``x``, or at each row of a stack ``x``;
+        ``lanes`` names the lane of each row for ``lane_mgs_evals``."""
         x = np.asarray(x, dtype=np.float64)
-        params = self.params(x)
-        k = len(self.prefix)
-        separate = params.centers[k:] == params.points[k:] and params.orders[k:] == self.free_orders
-        cap = self._capture(params, self.owners if separate else None, mgs=not separate)
+        if x.ndim == 1:
+            value, grad = self.value_and_grad(x[None], (lanes,))
+            return float(value[0]), grad[0]
+        pts = _reflected_points(x, self.radius)
+        apart = self._apart(pts)
+        value = np.empty(len(x))
         grad = np.empty_like(x)
-        if cap.grad is not None:
+        todo = ~apart
+        if apart.any():
+            rows = slice(None) if apart.all() else apart
+            moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
+            centers = moving
+            if len(self.fixed_centers):
+                centers = np.empty((len(moving), len(self.orders)), dtype=np.complex128)
+                centers[:, : len(self.fixed_centers)] = self.fixed_centers
+                centers[:, len(self.fixed_centers) :] = moving
+            cap = self.bundle.captured(_Nodes(centers, self.orders), self.owners)
+            value[rows] = -cap.value
+            todo[rows] = cap.mgs
             # dE/dx + i dE/dy per node; a mirrored node a = (2R - |u|) u / |u|
             # moves against u radially and by (2R - |u|) / |u| tangentially.
             slope = 2.0 * np.conj(cap.grad)
-            raw = x[0::2] + 1j * x[1::2]
+            raw = x[rows, 0::2] + 1j * x[rows, 1::2]
             r = np.abs(raw)
             over = r > self.radius
             if np.any(over):
@@ -471,16 +576,19 @@ class _Objective:
                 along = np.conj(u) * slope[over]
                 stretch = (2.0 * self.radius - r[over]) / r[over]
                 slope[over] = u * (-along.real + 1j * stretch * along.imag)
-            grad[0::2] = -slope.real
-            grad[1::2] = -slope.imag
-            return -cap.value, grad
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = self.cfg.fd_step * max(1.0, abs(x[i]))
-            up = self._capture(self.params(x + step), mgs=True).value
-            down = self._capture(self.params(x - step), mgs=True).value
-            grad[i] = (down - up) / (2.0 * step[i])
-        return -cap.value, grad
+            grad[rows, 0::2] = -slope.real
+            grad[rows, 1::2] = -slope.imag
+        for row in np.flatnonzero(todo):
+            if not apart[row]:
+                value[row] = -self.bundle.captured(self.params(x[row]), mgs=True).value
+            self.lane_mgs_evals[lanes[row]] += 1 + 2 * x.shape[1]
+            for i in range(x.shape[1]):
+                step = np.zeros(x.shape[1])
+                step[i] = self.cfg.fd_step * max(1.0, abs(x[row, i]))
+                up = self.bundle.captured(self.params(x[row] + step), mgs=True).value
+                down = self.bundle.captured(self.params(x[row] - step), mgs=True).value
+                grad[row, i] = (down - up) / (2.0 * step[i])
+        return value, grad
 
 
 class _Minimum(NamedTuple):
@@ -505,35 +613,164 @@ def _direction(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     return d
 
 
-def _line_search(fun, x, f, g, d, t, lo, hi, resolution):
-    """Backtracking from the step ``t d``: the accepted point, its value and
-    gradient, and the evaluation count; the point is None when no step
-    decreases ``f``.  ``resolution`` is the smallest reduction of ``f`` that
-    counts as progress."""
-    for evals in range(1, _MAX_BACKTRACKS + 1):
-        x_new = np.clip(x + t * d, lo, hi)
-        step = x_new - x
-        slope = g @ step
-        f_new, g_new = fun(x_new)
-        if f_new <= f + _ARMIJO * slope:
-            return x_new, f_new, g_new, evals
-        # Where f changes by less than it resolves, the slopes decide; on a
-        # quadratic this is the same test.
-        if f_new <= f + resolution and g_new @ step <= (2.0 * _ARMIJO - 1.0) * slope:
-            return x_new, f_new, g_new, evals
-        # Minimizer of the quadratic through f, the slope and f_new, kept
-        # within [0.1 t, 0.5 t].
-        curve = f_new - f - slope if math.isfinite(f_new) else math.inf
-        shrink = min(max(-slope / (2.0 * curve), 0.1), 0.5)
-        if -slope * shrink <= resolution:
-            break
-        t *= shrink
-    return None, None, None, evals
+# Stop messages, as scipy's L-BFGS-B words them.
+_PGTOL_STOP = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+_MAXITER_STOP = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+_FTOL_STOP = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+_ABNORMAL_STOP = "ABNORMAL: "
+
+
+def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> list[_Minimum]:
+    """The dense BFGS search of ``minimize`` from each row of ``x0``, run as
+    one lane per row in lockstep.
+
+    ``fun(x, lanes)`` returns the values and gradients at the rows of ``x``,
+    the current points of the active ``lanes``.  Each round evaluates one
+    trial point per active lane in that one call; a lane then accepts its
+    step or backtracks, and a lane that accepted begins its next iteration.
+    Every lane keeps its own inverse Hessian, held coordinates, line search
+    and stop.  Its scalars are Python floats and its vectors rows of stacked
+    arrays, on which every operation is elementwise or a stacked matmul, so a
+    lane ends at the same bits as when it runs alone.  Results come in the
+    order of the rows of ``x0``.
+    """
+    ftol, gtol, maxiter = options["ftol"], options["gtol"], options["maxiter"]
+    x = np.clip(x0, lo, hi)
+    count, size = x.shape
+    results: list = [None] * count
+    if not count:
+        return results
+    lanes = np.arange(count)
+    values, g = fun(x, lanes)
+    f = values.tolist()
+    nfev, nit, tries, stop = [1] * count, [0] * count, [0] * count, [""] * count
+    t, scale, curved = [0.0] * count, [1.0] * count, [False] * count
+    h = np.zeros((count, size, size))  # inverse Hessians, where ``curved``
+    d = np.zeros_like(x)
+    begin = list(range(count))  # the lanes that begin an iteration
+    reduced = [False] * count  # ... after a step that met the ftol rule
+    while True:
+        if begin:
+            k = slice(None) if len(begin) == len(f) else begin
+            xk, gk = x[k], g[k]
+            flat = np.abs(np.minimum(np.maximum(xk - gk, lo), hi) - xk).max(axis=1).tolist()
+            # Coordinates that the gradient presses against their bound are
+            # held; a curved lane steps by H, or by the Schur complement of
+            # its held block, on the free ones.
+            low, high = xk <= lo, xk >= hi
+            if low.any() or high.any():
+                free = ~((low & (gk > 0.0)) | (high & (gk < 0.0)))
+                steep = np.where(free, -gk, 0.0)
+                held = (~free.all(axis=1)).tolist()
+            else:
+                free, steep, held = None, -gk, [False] * len(begin)
+            dk = -(h[k] @ gk[:, :, None])[:, :, 0]
+            for j, i in enumerate(begin):
+                if not curved[i]:
+                    dk[j] = steep[j]
+                elif held[j]:
+                    dk[j] = _direction(h[i], gk[j], free[j])
+            if free is not None:
+                dk[(low & (dk < 0.0)) | (high & (dk > 0.0))] = 0.0
+            for j, slope in enumerate(_rowdot(gk, dk).tolist()):
+                if not slope < 0.0:
+                    curved[begin[j]] = False
+                    dk[j] = steep[j]
+            # The step first tries the point where it meets the box; without
+            # curvature information it has no length scale of its own and
+            # stops halfway to the box instead of on its edge.
+            room = np.full_like(dk, np.inf)
+            np.divide(np.where(dk > 0.0, hi - xk, lo - xk), dk, out=room, where=dk != 0.0)
+            d[k] = dk
+            for j, (i, tk) in enumerate(zip(begin, room.min(axis=1, initial=1.0).tolist())):
+                if reduced[j]:
+                    stop[i] = _FTOL_STOP
+                elif flat[j] <= gtol:
+                    stop[i] = _PGTOL_STOP
+                elif nit[i] >= maxiter:
+                    stop[i] = _MAXITER_STOP
+                t[i] = tk if curved[i] or tk >= 1.0 else 0.5 * tk
+                tries[i] = 0
+                scale[i] = max(abs(f[i]), 1.0)
+        if any(stop):
+            keep = [i for i, s in enumerate(stop) if not s]
+            for i, s in enumerate(stop):
+                if s:
+                    results[lanes[i]] = _Minimum(x[i].copy(), f[i], nfev[i], nit[i], s)
+            if not keep:
+                return results
+            lanes, x, g, h, d = lanes[keep], x[keep], g[keep], h[keep], d[keep]
+            f, nfev, nit, tries, stop, t, scale, curved = (
+                [v[i] for i in keep] for v in (f, nfev, nit, tries, stop, t, scale, curved)
+            )
+        # One trial point per lane, backtracking from the step ``t d``.
+        trial = np.minimum(np.maximum(x + np.array(t)[:, None] * d, lo), hi)
+        values, g_new = fun(trial, lanes)
+        f_new = values.tolist()
+        step = trial - x
+        slopes = _rowdot(g, step)
+        begin = []
+        for i, slope in enumerate(slopes.tolist()):
+            nfev[i] += 1
+            tries[i] += 1
+            if f_new[i] <= f[i] + _ARMIJO * slope:
+                begin.append(i)
+                continue
+            resolution = ftol * scale[i]
+            # Where f changes by less than it resolves, the slopes decide; on
+            # a quadratic this is the same test.
+            if f_new[i] <= f[i] + resolution and g_new[i] @ step[i] <= (2.0 * _ARMIJO - 1.0) * slope:
+                begin.append(i)
+                continue
+            # Minimizer of the quadratic through f, the slope and f_new, kept
+            # within [0.1 t, 0.5 t]; the lane gives up when a shorter step
+            # could gain no more than f resolves, or after _MAX_BACKTRACKS.
+            slope = slopes[i]
+            curve = f_new[i] - f[i] - slope if math.isfinite(f_new[i]) else math.inf
+            shrink = min(max(-slope / (2.0 * curve), 0.1), 0.5)
+            if -slope * shrink <= resolution or tries[i] >= _MAX_BACKTRACKS:
+                stop[i] = _ABNORMAL_STOP
+            t[i] *= shrink
+        if not begin:
+            continue
+        # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy, on every pair
+        # with positive curvature; the first one starts H as (sy / yy) I.
+        k = slice(None) if len(begin) == len(f) else begin
+        sk, yk = step[k], g_new[k] - g[k]
+        sy, yy = _rowdot(sk, yk), _rowdot(yk, yk)
+        up = []
+        for j, (i, a, b) in enumerate(zip(begin, sy.tolist(), yy.tolist())):
+            if a > _EPS * b:
+                up.append(j)
+                if not curved[i]:
+                    h[i] = np.eye(size) * (a / b)
+                    curved[i] = True
+        if up:
+            u = k
+            if len(up) < len(begin):
+                u, sk, yk, sy = [begin[j] for j in up], sk[up], yk[up], sy[up]
+            hu = h[u]
+            hy = (hu @ yk[:, :, None])[:, :, 0] / sy[:, None]
+            cross = sk[:, :, None] * hy[:, None, :]
+            outer = sk[:, :, None] * sk[:, None, :]
+            hu += ((1.0 + _rowdot(yk, hy)) / sy)[:, None, None] * outer - (cross + cross.transpose(0, 2, 1))
+            h[u] = hu
+        if len(begin) == len(f):
+            x, g = trial, g_new
+        else:
+            x[k], g[k] = trial[k], g_new[k]
+        reduced = []
+        for i in begin:
+            reduction = f[i] - f_new[i]
+            f[i] = f_new[i]
+            nit[i] += 1
+            reduced.append(reduction <= ftol * max(abs(f[i]), scale[i]))
 
 
 def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
     """Minimize ``fun``, which returns the value and the gradient, over the box
-    ``bounds`` by dense BFGS (``method`` must be "L-BFGS-B", in full memory).
+    ``bounds`` by dense BFGS (``method`` must be "L-BFGS-B", in full memory);
+    the search runs as the one lane of ``_descend``.
 
     Directions come from a dense inverse-Hessian approximation ``H``, started
     as ``(s.y / y.y) I`` by the first correction pair and updated by every
@@ -552,57 +789,38 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
     if method != "L-BFGS-B":
         raise ValueError(f"unsupported method {method!r}")
     lo, hi = np.asarray(bounds, dtype=np.float64).T
-    ftol, gtol = options["ftol"], options["gtol"]
-    x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
-    f, g = fun(x)
-    nfev, nit = 1, 0
-    h = None
-    while True:
-        if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= gtol:
-            message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
-            break
-        if nit >= options["maxiter"]:
-            message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
-            break
-        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        d = np.where(free, -g, 0.0) if h is None else _direction(h, g, free)
-        d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
-        if not g @ d < 0.0:
-            h = None
-            d = np.where(free, -g, 0.0)
-        moving = d != 0.0
-        room = np.where(d > 0.0, hi - x, lo - x)[moving] / d[moving]
-        t = float(np.min(room, initial=1.0))
-        if h is None and t < 1.0:
-            # Without curvature information the step has no length scale of
-            # its own: it stops halfway to the box instead of on the box edge.
-            t *= 0.5
-        scale = max(abs(f), 1.0)
-        x_new, f_new, g_new, evals = _line_search(fun, x, f, g, d, t, lo, hi, ftol * scale)
-        nfev += evals
-        if x_new is None:
-            message = "ABNORMAL: "
-            break
-        nit += 1
-        step, y = x_new - x, g_new - g
-        sy, yy = step @ y, y @ y
-        if sy > _EPS * yy:  # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy
-            h = np.eye(x.size) * (sy / yy) if h is None else h
-            hy = h @ y / sy
-            cross = np.outer(step, hy)
-            h += (1.0 + y @ hy) / sy * np.outer(step, step) - (cross + cross.T)
-        reduction = f - f_new
-        x, f, g = x_new, f_new, g_new
-        if reduction <= ftol * max(abs(f), scale):
-            message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
-            break
-    return _Minimum(x, float(f), nfev, nit, message)
+
+    def lane(x, lanes):
+        value, grad = fun(x[0])
+        return np.array([value], dtype=np.float64), np.array(grad, dtype=np.float64)[None]
+
+    return _descend(lane, np.asarray(x0, dtype=np.float64)[None], lo, hi, options)[0]
+
+
+def _search_options(cfg: OptimizerConfig) -> dict:
+    return {"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12}
+
+
+def _reported(objective: _Objective, res: _Minimum, lane: int, stats) -> tuple:
+    """The points a search ended at and their energy, recomputed with MGS;
+    ``stats``, if given, receives the search's evaluation count, stop message
+    and how many of its evaluations fell back to MGS."""
+    params = objective.params(res.x)
+    if stats is not None:
+        stats.update(
+            polish_nfev=int(res.nfev),
+            polish_message=str(res.message),
+            mgs_fallbacks=objective.lane_mgs_evals[lane],
+        )
+    return params.points, objective.bundle.captured(params, mgs=True).value
 
 
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
-    """Bounded dense BFGS (``minimize``) with the analytic gradient of the
-    captured energy, started at ``x0`` on the flattened real coordinates of
-    the moving nodes, in the box ``[-R, R]`` of the search radius R.
+    """One bounded dense BFGS search (``minimize``) with the analytic
+    gradient of the captured energy, started at ``x0`` on the flattened real
+    coordinates of the moving nodes, in the box ``[-R, R]`` of the search
+    radius R: a lockstep search of one lane, as greedy steps and the merge
+    polish run it.
 
     The returned energy is recomputed with MGS.  ``stats``, if given, receives
     the evaluation count, the stop message and how many evaluations fell back
@@ -615,16 +833,25 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
         x0,
         method="L-BFGS-B",
         bounds=[(-objective.radius, objective.radius)] * x0.size,
-        options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12},
+        options=_search_options(cfg),
     )
-    params = objective.params(np.asarray(res.x, dtype=np.float64))
-    if stats is not None:
-        stats.update(
-            polish_nfev=int(res.nfev),
-            polish_message=str(res.message),
-            mgs_fallbacks=objective.mgs_evals,
-        )
-    return params.points, bundle.captured(params, mgs=True).value
+    return _reported(objective, res, 0, stats)
+
+
+def _lane_searches(bundle, cfg, starts: list) -> list[tuple]:
+    """The search of ``_local_search`` from each of ``starts`` (flattened
+    coordinates of n moving nodes each), run as the lanes of one lockstep
+    ``_descend``; one (points, energy, stats) per start, in order."""
+    if not starts:
+        return []
+    objective = _Objective(bundle, cfg, starts[0].size // 2)
+    bound = np.full(starts[0].size, objective.radius)
+    ends = _descend(objective.value_and_grad, np.array(starts), -bound, bound, _search_options(cfg))
+    out = []
+    for lane, res in enumerate(ends):
+        stats: dict = {}
+        out.append((*_reported(objective, res, lane, stats), stats))
+    return out
 
 
 def _as_x(points) -> np.ndarray:
@@ -642,33 +869,47 @@ def _disc_grid(radius: float, density: int) -> np.ndarray:
     return pts[np.abs(pts) <= radius + 1e-15]
 
 
-def _grid_increments(bundle: _Bundle, grid_rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+class _Grid(NamedTuple):
+    """The disc grid of a search: its points, their kernel rows, the rows
+    times the weights, the rows' squared norms, and each grid kernel's
+    energy increment on the empty span."""
+
+    points: np.ndarray
+    rows: np.ndarray
+    weighted: np.ndarray
+    raw: np.ndarray
+    single: np.ndarray | None
+
+
+def _grid_increments(bundle: _Bundle, grid: _Grid, basis: np.ndarray) -> np.ndarray:
     """Energy increment of adding each grid kernel to the current span."""
-    w = bundle.spec.weights
     if basis.shape[0]:
-        proj = (grid_rows * w) @ basis.conj().T
-        ortho = grid_rows - proj @ basis
+        proj = grid.weighted @ basis.conj().T
+        ortho = grid.rows - proj @ basis
+        norms = np.real(np.sum(bundle.spec.weights * np.abs(ortho) ** 2, axis=1))
     else:
-        ortho = grid_rows
-    norms = np.real(np.sum(w * np.abs(ortho) ** 2, axis=1))
-    raw = np.real(np.sum(w * np.abs(grid_rows) ** 2, axis=1))
+        ortho, norms = grid.rows, grid.raw
     c = bundle.weighted @ ortho.conj().T
     gains = bundle.probs @ np.abs(c) ** 2
-    ok = norms > 1e-12 * np.maximum(raw, 1.0)
-    out = np.full(grid_rows.shape[0], -np.inf)
+    ok = norms > 1e-12 * np.maximum(grid.raw, 1.0)
+    out = np.full(grid.rows.shape[0], -np.inf)
     out[ok] = gains[ok] / norms[ok]
     return out
 
 
-def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> tuple:
-    """The disc grid of the search, its kernel rows and each grid kernel's
-    increment on the empty span, built once per bundle, radius and density."""
+def _grid(bundle: _Bundle, points: np.ndarray) -> _Grid:
+    rows = kernel_matrix(bundle.spec, points)
+    w = bundle.spec.weights
+    grid = _Grid(points, rows, rows * w, np.real(np.sum(w * np.abs(rows) ** 2, axis=1)), None)
+    empty = np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
+    return grid._replace(single=_grid_increments(bundle, grid, empty))
+
+
+def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
+    """The search's ``_Grid``, built once per bundle, radius and density."""
     key = (_search_radius(bundle, cfg), cfg.grid_density)
     if key not in bundle._grids:
-        grid = _disc_grid(*key)
-        rows = kernel_matrix(bundle.spec, grid)
-        empty = np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
-        bundle._grids[key] = grid, rows, _grid_increments(bundle, rows, empty)
+        bundle._grids[key] = _grid(bundle, _disc_grid(*key))
     return bundle._grids[key]
 
 
@@ -676,21 +917,21 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, p
     """Sequential node selection after the fixed ``prefix`` up to n nodes;
     stops early once the signal is captured.  Each step appends its node and
     the energy captured after it to ``trace``."""
-    grid, grid_rows, single = _search_grid(bundle, cfg)
+    grid = _search_grid(bundle, cfg)
     points = list(prefix)
     for step in range(len(points), n):
         if points:
             system, _ = _gram_schmidt_impl(
                 bundle.spec, bundle.make_tuple(points, cfg), 1e-10, allow_partial=True
             )
-            inc = _grid_increments(bundle, grid_rows, system.basis)
+            inc = _grid_increments(bundle, grid, system.basis)
         else:
-            inc = single
+            inc = grid.single
         best = int(np.argmax(inc))
         if not np.isfinite(inc[best]) or inc[best] <= 0.0:
             break
         new_pts, total = _local_search(
-            bundle, cfg, _as_x([grid[best]]), prefix=tuple(points)
+            bundle, cfg, _as_x([grid.points[best]]), prefix=tuple(points)
         )
         points = list(new_pts)
         trace.append(
@@ -783,8 +1024,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     starts.extend(_as_x(pts) for pts in warm if len(pts) == n)
 
     rng = np.random.default_rng(cfg.seed)
-    grid, _, single = _search_grid(bundle, cfg)
-    top = grid[np.argsort(single)[::-1][: max(3 * n, 8)]]
+    grid = _search_grid(bundle, cfg)
+    top = grid.points[np.argsort(grid.single)[::-1][: max(3 * n, 8)]]
     n_top = cfg.multistart // 2
     for _ in range(n_top):
         if len(top) >= n:
@@ -794,9 +1035,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
         _as_x(s) for s in _stratified_seeds(rng, radius, n, cfg.multistart - n_top)
     )
 
-    for x0 in {x0.tobytes(): x0 for x0 in starts}.values():  # equal starts, equal searches
-        stats: dict = {}
-        pts, val = _local_search(bundle, cfg, x0, stats=stats)
+    distinct = list({x0.tobytes(): x0 for x0 in starts}.values())  # equal starts, equal searches
+    for pts, val, stats in _lane_searches(bundle, cfg, distinct):
         trace.append({"stage": "local", "energy": val, **stats})
         candidates.append((tuple(pts), val, len(trace) - 1))
 

@@ -105,3 +105,22 @@ def test_tracer_finds_and_probes_every_wrapped_name(tmp_path):
     assert all(x0 for x0, _, _ in keys)
     assert any(prefix for _, prefix, _ in keys)
     assert any(orders is not None for _, _, orders in keys)
+
+    # The multistart lanes evaluate the objective on the Gram path through
+    # ``_Bundle.captured`` directly, not inside a single local search: such a
+    # span has the multistart stage as its nearest engine ancestor and, unlike
+    # the MGS recomputation of a reported point, no Gram-Schmidt child.
+    def nearest_engine_ancestor(i):
+        while tracer.spans[i][3] >= 0:
+            i = tracer.spans[i][3]
+            if tracer.spans[i][0].startswith("engine."):
+                return tracer.spans[i][0]
+        return None
+
+    mgs_parents = {span[3] for span in tracer.spans if span[0] == "orthosystem.gram_schmidt"}
+    assert any(
+        span[0] == "engine.objective"
+        and i not in mgs_parents
+        and nearest_engine_ancestor(i) == "engine.stage.multistart"
+        for i, span in enumerate(tracer.spans)
+    )

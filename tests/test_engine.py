@@ -15,6 +15,7 @@ from nbestkernel import (
     bvc_profile,
     energy,
     evaluate,
+    gram_schmidt,
     kernel,
     multiple_kernel,
     nbest,
@@ -23,12 +24,19 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
+from nbestkernel import engine as engine_module
 from nbestkernel.engine import (
+    _as_x,
     _Bundle,
+    _descend,
     _direction,
     _greedy_points,
+    _grid_increments,
+    _lane_searches,
+    _local_search,
     _merge_polish,
     _nbest_points,
+    _search_grid,
     minimize,
 )
 from nbestkernel.errors import DomainError
@@ -120,29 +128,42 @@ def test_afd_n_zero(hardy):
 
 def _greedy_selection_oracle(spec, f, n):
     """Independent sequential maximizer: dense radial/angular scan plus a
-    1-d polish in each coordinate direction via scipy's scalar minimizer."""
-    from nbestkernel import gram_schmidt, project
+    1-d polish in each coordinate direction via scipy's scalar minimizer.
 
+    Each scan row of 128 angles is scored at once: the captured energy of
+    the chosen nodes plus a candidate is the energy on the chosen nodes'
+    orthonormal basis plus that of the candidate kernel's normalized
+    remainder after two Gram-Schmidt passes against the basis."""
+    from nbestkernel import kernel_matrix, project
+
+    def captured(points):
+        return float(np.sum(np.abs(project(f, gram_schmidt(spec, ParamTuple(tuple(points)))).coeffs) ** 2))
+
+    w = spec.weights
+    thetas = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
     pts: list[complex] = []
     for _ in range(n):
-        best_val, best_pt = -1.0, None
+        basis = gram_schmidt(spec, ParamTuple(tuple(pts))).basis
+        fixed = float(np.sum(np.abs((w * f.coeffs) @ basis.conj().T) ** 2))
+        scan, vals = [], []
         for r in np.linspace(0.0, 0.95, 96):
-            for th in np.linspace(0.0, 2 * np.pi, 128, endpoint=False):
-                a = r * math.e ** (1j * th)
-                cand = ParamTuple(tuple(pts) + (a,))
-                system = gram_schmidt(spec, cand)
-                val = float(np.sum(np.abs(project(f, system).coeffs) ** 2))
-                if val > best_val:
-                    best_val, best_pt = val, a
+            cands = r * math.e ** (1j * thetas)
+            v = kernel_matrix(spec, cands)
+            for _ in range(2):
+                v -= ((w * v) @ basis.conj().T) @ basis
+            norms = np.sqrt(np.sum(w * np.abs(v) ** 2, axis=1))
+            scan.append(cands)
+            vals.append(fixed + np.abs((w * f.coeffs) @ v.conj().T) ** 2 / norms**2)
+        # the first scan point of highest energy, in scan order
+        best = int(np.argmax(np.concatenate(vals)))
+        best_pt = complex(np.concatenate(scan)[best])
+        best_val = captured(pts + [best_pt])
 
         def through(t, d):
             a = best_pt + t * d
             if abs(a) > 0.95:
                 a *= 0.95 / abs(a)
-            cand = ParamTuple(tuple(pts) + (a,))
-            return -float(
-                np.sum(np.abs(project(f, gram_schmidt(spec, cand)).coeffs) ** 2)
-            )
+            return -captured(pts + [a])
 
         for d in (1.0, 1j):
             t = minimize_scalar(through, args=(d,), bounds=(-0.02, 0.02), method="bounded").x
@@ -150,11 +171,7 @@ def _greedy_selection_oracle(spec, f, n):
                 best_pt = best_pt + t * d
                 best_val = -through(0.0, d)
         pts.append(best_pt)
-    cand = ParamTuple(tuple(pts))
-    from nbestkernel import gram_schmidt as gs
-
-    val = float(np.sum(np.abs(project(f, gs(spec, cand)).coeffs) ** 2))
-    return pts, val
+    return pts, captured(pts)
 
 
 def test_afd_two_kernel_mix_matches_selection_oracle(hardy):
@@ -559,3 +576,152 @@ def test_minimize_ill_conditioned_quadratic_reaches_gtol():
 def test_minimize_accepts_only_its_own_method():
     with pytest.raises(ValueError, match="unsupported method"):
         minimize(_rosenbrock, np.zeros(2), method="Nelder-Mead", bounds=BOX, options=TIGHT)
+
+
+# -- lockstep lanes ------------------------------------------------------------------
+
+
+def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
+    """The search grid caches its rows times the weights and their norms;
+    increments from it are the bits of the increments computed from the rows."""
+    spec = MERGE_SPACES["bergman"]
+    bundle = _Bundle.single(spec, _random_signal(spec, 34))
+    grid = _search_grid(bundle, SWEEP_CFG)
+    assert _search_grid(bundle, SWEEP_CFG) is grid
+    w = spec.weights
+    raw = np.real(np.sum(w * np.abs(grid.rows) ** 2, axis=1))
+    for points in ((), (0.2 - 0.3j,), (0.2 - 0.3j, -0.5 + 0.1j)):
+        basis = gram_schmidt(spec, ParamTuple(points)).basis
+        ortho = grid.rows - ((grid.rows * w) @ basis.conj().T) @ basis
+        norms = np.real(np.sum(w * np.abs(ortho) ** 2, axis=1))
+        gains = bundle.probs @ np.abs(bundle.weighted @ ortho.conj().T) ** 2
+        ok = norms > 1e-12 * np.maximum(raw, 1.0)
+        want = np.full(len(grid.points), -np.inf)
+        want[ok] = gains[ok] / norms[ok]
+        assert np.array_equal(_grid_increments(bundle, grid, basis), want)
+    assert np.array_equal(grid.single, _grid_increments(bundle, grid, np.zeros((0, w.size))))
+
+
+def _held_face_quadratic():
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.8], [0.5, 0.8, 2.0]])
+    c = np.array([3.0, 0.2, -0.1])
+    return lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c))
+
+
+def _ill_conditioned_quadratic():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = q @ np.diag(np.logspace(0.0, 4.0, 6)) @ q.T
+    c = rng.uniform(-0.5, 0.5, 6)
+    return lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c))
+
+
+def _inconsistent_quadratic(x):
+    value, grad = _bounded_quadratic()(x)
+    return value, -grad
+
+
+LANE_PROBLEMS = {
+    "bounded": (_bounded_quadratic(), BOX, TIGHT,
+                [[-0.5, -0.9], [0.9, -0.99], [1.0, 0.6], [0.0, 0.0]]),
+    "held_face": (_held_face_quadratic(), [(-1.0, 1.0)] * 3, TIGHT,
+                  [[1.0, -0.5, 0.6], [0.2, 0.9, -0.9], [-1.0, 1.0, 1.0]]),
+    "ill_conditioned": (_ill_conditioned_quadratic(), [(-1.0, 1.0)] * 6, {**TIGHT, "gtol": 1e-8},
+                        [[0.0] * 6, [0.9, -0.9, 0.5, 0.1, -0.3, 0.7], [-1.0] * 6]),
+    "rosenbrock_capped": (_rosenbrock, [(-2.0, 2.0)] * 2, {**TIGHT, "maxiter": 7},
+                          [[-1.2, 1.0], [0.5, 0.5], [1.5, -1.5]]),
+    "abnormal": (_inconsistent_quadratic, BOX, TIGHT, [[0.2, 0.3], [-0.4, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(LANE_PROBLEMS))
+def test_lanes_end_where_each_start_ends_alone(problem):
+    """Starts run as lanes of one lockstep search give each lane the same x,
+    fun, nfev, nit and message as ``minimize`` from that start alone; the
+    function sees only the active lanes, in lane order."""
+    fun, bounds, options, starts = LANE_PROBLEMS[problem]
+    starts = np.array(starts)
+    lo, hi = np.asarray(bounds, dtype=np.float64).T
+    seen: list = []
+
+    def lanes_fun(x, lanes):
+        seen.append(list(lanes))
+        pairs = [fun(row) for row in x]
+        return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
+
+    together = _descend(lanes_fun, starts, lo, hi, options)
+    for start, lane in zip(starts, together):
+        alone = minimize(fun, start, method="L-BFGS-B", bounds=bounds, options=options)
+        assert np.array_equal(lane.x, alone.x)
+        assert (lane.fun, lane.nfev, lane.nit, lane.message) == (
+            alone.fun, alone.nfev, alone.nit, alone.message
+        )
+    assert seen[0] == list(range(len(starts)))
+    assert all(active == sorted(active) for active in seen)
+    assert len(seen) == max(lane.nfev for lane in together)
+
+
+def test_lanes_of_a_search_report_their_own_stats():
+    """Each lane's energy, points, evaluation count, stop message and MGS
+    fallback count are those of its start searched alone; a start with two
+    coincident nodes falls back to MGS in its own lane only."""
+    spec = MERGE_SPACES["hardy"]
+    bundle = _Bundle.single(spec, _double_node_signal(spec))
+    cfg = OptimizerConfig(max_iter=30)
+    starts = [
+        _as_x([-0.3 + 0.5j, 0.2 + 0.3j]),
+        _as_x([0.1 + 0.4j, 0.1 + 0.4j]),
+        _as_x([0.6, -0.6j]),
+    ]
+    lanes = _lane_searches(bundle, cfg, starts)
+    assert len(lanes) == len(starts)
+    for start, (pts, val, stats) in zip(starts, lanes):
+        alone: dict = {}
+        assert _local_search(bundle, cfg, start, stats=alone) == (pts, val)
+        assert stats == alone
+    fallbacks = [stats["mgs_fallbacks"] for _, _, stats in lanes]
+    assert fallbacks[0] == fallbacks[2] == 0 < fallbacks[1]
+
+
+def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch):
+    spec = MERGE_SPACES["bergman"]
+    bundle = _Bundle.single(spec, _random_signal(spec, 33))
+    cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=40, seed=2)
+    steps: list = []
+    greedy_pts = _greedy_points(bundle, 2, cfg, steps)
+    searched: list = []
+
+    def recording(bundle, cfg, starts):
+        searched.extend(starts)
+        return _lane_searches(bundle, cfg, starts)
+
+    monkeypatch.setattr(engine_module, "_lane_searches", recording)
+    trace: list = []
+    _nbest_points(bundle, 2, cfg, trace, (greedy_pts, steps), [tuple(greedy_pts)])
+    local = [entry for entry in trace if entry["stage"] == "local"]
+    # the warm start equals the greedy tuple, so it is searched once
+    assert len(searched) == len(local) == 1 + cfg.multistart
+    assert np.array_equal(searched[0], _as_x(greedy_pts))
+    for start, entry in zip(searched, local):
+        stats: dict = {}
+        _, val = _local_search(bundle, cfg, start, stats=stats)
+        assert entry == {"stage": "local", "energy": val, **stats}
+
+
+def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
+    """With ``multistart: 0`` and a greedy run that stops short of n there is
+    no start, so the lane search runs no lane and greedy is selected."""
+    spec = MERGE_SPACES["hardy"]
+    f = kernel(spec, 0.3 + 0.1j) + 1e-3 * kernel(spec, -0.5j)
+    cfg = OptimizerConfig(grid_density=12, multistart=0, ftol=1e-4, seed=1)
+    bundle = _Bundle.single(spec, f)
+    steps: list = []
+    greedy_pts = _greedy_points(bundle, 3, cfg, steps)
+    assert len(greedy_pts) == 1
+    trace: list = []
+    assert _nbest_points(bundle, 3, cfg, trace, (greedy_pts, steps)) == greedy_pts
+    assert [entry["stage"] for entry in trace] == ["greedy", "select"]
+    assert _descend(None, np.zeros((0, 6)), -np.ones(6), np.ones(6), TIGHT) == []
+    res = nbest(spec, f, 3, cfg)
+    assert res.params.points == tuple(greedy_pts)
+    assert res.trace[-1] == {"stage": "select", "winner": 0, "from": "greedy"}

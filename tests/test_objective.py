@@ -18,7 +18,7 @@ from nbestkernel import (
     kernel,
     stochastic_energy,
 )
-from nbestkernel.engine import _PIVOT_FLOOR, _as_x, _Bundle, _Objective
+from nbestkernel.engine import _PIVOT_FLOOR, _as_x, _Bundle, _Nodes, _Objective
 from nbestkernel.orthosystem import _gram_schmidt_impl
 
 SPACES = {
@@ -222,3 +222,100 @@ def test_ill_conditioned_tuple_is_exact_without_warning():
         warnings.simplefilter("error", DegenerateTupleWarning)
         val = energy(spec, f, close)
     assert val == _mgs_value(_Bundle.single(spec, f), close)
+
+
+# -- batches ------------------------------------------------------------------------
+
+
+def _lane_objective(bundle, count, prefix=()):
+    """An objective whose merge tolerance lets a test build merged lanes."""
+    return _Objective(bundle, OptimizerConfig(merge_tol=1e-7), count, prefix)
+
+
+def _ensemble_bundle(spec, m):
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, m, seed=5)
+    return _Bundle(spec, ens.matrix, ens.probs)
+
+
+BATCH_LANES = {
+    "plain": [0.3 - 0.2j, -0.5j],
+    "other": [-0.1 + 0.6j, 0.45 + 0.05j],
+    "mirrored": [(0.95 + 0.02) * np.exp(0.3j), 0.2 + 0.1j],
+    "merged": [0.3 + 0.2j, 0.3 + 0.2j + 1e-9],
+    "pivot_floor": [0.4 - 0.1j, 0.4 - 0.1j + 2e-5],
+}
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_batched_gram_matches_single_tuples(family, m):
+    """B tuples in one ``_Nodes`` batch: each row's value and gradient is the
+    single tuple's, bit for bit at M = 1 and within 1e-13 relative at M = 16,
+    and a tuple below the pivot floor falls back to MGS alone."""
+    spec = SPACES[family]
+    bundle = _Bundle.single(spec, _signal(spec, 9)) if m == 1 else _ensemble_bundle(spec, m)
+    prefix = (0.1 - 0.4j,)
+    tuples = [ParamTuple(prefix + tuple(BATCH_LANES[k])) for k in ("plain", "other", "pivot_floor")]
+    assert _min_pivot_ratio(bundle, tuples[2]) < _PIVOT_FLOOR
+    owners = np.array([-1, 0, 1])
+    nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
+    cap = bundle.captured(nodes, owners)
+    assert cap.mgs.tolist() == [False, False, True]
+    for row, params in enumerate(tuples):
+        want = bundle.captured(params, owners)
+        assert cap.mgs[row] == want.mgs
+        if m == 1:
+            assert cap.value[row] == want.value
+        assert cap.value[row] == pytest.approx(want.value, rel=1e-13)
+        if not want.mgs:
+            if m == 1:
+                assert np.array_equal(cap.grad[row], want.grad)
+            scale = np.max(np.abs(want.grad))
+            assert np.max(np.abs(cap.grad[row] - want.grad)) <= 1e-13 * scale
+        else:
+            assert cap.value[row] == _mgs_value(bundle, params)
+
+
+@pytest.mark.parametrize("m", [1, 16])
+def test_objective_lanes_match_single_points_and_do_not_depend_on_the_batch(m):
+    """The objective at a stack of lane points: each row equals the point
+    evaluated alone, whatever the batch size, order and company, including a
+    mirrored node, merged nodes (MGS values and central differences) and a
+    tuple below the pivot floor; MGS evaluations are counted per lane."""
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 10)) if m == 1 else _ensemble_bundle(spec, m)
+    names = sorted(BATCH_LANES)
+    xs = np.array([_as_x(BATCH_LANES[k]) for k in names])
+    single = _lane_objective(bundle, 2)
+    alone = [single.value_and_grad(x) for x in xs]
+    for name, x, (value, grad) in zip(names, xs, alone):
+        params = single.params(x)
+        assert -value == pytest.approx(bundle.captured(params).value, rel=1e-13)
+        assert np.all(np.isfinite(grad))
+        if name == "merged":
+            assert -value == _mgs_value(bundle, params)
+    for order in (range(len(names)), [4, 2, 0], [1, 3], [3]):
+        order = list(order)
+        objective = _lane_objective(bundle, 2)
+        values, grads = objective.value_and_grad(xs[order], np.array(order))
+        for row, lane in enumerate(order):
+            assert values[row] == alone[lane][0]
+            assert np.array_equal(grads[row], alone[lane][1])
+        fallbacks = {lane: objective.lane_mgs_evals[lane] for lane in order}
+        for lane, name in enumerate(names):
+            if lane in fallbacks:
+                assert fallbacks[lane] == (1 + 2 * xs.shape[1]) * (name in ("merged", "pivot_floor"))
+
+
+def test_objective_batch_with_a_fixed_prefix_matches_single_points():
+    spec = SPACES["bergman"]
+    bundle = _Bundle.single(spec, _signal(spec, 11))
+    prefix = (0.5, -0.2 + 0.4j, -0.2 + 0.4j + 1e-9)
+    xs = np.array([_as_x([p]) for p in (-0.3 + 0.2j, 0.5 + 1e-9, 0.97 * np.exp(2j))])
+    objective = _lane_objective(bundle, 1, prefix)
+    values, grads = objective.value_and_grad(xs, np.arange(3))
+    for row, x in enumerate(xs):
+        value, grad = _lane_objective(bundle, 1, prefix).value_and_grad(x)
+        assert values[row] == value and np.array_equal(grads[row], grad)
+    # the second lane's node merges with a fixed node
+    assert [objective.lane_mgs_evals[lane] for lane in range(3)] == [0, 5, 0]

@@ -25,11 +25,11 @@ from nbestkernel.engine import (
     _Bundle,
     _disc_grid,
     _greedy_points,
+    _grid,
     _grid_increments,
     _nbest_points,
 )
 from nbestkernel.orthosystem import _gram_schmidt_impl
-from nbestkernel.spaces import kernel_matrix
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
 
@@ -269,9 +269,9 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
         assert np.max(np.abs(got.grad - want.grad)) <= 1e-12 * scale
 
     system, _ = _gram_schmidt_impl(spec, params, 1e-10, allow_partial=True)
-    grid_rows = kernel_matrix(spec, _disc_grid(0.45, 8))
-    got = _grid_increments(factor, grid_rows, system.basis)
-    want = _grid_increments(full, grid_rows, system.basis)
+    points = _disc_grid(0.45, 8)
+    got = _grid_increments(factor, _grid(factor, points), system.basis)
+    want = _grid_increments(full, _grid(full, points), system.basis)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     ok = np.isfinite(want)
     assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
