@@ -11,6 +11,11 @@ in each checkout and compare the two files:
 
     python3 scripts/output_digests.py --seeds 1 2 3 101 > digests.json
 
+With ``--residuals`` it prints, in place of the digests, residual / norm of
+every result (``<task>/<result file>``) and of every decay row
+(``<task>/<decay file>/<n>``), so that two checkouts whose bytes differ can be
+compared by the quality of their approximations.
+
 A copy of this file placed in a checkout's ``scripts/`` runs that checkout's
 program.
 """
@@ -22,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -72,18 +78,41 @@ def tasks(seeds):
         yield f"edge/{label}", json.dumps(config)
 
 
+def relative_residuals(label: str, out: Path) -> dict:
+    """residual / norm of the task's result and of each row of its decay
+    table; verify reports and zero signals have none."""
+    ratios = {}
+    for path in sorted(out.glob("*.json")):
+        result = json.loads(path.read_text())
+        norm = result.get("norm", result.get("bochner_norm"))
+        if not norm:
+            continue
+        residual = result.get("residual", result.get("expected_residual"))
+        ratios[f"{label}/{path.name}"] = residual / norm
+        for table in sorted(out.glob("*.csv")):
+            with table.open() as rows:
+                for row in csv.DictReader(rows):
+                    ratios[f"{label}/{table.name}/{row['n']}"] = float(row["residual"]) / norm
+    return ratios
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 101])
+    ap.add_argument("--residuals", action="store_true",
+                    help="print residual / norm of every result and decay row instead of digests")
     args = ap.parse_args(argv)
-    digests = {}
+    report = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, text) in enumerate(tasks(args.seeds)):
             out = Path(tmp) / str(i)
             cli.run_task(cli.parse_config(text), out)
+            if args.residuals:
+                report.update(relative_residuals(label, out))
+                continue
             for path in sorted(out.iterdir()):
-                digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+                report[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 

@@ -19,6 +19,17 @@ from every start as the lanes of one search, and a merge polish that searches
 again from the best inexact candidate with its closest pair as one order-2
 node.
 
+A greedy step works on one span of its fixed prefix (``_Span``), built once
+per step: the orthonormal basis ``Q`` of the prefix's kernels (the previous
+step's basis extended by one two-pass Gram-Schmidt vector), the residual
+``R = F - P_Q F`` of the signals and the prefix energy ``E_p``.  Its grid scan
+scores node g as ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g,
+Q_j>|^2)``, and its local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 /
+||u||^2``, with ``u`` the part of the moving node's kernel outside the span,
+and the closed-form gradient, so greedy forms no Gram matrix.  A node that
+merges with a prefix node, or whose kernel lies in the span by MGS's
+degeneracy test, falls back to MGS.
+
 Every engine, the stochastic one included, is one run of one pipeline
 (``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
 the case M = 1.  It searches on the bundle's exact low-rank factor and
@@ -51,7 +62,7 @@ from .spaces import (
     _falling_factorial,
     kernel_matrix,
 )
-from .orthosystem import _gram_schmidt_impl
+from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
@@ -87,9 +98,9 @@ class OptimizerConfig:
     the node-merging distance.  The local searches are bounded dense BFGS
     runs (``minimize``) on the analytic gradient of the captured energy, with
     fixed stop tolerances of their own; ``fd_step`` is only the relative
-    step of the central differences they fall back to, with MGS values, when
-    a node merges with another node or the Gram matrix is too
-    ill-conditioned.  All randomness flows from ``seed``.  ``xtol``,
+    step of the central differences they fall back to, with MGS values, for
+    a node that merges with another node and for a numerically degenerate
+    tuple.  All randomness flows from ``seed``.  ``xtol``,
     ``workers`` and ``polish`` are accepted and validated but have no
     effect: everything runs in one thread, the ``multistart`` starts run as
     the lanes of one lockstep search, and every search is the gradient
@@ -174,6 +185,29 @@ class _Nodes(NamedTuple):
     orders: tuple
 
 
+class _Span(NamedTuple):
+    """The span of a greedy step's fixed prefix ``params``: its orthonormal
+    basis rows ``Q``, the residual ``R = F - P_Q F`` of each row of the
+    bundle's signals, the captured energy ``E_p`` of the prefix, and whether
+    a prefix node was degenerate, in which case ``Q`` stops before it.
+    Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their row's
+    largest entry are zero."""
+
+    params: ParamTuple | None
+    basis: np.ndarray
+    residual: np.ndarray
+    energy: float
+    degraded: bool
+
+
+def _flushed(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every entry below ``_TINY_POWER`` times its row's largest
+    entry set to zero, in place, as ``_powers`` flushes its powers."""
+    mags = np.abs(rows)
+    rows[mags < _TINY_POWER * mags.max(axis=-1, initial=0.0, keepdims=True)] = 0.0
+    return rows
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows; a stacked matmul rounds each one as the
     1-D ``a[i] @ b[i]`` does, so a row's result does not depend on the others."""
@@ -207,6 +241,7 @@ class _Bundle:
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
+        self._systems: dict[tuple, tuple[np.ndarray, bool]] = {}
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -292,14 +327,17 @@ class _Bundle:
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
 
-    def captured(self, params, owners=None, mgs: bool = False) -> _Capture:
+    def captured(self, params, owners=None, mgs: bool = False, span=None) -> _Capture:
         """Captured energy of the tuple, or of each tuple of a ``_Nodes`` batch.
 
         The Gram path factors each kernel Gram matrix once, the whole batch
         in one stacked evaluation; ``owners`` (one entry per tuple position:
         the index of the moving node it belongs to, or -1 if fixed) asks it
-        for the gradient too.  With ``mgs``, or for a tuple whose Cholesky
-        pivot ratio falls below ``_PIVOT_FLOOR``, MGS computes the value
+        for the gradient too.  With a ``_Span``, each tuple of the batch is
+        one node appended to the span's prefix, and is evaluated on the span
+        (``_span_captured``) without a Gram matrix.  With ``mgs``, for a tuple
+        whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR``, and for a
+        node that the span test finds degenerate, MGS computes the value
         instead and no gradient is returned; degenerate tuples then fall back
         to their longest well-conditioned prefix and report degradation.
         """
@@ -313,12 +351,19 @@ class _Bundle:
             orders = params.orders
         if mgs:
             value, grad, failed = np.empty(len(centers)), None, range(len(centers))
+        elif span is not None:
+            value, grad, failed = self._span_captured(centers[:, 0], span, owners)
         else:
             value, grad, failed = self._gram_captured(centers, orders, owners)
         degraded = np.zeros(len(centers), dtype=bool)
         mgs_used = np.zeros(len(centers), dtype=bool)
         for b in failed:
-            tup = ParamTuple(tuple(centers[b]), 0.0, self.spec.radius_cap) if batch else params
+            if span is not None:
+                tup = span.params.extended(centers[b, 0])
+            elif batch:
+                tup = ParamTuple(tuple(centers[b]), 0.0, self.spec.radius_cap)
+            else:
+                tup = params
             value[b], degraded[b] = self._mgs_captured(tup)
             mgs_used[b] = True
         if batch:
@@ -327,13 +372,28 @@ class _Bundle:
             return _Capture(float(value[0]), bool(degraded[0]), None, True)
         return _Capture(float(value[0]), False, None if grad is None else grad[0], False)
 
-    def _mgs_captured(self, params: ParamTuple) -> tuple[float, bool]:
-        system, degraded = _gram_schmidt_impl(
-            self.spec, params, eps_degenerate=1e-10, allow_partial=True
-        )
-        if not len(system):
+    def system(self, params: ParamTuple, keep: bool = True) -> tuple[np.ndarray, bool]:
+        """The MGS basis rows of the tuple and whether it degraded.  With
+        ``keep`` the system is kept per (centers, orders) for the life of the
+        bundle, i.e. of one engine call: the value a search reports, the
+        ranking of candidates and the result orthonormalize the same tuples.
+        Search evaluations keep none: they are many, and each is seen once."""
+        key = (params.centers, params.orders)
+        kept = self._systems.get(key)
+        if kept is None:
+            system, degraded = _gram_schmidt_impl(
+                self.spec, params, eps_degenerate=1e-10, allow_partial=True
+            )
+            kept = (system.basis, degraded)
+            if keep:
+                self._systems[key] = kept
+        return kept
+
+    def _mgs_captured(self, params: ParamTuple, keep: bool = False) -> tuple[float, bool]:
+        basis, degraded = self.system(params, keep)
+        if not len(basis):
             return 0.0, degraded
-        c = self.weighted @ system.basis.conj().T
+        c = self.weighted @ basis.conj().T
         return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
 
     def _powers(self, centers: np.ndarray) -> np.ndarray:
@@ -416,17 +476,104 @@ class _Bundle:
         grad[held] = part
         return value, grad, failed
 
+    def span(self, params: ParamTuple, previous: _Span | None = None) -> _Span:
+        """The ``_Span`` of the tuple.  Its basis continues that of
+        ``previous`` when that is the span of a prefix of the tuple, and
+        otherwise starts empty, by one two-pass Gram-Schmidt vector per
+        further node, as in ``_gram_schmidt_impl``; so a span has the same
+        bits however it was reached.  A node whose kernel keeps at most 1e-10
+        of its norm outside the basis ends it and degrades the span."""
+        done = 0
+        basis = np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128)
+        degraded = False
+        if previous is not None and previous.params.points == params.points[: len(previous.params)]:
+            done, basis, degraded = len(previous.params), previous.basis, previous.degraded
+        w = self.spec.weights
+        nodes = zip(params.centers[done:], params.orders[done:])
+        for center, order in () if degraded else nodes:
+            v = self._kernel_rows(self._powers(np.array([center])), (order,))[0] * self.inv_weights
+            scale = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
+            for _ in range(2):
+                if len(basis):
+                    v -= ((w * v) @ basis.conj().T) @ basis
+            r = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
+            if r <= EPS_DEGENERATE * scale:
+                degraded = True
+                break
+            basis = np.vstack([basis, _flushed(v / r)[None]])
+        return self.spanned(basis, params, degraded)
+
+    def spanned(self, basis: np.ndarray, params=None, degraded: bool = False) -> _Span:
+        """The ``_Span`` of the orthonormal rows ``basis``: the signals'
+        residual after projection on them in two passes, and the energy
+        they capture."""
+        basis = _flushed(np.array(basis, dtype=np.complex128))
+        coeffs = self.weighted @ basis.conj().T
+        energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+        residual = self.matrix - coeffs @ basis
+        residual -= ((residual * self.spec.weights) @ basis.conj().T) @ basis
+        return _Span(params, basis, _flushed(residual), energy, degraded)
+
+    def _span_captured(self, points: np.ndarray, span: _Span, owners):
+        """Span evaluation of the B tuples that append one node of ``points``
+        to the span's prefix: their values, with ``owners`` their gradients
+        (one column), and the tuples that fall back to MGS, which get neither:
+        all of a degraded span's, and those whose node's kernel ``K`` keeps
+        ``||u|| <= 1e-10 ||K||`` outside the span, MGS's own degeneracy test.
+
+        With ``u = K - P_Q K`` taken in two passes, ``beta = ||u||^2`` and
+        ``alpha_m = <R_m, u>``, the energy is ``E_p + sum_m p_m |alpha_m|^2 /
+        beta``.  (``alpha_m`` equals ``<R_m, K>`` in exact arithmetic, but
+        near a prefix node, where ``||u|| << ||K||``, that form loses about
+        ``||K|| / ||u||`` in relative accuracy and this one keeps MGS's.)
+        The projection of f_m on the extended span adds ``x_m u`` with ``x_m
+        = alpha_m / beta``, so the envelope theorem gives ``dE/da = sum_m p_m
+        conj(x_m) (<R_m, K+> - x_m <u, K+>)``, with K+ the next-order kernel.
+        Every product is stacked over the tuples, so a tuple's results are the
+        same bits whichever batch it is evaluated in.
+        """
+        count = len(points)
+        value = np.full(count, np.nan)
+        grad = None if owners is None else np.zeros((count, 1), dtype=np.complex128)
+        if span.degraded:
+            return value, grad, list(range(count))
+        w = self.spec.weights
+        powers = self._powers(points)  # W K
+        u = powers * self.inv_weights
+        scale_sq = np.sum(w * np.abs(u) ** 2, axis=1)
+        basis_h = span.basis.conj().T
+        for _ in range(2):
+            if len(span.basis):
+                u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
+        beta = np.sum(w * np.abs(u) ** 2, axis=1)
+        ok = beta > EPS_DEGENERATE**2 * scale_sq
+        failed = [] if ok.all() else np.flatnonzero(~ok).tolist()
+        held = ok if failed else slice(None)
+        if len(failed) == count:
+            return value, grad, failed
+        u, beta = u[held], beta[held, None]
+        rows = (w * u)[:, None]  # W u, and W K+ for the gradient
+        if owners is not None:
+            rows = np.concatenate([rows, self._kernel_rows(powers[held, None], (2,))], axis=1)
+        pairs = span.residual @ rows.conj().transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
+        alpha = pairs[:, :, 0]
+        value[held] = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
+        if owners is None:
+            return value, grad, failed
+        x = alpha / beta
+        u_next = _rowdot(u, rows[:, 1].conj())  # <u, K+>
+        grad[held, 0] = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)
+        return value, grad, failed
+
     def finalize(self, points, cfg: OptimizerConfig):
         """Exact recomputation of coefficients, energy and residual."""
         params = self.make_tuple(points, cfg)
-        system, degraded = _gram_schmidt_impl(
-            self.spec, params, eps_degenerate=1e-10, allow_partial=True
-        )
-        if len(system) < len(params):
-            params = system.params
-        if len(system):
-            coeffs = self.weighted @ system.basis.conj().T
-            recon = coeffs @ system.basis
+        basis, degraded = self.system(params)
+        if len(basis) < len(params):
+            params = ParamTuple(params.points[: len(basis)], params.merge_tol, params.radius_cap)
+        if len(basis):
+            coeffs = self.weighted @ basis.conj().T
+            recon = coeffs @ basis
         else:
             coeffs = np.zeros((self.matrix.shape[0], 0), dtype=np.complex128)
             recon = np.zeros_like(self.matrix)
@@ -485,18 +632,22 @@ class _Objective:
     """Negated captured energy over the flattened real coordinates of the
     moving nodes, at one point or at one point per lane of a search.
 
-    ``prefix`` nodes stay fixed; with ``orders`` moving node i enters with
-    multiplicity ``orders[i]`` (merge polish).  Nodes overshooting the search
-    disc are mirrored back into it, and the analytic gradient is chained
-    through the mirror.  The points whose moving nodes stay apart from every
-    other node are evaluated together, in one batch on the Gram path.  When a
-    moving node merges with another node, or the Gram path falls back to MGS,
-    that point's value comes from MGS and its gradient from central
+    With ``orders`` moving node i enters with multiplicity ``orders[i]``
+    (merge polish).  ``prefix`` nodes stay fixed; the objective then takes one
+    moving node and evaluates it on the prefix's ``_Span`` (``span``, or one
+    built here).  Nodes overshooting the search disc are mirrored back into
+    it, and the analytic gradient is chained through the mirror.  The points
+    whose moving nodes stay apart from every other node are evaluated
+    together, in one batch on the span or else on the Gram path.  When a
+    moving node merges with another node, or the evaluation falls back to
+    MGS, that point's value comes from MGS and its gradient from central
     differences of MGS values with relative step ``fd_step``;
     ``lane_mgs_evals`` counts these MGS evaluations per lane.
     """
 
-    def __init__(self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None):
+    def __init__(
+        self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None, span=None
+    ):
         self.bundle = bundle
         self.cfg = cfg
         self.radius = _search_radius(bundle, cfg)
@@ -504,13 +655,15 @@ class _Objective:
         self.reps = tuple(orders) if orders is not None else (1,) * count
         self.merged = max(self.reps, default=1) > 1
         fixed = bundle.make_tuple(self.prefix, cfg)
-        self.fixed_centers = np.asarray(fixed.centers, dtype=np.complex128)
+        if span is None and self.prefix:
+            span = bundle.span(fixed)
+        if span is not None and self.reps != (1,):
+            raise ValueError("a fixed prefix takes one moving node of order 1")
+        self.span = span
         # Each distinct fixed node enters the tuple first with order 1.
-        self.fixed_reps = self.fixed_centers[np.asarray(fixed.orders, dtype=int) == 1]
-        self.orders = fixed.orders + tuple(k + 1 for o in self.reps for k in range(o))
-        self.owners = np.array(
-            [-1] * len(self.prefix) + [i for i, o in enumerate(self.reps) for _ in range(o)]
-        )
+        self.fixed_reps = np.array([c for c, o in zip(fixed.centers, fixed.orders) if o == 1])
+        self.orders = tuple(k + 1 for o in self.reps for k in range(o))
+        self.owners = np.array([i for i, o in enumerate(self.reps) for _ in range(o)])
         self.earlier = np.tri(count, k=-1, dtype=bool)
         self.lane_mgs_evals: Counter = Counter()
 
@@ -557,12 +710,7 @@ class _Objective:
         if apart.any():
             rows = slice(None) if apart.all() else apart
             moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
-            centers = moving
-            if len(self.fixed_centers):
-                centers = np.empty((len(moving), len(self.orders)), dtype=np.complex128)
-                centers[:, : len(self.fixed_centers)] = self.fixed_centers
-                centers[:, len(self.fixed_centers) :] = moving
-            cap = self.bundle.captured(_Nodes(centers, self.orders), self.owners)
+            cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
             value[rows] = -cap.value
             todo[rows] = cap.mgs
             # dE/dx + i dE/dy per node; a mirrored node a = (2R - |u|) u / |u|
@@ -812,22 +960,22 @@ def _reported(objective: _Objective, res: _Minimum, lane: int, stats) -> tuple:
             polish_message=str(res.message),
             mgs_fallbacks=objective.lane_mgs_evals[lane],
         )
-    return params.points, objective.bundle.captured(params, mgs=True).value
+    return params.points, objective.bundle._mgs_captured(params, keep=True)[0]
 
 
-def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
+def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None):
     """One bounded dense BFGS search (``minimize``) with the analytic
     gradient of the captured energy, started at ``x0`` on the flattened real
     coordinates of the moving nodes, in the box ``[-R, R]`` of the search
     radius R: a lockstep search of one lane, as greedy steps and the merge
-    polish run it.
+    polish run it.  ``span``, if given, is the ``_Span`` of ``prefix``.
 
     The returned energy is recomputed with MGS.  ``stats``, if given, receives
     the evaluation count, the stop message and how many evaluations fell back
     to MGS.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders)
+    objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders, span)
     res = minimize(
         objective.value_and_grad,
         x0,
@@ -870,29 +1018,32 @@ def _disc_grid(radius: float, density: int) -> np.ndarray:
 
 
 class _Grid(NamedTuple):
-    """The disc grid of a search: its points, their kernel rows, the rows
-    times the weights, the rows' squared norms, and each grid kernel's
+    """The disc grid of a search: its points, the conjugate transpose of
+    their kernel rows times the weights (the powers ``conj(c)**k``, flushed
+    as in ``_powers``), the rows' squared norms, and each grid kernel's
     energy increment on the empty span."""
 
     points: np.ndarray
-    rows: np.ndarray
-    weighted: np.ndarray
+    weighted_h: np.ndarray
     raw: np.ndarray
     single: np.ndarray | None
 
 
-def _grid_increments(bundle: _Bundle, grid: _Grid, basis: np.ndarray) -> np.ndarray:
-    """Energy increment of adding each grid kernel to the current span."""
-    if basis.shape[0]:
-        proj = grid.weighted @ basis.conj().T
-        ortho = grid.rows - proj @ basis
-        norms = np.real(np.sum(bundle.spec.weights * np.abs(ortho) ** 2, axis=1))
-    else:
-        ortho, norms = grid.rows, grid.raw
-    c = bundle.weighted @ ortho.conj().T
-    gains = bundle.probs @ np.abs(c) ** 2
+def _grid_increments(bundle: _Bundle, grid: _Grid, basis) -> np.ndarray:
+    """Energy increment of adding each grid kernel ``K_g`` to a span:
+    ``basis`` is a ``_Span``, or orthonormal basis rows whose span is formed
+    here.  With ``Q`` the span's basis and ``R`` its residual, the increment
+    is ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
+    product with ``Q`` and one with ``R``.  It is -inf where the denominator
+    is at most ``1e-12 max(||K_g||^2, 1)``."""
+    span = basis if isinstance(basis, _Span) else bundle.spanned(basis)
+    norms = grid.raw
+    if len(span.basis):
+        proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)
+        norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
+    gains = bundle.probs @ np.abs(span.residual @ grid.weighted_h) ** 2
     ok = norms > 1e-12 * np.maximum(grid.raw, 1.0)
-    out = np.full(grid.rows.shape[0], -np.inf)
+    out = np.full(len(grid.points), -np.inf)
     out[ok] = gains[ok] / norms[ok]
     return out
 
@@ -900,9 +1051,10 @@ def _grid_increments(bundle: _Bundle, grid: _Grid, basis: np.ndarray) -> np.ndar
 def _grid(bundle: _Bundle, points: np.ndarray) -> _Grid:
     rows = kernel_matrix(bundle.spec, points)
     w = bundle.spec.weights
-    grid = _Grid(points, rows, rows * w, np.real(np.sum(w * np.abs(rows) ** 2, axis=1)), None)
-    empty = np.zeros((0, bundle.spec.max_degree + 1), dtype=np.complex128)
-    return grid._replace(single=_grid_increments(bundle, grid, empty))
+    raw = np.real(np.sum(w * np.abs(rows) ** 2, axis=1))
+    rows *= w
+    grid = _Grid(points, np.conj(_flushed(rows), out=rows).T, raw, None)
+    return grid._replace(single=_grid_increments(bundle, grid, bundle.span(ParamTuple(()))))
 
 
 def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
@@ -915,23 +1067,21 @@ def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
 
 def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=()):
     """Sequential node selection after the fixed ``prefix`` up to n nodes;
-    stops early once the signal is captured.  Each step appends its node and
-    the energy captured after it to ``trace``."""
+    stops early once the signal is captured.  Each step extends the previous
+    step's ``_Span`` to its own prefix, scans the grid and runs its local
+    search on it, and appends its node and the energy captured after it to
+    ``trace``.  The spans live for this call only."""
     grid = _search_grid(bundle, cfg)
     points = list(prefix)
+    span = None
     for step in range(len(points), n):
-        if points:
-            system, _ = _gram_schmidt_impl(
-                bundle.spec, bundle.make_tuple(points, cfg), 1e-10, allow_partial=True
-            )
-            inc = _grid_increments(bundle, grid, system.basis)
-        else:
-            inc = grid.single
+        span = bundle.span(bundle.make_tuple(points, cfg), span)
+        inc = _grid_increments(bundle, grid, span) if points else grid.single
         best = int(np.argmax(inc))
         if not np.isfinite(inc[best]) or inc[best] <= 0.0:
             break
         new_pts, total = _local_search(
-            bundle, cfg, _as_x([grid.points[best]]), prefix=tuple(points)
+            bundle, cfg, _as_x([grid.points[best]]), prefix=tuple(points), span=span
         )
         points = list(new_pts)
         trace.append(

@@ -17,6 +17,7 @@ from nbestkernel import (
     evaluate,
     gram_schmidt,
     kernel,
+    kernel_matrix,
     multiple_kernel,
     nbest,
     norm,
@@ -582,23 +583,33 @@ def test_minimize_accepts_only_its_own_method():
 
 
 def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
-    """The search grid caches its rows times the weights and their norms;
-    increments from it are the bits of the increments computed from the rows."""
+    """The search grid caches its rows times the weights, conjugated and
+    transposed, and the rows' norms.  Increments from it, scored on the
+    span's residual, match the explicit formula that projects each kernel row
+    off the basis within 1e-9 relative, also at a grid node whose kernel is
+    nearly in the span (there the denominator ``||K_g||^2 - sum_j
+    |<K_g, Q_j>|^2`` loses about eps ||K_g||^2 / ||u_g||^2, 1e-10 at a
+    separation of 1e-3), and agree on which nodes are scored at all."""
     spec = MERGE_SPACES["bergman"]
     bundle = _Bundle.single(spec, _random_signal(spec, 34))
     grid = _search_grid(bundle, SWEEP_CFG)
     assert _search_grid(bundle, SWEEP_CFG) is grid
+    rows = kernel_matrix(spec, grid.points)
     w = spec.weights
-    raw = np.real(np.sum(w * np.abs(grid.rows) ** 2, axis=1))
-    for points in ((), (0.2 - 0.3j,), (0.2 - 0.3j, -0.5 + 0.1j)):
+    raw = np.real(np.sum(w * np.abs(rows) ** 2, axis=1))
+    assert np.array_equal(grid.raw, raw)
+    node = grid.points[len(grid.points) // 3]
+    near = (node + 1e-3, -0.5 + 0.1j)  # the grid node's kernel is nearly in this span
+    for points in ((), (0.2 - 0.3j,), (0.2 - 0.3j, -0.5 + 0.1j), near, (node,)):
         basis = gram_schmidt(spec, ParamTuple(points)).basis
-        ortho = grid.rows - ((grid.rows * w) @ basis.conj().T) @ basis
+        ortho = rows - ((rows * w) @ basis.conj().T) @ basis
         norms = np.real(np.sum(w * np.abs(ortho) ** 2, axis=1))
         gains = bundle.probs @ np.abs(bundle.weighted @ ortho.conj().T) ** 2
         ok = norms > 1e-12 * np.maximum(raw, 1.0)
-        want = np.full(len(grid.points), -np.inf)
-        want[ok] = gains[ok] / norms[ok]
-        assert np.array_equal(_grid_increments(bundle, grid, basis), want)
+        got = _grid_increments(bundle, grid, basis)
+        assert np.array_equal(np.isfinite(got), ok)
+        assert ok.sum() == len(ok) - (points == (node,))
+        assert np.max(np.abs(got[ok] - gains[ok] / norms[ok]) / (gains[ok] / norms[ok])) <= 1e-9
     assert np.array_equal(grid.single, _grid_increments(bundle, grid, np.zeros((0, w.size))))
 
 

@@ -1,4 +1,5 @@
-"""The Gram/Cholesky objective against the modified Gram-Schmidt reference."""
+"""The Gram/Cholesky objective and the greedy span objective against the
+modified Gram-Schmidt reference."""
 
 import warnings
 
@@ -18,7 +19,15 @@ from nbestkernel import (
     kernel,
     stochastic_energy,
 )
-from nbestkernel.engine import _PIVOT_FLOOR, _as_x, _Bundle, _Nodes, _Objective
+from nbestkernel.engine import (
+    _PIVOT_FLOOR,
+    _as_x,
+    _Bundle,
+    _greedy_points,
+    _Nodes,
+    _Objective,
+    _Span,
+)
 from nbestkernel.orthosystem import _gram_schmidt_impl
 
 SPACES = {
@@ -54,6 +63,20 @@ def _central_differences(fun, x, h=1e-6):
         step = np.zeros_like(x)
         step[i] = h
         out[i] = (fun(x + step) - fun(x - step)) / (2.0 * h)
+    return out
+
+
+def _five_point_differences(fun, x, h):
+    """Central differences with error O(h**4), for gradients of nodes close
+    to a prefix node, where the energy is flat and two-point differences
+    drown in rounding before their truncation error is small."""
+    out = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        near = fun(x + step) - fun(x - step)
+        far = fun(x + 2 * step) - fun(x - 2 * step)
+        out[i] = (8.0 * near - far) / (12.0 * h)
     return out
 
 
@@ -307,15 +330,162 @@ def test_objective_lanes_match_single_points_and_do_not_depend_on_the_batch(m):
                 assert fallbacks[lane] == (1 + 2 * xs.shape[1]) * (name in ("merged", "pivot_floor"))
 
 
-def test_objective_batch_with_a_fixed_prefix_matches_single_points():
+def _no_gram(*args, **kwargs):
+    raise AssertionError("a Gram matrix was formed")
+
+
+def test_objective_batch_with_a_fixed_prefix_matches_single_points(monkeypatch):
+    """With a fixed prefix the objective runs on the prefix's span and forms
+    no Gram matrix; each row of a batch equals the point evaluated alone,
+    whatever the batch's order and company, and a node that merges with a
+    fixed node takes MGS values and central differences."""
+    monkeypatch.setattr(_Bundle, "_gram_captured", _no_gram)
     spec = SPACES["bergman"]
     bundle = _Bundle.single(spec, _signal(spec, 11))
     prefix = (0.5, -0.2 + 0.4j, -0.2 + 0.4j + 1e-9)
     xs = np.array([_as_x([p]) for p in (-0.3 + 0.2j, 0.5 + 1e-9, 0.97 * np.exp(2j))])
-    objective = _lane_objective(bundle, 1, prefix)
-    values, grads = objective.value_and_grad(xs, np.arange(3))
-    for row, x in enumerate(xs):
-        value, grad = _lane_objective(bundle, 1, prefix).value_and_grad(x)
-        assert values[row] == value and np.array_equal(grads[row], grad)
-    # the second lane's node merges with a fixed node
-    assert [objective.lane_mgs_evals[lane] for lane in range(3)] == [0, 5, 0]
+    alone = [_lane_objective(bundle, 1, prefix).value_and_grad(x) for x in xs]
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2], [2]):
+        objective = _lane_objective(bundle, 1, prefix)
+        assert objective.span is not None
+        values, grads = objective.value_and_grad(xs[order], np.array(order))
+        for row, lane in enumerate(order):
+            assert values[row] == alone[lane][0]
+            assert np.array_equal(grads[row], alone[lane][1])
+        # the second lane's node merges with a fixed node
+        fallbacks = [objective.lane_mgs_evals[lane] for lane in order]
+        assert fallbacks == [5 * (lane == 1) for lane in order]
+
+
+# -- greedy span ----------------------------------------------------------------------
+
+
+SPAN_PREFIXES = {
+    "0": (),
+    "1": (0.5,),
+    "2": (0.5, -0.2 + 0.4j),
+    "3": (0.1 - 0.4j, 0.6 + 0.2j, -0.7j),
+    "order2": (0.5, -0.2 + 0.4j, -0.2 + 0.4j + 1e-9),  # its last node merges: order 2
+}
+SPAN_NODES = (0.3 - 0.2j, -0.6 + 0.1j, 0.95j)
+
+
+def _span_bundle(spec, m):
+    """A single signal, or the rank-3 factor of an M = 16 kernel-mix ensemble."""
+    if m == 1:
+        return _Bundle.single(spec, _signal(spec, 12))
+    atoms = [(0.3, 1.0, 1), (-0.4 + 0.2j, 1.0, 2), (0.6j, 0.5, 1)]
+    ens = generate_ensemble(spec, "kernel_mix", {"atoms": atoms}, m, seed=7)
+    factor = _Bundle(spec, ens.matrix, ens.probs).compressed()
+    assert len(factor.probs) < m
+    return factor
+
+
+def _on_span(bundle, prefix, a, cfg):
+    """The prefix's span and the capture of one node appended to it."""
+    span = bundle.span(bundle.make_tuple(prefix, cfg))
+    return span, bundle.captured(_Nodes(np.array([[a]]), (1,)), np.array([0]), span=span)
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("prefix", sorted(SPAN_PREFIXES))
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_span_energy_matches_mgs(family, prefix, m):
+    """A greedy step's energy on its prefix's span is the MGS energy of the
+    extended tuple within 1e-12 relative, also for a node just outside the
+    merge tolerance of a prefix node."""
+    spec = SPACES[family]
+    bundle = _span_bundle(spec, m)
+    cfg = OptimizerConfig()
+    prefix = SPAN_PREFIXES[prefix]
+    nodes = SPAN_NODES + tuple(p + 1.5 * cfg.merge_tol for p in prefix[:1])
+    for a in nodes:
+        span, cap = _on_span(bundle, prefix, a, cfg)
+        assert not cap.mgs[0] and not cap.degraded[0]
+        ref, degraded = bundle._mgs_captured(span.params.extended(a))
+        assert not degraded
+        assert abs(cap.value[0] - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_span_gradient_matches_central_differences(family, m):
+    """The span gradient against five-point central differences of MGS
+    values, for nodes split from a prefix node (an order-2 one included) by
+    1e-1 to 1e-3 and for a free node."""
+    spec = SPACES[family]
+    bundle = _span_bundle(spec, m)
+    prefix = SPAN_PREFIXES["order2"]
+    splits = [s * e for s in (1e-1, 1e-2, 1e-3) for e in (1, 1j)]
+    nodes = [0.3 - 0.2j] + [c + split for c in prefix[:2] for split in splits]
+    for a in nodes:
+        objective = _Objective(bundle, OptimizerConfig(), 1, prefix)
+        x = _as_x([a])
+        value, grad = objective.value_and_grad(x)
+        assert objective.mgs_evals == 0
+
+        def mgs(x):
+            return -bundle._mgs_captured(objective.params(x))[0]
+
+        # A node 1e-3 from an order-2 node makes both values good to about
+        # 5e-12 only (against a 40-digit reference), hence 1e-10 here.
+        assert value == pytest.approx(mgs(x), rel=1e-10)
+        fd = _five_point_differences(mgs, x, h=1e-4)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_span_node_inside_the_merge_tolerance_takes_mgs():
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 13))
+    cfg = OptimizerConfig()
+    prefix = SPAN_PREFIXES["2"]
+    objective = _Objective(bundle, cfg, 1, prefix)
+    x = _as_x([prefix[1] + 0.5 * cfg.merge_tol])
+    value, grad = objective.value_and_grad(x)
+    assert objective.mgs_evals == 5
+    params = objective.params(x)
+    assert params.orders == (1, 1, 2)
+    assert -value == _mgs_value(bundle, params)
+    assert np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_span_reports_degradation_exactly_when_mgs_does(family):
+    """A node whose kernel lies nearly in the prefix's span falls back to MGS
+    by MGS's own test, ``||u|| <= 1e-10 ||K||``, and reports degradation
+    exactly when MGS does."""
+    spec = SPACES[family]
+    bundle = _Bundle.single(spec, _signal(spec, 14))
+    cfg = OptimizerConfig(merge_tol=1e-15)
+    prefix = SPAN_PREFIXES["2"]
+    seen = set()
+    for sep in (1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 1e-12):
+        span, cap = _on_span(bundle, prefix, prefix[1] + sep, cfg)
+        ref, degraded = bundle._mgs_captured(span.params.extended(prefix[1] + sep))
+        assert bool(cap.degraded[0]) == degraded
+        assert bool(cap.mgs[0]) == degraded
+        if degraded:
+            assert cap.value[0] == ref
+        else:
+            assert abs(cap.value[0] - ref) <= 1e-9 * ref
+        seen.add(degraded)
+    assert seen == {True, False}
+    # A degenerate prefix node ends the span's basis; every node then takes MGS.
+    span, cap = _on_span(bundle, (prefix[1], prefix[1] + 1e-12), SPAN_NODES[0], cfg)
+    assert span.degraded and len(span.basis) == 1
+    ref, degraded = bundle._mgs_captured(span.params.extended(SPAN_NODES[0]))
+    assert degraded and cap.mgs[0] and cap.degraded[0] and cap.value[0] == ref
+
+
+def test_greedy_runs_on_spans_and_keeps_none_on_the_bundle(monkeypatch):
+    monkeypatch.setattr(_Bundle, "_gram_captured", _no_gram)
+    spec = SPACES["weighted_hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 15))
+    names = set(vars(bundle))
+    steps: list = []
+    assert len(_greedy_points(bundle, 3, OptimizerConfig(grid_density=12, max_iter=40), steps)) == 3
+    assert len(steps) == 3
+    assert set(vars(bundle)) == names
+    for value in vars(bundle).values():
+        kept = value.values() if isinstance(value, dict) else [value]
+        assert not any(isinstance(v, _Span) for v in kept)
