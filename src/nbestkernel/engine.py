@@ -231,7 +231,7 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
 class _Bundle:
     """A weighted family of signals over one space; single signals are M = 1."""
 
-    def __init__(self, spec: SpaceSpec, matrix: np.ndarray, probs: np.ndarray):
+    def __init__(self, spec: SpaceSpec, matrix: np.ndarray, probs: np.ndarray, systems=None):
         self.spec = spec
         self.matrix = matrix
         self.probs = probs
@@ -241,7 +241,9 @@ class _Bundle:
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
-        self._systems: dict[tuple, tuple[np.ndarray, bool]] = {}
+        # MGS bases depend on the space and the tuple only, so a factor
+        # shares the ones its ensemble keeps (``systems``).
+        self._systems: dict[tuple, tuple[np.ndarray, bool]] = {} if systems is None else systems
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -322,7 +324,7 @@ class _Bundle:
         scale = np.sqrt(self.probs) * norms
         coords = np.vstack([scale[rows, None] * (units(rows) @ basis.conj().T) for rows in blocks])
         factor = np.linalg.qr(coords, mode="r") @ basis / root_w
-        return _Bundle(self.spec, factor, np.ones(r))
+        return _Bundle(self.spec, factor, np.ones(r), self._systems)
 
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
@@ -375,8 +377,9 @@ class _Bundle:
     def system(self, params: ParamTuple, keep: bool = True) -> tuple[np.ndarray, bool]:
         """The MGS basis rows of the tuple and whether it degraded.  With
         ``keep`` the system is kept per (centers, orders) for the life of the
-        bundle, i.e. of one engine call: the value a search reports, the
-        ranking of candidates and the result orthonormalize the same tuples.
+        bundle and its factor, i.e. of one engine call: the value a search
+        reports, the ranking of candidates and the result orthonormalize the
+        same tuples.
         Search evaluations keep none: they are many, and each is seen once."""
         key = (params.centers, params.orders)
         kept = self._systems.get(key)
