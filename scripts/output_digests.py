@@ -16,6 +16,16 @@ every result (``<task>/<result file>``) and of every decay row
 (``<task>/<decay file>/<n>``), so that two checkouts whose bytes differ can be
 compared by the quality of their approximations.
 
+With ``--compare A.json B.json`` it reads two such files instead of running
+anything.  For digest files it prints how many files are identical and how
+many differ, and lists those that differ or appear in one file only.  For
+``--residuals`` files it prints, per group (the first part of each label:
+``configs``, ``sweep``, ...), how many rows B has worse and better than A by
+more than 1e-9 relative, and the mean residual / norm of each.  The exit
+status is 1 when a file differs or a row is worse, else 0:
+
+    python3 scripts/output_digests.py --compare parent.json change.json
+
 A copy of this file placed in a checkout's ``scripts/`` runs that checkout's
 program.
 """
@@ -96,12 +106,44 @@ def relative_residuals(label: str, out: Path) -> dict:
     return ratios
 
 
+def compare(a: dict, b: dict) -> int:
+    """Print how the outputs of ``b`` differ from those of ``a``; 1 when a
+    digest differs or a residual row is worse."""
+    only = sorted(set(a) ^ set(b))
+    for label in only:
+        print(f"only in {'A' if label in a else 'B'}: {label}")
+    shared = sorted(set(a) & set(b))
+    if all(isinstance(a[k], str) for k in shared):
+        differ = [k for k in shared if a[k] != b[k]]
+        print(f"{len(shared) - len(differ)} identical, {len(differ)} differing")
+        for label in differ:
+            print(f"differs: {label}")
+        return int(bool(differ or only))
+    groups: dict = {}
+    for label in shared:
+        groups.setdefault(label.split("/")[0], []).append((a[label], b[label]))
+    worse_rows = 0
+    print("group rows worse better mean_A mean_B")
+    for name, rows in sorted(groups.items()):
+        worse = sum(y - x > 1e-9 * max(x, y) for x, y in rows)
+        better = sum(x - y > 1e-9 * max(x, y) for x, y in rows)
+        mean_a, mean_b = (sum(r[i] for r in rows) / len(rows) for i in (0, 1))
+        print(f"{name} {len(rows)} {worse} {better} {mean_a:.6e} {mean_b:.6e}")
+        worse_rows += worse
+    return int(bool(worse_rows or only))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 101])
     ap.add_argument("--residuals", action="store_true",
                     help="print residual / norm of every result and decay row instead of digests")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two digest or residual files instead of running the tasks")
     args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(path).read_text()) for path in args.compare)
+        return compare(a, b)
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, text) in enumerate(tasks(args.seeds)):

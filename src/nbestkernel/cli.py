@@ -33,7 +33,10 @@ _TASKS = ("afd", "nbest", "stochastic", "verify")
 
 # Size limits, checked before anything is allocated: the space degree N, and
 # the M * (N + 1) complex entries of an ensemble's coefficient matrix (2**24,
-# 256 MiB per copy; the search holds a few copies).
+# 256 MiB per copy; the search holds a few copies).  The same budget bounds
+# the search grid's kernel rows (under grid_density**2 * (N + 1) entries) and
+# the lanes of one n-best search: multistart + 2 starts, each with n kernel
+# rows and a 2n x 2n inverse Hessian.
 _MAX_DEGREE = 1 << 16
 _MAX_ENSEMBLE_ENTRIES = 1 << 24
 
@@ -42,13 +45,9 @@ _OPTIMIZER_KEYS = {
     "grid_density": int,
     "multistart": int,
     "ftol": float,
-    "xtol": float,
     "max_iter": int,
-    "fd_step": float,
     "seed": int,
     "merge_tol": float,
-    "workers": int,
-    "polish": bool,
 }
 
 
@@ -105,6 +104,23 @@ def _check_ensemble_size(m: int, path: str, spec: SpaceSpec) -> None:
             f"{m} realizations exceed the {limit} that fit in {_MAX_ENSEMBLE_ENTRIES} "
             f"coefficients at degree {spec.max_degree}",
         )
+
+
+def _check_search_size(opt: OptimizerConfig, spec: SpaceSpec, n: int, n_path: str) -> None:
+    budget, n1 = _MAX_ENSEMBLE_ENTRIES, spec.max_degree + 1
+    if opt.grid_density**2 * n1 > budget:
+        _fail(
+            "/optimizer/grid_density",
+            f"a grid of {opt.grid_density}**2 points exceeds {budget} kernel row entries "
+            f"at degree {spec.max_degree}",
+        )
+    for lanes, path in ((2, n_path), (opt.multistart + 2, "/optimizer/multistart")):
+        if lanes * n * (n1 + 4 * n) > budget:
+            _fail(
+                path,
+                f"{lanes} search lanes of {n} nodes exceed {budget} entries "
+                f"at degree {spec.max_degree}",
+            )
 
 
 def _number(v, path: str) -> float:
@@ -238,12 +254,7 @@ def _parse_optimizer(obj, path: str) -> OptimizerConfig:
     obj = _expect_mapping(obj, path, set(_OPTIMIZER_KEYS), set())
     kwargs = {}
     for key, value in obj.items():
-        want = _OPTIMIZER_KEYS[key]
-        if want is bool:
-            if not isinstance(value, bool):
-                _fail(f"{path}/{key}", "expected a boolean")
-            kwargs[key] = value
-        elif want is int:
+        if _OPTIMIZER_KEYS[key] is int:
             kwargs[key] = _positive_int(value, f"{path}/{key}", minimum=0)
         else:
             kwargs[key] = _number(value, f"{path}/{key}")
@@ -281,6 +292,10 @@ def parse_config(text: str) -> TaskConfig:
         if task in ("stochastic", "verify"):
             _fail("/n_max", "decay sweeps are only defined for afd and nbest tasks")
     optimizer = _parse_optimizer(raw.get("optimizer", {}), "/optimizer")
+    if n_max is None:
+        _check_search_size(optimizer, spec, n, "/n")
+    else:
+        _check_search_size(optimizer, spec, n_max, "/n_max")
     output = _expect_mapping(
         raw.get("output", {}), "/output", {"result", "decay", "report"}, set()
     )
@@ -343,15 +358,13 @@ def _dump_json(payload, path: Path) -> None:
     path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def run_task(cfg: TaskConfig, out_dir: Path, threads: int | None = None, seed: int | None = None) -> int:
+def run_task(cfg: TaskConfig, out_dir: Path, seed: int | None = None) -> int:
     """Execute one task and write its artifacts; returns the exit status."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     optimizer = cfg.optimizer
     if seed is not None:
         optimizer = OptimizerConfig(**{**optimizer.__dict__, "seed": seed})
-    if threads is not None:
-        optimizer = OptimizerConfig(**{**optimizer.__dict__, "workers": threads})
     result_path = out_dir / cfg.output.get("result", "result.json")
     decay_path = out_dir / cfg.output.get("decay", "decay.csv")
     report_path = out_dir / cfg.output.get("report", "report.json")
@@ -403,7 +416,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="task config JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
     try:
@@ -412,7 +424,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"/task: config declares {cfg.task!r} but the {args.command!r} subcommand was invoked"
             )
-        return run_task(cfg, Path(args.out), threads=args.threads, seed=args.seed)
+        return run_task(cfg, Path(args.out), seed=args.seed)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

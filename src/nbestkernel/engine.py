@@ -4,9 +4,11 @@ The objective for a node tuple is the energy captured by projecting onto the
 tuple's kernel span, ``sum_m p_m v_m^H G^{-1} v_m`` with pairings
 ``v_i = <f, K_i>`` and kernel Gram matrix ``G``, evaluated through one Cholesky
 factorization.  Its Wirtinger gradient is closed-form because the derivative
-of a kernel in its conjugated parameter is the next-order kernel.  Tuples whose
-Cholesky pivots signal near-dependence fall back to modified Gram-Schmidt
-(MGS), which also produces every reported value and the final coefficients.
+of a kernel in its conjugated parameter is the next-order kernel.  A search
+point whose Cholesky pivots signal near-dependence, or whose moving nodes
+merge, takes modified Gram-Schmidt (MGS) values and central differences in one
+place, ``_Objective.value_and_grad``; MGS also produces every reported value
+and the final coefficients.
 
 Every local search is a bounded dense BFGS run on that gradient (in numpy,
 over the box of the search radius), run as lanes of one lockstep search
@@ -28,7 +30,7 @@ Q_j>|^2)``, and its local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 /
 ||u||^2``, with ``u`` the part of the moving node's kernel outside the span,
 and the closed-form gradient, so greedy forms no Gram matrix.  A node that
 merges with a prefix node, or whose kernel lies in the span by MGS's
-degeneracy test, falls back to MGS.
+degeneracy test, takes the same fallback.
 
 Every engine, the stochastic one included, is one run of one pipeline
 (``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
@@ -66,7 +68,8 @@ from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
-# it the energy loses about eps / ratio**2 relative accuracy and MGS takes over.
+# it the energy loses about eps / ratio**2 relative accuracy, so the tuple
+# fails and the search objective takes MGS values.
 _PIVOT_FLOOR = 1e-4
 # Kernel rows are built as products of two power blocks of this length.  Block
 # powers below _TINY_POWER are flushed to zero: they are negligible against
@@ -80,10 +83,12 @@ _TINY_POWER = 1e-75
 # Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
-# Local search: the Armijo sufficient-decrease fraction and the line search's
-# cap on trial steps.
+# Local search: the Armijo sufficient-decrease fraction, the line search's cap
+# on trial steps, and the relative step of the central differences of MGS
+# values that a search point takes where the fast objective fails.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
+_FD_STEP = 1e-5
 _EPS = np.finfo(np.float64).eps
 
 
@@ -92,49 +97,39 @@ class OptimizerConfig:
     """Knobs for the greedy and global engines.
 
     ``delta`` is the boundary margin (search radius ``1 - delta``),
-    ``grid_density`` the coarse Cartesian grid points per axis, ``ftol`` the
-    relative energy shortfall at which greedy selection stops early,
+    ``grid_density`` the coarse Cartesian grid points per axis,
+    ``multistart`` the number of random starts of each n-best search, ``ftol``
+    the relative energy shortfall at which greedy selection stops early,
     ``max_iter`` the iteration cap of each local search, and ``merge_tol``
     the node-merging distance.  The local searches are bounded dense BFGS
     runs (``minimize``) on the analytic gradient of the captured energy, with
-    fixed stop tolerances of their own; ``fd_step`` is only the relative
-    step of the central differences they fall back to, with MGS values, for
-    a node that merges with another node and for a numerically degenerate
-    tuple.  All randomness flows from ``seed``.  ``xtol``,
-    ``workers`` and ``polish`` are accepted and validated but have no
-    effect: everything runs in one thread, the ``multistart`` starts run as
-    the lanes of one lockstep search, and every search is the gradient
-    search.
+    fixed stop tolerances of their own.  All randomness flows from ``seed``.
     """
 
     delta: float = 0.05
     grid_density: int = 24
     multistart: int = 8
     ftol: float = 1e-12
-    xtol: float = 1e-8
     max_iter: int = 2000
-    fd_step: float = 1e-5
     seed: int = 0
     merge_tol: float = DEFAULT_MERGE_TOL
-    workers: int = 1
-    polish: bool = True
 
     def __post_init__(self):
         if not 1.0 - DEFAULT_RADIUS_CAP <= self.delta < 1.0:
             raise ValueError(
                 f"boundary margin must lie in [{1.0 - DEFAULT_RADIUS_CAP}, 1), got {self.delta}"
             )
-        for name in ("delta", "ftol", "xtol", "fd_step", "merge_tol"):
+        for name in ("delta", "ftol", "merge_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.grid_density < 4:
             raise ValueError("grid_density must be at least 4")
-        if self.ftol <= 0.0 or self.xtol <= 0.0 or self.fd_step <= 0.0:
-            raise ValueError("ftol, xtol and fd_step must be positive")
+        if self.ftol <= 0.0:
+            raise ValueError("ftol must be positive")
         if self.merge_tol < 0.0:
             raise ValueError("merge_tol must be non-negative")
-        if self.multistart < 0 or self.max_iter < 1 or self.workers < 1:
-            raise ValueError("multistart, max_iter and workers must be sensible")
+        if self.multistart < 0 or self.max_iter < 1:
+            raise ValueError("multistart and max_iter must be sensible")
 
 
 @dataclass
@@ -164,15 +159,14 @@ class ApproximationResult:
 
 
 class _Capture(NamedTuple):
-    """One objective evaluation.  ``grad`` is dE/da per moving node when it
-    was asked for and the Gram path held; ``mgs`` says MGS gave the value.
-    For a ``_Nodes`` batch every field holds one entry per tuple, and a
-    tuple's ``grad`` row is meaningless where its ``mgs`` is set."""
+    """One evaluation of a ``_Nodes`` batch, one entry per tuple: the value,
+    dE/da per moving node when it was asked for (else None), and whether the
+    evaluation failed, in which case the tuple's value is NaN and its
+    ``grad`` row meaningless."""
 
-    value: float | np.ndarray
-    degraded: bool | np.ndarray
+    value: np.ndarray
     grad: np.ndarray | None
-    mgs: bool | np.ndarray
+    failed: np.ndarray
 
 
 class _Nodes(NamedTuple):
@@ -329,50 +323,20 @@ class _Bundle:
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
 
-    def captured(self, params, owners=None, mgs: bool = False, span=None) -> _Capture:
-        """Captured energy of the tuple, or of each tuple of a ``_Nodes`` batch.
-
-        The Gram path factors each kernel Gram matrix once, the whole batch
-        in one stacked evaluation; ``owners`` (one entry per tuple position:
-        the index of the moving node it belongs to, or -1 if fixed) asks it
-        for the gradient too.  With a ``_Span``, each tuple of the batch is
-        one node appended to the span's prefix, and is evaluated on the span
-        (``_span_captured``) without a Gram matrix.  With ``mgs``, for a tuple
-        whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR``, and for a
-        node that the span test finds degenerate, MGS computes the value
-        instead and no gradient is returned; degenerate tuples then fall back
-        to their longest well-conditioned prefix and report degradation.
+    def captured(self, nodes: _Nodes, owners=None, span=None) -> _Capture:
+        """Captured energy of each tuple of a ``_Nodes`` batch, in one stacked
+        evaluation; ``owners`` (one entry per tuple position: the index of
+        the moving node it belongs to, or -1 if fixed) asks for the gradient
+        too.  Without ``span`` each kernel Gram matrix is factored once, and a
+        tuple whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR`` fails.
+        With a ``_Span``, each tuple is one node appended to the span's
+        prefix, evaluated on the span (``_span_captured``) without a Gram
+        matrix, and fails by MGS's degeneracy test.  No tuple falls back to
+        MGS here; ``_Objective.value_and_grad`` does that.
         """
-        batch = isinstance(params, _Nodes)
-        if batch:
-            centers, orders = params
-        elif not len(params):
-            return _Capture(0.0, False, None, False)
-        else:
-            centers = np.asarray(params.centers, dtype=np.complex128)[None]
-            orders = params.orders
-        if mgs:
-            value, grad, failed = np.empty(len(centers)), None, range(len(centers))
-        elif span is not None:
-            value, grad, failed = self._span_captured(centers[:, 0], span, owners)
-        else:
-            value, grad, failed = self._gram_captured(centers, orders, owners)
-        degraded = np.zeros(len(centers), dtype=bool)
-        mgs_used = np.zeros(len(centers), dtype=bool)
-        for b in failed:
-            if span is not None:
-                tup = span.params.extended(centers[b, 0])
-            elif batch:
-                tup = ParamTuple(tuple(centers[b]), 0.0, self.spec.radius_cap)
-            else:
-                tup = params
-            value[b], degraded[b] = self._mgs_captured(tup)
-            mgs_used[b] = True
-        if batch:
-            return _Capture(value, degraded, grad, mgs_used)
-        if failed:
-            return _Capture(float(value[0]), bool(degraded[0]), None, True)
-        return _Capture(float(value[0]), False, None if grad is None else grad[0], False)
+        if span is not None:
+            return _Capture(*self._span_captured(nodes.centers[:, 0], span, owners))
+        return _Capture(*self._gram_captured(nodes.centers, nodes.orders, owners))
 
     def system(self, params: ParamTuple, keep: bool = True) -> tuple[np.ndarray, bool]:
         """The MGS basis rows of the tuple and whether it degraded.  With
@@ -437,7 +401,8 @@ class _Bundle:
     def _gram_captured(self, centers: np.ndarray, orders: tuple, owners):
         """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
         their values, with ``owners`` their gradients (one row per tuple), and
-        the tuples whose pivot ratios fall below the floor, which get neither.
+        the mask of the tuples whose pivot ratios fall below the floor, which
+        get neither.
 
         With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
         dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
@@ -454,11 +419,11 @@ class _Bundle:
         chol = _cholesky(gram)
         floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
         ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
-        failed = [] if ok.all() else np.flatnonzero(~ok).tolist()
-        held = ok if failed else slice(None)
+        failed = ~ok
+        held = slice(None) if ok.all() else ok
         value = np.full(count, np.nan)
         grad = None if owners is None else np.zeros((count, owners.max() + 1), dtype=np.complex128)
-        if len(failed) == count:
+        if failed.all():
             return value, grad, failed
         powers, rows, chol, pairs = powers[held], rows[held], chol[held], pairs[held]
         y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
@@ -504,25 +469,21 @@ class _Bundle:
                 degraded = True
                 break
             basis = np.vstack([basis, _flushed(v / r)[None]])
-        return self.spanned(basis, params, degraded)
-
-    def spanned(self, basis: np.ndarray, params=None, degraded: bool = False) -> _Span:
-        """The ``_Span`` of the orthonormal rows ``basis``: the signals'
-        residual after projection on them in two passes, and the energy
-        they capture."""
-        basis = _flushed(np.array(basis, dtype=np.complex128))
+        # The signals' residual after projection on the basis, in two passes,
+        # and the energy it captures.
         coeffs = self.weighted @ basis.conj().T
         energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
         residual = self.matrix - coeffs @ basis
-        residual -= ((residual * self.spec.weights) @ basis.conj().T) @ basis
+        residual -= ((residual * w) @ basis.conj().T) @ basis
         return _Span(params, basis, _flushed(residual), energy, degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span, owners):
         """Span evaluation of the B tuples that append one node of ``points``
         to the span's prefix: their values, with ``owners`` their gradients
-        (one column), and the tuples that fall back to MGS, which get neither:
-        all of a degraded span's, and those whose node's kernel ``K`` keeps
-        ``||u|| <= 1e-10 ||K||`` outside the span, MGS's own degeneracy test.
+        (one column), and the mask of the tuples that fail, which get
+        neither: all of a degraded span's, and those whose node's kernel ``K``
+        keeps ``||u|| <= 1e-10 ||K||`` outside the span, MGS's own degeneracy
+        test.
 
         With ``u = K - P_Q K`` taken in two passes, ``beta = ||u||^2`` and
         ``alpha_m = <R_m, u>``, the energy is ``E_p + sum_m p_m |alpha_m|^2 /
@@ -539,7 +500,7 @@ class _Bundle:
         value = np.full(count, np.nan)
         grad = None if owners is None else np.zeros((count, 1), dtype=np.complex128)
         if span.degraded:
-            return value, grad, list(range(count))
+            return value, grad, np.ones(count, dtype=bool)
         w = self.spec.weights
         powers = self._powers(points)  # W K
         u = powers * self.inv_weights
@@ -550,9 +511,9 @@ class _Bundle:
                 u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
         beta = np.sum(w * np.abs(u) ** 2, axis=1)
         ok = beta > EPS_DEGENERATE**2 * scale_sq
-        failed = [] if ok.all() else np.flatnonzero(~ok).tolist()
-        held = ok if failed else slice(None)
-        if len(failed) == count:
+        failed = ~ok
+        held = slice(None) if ok.all() else ok
+        if failed.all():
             return value, grad, failed
         u, beta = u[held], beta[held, None]
         rows = (w * u)[:, None]  # W u, and W K+ for the gradient
@@ -588,9 +549,9 @@ class _Bundle:
 
 
 def _energy(bundle: _Bundle, params: ParamTuple) -> float:
-    """Captured energy of the bundle; warns, at the public caller's caller,
-    when the tuple degrades."""
-    val, degraded, _, _ = bundle.captured(params)
+    """Captured energy of the bundle by MGS, the reference; warns, at the
+    public caller's caller, when the tuple degrades."""
+    val, degraded = bundle._mgs_captured(params)
     if degraded:
         warnings.warn(
             "degenerate node tuple: energy computed on its well-conditioned prefix",
@@ -601,7 +562,8 @@ def _energy(bundle: _Bundle, params: ParamTuple) -> float:
 
 
 def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
-    """Captured energy of ``f`` on the tuple's kernel span.
+    """Captured energy of ``f`` on the tuple's kernel span, by modified
+    Gram-Schmidt.
 
     Invariant under permutations of the tuple and nondecreasing under
     extension.  A numerically degenerate tuple degrades to its maximal
@@ -641,11 +603,12 @@ class _Objective:
     built here).  Nodes overshooting the search disc are mirrored back into
     it, and the analytic gradient is chained through the mirror.  The points
     whose moving nodes stay apart from every other node are evaluated
-    together, in one batch on the span or else on the Gram path.  When a
-    moving node merges with another node, or the evaluation falls back to
-    MGS, that point's value comes from MGS and its gradient from central
-    differences of MGS values with relative step ``fd_step``;
-    ``lane_mgs_evals`` counts these MGS evaluations per lane.
+    together, in one batch on the span or else on the Gram path.  This is
+    the one place where a search point falls back to MGS: when a moving node
+    merges with another node, or the batch evaluation fails for it, the
+    point's value comes from MGS and its gradient from central differences
+    of MGS values with relative step ``_FD_STEP``; ``lane_mgs_evals`` counts
+    these MGS evaluations per lane.
     """
 
     def __init__(
@@ -683,8 +646,8 @@ class _Objective:
     def params(self, x: np.ndarray) -> ParamTuple:
         return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)), self.cfg)
 
-    def value(self, x) -> float:
-        return -self.bundle.captured(self.params(np.asarray(x, dtype=np.float64))).value
+    def _mgs_value(self, x: np.ndarray) -> float:
+        return -self.bundle._mgs_captured(self.params(x))[0]
 
     def _apart(self, pts: np.ndarray) -> np.ndarray:
         """Rows whose moving nodes merge with no other node, so that the
@@ -715,7 +678,7 @@ class _Objective:
             moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
             cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
             value[rows] = -cap.value
-            todo[rows] = cap.mgs
+            todo[rows] = cap.failed
             # dE/dx + i dE/dy per node; a mirrored node a = (2R - |u|) u / |u|
             # moves against u radially and by (2R - |u|) / |u| tangentially.
             slope = 2.0 * np.conj(cap.grad)
@@ -730,15 +693,13 @@ class _Objective:
             grad[rows, 0::2] = -slope.real
             grad[rows, 1::2] = -slope.imag
         for row in np.flatnonzero(todo):
-            if not apart[row]:
-                value[row] = -self.bundle.captured(self.params(x[row]), mgs=True).value
+            value[row] = self._mgs_value(x[row])
             self.lane_mgs_evals[lanes[row]] += 1 + 2 * x.shape[1]
             for i in range(x.shape[1]):
                 step = np.zeros(x.shape[1])
-                step[i] = self.cfg.fd_step * max(1.0, abs(x[row, i]))
-                up = self.bundle.captured(self.params(x[row] + step), mgs=True).value
-                down = self.bundle.captured(self.params(x[row] - step), mgs=True).value
-                grad[row, i] = (down - up) / (2.0 * step[i])
+                step[i] = _FD_STEP * max(1.0, abs(x[row, i]))
+                up, down = self._mgs_value(x[row] + step), self._mgs_value(x[row] - step)
+                grad[row, i] = (up - down) / (2.0 * step[i])
         return value, grad
 
 
@@ -1032,14 +993,12 @@ class _Grid(NamedTuple):
     single: np.ndarray | None
 
 
-def _grid_increments(bundle: _Bundle, grid: _Grid, basis) -> np.ndarray:
-    """Energy increment of adding each grid kernel ``K_g`` to a span:
-    ``basis`` is a ``_Span``, or orthonormal basis rows whose span is formed
-    here.  With ``Q`` the span's basis and ``R`` its residual, the increment
-    is ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
+def _grid_increments(bundle: _Bundle, grid: _Grid, span: _Span) -> np.ndarray:
+    """Energy increment of adding each grid kernel ``K_g`` to the span.  With
+    ``Q`` the span's basis and ``R`` its residual, the increment is
+    ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
     product with ``Q`` and one with ``R``.  It is -inf where the denominator
     is at most ``1e-12 max(||K_g||^2, 1)``."""
-    span = basis if isinstance(basis, _Span) else bundle.spanned(basis)
     norms = grid.raw
     if len(span.basis):
         proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)

@@ -90,7 +90,8 @@ def bochner_norm(e: Ensemble) -> float:
 
 
 def stochastic_energy(e: Ensemble, params: ParamTuple) -> float:
-    """Expected captured energy of the shared tuple across realizations."""
+    """Expected captured energy of the shared tuple across realizations, by
+    modified Gram-Schmidt."""
     return _energy(_bundle(e), params)
 
 

@@ -110,7 +110,7 @@ def test_non_finite_space_param_exits_with_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "knob,value",
-    [("fd_step", -1.0), ("fd_step", 0.0), ("merge_tol", -1e-9), ("xtol", float("inf"))],
+    [("ftol", -1.0), ("ftol", 0.0), ("merge_tol", -1e-9), ("delta", float("inf"))],
 )
 def test_optimizer_config_rejects_bad_floats(knob, value):
     with pytest.raises(ValueError):
@@ -351,16 +351,28 @@ def test_main_subcommand_mismatch(tmp_path, capsys):
 
 def test_main_end_to_end(tmp_path):
     path = _write(tmp_path, "cfg.json", NBEST_CFG)
-    code = main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "2"])
+    code = main(["nbest", "--config", str(path), "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "result.json").exists()
 
 
-def test_main_rejects_nonpositive_threads(tmp_path, capsys):
+@pytest.mark.parametrize("knob,value", [("xtol", 1e-8), ("workers", 1), ("polish", True), ("fd_step", 1e-5)])
+def test_retired_optimizer_knobs_are_unknown_fields(tmp_path, capsys, knob, value):
+    cfg = json.loads(json.dumps(NBEST_CFG))
+    cfg["optimizer"][knob] = value
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["nbest", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert f"/optimizer/{knob}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_main_refuses_the_threads_flag(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json", NBEST_CFG)
-    code = main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "0"])
-    assert code == 1
-    assert "workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_main_missing_config(tmp_path, capsys):
@@ -425,6 +437,40 @@ def test_main_reports_oversized_ensemble_with_its_pointer(monkeypatch, tmp_path,
     path = _write(tmp_path, "cfg.json", payload)
     assert main(["stochastic", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "/signal/random/M" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change,fragment",
+    [
+        ({"optimizer": {"grid_density": 128}}, "/optimizer/grid_density"),
+        ({"optimizer": {"grid_density": 10**9}}, "/optimizer/grid_density"),
+        ({"n": 10**6}, "/n"),
+        ({"n_max": 2000}, "/n_max"),
+        ({"optimizer": {"multistart": 10**9}}, "/optimizer/multistart"),
+        ({"n": 600, "optimizer": {"multistart": 20}}, "/optimizer/multistart"),
+    ],
+)
+def test_parse_rejects_oversized_searches(change, fragment):
+    # at degree 1024 a grid of 127**2 points fits in 2**24 entries, 128**2 does
+    # not; two lanes of 2000 nodes do not fit, nor 22 lanes of 600
+    payload = {**NBEST_CFG, "space": {"family": "hardy"}, **change}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert str(err.value).startswith(f"{fragment}: ")
+
+
+def test_parse_admits_searches_up_to_the_limit():
+    for change in ({"optimizer": {"grid_density": 127}}, {"n": 600, "optimizer": {"multistart": 2}}):
+        cfg = parse_config(json.dumps({**NBEST_CFG, "space": {"family": "hardy"}, **change}))
+        assert cfg.n == change.get("n", 2)
+
+
+def test_main_reports_oversized_search_with_its_pointer(tmp_path, capsys):
+    payload = {**NBEST_CFG, "optimizer": {"grid_density": 10**9}}
+    path = _write(tmp_path, "cfg.json", payload)
+    assert main(["nbest", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "/optimizer/grid_density" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
 
 

@@ -269,7 +269,7 @@ def test_merge_polish_merges_a_pair_of_any_separation():
     split = (SINGLE_NODE, DOUBLE_NODE - 0.015, DOUBLE_NODE + 0.015)
     worse = (SINGLE_NODE, DOUBLE_NODE, 0.0)
     candidates = [
-        (pts, bundle.captured(bundle.make_tuple(pts, cfg), mgs=True).value, k)
+        (pts, bundle._mgs_captured(bundle.make_tuple(pts, cfg))[0], k)
         for k, pts in enumerate((worse, split))
     ]
     assert candidates[0][1] < candidates[1][1] < bundle.total_sq
@@ -305,7 +305,7 @@ def test_merge_polish_skips_exact_capture():
     bundle = _Bundle.single(spec, kernel(spec, 0.2) + kernel(spec, 0.5j))
     cfg = OptimizerConfig()
     pts = (0.2, 0.5j)
-    candidates = [(pts, bundle.captured(bundle.make_tuple(pts, cfg), mgs=True).value, 0)]
+    candidates = [(pts, bundle._mgs_captured(bundle.make_tuple(pts, cfg))[0], 0)]
     trace = [{"stage": "local"}]
     _merge_polish(bundle, cfg, candidates, trace)
     assert len(candidates) == 1 and len(trace) == 1
@@ -601,16 +601,17 @@ def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
     node = grid.points[len(grid.points) // 3]
     near = (node + 1e-3, -0.5 + 0.1j)  # the grid node's kernel is nearly in this span
     for points in ((), (0.2 - 0.3j,), (0.2 - 0.3j, -0.5 + 0.1j), near, (node,)):
-        basis = gram_schmidt(spec, ParamTuple(points)).basis
+        span = bundle.span(ParamTuple(points))
+        basis = span.basis
         ortho = rows - ((rows * w) @ basis.conj().T) @ basis
         norms = np.real(np.sum(w * np.abs(ortho) ** 2, axis=1))
         gains = bundle.probs @ np.abs(bundle.weighted @ ortho.conj().T) ** 2
         ok = norms > 1e-12 * np.maximum(raw, 1.0)
-        got = _grid_increments(bundle, grid, basis)
+        got = _grid_increments(bundle, grid, span)
         assert np.array_equal(np.isfinite(got), ok)
         assert ok.sum() == len(ok) - (points == (node,))
         assert np.max(np.abs(got[ok] - gains[ok] / norms[ok]) / (gains[ok] / norms[ok])) <= 1e-9
-    assert np.array_equal(grid.single, _grid_increments(bundle, grid, np.zeros((0, w.size))))
+    assert np.array_equal(grid.single, _grid_increments(bundle, grid, bundle.span(ParamTuple(()))))
 
 
 def _held_face_quadratic():

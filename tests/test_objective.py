@@ -19,13 +19,16 @@ from nbestkernel import (
     kernel,
     stochastic_energy,
 )
+from nbestkernel import engine
 from nbestkernel.engine import (
+    _FD_STEP,
     _PIVOT_FLOOR,
     _as_x,
     _Bundle,
     _greedy_points,
     _Nodes,
     _Objective,
+    _reflected_points,
     _Span,
 )
 from nbestkernel.orthosystem import _gram_schmidt_impl
@@ -48,6 +51,34 @@ def _mgs_value(bundle, params):
     system, _ = _gram_schmidt_impl(bundle.spec, params, eps_degenerate=1e-10, allow_partial=True)
     c = bundle.weighted @ system.basis.conj().T
     return float(bundle.probs @ np.sum(np.abs(c) ** 2, axis=1))
+
+
+def _capture(bundle, params, owners=None):
+    """The capture of the one tuple ``params`` as a batch of one."""
+    return bundle.captured(_Nodes(np.array([params.centers]), params.orders), owners)
+
+
+def _gram_value(bundle, params):
+    """The tuple's Gram value, or its MGS value where the Gram path fails."""
+    cap = _capture(bundle, params)
+    return bundle._mgs_captured(params)[0] if cap.failed[0] else float(cap.value[0])
+
+
+def _negated_energy(objective):
+    """The objective's function through each point's own tuple."""
+    return lambda x: -_gram_value(objective.bundle, objective.params(x))
+
+
+def _mgs_differences(bundle, objective, x):
+    """Central differences of the MGS reference with the objective's step."""
+    out = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = _FD_STEP * max(1.0, abs(x[i]))
+        up = _mgs_value(bundle, objective.params(x + step))
+        down = _mgs_value(bundle, objective.params(x - step))
+        out[i] = (down - up) / (2.0 * step[i])
+    return out
 
 
 def _min_pivot_ratio(bundle, params):
@@ -101,11 +132,10 @@ def test_gram_matches_mgs_on_separated_nodes(family, order, radii, angles, seed)
             distinct.append(complex(p))
     params = ParamTuple(tuple([distinct[0]] * order + distinct[1:]))
     bundle = _Bundle.single(spec, _signal(spec, seed))
-    fast = bundle.captured(params)
-    assert not fast.mgs
-    assert not fast.degraded
+    fast = _capture(bundle, params)
+    assert not fast.failed[0]
     ref = _mgs_value(bundle, params)
-    assert abs(fast.value - ref) <= 1e-10 * ref
+    assert abs(fast.value[0] - ref) <= 1e-10 * ref
 
 
 def test_gram_matches_mgs_on_ensembles():
@@ -113,9 +143,9 @@ def test_gram_matches_mgs_on_ensembles():
     ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, 16, seed=3)
     bundle = _Bundle(spec, ens.matrix, ens.probs)
     params = ParamTuple((0.1 + 0.2j, 0.1 + 0.2j, -0.6, 0.4j))
-    fast = bundle.captured(params)
-    assert not fast.mgs
-    assert fast.value == pytest.approx(_mgs_value(bundle, params), rel=1e-10)
+    fast = _capture(bundle, params)
+    assert not fast.failed[0]
+    assert fast.value[0] == pytest.approx(_mgs_value(bundle, params), rel=1e-10)
 
 
 # -- fallback ---------------------------------------------------------------------
@@ -127,23 +157,25 @@ def test_pivot_floor_switches_to_mgs(family):
     bundle = _Bundle.single(spec, _signal(spec, 1))
     a = 0.3 + 0.1j
     merge_tol = 1e-7
+    objective = _Objective(bundle, OptimizerConfig(merge_tol=merge_tol), 2)
     seen = set()
     for sep in (1e-1, 1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 3e-7, 1e-8, 1e-9):
         params = ParamTuple((a, a + sep), merge_tol)
-        cap = bundle.captured(params)
+        cap = _capture(bundle, params)
         ref = _mgs_value(bundle, params)
         if sep <= merge_tol:
             # merged into one node of order 2: well conditioned again
             assert params.orders == (1, 2)
-            assert not cap.mgs
-            assert cap.value == pytest.approx(ref, rel=1e-10)
+            assert not cap.failed[0]
+            assert cap.value[0] == pytest.approx(ref, rel=1e-10)
         elif _min_pivot_ratio(bundle, params) < _PIVOT_FLOOR:
-            assert cap.mgs
-            assert cap.value == ref
+            # the tuple fails, and the search objective takes the MGS value
+            assert cap.failed[0]
+            assert -objective.value_and_grad(_as_x(params.points))[0] == ref
         else:
-            assert not cap.mgs
-            assert cap.value == pytest.approx(ref, rel=1e-7)
-        seen.add("merged" if sep <= merge_tol else "mgs" if cap.mgs else "gram")
+            assert not cap.failed[0]
+            assert cap.value[0] == pytest.approx(ref, rel=1e-7)
+        seen.add("merged" if sep <= merge_tol else "mgs" if cap.failed[0] else "gram")
     assert seen == {"gram", "mgs", "merged"}
 
 
@@ -151,9 +183,9 @@ def test_requested_mgs_equals_reference():
     spec = SPACES["hardy"]
     bundle = _Bundle.single(spec, _signal(spec, 2))
     params = ParamTuple((0.2, -0.4j, 0.7 + 0.1j))
-    cap = bundle.captured(params, mgs=True)
-    assert cap.mgs
-    assert cap.value == _mgs_value(bundle, params)
+    value, degraded = bundle._mgs_captured(params)
+    assert not degraded
+    assert value == _mgs_value(bundle, params)
 
 
 def test_merged_moving_nodes_fall_back_to_mgs_differences():
@@ -190,8 +222,8 @@ def test_analytic_gradient_matches_central_differences(family, case):
     objective = _Objective(bundle, OptimizerConfig(), len(pts), prefix, orders)
     value, grad = objective.value_and_grad(x)
     assert objective.mgs_evals == 0
-    assert value == pytest.approx(objective.value(x), rel=1e-14)
-    fd = _central_differences(objective.value, x)
+    assert value == pytest.approx(_negated_energy(objective)(x), rel=1e-14)
+    fd = _central_differences(_negated_energy(objective), x)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -218,7 +250,7 @@ def test_ensemble_gradient_matches_central_differences():
     x = _as_x([0.2 + 0.3j, -0.6j])
     objective = _Objective(bundle, OptimizerConfig(), 2)
     _, grad = objective.value_and_grad(x)
-    fd = _central_differences(objective.value, x)
+    fd = _central_differences(_negated_energy(objective), x)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -274,7 +306,8 @@ BATCH_LANES = {
 def test_batched_gram_matches_single_tuples(family, m):
     """B tuples in one ``_Nodes`` batch: each row's value and gradient is the
     single tuple's, bit for bit at M = 1 and within 1e-13 relative at M = 16,
-    and a tuple below the pivot floor falls back to MGS alone."""
+    and a tuple below the pivot floor fails alone, and takes the MGS value
+    in the search objective."""
     spec = SPACES[family]
     bundle = _Bundle.single(spec, _signal(spec, 9)) if m == 1 else _ensemble_bundle(spec, m)
     prefix = (0.1 - 0.4j,)
@@ -283,20 +316,21 @@ def test_batched_gram_matches_single_tuples(family, m):
     owners = np.array([-1, 0, 1])
     nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
     cap = bundle.captured(nodes, owners)
-    assert cap.mgs.tolist() == [False, False, True]
+    assert cap.failed.tolist() == [False, False, True]
     for row, params in enumerate(tuples):
-        want = bundle.captured(params, owners)
-        assert cap.mgs[row] == want.mgs
-        if m == 1:
-            assert cap.value[row] == want.value
-        assert cap.value[row] == pytest.approx(want.value, rel=1e-13)
-        if not want.mgs:
+        want = _capture(bundle, params, owners)
+        assert cap.failed[row] == want.failed[0]
+        if not want.failed[0]:
             if m == 1:
-                assert np.array_equal(cap.grad[row], want.grad)
-            scale = np.max(np.abs(want.grad))
-            assert np.max(np.abs(cap.grad[row] - want.grad)) <= 1e-13 * scale
+                assert cap.value[row] == want.value[0]
+                assert np.array_equal(cap.grad[row], want.grad[0])
+            assert cap.value[row] == pytest.approx(want.value[0], rel=1e-13)
+            scale = np.max(np.abs(want.grad[0]))
+            assert np.max(np.abs(cap.grad[row] - want.grad[0])) <= 1e-13 * scale
         else:
-            assert cap.value[row] == _mgs_value(bundle, params)
+            assert np.isnan(cap.value[row]) and np.isnan(want.value[0])
+            objective = _Objective(bundle, OptimizerConfig(), len(params))
+            assert -objective.value_and_grad(_as_x(params.points))[0] == _mgs_value(bundle, params)
 
 
 @pytest.mark.parametrize("m", [1, 16])
@@ -313,7 +347,7 @@ def test_objective_lanes_match_single_points_and_do_not_depend_on_the_batch(m):
     alone = [single.value_and_grad(x) for x in xs]
     for name, x, (value, grad) in zip(names, xs, alone):
         params = single.params(x)
-        assert -value == pytest.approx(bundle.captured(params).value, rel=1e-13)
+        assert -value == pytest.approx(_gram_value(bundle, params), rel=1e-13)
         assert np.all(np.isfinite(grad))
         if name == "merged":
             assert -value == _mgs_value(bundle, params)
@@ -401,7 +435,7 @@ def test_span_energy_matches_mgs(family, prefix, m):
     nodes = SPAN_NODES + tuple(p + 1.5 * cfg.merge_tol for p in prefix[:1])
     for a in nodes:
         span, cap = _on_span(bundle, prefix, a, cfg)
-        assert not cap.mgs[0] and not cap.degraded[0]
+        assert not cap.failed[0]
         ref, degraded = bundle._mgs_captured(span.params.extended(a))
         assert not degraded
         assert abs(cap.value[0] - ref) <= 1e-12 * ref
@@ -449,11 +483,16 @@ def test_span_node_inside_the_merge_tolerance_takes_mgs():
     assert np.all(np.isfinite(grad))
 
 
+def _span_objective_value(bundle, cfg, prefix, a):
+    """The search objective's energy of one node appended to ``prefix``."""
+    return -_Objective(bundle, cfg, 1, prefix).value_and_grad(_as_x([a]))[0]
+
+
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_span_reports_degradation_exactly_when_mgs_does(family):
-    """A node whose kernel lies nearly in the prefix's span falls back to MGS
-    by MGS's own test, ``||u|| <= 1e-10 ||K||``, and reports degradation
-    exactly when MGS does."""
+    """A node whose kernel lies nearly in the prefix's span fails by MGS's
+    own test, ``||u|| <= 1e-10 ||K||``, exactly when MGS degrades, and then
+    takes the MGS value in the search objective."""
     spec = SPACES[family]
     bundle = _Bundle.single(spec, _signal(spec, 14))
     cfg = OptimizerConfig(merge_tol=1e-15)
@@ -462,19 +501,20 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     for sep in (1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 1e-12):
         span, cap = _on_span(bundle, prefix, prefix[1] + sep, cfg)
         ref, degraded = bundle._mgs_captured(span.params.extended(prefix[1] + sep))
-        assert bool(cap.degraded[0]) == degraded
-        assert bool(cap.mgs[0]) == degraded
+        assert bool(cap.failed[0]) == degraded
         if degraded:
-            assert cap.value[0] == ref
+            assert _span_objective_value(bundle, cfg, prefix, prefix[1] + sep) == ref
         else:
             assert abs(cap.value[0] - ref) <= 1e-9 * ref
         seen.add(degraded)
     assert seen == {True, False}
-    # A degenerate prefix node ends the span's basis; every node then takes MGS.
-    span, cap = _on_span(bundle, (prefix[1], prefix[1] + 1e-12), SPAN_NODES[0], cfg)
+    # A degenerate prefix node ends the span's basis; every node then fails.
+    degenerate = (prefix[1], prefix[1] + 1e-12)
+    span, cap = _on_span(bundle, degenerate, SPAN_NODES[0], cfg)
     assert span.degraded and len(span.basis) == 1
     ref, degraded = bundle._mgs_captured(span.params.extended(SPAN_NODES[0]))
-    assert degraded and cap.mgs[0] and cap.degraded[0] and cap.value[0] == ref
+    assert degraded and cap.failed[0]
+    assert _span_objective_value(bundle, cfg, degenerate, SPAN_NODES[0]) == ref
 
 
 def test_greedy_runs_on_spans_and_keeps_none_on_the_bundle(monkeypatch):
@@ -489,3 +529,74 @@ def test_greedy_runs_on_spans_and_keeps_none_on_the_bundle(monkeypatch):
     for value in vars(bundle).values():
         kept = value.values() if isinstance(value, dict) else [value]
         assert not any(isinstance(v, _Span) for v in kept)
+
+
+# -- one fallback site ------------------------------------------------------------------
+
+
+def _no_mgs(*args, **kwargs):
+    raise AssertionError("MGS ran")
+
+
+def test_captured_marks_failed_rows_without_mgs(monkeypatch):
+    """``captured`` never calls MGS: a batch row below the pivot floor and a
+    span row whose kernel lies in the span come back failed, with NaN
+    values, next to rows that hold."""
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 16))
+    cfg = OptimizerConfig(merge_tol=1e-15)
+    prefix = SPAN_PREFIXES["2"]
+    tuples = [ParamTuple(prefix + tuple(BATCH_LANES[k])) for k in ("plain", "pivot_floor")]
+    assert _min_pivot_ratio(bundle, tuples[1]) < _PIVOT_FLOOR
+    near = prefix[1] + 1e-12
+    assert bundle._mgs_captured(bundle.make_tuple(prefix + (near,), cfg))[1]
+    span = bundle.span(bundle.make_tuple(prefix, cfg))
+    degenerate = bundle.span(bundle.make_tuple((prefix[1], near), cfg))
+    monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
+
+    nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
+    for owners in (None, np.array([-1, -1, 0, 1])):
+        cap = bundle.captured(nodes, owners)
+        assert cap.failed.tolist() == [False, True]
+        assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
+        assert (cap.grad is None) == (owners is None)
+    on_span = _Nodes(np.array([[SPAN_NODES[0]], [near]]), (1,))
+    cap = bundle.captured(on_span, np.array([0]), span=span)
+    assert cap.failed.tolist() == [False, True]
+    assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
+    cap = bundle.captured(on_span, np.array([0]), span=degenerate)
+    assert cap.failed.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("m", [1, 16])
+def test_objective_falls_back_to_the_mgs_reference_in_one_place(m):
+    """Merged, below-floor and span-degenerate lanes take exactly the MGS
+    reference value and its central differences with step ``_FD_STEP``;
+    plain and mirrored lanes keep the batch's values, and only the fallback
+    lanes count MGS evaluations."""
+    spec = SPACES["hardy"]
+    bundle = _Bundle.single(spec, _signal(spec, 17)) if m == 1 else _ensemble_bundle(spec, m)
+    names = ["plain", "mirrored", "merged", "pivot_floor"]
+    xs = np.array([_as_x(BATCH_LANES[k]) for k in names])
+    objective = _lane_objective(bundle, 2)
+    values, grads = objective.value_and_grad(xs, np.arange(len(names)))
+    batch = bundle.captured(_Nodes(_reflected_points(xs, objective.radius), (1, 1)), objective.owners)
+    for lane, name in enumerate(names):
+        if name in ("merged", "pivot_floor"):
+            assert -values[lane] == _mgs_value(bundle, objective.params(xs[lane]))
+            assert np.array_equal(grads[lane], _mgs_differences(bundle, objective, xs[lane]))
+            assert objective.lane_mgs_evals[lane] == 1 + 2 * xs.shape[1]
+        else:
+            assert not batch.failed[lane] and values[lane] == -batch.value[lane]
+            assert objective.lane_mgs_evals[lane] == 0
+    # a node on the span of its prefix, next to one off it
+    cfg = OptimizerConfig(merge_tol=1e-15)
+    prefix = SPAN_PREFIXES["2"]
+    objective = _Objective(bundle, cfg, 1, prefix)
+    xs = np.array([_as_x([SPAN_NODES[0]]), _as_x([prefix[1] + 1e-12])])
+    values, grads = objective.value_and_grad(xs, np.arange(2))
+    cap = bundle.captured(_Nodes(np.array([[SPAN_NODES[0]]]), (1,)), np.array([0]), span=objective.span)
+    assert values[0] == -cap.value[0] and objective.lane_mgs_evals[0] == 0
+    assert -values[1] == _mgs_value(bundle, objective.params(xs[1]))
+    assert np.array_equal(grads[1], _mgs_differences(bundle, objective, xs[1]))
+    assert objective.lane_mgs_evals[1] == 5

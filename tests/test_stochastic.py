@@ -28,8 +28,8 @@ from nbestkernel.engine import (
     _grid,
     _grid_increments,
     _nbest_points,
+    _Nodes,
 )
-from nbestkernel.orthosystem import _gram_schmidt_impl
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
 
@@ -259,19 +259,19 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
     owners = np.array([0] * (1 + double) + list(range(1, len(distinct))))
     params = ParamTuple(tuple(points), radius_cap=0.5)
 
-    for kwargs in ({}, {"mgs": True}):
-        got, want = factor.captured(params, **kwargs), full.captured(params, **kwargs)
-        assert got.mgs == want.mgs
-        assert abs(got.value - want.value) <= 1e-12 * scale
-    got, want = factor.captured(params, owners), full.captured(params, owners)
-    assert (got.grad is None) == (want.grad is None)
-    if want.grad is not None:
-        assert np.max(np.abs(got.grad - want.grad)) <= 1e-12 * scale
+    nodes = _Nodes(np.array([params.centers]), params.orders)
+    got, want = factor.captured(nodes, owners), full.captured(nodes, owners)
+    assert got.failed[0] == want.failed[0]
+    if not want.failed[0]:
+        assert abs(got.value[0] - want.value[0]) <= 1e-12 * scale
+        assert np.max(np.abs(got.grad[0] - want.grad[0])) <= 1e-12 * scale
+    got, want = factor._mgs_captured(params), full._mgs_captured(params)
+    assert got[1] == want[1]
+    assert abs(got[0] - want[0]) <= 1e-12 * scale
 
-    system, _ = _gram_schmidt_impl(spec, params, 1e-10, allow_partial=True)
     points = _disc_grid(0.45, 8)
-    got = _grid_increments(factor, _grid(factor, points), system.basis)
-    want = _grid_increments(full, _grid(full, points), system.basis)
+    got = _grid_increments(factor, _grid(factor, points), factor.span(params))
+    want = _grid_increments(full, _grid(full, points), full.span(params))
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     ok = np.isfinite(want)
     assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
