@@ -21,8 +21,9 @@ anything.  For digest files it prints how many files are identical and how
 many differ, and lists those that differ or appear in one file only.  For
 ``--residuals`` files it prints, per group (the first part of each label:
 ``configs``, ``sweep``, ...), how many rows B has worse and better than A by
-more than 1e-9 relative, and the mean residual / norm of each.  The exit
-status is 1 when a file differs or a row is worse, else 0:
+more than 1e-9 relative, and the mean residual / norm of each, then lists
+each worse row as ``worse: <label> <A> <B>``.  The exit status is 1 when a
+file differs or a row is worse, else 0:
 
     python3 scripts/output_digests.py --compare parent.json change.json
 
@@ -106,6 +107,12 @@ def relative_residuals(label: str, out: Path) -> dict:
     return ratios
 
 
+def _worse(x: float, y: float) -> bool:
+    """Whether residual / norm ``y`` is worse than ``x`` by more than 1e-9
+    relative."""
+    return y - x > 1e-9 * max(x, y)
+
+
 def compare(a: dict, b: dict) -> int:
     """Print how the outputs of ``b`` differ from those of ``a``; 1 when a
     digest differs or a residual row is worse."""
@@ -122,15 +129,16 @@ def compare(a: dict, b: dict) -> int:
     groups: dict = {}
     for label in shared:
         groups.setdefault(label.split("/")[0], []).append((a[label], b[label]))
-    worse_rows = 0
+    worse = [k for k in shared if _worse(a[k], b[k])]
     print("group rows worse better mean_A mean_B")
     for name, rows in sorted(groups.items()):
-        worse = sum(y - x > 1e-9 * max(x, y) for x, y in rows)
-        better = sum(x - y > 1e-9 * max(x, y) for x, y in rows)
+        n_worse = sum(_worse(x, y) for x, y in rows)
+        better = sum(_worse(y, x) for x, y in rows)
         mean_a, mean_b = (sum(r[i] for r in rows) / len(rows) for i in (0, 1))
-        print(f"{name} {len(rows)} {worse} {better} {mean_a:.6e} {mean_b:.6e}")
-        worse_rows += worse
-    return int(bool(worse_rows or only))
+        print(f"{name} {len(rows)} {n_worse} {better} {mean_a:.6e} {mean_b:.6e}")
+    for label in worse:
+        print(f"worse: {label} {a[label]!r} {b[label]!r}")
+    return int(bool(worse or only))
 
 
 def main(argv=None) -> int:

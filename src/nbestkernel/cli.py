@@ -40,6 +40,9 @@ _TASKS = ("afd", "nbest", "stochastic", "verify")
 _MAX_DEGREE = 1 << 16
 _MAX_ENSEMBLE_ENTRIES = 1 << 24
 
+# Output files by config key, with their default names.
+_OUTPUT_NAMES = {"result": "result.json", "decay": "decay.csv", "report": "report.json"}
+
 _OPTIMIZER_KEYS = {
     "delta": float,
     "grid_density": int,
@@ -296,12 +299,16 @@ def parse_config(text: str) -> TaskConfig:
         _check_search_size(optimizer, spec, n, "/n")
     else:
         _check_search_size(optimizer, spec, n_max, "/n_max")
-    output = _expect_mapping(
-        raw.get("output", {}), "/output", {"result", "decay", "report"}, set()
-    )
+    output = _expect_mapping(raw.get("output", {}), "/output", set(_OUTPUT_NAMES), set())
+    files = {name: key for key, name in _OUTPUT_NAMES.items() if key not in output}
     for key, value in output.items():
         if not isinstance(value, str) or not value:
             _fail(f"/output/{key}", "expected a non-empty file name")
+        if "/" in value or "\\" in value or value in (".", ".."):  # every output stays in --out
+            _fail(f"/output/{key}", "expected a file name without a directory part")
+        if value in files:
+            _fail(f"/output/{key}", f"names the same file as /output/{files[value]}")
+        files[value] = key
     return TaskConfig(task, spec, signal, n, n_max, optimizer, dict(output))
 
 
@@ -365,9 +372,8 @@ def run_task(cfg: TaskConfig, out_dir: Path, seed: int | None = None) -> int:
     optimizer = cfg.optimizer
     if seed is not None:
         optimizer = OptimizerConfig(**{**optimizer.__dict__, "seed": seed})
-    result_path = out_dir / cfg.output.get("result", "result.json")
-    decay_path = out_dir / cfg.output.get("decay", "decay.csv")
-    report_path = out_dir / cfg.output.get("report", "report.json")
+    names = {**_OUTPUT_NAMES, **cfg.output}
+    result_path, decay_path, report_path = (out_dir / names[k] for k in ("result", "decay", "report"))
 
     if cfg.task == "verify":
         reports = battery(cfg.space, seed=optimizer.seed)
@@ -417,7 +423,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="task config JSON path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's 2 for a usage error; 2 here means a failed check
+        return 1 if exc.code else 0
     try:
         cfg = parse_config(Path(args.config).read_text())
         if cfg.task != args.command:

@@ -21,16 +21,20 @@ from every start as the lanes of one search, and a merge polish that searches
 again from the best inexact candidate with its closest pair as one order-2
 node.
 
-A greedy step works on one span of its fixed prefix (``_Span``), built once
-per step: the orthonormal basis ``Q`` of the prefix's kernels (the previous
-step's basis extended by one two-pass Gram-Schmidt vector), the residual
-``R = F - P_Q F`` of the signals and the prefix energy ``E_p``.  Its grid scan
-scores node g as ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g,
-Q_j>|^2)``, and its local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 /
-||u||^2``, with ``u`` the part of the moving node's kernel outside the span,
-and the closed-form gradient, so greedy forms no Gram matrix.  A node that
-merges with a prefix node, or whose kernel lies in the span by MGS's
-degeneracy test, takes the same fallback.
+A greedy step works on one span of its fixed prefix (``_Span``): the
+orthonormal basis ``Q`` of the prefix's kernels, the residual ``R = F - P_Q F``
+of the signals and the prefix energy ``E_p``.  A span reads the tuple's kept
+MGS system, which the previous step's search kept, and ``finalize`` reads a
+span too, so each tuple is orthogonalized once.  Its grid scan scores node g
+as ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
+local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 / ||u||^2``, with ``u``
+the part of the moving node's kernel outside the span, and the closed-form
+gradient, so greedy forms no Gram matrix.  A node that merges with a prefix
+node, or whose kernel lies in the span by MGS's degeneracy test, takes the
+same fallback.  Greedy and the lanes keep separate evaluators, each the faster
+where it runs (2 cores, alternating pairs): greedy steps by Cholesky on the
+span-projected block made ``sweep`` 6-14% slower, and the lanes by stacked
+two-pass Gram-Schmidt made ``multistart`` 29-37% slower.
 
 Every engine, the stochastic one included, is one run of one pipeline
 (``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
@@ -180,15 +184,17 @@ class _Nodes(NamedTuple):
 
 
 class _Span(NamedTuple):
-    """The span of a greedy step's fixed prefix ``params``: its orthonormal
-    basis rows ``Q``, the residual ``R = F - P_Q F`` of each row of the
-    bundle's signals, the captured energy ``E_p`` of the prefix, and whether
-    a prefix node was degenerate, in which case ``Q`` stops before it.
-    Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their row's
-    largest entry are zero."""
+    """The span of the tuple ``params``, read from its kept MGS system: its
+    orthonormal basis rows ``Q``, the coefficients ``<f_m, Q_j>``, the
+    two-pass residual ``R = F - P_Q F`` of each signal, the captured energy
+    ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
+    before it.  Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their
+    row's largest entry are zero; greedy appends a node to it by
+    ``_span_captured`` (module docstring: why not the lanes' Gram path)."""
 
-    params: ParamTuple | None
+    params: ParamTuple
     basis: np.ndarray
+    coefficients: np.ndarray
     residual: np.ndarray
     energy: float
     degraded: bool
@@ -342,9 +348,11 @@ class _Bundle:
         """The MGS basis rows of the tuple and whether it degraded.  With
         ``keep`` the system is kept per (centers, orders) for the life of the
         bundle and its factor, i.e. of one engine call: the value a search
-        reports, the ranking of candidates and the result orthonormalize the
-        same tuples.
+        reports, the spans of greedy prefixes, the ranking of candidates and
+        the result read one orthogonalization of each tuple.
         Search evaluations keep none: they are many, and each is seen once."""
+        if not len(params):  # the empty span, which needs no Gram-Schmidt
+            return np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128), False
         key = (params.centers, params.orders)
         kept = self._systems.get(key)
         if kept is None:
@@ -444,38 +452,19 @@ class _Bundle:
         grad[held] = part
         return value, grad, failed
 
-    def span(self, params: ParamTuple, previous: _Span | None = None) -> _Span:
-        """The ``_Span`` of the tuple.  Its basis continues that of
-        ``previous`` when that is the span of a prefix of the tuple, and
-        otherwise starts empty, by one two-pass Gram-Schmidt vector per
-        further node, as in ``_gram_schmidt_impl``; so a span has the same
-        bits however it was reached.  A node whose kernel keeps at most 1e-10
-        of its norm outside the basis ends it and degrades the span."""
-        done = 0
-        basis = np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128)
-        degraded = False
-        if previous is not None and previous.params.points == params.points[: len(previous.params)]:
-            done, basis, degraded = len(previous.params), previous.basis, previous.degraded
-        w = self.spec.weights
-        nodes = zip(params.centers[done:], params.orders[done:])
-        for center, order in () if degraded else nodes:
-            v = self._kernel_rows(self._powers(np.array([center])), (order,))[0] * self.inv_weights
-            scale = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
-            for _ in range(2):
-                if len(basis):
-                    v -= ((w * v) @ basis.conj().T) @ basis
-            r = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
-            if r <= EPS_DEGENERATE * scale:
-                degraded = True
-                break
-            basis = np.vstack([basis, _flushed(v / r)[None]])
-        # The signals' residual after projection on the basis, in two passes,
-        # and the energy it captures.
+    def span(self, params: ParamTuple) -> _Span:
+        """The ``_Span`` of the tuple, read from its kept MGS system: a greedy
+        prefix is the tuple that the previous step's search, or ``finalize``
+        for a sweep's warm extension, has just kept.  The basis is a flushed
+        copy, as the kept one is read-only and may hold subnormals."""
+        basis, degraded = self.system(params)
+        basis = _flushed(basis.copy())
         coeffs = self.weighted @ basis.conj().T
         energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+        # The signals' residual after projection on the basis, in two passes.
         residual = self.matrix - coeffs @ basis
-        residual -= ((residual * w) @ basis.conj().T) @ basis
-        return _Span(params, basis, _flushed(residual), energy, degraded)
+        residual -= (residual @ (self.spec.weights * basis).conj().T) @ basis
+        return _Span(params, basis, coeffs, _flushed(residual), energy, degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span, owners):
         """Span evaluation of the B tuples that append one node of ``points``
@@ -530,22 +519,16 @@ class _Bundle:
         return value, grad, failed
 
     def finalize(self, points, cfg: OptimizerConfig):
-        """Exact recomputation of coefficients, energy and residual."""
-        params = self.make_tuple(points, cfg)
-        basis, degraded = self.system(params)
-        if len(basis) < len(params):
-            params = ParamTuple(params.points[: len(basis)], params.merge_tol, params.radius_cap)
-        if len(basis):
-            coeffs = self.weighted @ basis.conj().T
-            recon = coeffs @ basis
-        else:
-            coeffs = np.zeros((self.matrix.shape[0], 0), dtype=np.complex128)
-            recon = np.zeros_like(self.matrix)
-        leftover = self.matrix - recon
-        resid_sq = np.real(np.sum(self.spec.weights * np.abs(leftover) ** 2, axis=1))
-        energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+        """Params trimmed to the basis, coefficients, energy, residual norm
+        and degradation of the tuple, read from its ``span`` (its kept MGS
+        system and two-pass residual)."""
+        span = self.span(self.make_tuple(points, cfg))
+        params = span.params
+        if len(span.basis) < len(params):
+            params = ParamTuple(params.points[: len(span.basis)], params.merge_tol, params.radius_cap)
+        resid_sq = np.sum(self.spec.weights * np.abs(span.residual) ** 2, axis=1)
         residual = math.sqrt(max(float(self.probs @ resid_sq), 0.0))
-        return params, coeffs, energy, residual, degraded
+        return params, span.coefficients, span.energy, residual, span.degraded
 
 
 def _energy(bundle: _Bundle, params: ParamTuple) -> float:
@@ -1029,15 +1012,14 @@ def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
 
 def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=()):
     """Sequential node selection after the fixed ``prefix`` up to n nodes;
-    stops early once the signal is captured.  Each step extends the previous
-    step's ``_Span`` to its own prefix, scans the grid and runs its local
-    search on it, and appends its node and the energy captured after it to
-    ``trace``.  The spans live for this call only."""
+    stops early once the signal is captured.  Each step reads the ``_Span``
+    of its prefix, which the previous step's search has kept, scans the grid
+    and runs its local search on it, and appends its node and the energy
+    captured after it to ``trace``.  The spans live for one step only."""
     grid = _search_grid(bundle, cfg)
     points = list(prefix)
-    span = None
     for step in range(len(points), n):
-        span = bundle.span(bundle.make_tuple(points, cfg), span)
+        span = bundle.span(bundle.make_tuple(points, cfg))
         inc = _grid_increments(bundle, grid, span) if points else grid.single
         best = int(np.argmax(inc))
         if not np.isfinite(inc[best]) or inc[best] <= 0.0:

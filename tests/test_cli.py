@@ -368,11 +368,52 @@ def test_retired_optimizer_knobs_are_unknown_fields(tmp_path, capsys, knob, valu
 
 def test_main_refuses_the_threads_flag(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json", NBEST_CFG)
-    with pytest.raises(SystemExit) as exc:
-        main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "2"])
-    assert exc.value.code == 2
+    assert main(["nbest", "--config", str(path), "--out", str(tmp_path), "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+def test_main_exit_status_of_usage_errors_and_help(capsys):
+    """A usage error exits with 1, as every other error does, so that 2 means
+    only a failed verify check; --help exits with 0."""
+    assert main([]) == 1
+    assert main(["nbest"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "output,key,message",
+    [
+        ({"result": "../escaped.json"}, "result", "without a directory part"),
+        ({"decay": "/abs/x.csv"}, "decay", "without a directory part"),
+        ({"report": "sub\\report.json"}, "report", "without a directory part"),
+        ({"result": ".."}, "result", "without a directory part"),
+        ({"decay": "."}, "decay", "without a directory part"),
+        ({"result": "same", "decay": "same"}, "decay", "the same file as /output/result"),
+        ({"decay": "result.json"}, "decay", "the same file as /output/result"),
+    ],
+)
+def test_output_names_stay_in_the_output_directory(tmp_path, capsys, output, key, message):
+    """An output name is one path component, and no two outputs, defaults
+    included, name one file; otherwise nothing is written."""
+    cfg = {**NBEST_CFG, "n_max": 2, "output": output}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(cfg))
+    assert str(err.value).startswith(f"/output/{key}: ") and message in str(err.value)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "run" / "out"
+    assert main(["nbest", "--config", str(path), "--out", str(out)]) == 1
+    assert f"/output/{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "escaped.json").exists()
+
+
+def test_output_names_are_honoured(tmp_path):
+    cfg = {**NBEST_CFG, "n_max": 1, "output": {"result": "r.json", "decay": "result.json"}}
+    assert run_task(parse_config(json.dumps(cfg)), tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "result.json"]
+    assert (tmp_path / "result.json").read_text().startswith("n,residual,energy\n")
 
 
 def test_main_missing_config(tmp_path, capsys):

@@ -517,6 +517,28 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     assert _span_objective_value(bundle, cfg, degenerate, SPAN_NODES[0]) == ref
 
 
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_finalize_keeps_pythagoras_on_a_degraded_tuple(family, m):
+    """A pair split by 1e-12, below MGS's resolution but above the merge
+    tolerance, degrades the tuple: ``finalize`` trims the params to the basis
+    of its span, and the energy and residual it reports still add up to the
+    norm, on the tuple that MGS keeps."""
+    spec = SPACES[family]
+    bundle = _Bundle.single(spec, _signal(spec, 18)) if m == 1 else _ensemble_bundle(spec, m)
+    cfg = OptimizerConfig(merge_tol=1e-15)
+    a = -0.2 + 0.4j
+    params, coeffs, cap, residual, degraded = bundle.finalize((0.5, a, a + 1e-12), cfg)
+    assert degraded
+    assert params.points == (0.5, a)
+    span = bundle.span(params)
+    assert len(params) == len(span.basis) and coeffs.shape == (m, len(params))
+    assert abs(cap + residual**2 - bundle.total_sq) <= 1e-12 * bundle.total_sq
+    ref = bundle._mgs_captured(params)[0]
+    assert abs(span.energy - ref) <= 1e-14 * ref
+    assert cap == span.energy
+
+
 def test_greedy_runs_on_spans_and_keeps_none_on_the_bundle(monkeypatch):
     monkeypatch.setattr(_Bundle, "_gram_captured", _no_gram)
     spec = SPACES["weighted_hardy"]

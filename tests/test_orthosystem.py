@@ -196,7 +196,16 @@ def test_tm_first_member_is_normalized_kernel(hardy):
     assert np.abs(b1.coeffs - scale * e.coeffs).max() <= 1e-14
 
 
-@pytest.mark.parametrize("points", [(0.3, 0.6), (0.3, 0.3), (0.2 - 0.4j, 0.5j, -0.3)])
+@pytest.mark.parametrize(
+    "points",
+    [
+        (0.3, 0.6),
+        (0.3, 0.3),
+        (0.2 - 0.4j, 0.5j, -0.3),
+        (0.99 * np.exp(1j), 0.98, -0.97j),  # near the radius cap
+        (0.95, 0.951),
+    ],
+)
 def test_tm_agrees_with_gram_schmidt_up_to_phase(hardy, points):
     params = ParamTuple(points)
     tm = tm_basis(hardy, params)
