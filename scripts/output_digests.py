@@ -64,8 +64,16 @@ _ENSEMBLE = {
     }
 }
 _OPTIMIZER = {"multistart": 2, "grid_density": 8, "max_iter": 40, "seed": 1}
+_WEAK = 1e-7
+
+
+def _scaled(pairs):
+    return [[_WEAK * re, _WEAK * im] for re, im in pairs]
+
+
 # Paths the configs and workloads leave out: zero nodes, a zero signal, greedy
-# at one n, and a stochastic task on one function (M = 1).
+# at one n, a stochastic task on one function (M = 1), and weak signals, whose
+# coefficients are scaled by _WEAK.
 EDGE = {
     "afd-n0": ("afd", _SIGNAL, 0),
     "afd-n2": ("afd", _SIGNAL, 2),
@@ -73,6 +81,18 @@ EDGE = {
     "nbest-zero-signal": ("nbest", {"coefficients": [[0.0, 0.0]]}, 2),
     "stochastic-n0": ("stochastic", _ENSEMBLE, 0),
     "stochastic-single-function": ("stochastic", _SIGNAL, 2),
+    "afd-weak": ("afd", {"coefficients": _scaled(_SIGNAL["coefficients"])}, 2),
+    "nbest-weak": ("nbest", {"coefficients": _scaled(_SIGNAL["coefficients"])}, 2),
+    "stochastic-weak": (
+        "stochastic",
+        {
+            "random": {
+                **_ENSEMBLE["random"],
+                "atoms": [{**atom, "c": _scaled([atom["c"]])[0]} for atom in _ENSEMBLE["random"]["atoms"]],
+            }
+        },
+        2,
+    ),
 }
 
 

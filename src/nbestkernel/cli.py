@@ -16,17 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, _jsonify, as_element
 from .engine import (
     ApproximationResult,
     OptimizerConfig,
+    _check_norm,
     afd_decay_sweep,
     afd_greedy,
     nbest,
     residual_decay_sweep,
 )
-from .stochastic import Ensemble, generate_ensemble, kernel_mix, stochastic_nbest
+from .stochastic import Ensemble, _bundle, generate_ensemble, kernel_mix, stochastic_nbest
 from .verify import battery
 
 _TASKS = ("afd", "nbest", "stochastic", "verify")
@@ -47,7 +48,6 @@ _OPTIMIZER_KEYS = {
     "delta": float,
     "grid_density": int,
     "multistart": int,
-    "ftol": float,
     "max_iter": int,
     "seed": int,
     "merge_tol": float,
@@ -175,6 +175,17 @@ def _parse_atoms(items, path: str, spec: SpaceSpec) -> list[tuple[complex, compl
     return atoms
 
 
+def _checked_norm(signal, spec: SpaceSpec, path: str):
+    """``signal``, if the engine accepts its squared norm (``_check_norm``).
+    A random ensemble is checked where it is generated."""
+    rows = signal if isinstance(signal, Ensemble) else Ensemble.from_functions(spec, [signal])
+    try:
+        _check_norm(_bundle(rows))
+    except DomainError as exc:
+        _fail(path, str(exc))
+    return signal
+
+
 def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
     """The signal at ``path``; with ``single`` only a single function is accepted."""
     obj = _expect_mapping(
@@ -195,9 +206,10 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
         values = [_complex_pair(p, f"{path}/coefficients/{i}") for i, p in enumerate(pairs)]
         if len(values) > spec.max_degree + 1:
             _fail(f"{path}/coefficients", "more coefficients than the space degree allows")
-        return as_element(spec, values)
+        return _checked_norm(as_element(spec, values), spec, path)
     if form == "kernel_mix":
-        return kernel_mix(spec, _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec))
+        atoms = _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec)
+        return _checked_norm(kernel_mix(spec, atoms), spec, path)
     if form == "realizations":
         rows = obj["realizations"]
         if not isinstance(rows, list) or not rows:
@@ -220,9 +232,10 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
                 _fail(f"{path}/weights", "expected one weight per realization")
             weights = [_number(x, f"{path}/weights/{i}") for i, x in enumerate(w)]
         try:
-            return Ensemble.from_functions(spec, funcs, weights)
+            ensemble = Ensemble.from_functions(spec, funcs, weights)
         except ValueError as exc:
             _fail(path, str(exc))
+        return _checked_norm(ensemble, spec, path)
     rnd = _expect_mapping(
         obj["random"],
         f"{path}/random",
@@ -254,6 +267,8 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
 
 
 def _parse_optimizer(obj, path: str) -> OptimizerConfig:
+    """The optimizer block.  Each field is checked alone, the others at their
+    defaults, so that a range error points at its field."""
     obj = _expect_mapping(obj, path, set(_OPTIMIZER_KEYS), set())
     kwargs = {}
     for key, value in obj.items():
@@ -261,10 +276,11 @@ def _parse_optimizer(obj, path: str) -> OptimizerConfig:
             kwargs[key] = _positive_int(value, f"{path}/{key}", minimum=0)
         else:
             kwargs[key] = _number(value, f"{path}/{key}")
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        try:
+            OptimizerConfig(**{key: kwargs[key]})
+        except ValueError as exc:
+            _fail(f"{path}/{key}", str(exc))
+    return OptimizerConfig(**kwargs)
 
 
 def parse_config(text: str) -> TaskConfig:
@@ -407,6 +423,13 @@ def run_task(cfg: TaskConfig, out_dir: Path, seed: int | None = None) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as ``/optimizer/seed``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nbestkernel",
@@ -422,7 +445,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="task config JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's 2 for a usage error; 2 here means a failed check

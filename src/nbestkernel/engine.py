@@ -44,6 +44,10 @@ its largest node count: greedy results finalize prefixes of that run, and
 each n-best search starts from its n-prefix.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
+
+Scaling the signals scales every energy alike, so no energy is small in
+absolute terms: exact capture is relative (``_Bundle.captures``), and
+searches run at an exact power-of-4 gain (``_Objective``).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTupleWarning
+from .errors import DegenerateTupleWarning, DomainError
 from .spaces import (
     DEFAULT_MERGE_TOL,
     DEFAULT_RADIUS_CAP,
@@ -88,12 +92,13 @@ _TINY_POWER = 1e-75
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
 # Local search: the Armijo sufficient-decrease fraction, the line search's cap
-# on trial steps, and the relative step of the central differences of MGS
-# values that a search point takes where the fast objective fails.
+# on trial steps, and the step of the central differences of MGS values that a
+# search point (coordinates below 1) takes where the fast objective fails.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
 _FD_STEP = 1e-5
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -102,38 +107,35 @@ class OptimizerConfig:
 
     ``delta`` is the boundary margin (search radius ``1 - delta``),
     ``grid_density`` the coarse Cartesian grid points per axis,
-    ``multistart`` the number of random starts of each n-best search, ``ftol``
-    the relative energy shortfall at which greedy selection stops early,
+    ``multistart`` the number of random starts of each n-best search,
     ``max_iter`` the iteration cap of each local search, and ``merge_tol``
     the node-merging distance.  The local searches are bounded dense BFGS
     runs (``minimize``) on the analytic gradient of the captured energy, with
-    fixed stop tolerances of their own.  All randomness flows from ``seed``.
+    fixed stop tolerances of their own, and greedy selection stops early at
+    exact capture (``_Bundle.captures``).  All randomness flows from
+    ``seed``.  Each field is checked on its own, so a ``ValueError`` names
+    the one field that is out of range.
     """
 
     delta: float = 0.05
     grid_density: int = 24
     multistart: int = 8
-    ftol: float = 1e-12
     max_iter: int = 2000
     seed: int = 0
     merge_tol: float = DEFAULT_MERGE_TOL
 
     def __post_init__(self):
-        if not 1.0 - DEFAULT_RADIUS_CAP <= self.delta < 1.0:
-            raise ValueError(
-                f"boundary margin must lie in [{1.0 - DEFAULT_RADIUS_CAP}, 1), got {self.delta}"
-            )
-        for name in ("delta", "ftol", "merge_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.grid_density < 4:
-            raise ValueError("grid_density must be at least 4")
-        if self.ftol <= 0.0:
-            raise ValueError("ftol must be positive")
-        if self.merge_tol < 0.0:
-            raise ValueError("merge_tol must be non-negative")
-        if self.multistart < 0 or self.max_iter < 1:
-            raise ValueError("multistart and max_iter must be sensible")
+        for name, ok, rule in (
+            ("delta", 1.0 - DEFAULT_RADIUS_CAP <= self.delta < 1.0,
+             f"must lie in [{1.0 - DEFAULT_RADIUS_CAP}, 1)"),
+            ("grid_density", self.grid_density >= 4, "must be at least 4"),
+            ("multistart", self.multistart >= 0, "must be non-negative"),
+            ("max_iter", self.max_iter >= 1, "must be at least 1"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("merge_tol", 0.0 <= self.merge_tol < math.inf, "must be finite and non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -164,12 +166,11 @@ class ApproximationResult:
 
 class _Capture(NamedTuple):
     """One evaluation of a ``_Nodes`` batch, one entry per tuple: the value,
-    dE/da per moving node when it was asked for (else None), and whether the
-    evaluation failed, in which case the tuple's value is NaN and its
-    ``grad`` row meaningless."""
+    dE/da per moving node, and whether the evaluation failed, in which case
+    the tuple's value is NaN and its ``grad`` row meaningless."""
 
     value: np.ndarray
-    grad: np.ndarray | None
+    grad: np.ndarray
     failed: np.ndarray
 
 
@@ -237,7 +238,8 @@ class _Bundle:
         self.probs = probs
         self.weighted = matrix * spec.weights
         self.inv_weights = 1.0 / spec.weights
-        self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
+        with np.errstate(over="ignore"):  # ``_check_norm`` refuses an infinite norm
+            self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
@@ -329,11 +331,16 @@ class _Bundle:
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
 
-    def captured(self, nodes: _Nodes, owners=None, span=None) -> _Capture:
-        """Captured energy of each tuple of a ``_Nodes`` batch, in one stacked
-        evaluation; ``owners`` (one entry per tuple position: the index of
-        the moving node it belongs to, or -1 if fixed) asks for the gradient
-        too.  Without ``span`` each kernel Gram matrix is factored once, and a
+    def captures(self, energy: float) -> bool:
+        """Whether ``energy`` captures the signals exactly: it falls short of
+        their energy by at most ``_EXACT_CAPTURE_TOL`` of it."""
+        return self.total_sq - energy <= _EXACT_CAPTURE_TOL * self.total_sq
+
+    def captured(self, nodes: _Nodes, owners: np.ndarray, span=None) -> _Capture:
+        """Captured energy of each tuple of a ``_Nodes`` batch and its
+        gradient, in one stacked evaluation; ``owners`` holds one entry per
+        tuple position: the index of the moving node it belongs to, or -1 if
+        fixed.  Without ``span`` each kernel Gram matrix is factored once, and a
         tuple whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR`` fails.
         With a ``_Span``, each tuple is one node appended to the span's
         prefix, evaluated on the span (``_span_captured``) without a Gram
@@ -341,7 +348,7 @@ class _Bundle:
         MGS here; ``_Objective.value_and_grad`` does that.
         """
         if span is not None:
-            return _Capture(*self._span_captured(nodes.centers[:, 0], span, owners))
+            return _Capture(*self._span_captured(nodes.centers[:, 0], span))
         return _Capture(*self._gram_captured(nodes.centers, nodes.orders, owners))
 
     def system(self, params: ParamTuple, keep: bool = True) -> tuple[np.ndarray, bool]:
@@ -366,8 +373,6 @@ class _Bundle:
 
     def _mgs_captured(self, params: ParamTuple, keep: bool = False) -> tuple[float, bool]:
         basis, degraded = self.system(params, keep)
-        if not len(basis):
-            return 0.0, degraded
         c = self.weighted @ basis.conj().T
         return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
 
@@ -406,11 +411,11 @@ class _Bundle:
             out = self._falling[lag] = _falling_factorial(self.spec.max_degree, lag)
         return out
 
-    def _gram_captured(self, centers: np.ndarray, orders: tuple, owners):
+    def _gram_captured(self, centers: np.ndarray, orders: tuple, owners: np.ndarray):
         """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
-        their values, with ``owners`` their gradients (one row per tuple), and
-        the mask of the tuples whose pivot ratios fall below the floor, which
-        get neither.
+        their values, their gradients (one row per tuple), and the mask of
+        the tuples whose pivot ratios fall below the floor, which get
+        neither.
 
         With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
         dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
@@ -430,14 +435,12 @@ class _Bundle:
         failed = ~ok
         held = slice(None) if ok.all() else ok
         value = np.full(count, np.nan)
-        grad = None if owners is None else np.zeros((count, owners.max() + 1), dtype=np.complex128)
+        grad = np.zeros((count, owners.max() + 1), dtype=np.complex128)
         if failed.all():
             return value, grad, failed
         powers, rows, chol, pairs = powers[held], rows[held], chol[held], pairs[held]
         y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
         value[held] = _rowdot(np.sum(np.abs(y) ** 2, axis=1), self.probs)
-        if owners is None:
-            return value, grad, failed
         x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
         moving = owners >= 0
         nxt_orders = [o + 1 for o, own in zip(orders, owners) if own >= 0]
@@ -466,11 +469,11 @@ class _Bundle:
         residual -= (residual @ (self.spec.weights * basis).conj().T) @ basis
         return _Span(params, basis, coeffs, _flushed(residual), energy, degraded)
 
-    def _span_captured(self, points: np.ndarray, span: _Span, owners):
+    def _span_captured(self, points: np.ndarray, span: _Span):
         """Span evaluation of the B tuples that append one node of ``points``
-        to the span's prefix: their values, with ``owners`` their gradients
-        (one column), and the mask of the tuples that fail, which get
-        neither: all of a degraded span's, and those whose node's kernel ``K``
+        to the span's prefix: their values, their gradients (one column), and
+        the mask of the tuples that fail, which get neither: all of a
+        degraded span's, and those whose node's kernel ``K``
         keeps ``||u|| <= 1e-10 ||K||`` outside the span, MGS's own degeneracy
         test.
 
@@ -487,7 +490,7 @@ class _Bundle:
         """
         count = len(points)
         value = np.full(count, np.nan)
-        grad = None if owners is None else np.zeros((count, 1), dtype=np.complex128)
+        grad = np.zeros((count, 1), dtype=np.complex128)
         if span.degraded:
             return value, grad, np.ones(count, dtype=bool)
         w = self.spec.weights
@@ -505,14 +508,11 @@ class _Bundle:
         if failed.all():
             return value, grad, failed
         u, beta = u[held], beta[held, None]
-        rows = (w * u)[:, None]  # W u, and W K+ for the gradient
-        if owners is not None:
-            rows = np.concatenate([rows, self._kernel_rows(powers[held, None], (2,))], axis=1)
+        # W u, and W K+ for the gradient
+        rows = np.concatenate([(w * u)[:, None], self._kernel_rows(powers[held, None], (2,))], axis=1)
         pairs = span.residual @ rows.conj().transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
         alpha = pairs[:, :, 0]
         value[held] = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
-        if owners is None:
-            return value, grad, failed
         x = alpha / beta
         u_next = _rowdot(u, rows[:, 1].conj())  # <u, K+>
         grad[held, 0] = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)
@@ -590,8 +590,11 @@ class _Objective:
     the one place where a search point falls back to MGS: when a moving node
     merges with another node, or the batch evaluation fails for it, the
     point's value comes from MGS and its gradient from central differences
-    of MGS values with relative step ``_FD_STEP``; ``lane_mgs_evals`` counts
-    these MGS evaluations per lane.
+    of MGS values with step ``_FD_STEP``; ``lane_mgs_evals`` counts these MGS
+    evaluations per lane.
+    Every value and gradient, fallback included, is multiplied by ``gain``,
+    the smallest power of 4 that lifts the bundle's energy to at least 1, so
+    that ``minimize``'s absolute stops treat a weak signal as a normal one.
     """
 
     def __init__(
@@ -615,6 +618,8 @@ class _Objective:
         self.owners = np.array([i for i, o in enumerate(self.reps) for _ in range(o)])
         self.earlier = np.tri(count, k=-1, dtype=bool)
         self.lane_mgs_evals: Counter = Counter()
+        # 4**k total_sq >= 1 iff 2k + e >= 1, with total_sq = m 2**e, m in [1/2, 1).
+        self.gain = 4.0 ** max(0, (2 - math.frexp(bundle.total_sq)[1]) // 2)
 
     @property
     def mgs_evals(self) -> int:
@@ -680,10 +685,10 @@ class _Objective:
             self.lane_mgs_evals[lanes[row]] += 1 + 2 * x.shape[1]
             for i in range(x.shape[1]):
                 step = np.zeros(x.shape[1])
-                step[i] = _FD_STEP * max(1.0, abs(x[row, i]))
+                step[i] = _FD_STEP
                 up, down = self._mgs_value(x[row] + step), self._mgs_value(x[row] - step)
-                grad[row, i] = (up - down) / (2.0 * step[i])
-        return value, grad
+                grad[row, i] = (up - down) / (2.0 * _FD_STEP)
+        return value * self.gain, grad * self.gain
 
 
 class _Minimum(NamedTuple):
@@ -699,8 +704,6 @@ class _Minimum(NamedTuple):
 def _direction(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     """The quasi-Newton step on the ``free`` coordinates, zero elsewhere: the
     free block of ``B = h^-1`` has the inverse ``h_ff - h_fp h_pp^-1 h_pf``."""
-    if free.all():
-        return -(h @ g)
     h_fp = h[np.ix_(free, ~free)]
     inv_ff = h[np.ix_(free, free)] - h_fp @ np.linalg.solve(h[np.ix_(~free, ~free)], h_fp.T)
     d = np.zeros_like(g)
@@ -981,13 +984,13 @@ def _grid_increments(bundle: _Bundle, grid: _Grid, span: _Span) -> np.ndarray:
     ``Q`` the span's basis and ``R`` its residual, the increment is
     ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
     product with ``Q`` and one with ``R``.  It is -inf where the denominator
-    is at most ``1e-12 max(||K_g||^2, 1)``."""
+    is at most ``1e-12 ||K_g||^2``."""
     norms = grid.raw
     if len(span.basis):
         proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)
         norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
     gains = bundle.probs @ np.abs(span.residual @ grid.weighted_h) ** 2
-    ok = norms > 1e-12 * np.maximum(grid.raw, 1.0)
+    ok = norms > 1e-12 * grid.raw
     out = np.full(len(grid.points), -np.inf)
     out[ok] = gains[ok] / norms[ok]
     return out
@@ -1035,9 +1038,7 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, p
                 "energy": total,
             }
         )
-        if bundle.total_sq - total <= max(cfg.ftol, _EXACT_CAPTURE_TOL) * max(
-            bundle.total_sq, 1.0
-        ):
+        if bundle.captures(total):
             break
     return points
 
@@ -1051,8 +1052,8 @@ def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray
     """Area-uniform random node sets with radius stratification across starts."""
     seeds = []
     for s in range(count):
-        lo = s / max(count, 1)
-        hi = (s + 1) / max(count, 1)
+        lo = s / count
+        hi = (s + 1) / count
         rr = radius * np.sqrt(rng.uniform(lo, hi, size=n))
         th = rng.uniform(0.0, 2.0 * math.pi, size=n)
         seeds.append(rr * np.exp(1j * th))
@@ -1068,11 +1069,7 @@ def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace
     Where a split pair stalls depends on the signal, because the energy is
     flat to fourth order in the split, so no distance decides the merge.
     """
-    mergeable = [
-        c for c in candidates
-        if len(c[0]) >= 2
-        and bundle.total_sq - c[1] > _EXACT_CAPTURE_TOL * max(bundle.total_sq, 1.0)
-    ]
+    mergeable = [c for c in candidates if len(c[0]) >= 2 and not bundle.captures(c[1])]
     if not mergeable:
         return
     pts, _, source = max(mergeable, key=lambda c: c[1])
@@ -1108,7 +1105,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     candidates: list[tuple[tuple, float, int]] = [
         (tuple(greedy_pts), greedy_energy, len(trace) - 1)
     ]
-    if bundle.total_sq - greedy_energy <= _EXACT_CAPTURE_TOL * max(bundle.total_sq, 1.0):
+    if bundle.captures(greedy_energy):
         trace.append({"stage": "select", "winner": len(trace) - 1, "from": "greedy"})
         return list(greedy_pts)
 
@@ -1155,7 +1152,7 @@ def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> Approxi
     """The result for the tuple of ``points``, finalized on the bundle, or,
     without points, the zero-node result; coefficients have one row per
     realization."""
-    norm = math.sqrt(max(bundle.total_sq, 0.0))
+    norm = math.sqrt(bundle.total_sq)
     if points is None:
         params = bundle.make_tuple((), cfg)
         coeffs = np.zeros((len(bundle.probs), 0), dtype=np.complex128)
@@ -1163,6 +1160,21 @@ def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> Approxi
     else:
         params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
     return ApproximationResult(params, coeffs, cap, residual, norm, method, list(trace), degraded)
+
+
+def _check_norm(bundle: _Bundle) -> None:
+    """Raise ``DomainError`` unless the bundle's squared norm (for an
+    ensemble, the squared Bochner norm) is a finite normal double, or the
+    signals are zero: an infinite one leaves no finite result, a subnormal
+    one has no finite search gain (``_Objective``), and one that underflows
+    to 0 would pass a signal off as zero."""
+    total_sq = bundle.total_sq
+    zero = total_sq == 0.0 and not bundle.probs[bundle.matrix.any(axis=1)].any()
+    if not (zero or _TINY <= total_sq < math.inf):
+        raise DomainError(
+            f"squared signal norm {total_sq:.6g} is not a finite normal double: "
+            "the coefficients are too large or too small in magnitude"
+        )
 
 
 def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[ApproximationResult]:
@@ -1176,11 +1188,14 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
     searches run on the bundle's exact low-rank factor, which is the bundle
     itself for one realization and for full rank; every result is finalized
     on the bundle.  A ``stochastic_nbest`` trace opens with a ``compress``
-    entry giving M and the rank r the search ran on.
+    entry giving M and the rank r the search ran on.  A signal whose squared
+    norm is not 0 or a finite normal double raises ``DomainError``
+    (``_check_norm``).
     """
     cfg = config or OptimizerConfig()
     if n < 0:
         raise ValueError("node count must be non-negative")
+    _check_norm(bundle)
     searched = n > 0 and bundle.total_sq > 0.0
     factor = bundle.compressed() if searched else bundle
     opening = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceRiskError, ShapeMismatchError
-from .engine import ApproximationResult, OptimizerConfig, _Bundle, _energy, _run
+from .engine import ApproximationResult, OptimizerConfig, _Bundle, _check_norm, _energy, _run
 from .spaces import AnalyticFunction, ParamTuple, SpaceSpec, multiple_kernel
 
 # perfbench/tracer.py times the multistart stage under this name.
@@ -124,7 +124,9 @@ def generate_ensemble(
     ``kernel_mix`` scales a fixed kernel combination by one random factor per
     realization; ``decaying_gaussian`` draws coefficient k with independent
     real and imaginary parts, each N(0, (1+k)**(-2 gamma)), so the expected
-    squared modulus of a coefficient is 2 (1+k)**(-2 gamma).
+    squared modulus of a coefficient is 2 (1+k)**(-2 gamma).  An ensemble
+    whose squared Bochner norm the engines refuse (``_check_norm``) raises
+    ``DomainError``.
     """
     if m < 1:
         raise ValueError("ensemble size must be at least 1")
@@ -159,4 +161,6 @@ def generate_ensemble(
         mat = sd[None, :] * (re + 1j * im)
     else:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    return Ensemble(spec, mat, np.full(m, 1.0 / m))
+    e = Ensemble(spec, mat, np.full(m, 1.0 / m))
+    _check_norm(_bundle(e))
+    return e

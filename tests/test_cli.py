@@ -99,6 +99,42 @@ def test_parse_rejects_non_finite_numbers(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+@pytest.mark.parametrize(
+    "task,signal",
+    [
+        ("afd", lambda c: {"coefficients": [[c, 0.0], [0.0, c]]}),
+        ("nbest", lambda c: {"kernel_mix": [{"a": [0.3, 0.0], "c": [c, 0.0]}]}),
+        ("stochastic", lambda c: {"realizations": [[[c, 0.0]], [[0.0, c]]]}),
+    ],
+    ids=["coefficients", "kernel_mix", "realizations"],
+)
+def test_signal_norms_outside_the_normal_range_exit_with_the_signal_pointer(
+    tmp_path, capsys, task, signal, scale
+):
+    """A squared norm that overflows, or underflows to 0, is refused at
+    /signal; nothing is run or written."""
+    cfg = {"task": task, "space": {"family": "hardy", "degree": 64, "radius_cap": 0.5},
+           "signal": signal(scale), "n": 1}
+    with pytest.raises(ConfigError, match="^/signal: squared signal norm"):
+        parse_config(json.dumps(cfg))
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: /signal: squared signal norm")
+    assert not (tmp_path / "result.json").exists()
+    cfg["signal"] = signal(1e-150)  # still a normal squared norm
+    assert parse_config(json.dumps(cfg)).signal is not None
+
+
+def test_random_ensembles_outside_the_normal_range_are_refused():
+    atoms = [{"a": [0.3, 0.0], "c": [1e-200, 0.0]}]
+    signal = {"random": {"kind": "kernel_mix", "atoms": atoms, "M": 4, "seed": 1}}
+    payload = {"task": "stochastic", "space": {"family": "hardy", "degree": 64, "radius_cap": 0.5},
+               "signal": signal}
+    with pytest.raises(ConfigError, match="^/signal/random: squared signal norm"):
+        parse_config(json.dumps(payload))
+
+
 def test_non_finite_space_param_exits_with_error(tmp_path, capsys):
     cfg = json.loads(json.dumps(NBEST_CFG))
     cfg["space"] = {"family": "hardy", "param": float("nan")}
@@ -110,17 +146,28 @@ def test_non_finite_space_param_exits_with_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "knob,value",
-    [("ftol", -1.0), ("ftol", 0.0), ("merge_tol", -1e-9), ("delta", float("inf"))],
+    [
+        ("ftol", -1.0),
+        ("ftol", 0.0),
+        ("merge_tol", -1e-9),
+        ("delta", float("inf")),
+        ("delta", 0.5e-2),
+        ("grid_density", 2),
+        ("max_iter", 0),
+        ("seed", -1),
+    ],
 )
 def test_optimizer_config_rejects_bad_floats(knob, value):
-    with pytest.raises(ValueError):
+    """Range errors point at their field.  The retired ``ftol`` accepts no
+    value at all: the library refuses the keyword, the config the field."""
+    with pytest.raises(TypeError if knob == "ftol" else ValueError):
         OptimizerConfig(**{knob: value})
     if value == value and abs(value) != float("inf"):
         cfg = json.loads(json.dumps(NBEST_CFG))
         cfg["optimizer"][knob] = value
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(cfg))
-        assert "/optimizer" in str(err.value)
+        assert str(err.value).startswith(f"/optimizer/{knob}: ")
 
 
 def test_dump_json_rejects_non_finite(tmp_path):
@@ -356,7 +403,9 @@ def test_main_end_to_end(tmp_path):
     assert (tmp_path / "result.json").exists()
 
 
-@pytest.mark.parametrize("knob,value", [("xtol", 1e-8), ("workers", 1), ("polish", True), ("fd_step", 1e-5)])
+@pytest.mark.parametrize(
+    "knob,value", [("xtol", 1e-8), ("workers", 1), ("polish", True), ("fd_step", 1e-5), ("ftol", 1e-12)]
+)
 def test_retired_optimizer_knobs_are_unknown_fields(tmp_path, capsys, knob, value):
     cfg = json.loads(json.dumps(NBEST_CFG))
     cfg["optimizer"][knob] = value
@@ -373,12 +422,20 @@ def test_main_refuses_the_threads_flag(tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
-def test_main_exit_status_of_usage_errors_and_help(capsys):
+def test_main_exit_status_of_usage_errors_and_help(tmp_path, capsys):
     """A usage error exits with 1, as every other error does, so that 2 means
-    only a failed verify check; --help exits with 0."""
+    only a failed verify check; --help exits with 0.  A negative ``--seed`` is
+    a usage error, whether or not the task draws a random start."""
     assert main([]) == 1
     assert main(["nbest"]) == 1
     assert "--config" in capsys.readouterr().err
+    for config in (NBEST_CFG, {**NBEST_CFG, "n": 0}):
+        path = _write(tmp_path, "cfg.json", config)
+        assert main(["nbest", "--config", str(path), "--out", str(tmp_path), "--seed", "-3"]) == 1
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+    with pytest.raises(ValueError, match="^seed "):
+        run_task(parse_config(json.dumps(NBEST_CFG)), tmp_path, seed=-3)
     assert main(["--help"]) == 0
     assert "verify" in capsys.readouterr().out
 

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from nbestkernel import (
@@ -41,6 +44,7 @@ from nbestkernel.engine import (
     minimize,
 )
 from nbestkernel.errors import DomainError
+from nbestkernel.stochastic import Ensemble, kernel_mix, stochastic_nbest
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
 
@@ -97,8 +101,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(delta=0.001)
     with pytest.raises(ValueError):
         OptimizerConfig(grid_density=2)
-    with pytest.raises(ValueError):
-        OptimizerConfig(ftol=0.0)
+    for field, value in (("multistart", -1), ("max_iter", 0), ("seed", -1), ("merge_tol", -1e-9)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            OptimizerConfig(**{field: value})
 
 
 # -- greedy engine ----------------------------------------------------------------
@@ -721,11 +726,12 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
 
 
 def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
-    """With ``multistart: 0`` and a greedy run that stops short of n there is
-    no start, so the lane search runs no lane and greedy is selected."""
+    """With ``multistart: 0`` and a greedy run that stops short of n at exact
+    capture there is no start, so no lane is searched and greedy is
+    selected."""
     spec = MERGE_SPACES["hardy"]
-    f = kernel(spec, 0.3 + 0.1j) + 1e-3 * kernel(spec, -0.5j)
-    cfg = OptimizerConfig(grid_density=12, multistart=0, ftol=1e-4, seed=1)
+    f = kernel(spec, 0.3 + 0.1j)
+    cfg = OptimizerConfig(grid_density=12, multistart=0, seed=1)
     bundle = _Bundle.single(spec, f)
     steps: list = []
     greedy_pts = _greedy_points(bundle, 3, cfg, steps)
@@ -737,3 +743,139 @@ def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
     res = nbest(spec, f, 3, cfg)
     assert res.params.points == tuple(greedy_pts)
     assert res.trace[-1] == {"stage": "select", "winner": 0, "from": "greedy"}
+
+
+# -- signal scale ------------------------------------------------------------------
+
+SCALE_SPACES = {
+    "hardy": SpaceSpec.hardy(64, radius_cap=0.8),
+    "bergman": SpaceSpec.bergman(1.0, 64, radius_cap=0.8),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5, 64, radius_cap=0.8),
+}
+
+
+def _sweep_rows(sweep, spec, f, n_max=3):
+    results = sweep(spec, f, n_max, SWEEP_CFG)
+    return [len(r.params) for r in results], [r.residual / r.norm for r in results]
+
+
+def test_weak_signals_are_searched_as_normal_ones():
+    """Captured energy is homogeneous in the signal, so its scale must not
+    change the answer.  A signal of squared norm in [1, 4) is searched at gain
+    1, and its scaling by 2**-k at gain 4**k, so the two searches make the
+    same steps and end at the same residual / norm.  At other scales the
+    bits of the signal differ: greedy ends where it ends at scale 1, and the
+    global search keeps the greedy nodes, so it does no worse."""
+    spec = SCALE_SPACES["hardy"]
+    rng = np.random.default_rng(12)
+    poly = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    poly *= 2.0 ** -math.floor(math.log(norm_sq(spec, as_element(spec, poly)), 4))
+    assert 1.0 <= norm_sq(spec, as_element(spec, poly)) < 4.0
+    for sweep in (afd_decay_sweep, residual_decay_sweep):
+        nodes, rows = _sweep_rows(sweep, spec, as_element(spec, poly))
+        assert nodes == [0, 1, 2, 3]
+        for k in (10, 23, 40):
+            assert _sweep_rows(sweep, spec, as_element(spec, 2.0**-k * poly)) == (nodes, rows)
+    _, greedy = _sweep_rows(afd_decay_sweep, spec, as_element(spec, poly))
+    for scale in (1e-3, 1e-7, 1e-12):
+        f = as_element(spec, scale * poly)
+        nodes, afd_rows = _sweep_rows(afd_decay_sweep, spec, f)
+        assert nodes == [0, 1, 2, 3]
+        assert afd_rows == pytest.approx(greedy, rel=1e-6)
+        nodes, nbest_rows = _sweep_rows(residual_decay_sweep, spec, f)
+        assert nodes == [0, 1, 2, 3]
+        assert all(b <= a * (1.0 + 1e-9) for a, b in zip(afd_rows, nbest_rows))
+
+
+@pytest.mark.parametrize(
+    "spec,double,single,weight",
+    [
+        (SpaceSpec.hardy(), -0.0519 + 0.4153j, 0.1198 + 0.0125j, 1.0),
+        (SpaceSpec.bergman(1.0), 0.23 - 0.52j, 0.06 - 0.08j, 0.8),
+    ],
+    ids=["hardy", "bergman1"],
+)
+def test_weak_kernel_mix_keeps_its_double_node(spec, double, single, weight):
+    """The kernel mix of the benchmark's multistart workload, at 1e-4 of its
+    scale: n-best still finds the order-2 atom."""
+    f = kernel_mix(spec, [(double, 1e-4, 2), (single, 1e-4 * weight, 1)])
+    res = nbest(spec, f, 3)
+    assert res.residual <= 1e-9 * res.norm
+    assert any(o == 2 and abs(c - double) <= 1e-4 for c, o in res.params.node_structure())
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-160])
+def test_signal_norms_outside_the_normal_range_are_refused(scale):
+    """A squared norm that overflows, underflows to 0 or is subnormal is
+    refused, for single signals and ensembles, whatever the node count."""
+    spec = SpaceSpec.hardy(64, radius_cap=0.5)
+    f = as_element(spec, [scale, 0.5 * scale])
+    for run in (afd_greedy, nbest, afd_decay_sweep):
+        with pytest.raises(DomainError, match="not a finite normal double"):
+            run(spec, f, 0)
+    with pytest.raises(DomainError, match="not a finite normal double"):
+        stochastic_nbest(Ensemble.from_functions(spec, [f, f]), 1)
+
+
+def test_zero_signals_and_the_edges_of_the_normal_range_are_accepted():
+    spec = SpaceSpec.hardy(64, radius_cap=0.5)
+    zero = nbest(spec, zero_function(spec), 2)
+    assert zero.norm == 0.0 and len(zero.params) == 0
+    # a zero-weight realization leaves the Bochner norm 0
+    e = Ensemble.from_functions(spec, [zero_function(spec), as_element(spec, [1.0])], [1.0, 0.0])
+    assert stochastic_nbest(e, 1).norm == 0.0
+    tiny = np.finfo(np.float64).tiny
+    res = afd_greedy(spec, as_element(spec, [math.sqrt(tiny)]), 1)
+    assert res.norm**2 == pytest.approx(tiny, rel=1e-15)
+    assert res.residual <= 1e-6 * res.norm
+    assert afd_greedy(spec, as_element(spec, [1e150]), 0).norm == pytest.approx(1e150, rel=1e-15)
+
+
+# -- properties -------------------------------------------------------------------
+
+
+@settings(max_examples=8, deadline=None)
+@given(family=st.sampled_from(sorted(SCALE_SPACES)), seed=st.integers(0, 1000))
+def test_afd_results_are_prefixes_of_the_longest_run(family, seed):
+    """Greedy never revisits a node: the run to n nodes is the n-prefix of
+    the run to n_max, params and trace alike."""
+    spec = SCALE_SPACES[family]
+    f = _random_signal(spec, seed)
+    n_max = 3
+    full = afd_greedy(spec, f, n_max, SWEEP_CFG)
+    for n in range(n_max):
+        res = afd_greedy(spec, f, n, SWEEP_CFG)
+        assert res.params.points == full.params.points[:n]
+        assert res.trace == full.trace[:n]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(sorted(SCALE_SPACES)),
+    radii=st.lists(st.floats(0.0, 0.75), min_size=3, max_size=3),
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+    merged=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_energy_and_finalize_are_invariant_under_permutations(family, radii, angles, merged, seed):
+    """The energy and the finalized energy and residual of a 3-node tuple,
+    with its first two nodes a merged (repeated) pair or kept apart, do not
+    depend on the order of the nodes."""
+    spec = SCALE_SPACES[family]
+    pts = [complex(r * np.exp(1j * t)) for r, t in zip(radii, angles)]
+    if merged:
+        pts[1] = pts[0]
+    # nearly dependent kernels would degrade to an order-dependent prefix
+    distinct = list(dict.fromkeys(pts))
+    assume(all(abs(p - q) >= 0.25 for p, q in itertools.combinations(distinct, 2)))
+    f = _random_signal(spec, seed)
+    bundle = _Bundle.single(spec, f)
+    cfg = OptimizerConfig()
+    want = energy(spec, f, ParamTuple(tuple(pts)))
+    _, _, fin_energy, fin_residual, degraded = bundle.finalize(pts, cfg)
+    assert not degraded
+    for perm in itertools.permutations(pts):
+        assert energy(spec, f, ParamTuple(perm)) == pytest.approx(want, rel=1e-12)
+        _, _, e, r, _ = bundle.finalize(perm, cfg)
+        assert e == pytest.approx(fin_energy, rel=1e-12)
+        assert r == pytest.approx(fin_residual, rel=1e-12)

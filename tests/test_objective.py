@@ -54,7 +54,10 @@ def _mgs_value(bundle, params):
 
 
 def _capture(bundle, params, owners=None):
-    """The capture of the one tuple ``params`` as a batch of one."""
+    """The capture of the one tuple ``params`` as a batch of one; by default
+    each position moves as a node of its own."""
+    if owners is None:
+        owners = np.arange(len(params.centers))
     return bundle.captured(_Nodes(np.array([params.centers]), params.orders), owners)
 
 
@@ -577,11 +580,9 @@ def test_captured_marks_failed_rows_without_mgs(monkeypatch):
     monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
 
     nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
-    for owners in (None, np.array([-1, -1, 0, 1])):
-        cap = bundle.captured(nodes, owners)
-        assert cap.failed.tolist() == [False, True]
-        assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
-        assert (cap.grad is None) == (owners is None)
+    cap = bundle.captured(nodes, np.array([-1, -1, 0, 1]))
+    assert cap.failed.tolist() == [False, True]
+    assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
     on_span = _Nodes(np.array([[SPAN_NODES[0]], [near]]), (1,))
     cap = bundle.captured(on_span, np.array([0]), span=span)
     assert cap.failed.tolist() == [False, True]
