@@ -65,15 +65,29 @@ _ENSEMBLE = {
 }
 _OPTIMIZER = {"multistart": 2, "grid_density": 8, "max_iter": 40, "seed": 1}
 _WEAK = 1e-7
+_STRONG = 2.0**300
 
 
-def _scaled(pairs):
-    return [[_WEAK * re, _WEAK * im] for re, im in pairs]
+def _scaled(pairs, factor):
+    return [[factor * re, factor * im] for re, im in pairs]
+
+
+def _scaled_tasks(name, factor):
+    """The afd, nbest and stochastic edge tasks on ``_SIGNAL`` and the
+    ``_ENSEMBLE`` atoms, their coefficients scaled by ``factor``."""
+    signal = {"coefficients": _scaled(_SIGNAL["coefficients"], factor)}
+    atoms = [{**atom, "c": _scaled([atom["c"]], factor)[0]} for atom in _ENSEMBLE["random"]["atoms"]]
+    return {
+        f"afd-{name}": ("afd", signal, 2),
+        f"nbest-{name}": ("nbest", signal, 2),
+        f"stochastic-{name}": ("stochastic", {"random": {**_ENSEMBLE["random"], "atoms": atoms}}, 2),
+    }
 
 
 # Paths the configs and workloads leave out: zero nodes, a zero signal, greedy
-# at one n, a stochastic task on one function (M = 1), and weak signals, whose
-# coefficients are scaled by _WEAK.
+# at one n, a stochastic task on one function (M = 1), and weak and strong
+# signals, whose coefficients are scaled by _WEAK and by _STRONG.  _STRONG is
+# a power of 2, so a strong signal is an exact multiple of the unscaled one.
 EDGE = {
     "afd-n0": ("afd", _SIGNAL, 0),
     "afd-n2": ("afd", _SIGNAL, 2),
@@ -81,18 +95,8 @@ EDGE = {
     "nbest-zero-signal": ("nbest", {"coefficients": [[0.0, 0.0]]}, 2),
     "stochastic-n0": ("stochastic", _ENSEMBLE, 0),
     "stochastic-single-function": ("stochastic", _SIGNAL, 2),
-    "afd-weak": ("afd", {"coefficients": _scaled(_SIGNAL["coefficients"])}, 2),
-    "nbest-weak": ("nbest", {"coefficients": _scaled(_SIGNAL["coefficients"])}, 2),
-    "stochastic-weak": (
-        "stochastic",
-        {
-            "random": {
-                **_ENSEMBLE["random"],
-                "atoms": [{**atom, "c": _scaled([atom["c"]])[0]} for atom in _ENSEMBLE["random"]["atoms"]],
-            }
-        },
-        2,
-    ),
+    **_scaled_tasks("weak", _WEAK),
+    **_scaled_tasks("strong", _STRONG),
 }
 
 

@@ -4,11 +4,12 @@ The objective for a node tuple is the energy captured by projecting onto the
 tuple's kernel span, ``sum_m p_m v_m^H G^{-1} v_m`` with pairings
 ``v_i = <f, K_i>`` and kernel Gram matrix ``G``, evaluated through one Cholesky
 factorization.  Its Wirtinger gradient is closed-form because the derivative
-of a kernel in its conjugated parameter is the next-order kernel.  A search
-point whose Cholesky pivots signal near-dependence, or whose moving nodes
-merge, takes modified Gram-Schmidt (MGS) values and central differences in one
-place, ``_Objective.value_and_grad``; MGS also produces every reported value
-and the final coefficients.
+of a kernel in its conjugated parameter is the next-order kernel.  The search
+domain is the set of points this evaluation accepts: a point whose Cholesky
+pivots signal near-dependence, or whose moving nodes merge, has value +inf
+(``_Objective.value_and_grad``), so a line search backtracks from it.
+Modified Gram-Schmidt (MGS), the reference, produces every reported value and
+the final coefficients.
 
 Every local search is a bounded dense BFGS run on that gradient (in numpy,
 over the box of the search radius), run as lanes of one lockstep search
@@ -30,11 +31,11 @@ as ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
 local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 / ||u||^2``, with ``u``
 the part of the moving node's kernel outside the span, and the closed-form
 gradient, so greedy forms no Gram matrix.  A node that merges with a prefix
-node, or whose kernel lies in the span by MGS's degeneracy test, takes the
-same fallback.  Greedy and the lanes keep separate evaluators, each the faster
-where it runs (2 cores, alternating pairs): greedy steps by Cholesky on the
-span-projected block made ``sweep`` 6-14% slower, and the lanes by stacked
-two-pass Gram-Schmidt made ``multistart`` 29-37% slower.
+node, or whose kernel lies in the span by MGS's degeneracy test, lies outside
+the search domain too.  Greedy and the lanes keep separate evaluators, each
+the faster where it runs (2 cores, alternating pairs): greedy steps by
+Cholesky on the span-projected block made ``sweep`` 6-14% slower, and the
+lanes by stacked two-pass Gram-Schmidt made ``multistart`` 29-37% slower.
 
 Every engine, the stochastic one included, is one run of one pipeline
 (``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
@@ -47,7 +48,8 @@ which is the search region.
 
 Scaling the signals scales every energy alike, so no energy is small in
 absolute terms: exact capture is relative (``_Bundle.captures``), and
-searches run at an exact power-of-4 gain (``_Objective``).
+searches run at an exact power-of-4 gain (``_Objective``) that brings the
+energy of a weak or strong signal into [1, 4).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,7 +78,7 @@ from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
 _EXACT_CAPTURE_TOL = 1e-13
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
 # it the energy loses about eps / ratio**2 relative accuracy, so the tuple
-# fails and the search objective takes MGS values.
+# fails and lies outside the search domain.
 _PIVOT_FLOOR = 1e-4
 # Kernel rows are built as products of two power blocks of this length.  Block
 # powers below _TINY_POWER are flushed to zero: they are negligible against
@@ -91,12 +92,10 @@ _TINY_POWER = 1e-75
 # Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
-# Local search: the Armijo sufficient-decrease fraction, the line search's cap
-# on trial steps, and the step of the central differences of MGS values that a
-# search point (coordinates below 1) takes where the fast objective fails.
+# Local search: the Armijo sufficient-decrease fraction and the line search's
+# cap on trial steps.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
-_FD_STEP = 1e-5
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
@@ -167,7 +166,7 @@ class ApproximationResult:
 class _Capture(NamedTuple):
     """One evaluation of a ``_Nodes`` batch, one entry per tuple: the value,
     dE/da per moving node, and whether the evaluation failed, in which case
-    the tuple's value is NaN and its ``grad`` row meaningless."""
+    the tuple's value is NaN and its ``grad`` row zero."""
 
     value: np.ndarray
     grad: np.ndarray
@@ -344,20 +343,20 @@ class _Bundle:
         tuple whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR`` fails.
         With a ``_Span``, each tuple is one node appended to the span's
         prefix, evaluated on the span (``_span_captured``) without a Gram
-        matrix, and fails by MGS's degeneracy test.  No tuple falls back to
-        MGS here; ``_Objective.value_and_grad`` does that.
+        matrix, and fails by MGS's degeneracy test.  MGS never runs here; a
+        failed tuple lies outside the search domain (``_Objective``).
         """
         if span is not None:
             return _Capture(*self._span_captured(nodes.centers[:, 0], span))
         return _Capture(*self._gram_captured(nodes.centers, nodes.orders, owners))
 
-    def system(self, params: ParamTuple, keep: bool = True) -> tuple[np.ndarray, bool]:
-        """The MGS basis rows of the tuple and whether it degraded.  With
-        ``keep`` the system is kept per (centers, orders) for the life of the
-        bundle and its factor, i.e. of one engine call: the value a search
-        reports, the spans of greedy prefixes, the ranking of candidates and
-        the result read one orthogonalization of each tuple.
-        Search evaluations keep none: they are many, and each is seen once."""
+    def system(self, params: ParamTuple) -> tuple[np.ndarray, bool]:
+        """The MGS basis rows of the tuple and whether it degraded, kept per
+        (centers, orders) for the life of the bundle and its factor, i.e. of
+        one engine call: the value a search reports, the spans of greedy
+        prefixes, the ranking of candidates and the result read one
+        orthogonalization of each tuple.  Search evaluations never reach MGS,
+        so every tuple kept is one of these."""
         if not len(params):  # the empty span, which needs no Gram-Schmidt
             return np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128), False
         key = (params.centers, params.orders)
@@ -366,13 +365,11 @@ class _Bundle:
             system, degraded = _gram_schmidt_impl(
                 self.spec, params, eps_degenerate=1e-10, allow_partial=True
             )
-            kept = (system.basis, degraded)
-            if keep:
-                self._systems[key] = kept
+            kept = self._systems[key] = (system.basis, degraded)
         return kept
 
-    def _mgs_captured(self, params: ParamTuple, keep: bool = False) -> tuple[float, bool]:
-        basis, degraded = self.system(params, keep)
+    def _mgs_captured(self, params: ParamTuple) -> tuple[float, bool]:
+        basis, degraded = self.system(params)
         c = self.weighted @ basis.conj().T
         return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
 
@@ -586,15 +583,15 @@ class _Objective:
     built here).  Nodes overshooting the search disc are mirrored back into
     it, and the analytic gradient is chained through the mirror.  The points
     whose moving nodes stay apart from every other node are evaluated
-    together, in one batch on the span or else on the Gram path.  This is
-    the one place where a search point falls back to MGS: when a moving node
-    merges with another node, or the batch evaluation fails for it, the
-    point's value comes from MGS and its gradient from central differences
-    of MGS values with step ``_FD_STEP``; ``lane_mgs_evals`` counts these MGS
-    evaluations per lane.
-    Every value and gradient, fallback included, is multiplied by ``gain``,
-    the smallest power of 4 that lifts the bundle's energy to at least 1, so
-    that ``minimize``'s absolute stops treat a weak signal as a normal one.
+    together, in one batch on the span or else on the Gram path.  The search
+    domain is the set of points that batch accepts: a point whose moving
+    node merges with another node (so that its ``ParamTuple`` would not keep
+    the nodes the search moves), or that the batch marks failed, has value
+    +inf and gradient 0, and no MGS evaluation.
+    Every value and gradient is multiplied by ``gain``, the power of 4 that
+    brings the bundle's energy into [1, 4) when it lies below 1 or at or
+    above 2**64, and 1 otherwise, so that ``minimize``'s absolute stops treat
+    a weak signal as a normal one and a strong one stays far from overflow.
     """
 
     def __init__(
@@ -617,13 +614,10 @@ class _Objective:
         self.orders = tuple(k + 1 for o in self.reps for k in range(o))
         self.owners = np.array([i for i, o in enumerate(self.reps) for _ in range(o)])
         self.earlier = np.tri(count, k=-1, dtype=bool)
-        self.lane_mgs_evals: Counter = Counter()
-        # 4**k total_sq >= 1 iff 2k + e >= 1, with total_sq = m 2**e, m in [1/2, 1).
-        self.gain = 4.0 ** max(0, (2 - math.frexp(bundle.total_sq)[1]) // 2)
-
-    @property
-    def mgs_evals(self) -> int:
-        return sum(self.lane_mgs_evals.values())
+        # With total_sq = m 2**e, m in [1/2, 1), 4**k total_sq lies in [1, 4)
+        # for k = (2 - e) // 2; energies in [1, 2**64) keep gain 1.
+        e = math.frexp(bundle.total_sq)[1]
+        self.gain = 1.0 if 1 <= e <= 64 else math.ldexp(1.0, 2 * ((2 - e) // 2))
 
     def expand(self, pts) -> tuple:
         full = list(self.prefix)
@@ -633,9 +627,6 @@ class _Objective:
 
     def params(self, x: np.ndarray) -> ParamTuple:
         return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)), self.cfg)
-
-    def _mgs_value(self, x: np.ndarray) -> float:
-        return -self.bundle._mgs_captured(self.params(x))[0]
 
     def _apart(self, pts: np.ndarray) -> np.ndarray:
         """Rows whose moving nodes merge with no other node, so that the
@@ -649,26 +640,24 @@ class _Objective:
             apart &= ~(close & self.earlier).any(axis=(1, 2))
         return apart
 
-    def value_and_grad(self, x, lanes=0):
-        """The value and gradient at ``x``, or at each row of a stack ``x``;
-        ``lanes`` names the lane of each row for ``lane_mgs_evals``."""
+    def value_and_grad(self, x):
+        """The value and gradient at ``x``, or at each row of a stack ``x``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
-            value, grad = self.value_and_grad(x[None], (lanes,))
+            value, grad = self.value_and_grad(x[None])
             return float(value[0]), grad[0]
         pts = _reflected_points(x, self.radius)
         apart = self._apart(pts)
-        value = np.empty(len(x))
-        grad = np.empty_like(x)
-        todo = ~apart
+        value = np.full(len(x), np.inf)
+        grad = np.zeros_like(x)
         if apart.any():
             rows = slice(None) if apart.all() else apart
             moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
             cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
-            value[rows] = -cap.value
-            todo[rows] = cap.failed
-            # dE/dx + i dE/dy per node; a mirrored node a = (2R - |u|) u / |u|
-            # moves against u radially and by (2R - |u|) / |u| tangentially.
+            value[rows] = np.where(cap.failed, np.inf, -cap.value)
+            # dE/dx + i dE/dy per node, zero on a failed row; a mirrored node
+            # a = (2R - |u|) u / |u| moves against u radially and by
+            # (2R - |u|) / |u| tangentially.
             slope = 2.0 * np.conj(cap.grad)
             raw = x[rows, 0::2] + 1j * x[rows, 1::2]
             r = np.abs(raw)
@@ -680,14 +669,6 @@ class _Objective:
                 slope[over] = u * (-along.real + 1j * stretch * along.imag)
             grad[rows, 0::2] = -slope.real
             grad[rows, 1::2] = -slope.imag
-        for row in np.flatnonzero(todo):
-            value[row] = self._mgs_value(x[row])
-            self.lane_mgs_evals[lanes[row]] += 1 + 2 * x.shape[1]
-            for i in range(x.shape[1]):
-                step = np.zeros(x.shape[1])
-                step[i] = _FD_STEP
-                up, down = self._mgs_value(x[row] + step), self._mgs_value(x[row] - step)
-                grad[row, i] = (up - down) / (2.0 * _FD_STEP)
         return value * self.gain, grad * self.gain
 
 
@@ -722,10 +703,12 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
     """The dense BFGS search of ``minimize`` from each row of ``x0``, run as
     one lane per row in lockstep.
 
-    ``fun(x, lanes)`` returns the values and gradients at the rows of ``x``,
-    the current points of the active ``lanes``.  Each round evaluates one
-    trial point per active lane in that one call; a lane then accepts its
-    step or backtracks, and a lane that accepted begins its next iteration.
+    ``fun(x)`` returns the values and gradients at the rows of ``x``, the
+    current points of the active lanes in the order of ``x0``.  Each round
+    evaluates one trial point per active lane in that one call; a lane then
+    accepts its step or backtracks, and a lane that accepted begins its next
+    iteration.  A lane whose start value is not finite starts outside the
+    function's domain and stops at once with an ``ABNORMAL`` message.
     Every lane keeps its own inverse Hessian, held coordinates, line search
     and stop.  Its scalars are Python floats and its vectors rows of stacked
     arrays, on which every operation is elementwise or a stacked matmul, so a
@@ -739,7 +722,7 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
     if not count:
         return results
     lanes = np.arange(count)
-    values, g = fun(x, lanes)
+    values, g = fun(x)
     f = values.tolist()
     nfev, nit, tries, stop = [1] * count, [0] * count, [0] * count, [""] * count
     t, scale, curved = [0.0] * count, [1.0] * count, [False] * count
@@ -781,7 +764,9 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
             np.divide(np.where(dk > 0.0, hi - xk, lo - xk), dk, out=room, where=dk != 0.0)
             d[k] = dk
             for j, (i, tk) in enumerate(zip(begin, room.min(axis=1, initial=1.0).tolist())):
-                if reduced[j]:
+                if not math.isfinite(f[i]):
+                    stop[i] = _ABNORMAL_STOP
+                elif reduced[j]:
                     stop[i] = _FTOL_STOP
                 elif flat[j] <= gtol:
                     stop[i] = _PGTOL_STOP
@@ -803,7 +788,7 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
             )
         # One trial point per lane, backtracking from the step ``t d``.
         trial = np.minimum(np.maximum(x + np.array(t)[:, None] * d, lo), hi)
-        values, g_new = fun(trial, lanes)
+        values, g_new = fun(trial)
         f_new = values.tolist()
         step = trial - x
         slopes = _rowdot(g, step)
@@ -880,15 +865,17 @@ def minimize(fun, x0, *, method, bounds, options) -> _Minimum:
     the same test on the slopes at the step's two ends.  The search stops at a
     relative reduction ``(f - f_new) / max(|f|, |f_new|, 1) <= ftol``, at a
     projected-gradient max-norm ``<= gtol``, after ``maxiter`` iterations, or
-    with an ``ABNORMAL`` message when the line search cannot decrease ``f``:
-    when a shorter step could only gain less than the ``ftol`` rule counts, or
-    after ``_MAX_BACKTRACKS`` trials.  The messages follow scipy's L-BFGS-B.
+    with an ``ABNORMAL`` message when ``f(x0)`` is not finite or the line
+    search cannot decrease ``f``: when a shorter step could only gain less
+    than the ``ftol`` rule counts, or after ``_MAX_BACKTRACKS`` trials.  A
+    trial point where ``f`` is +inf is backtracked from.  The messages follow
+    scipy's L-BFGS-B.
     """
     if method != "L-BFGS-B":
         raise ValueError(f"unsupported method {method!r}")
     lo, hi = np.asarray(bounds, dtype=np.float64).T
 
-    def lane(x, lanes):
+    def lane(x):
         value, grad = fun(x[0])
         return np.array([value], dtype=np.float64), np.array(grad, dtype=np.float64)[None]
 
@@ -899,18 +886,15 @@ def _search_options(cfg: OptimizerConfig) -> dict:
     return {"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12}
 
 
-def _reported(objective: _Objective, res: _Minimum, lane: int, stats) -> tuple:
-    """The points a search ended at and their energy, recomputed with MGS;
-    ``stats``, if given, receives the search's evaluation count, stop message
-    and how many of its evaluations fell back to MGS."""
+def _reported(objective: _Objective, res: _Minimum, stats) -> tuple:
+    """The points a search ended at and their energy, recomputed with MGS, also
+    for a search that stopped at a start outside the search domain;
+    ``stats``, if given, receives the search's evaluation count and stop
+    message."""
     params = objective.params(res.x)
     if stats is not None:
-        stats.update(
-            polish_nfev=int(res.nfev),
-            polish_message=str(res.message),
-            mgs_fallbacks=objective.lane_mgs_evals[lane],
-        )
-    return params.points, objective.bundle._mgs_captured(params, keep=True)[0]
+        stats.update(polish_nfev=int(res.nfev), polish_message=str(res.message))
+    return params.points, objective.bundle._mgs_captured(params)[0]
 
 
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None):
@@ -921,8 +905,7 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None
     polish run it.  ``span``, if given, is the ``_Span`` of ``prefix``.
 
     The returned energy is recomputed with MGS.  ``stats``, if given, receives
-    the evaluation count, the stop message and how many evaluations fell back
-    to MGS.
+    the evaluation count and the stop message.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders, span)
@@ -933,7 +916,7 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None
         bounds=[(-objective.radius, objective.radius)] * x0.size,
         options=_search_options(cfg),
     )
-    return _reported(objective, res, 0, stats)
+    return _reported(objective, res, stats)
 
 
 def _lane_searches(bundle, cfg, starts: list) -> list[tuple]:
@@ -946,9 +929,9 @@ def _lane_searches(bundle, cfg, starts: list) -> list[tuple]:
     bound = np.full(starts[0].size, objective.radius)
     ends = _descend(objective.value_and_grad, np.array(starts), -bound, bound, _search_options(cfg))
     out = []
-    for lane, res in enumerate(ends):
+    for res in ends:
         stats: dict = {}
-        out.append((*_reported(objective, res, lane, stats), stats))
+        out.append((*_reported(objective, res, stats), stats))
     return out
 
 

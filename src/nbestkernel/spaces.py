@@ -116,10 +116,12 @@ class SpaceSpec:
         """Weight W(k) for arbitrary k, including indices beyond the cache."""
         return float(_weight_values(self.family, self.param, k + 1)[-1])
 
-    def kernel_norm_sq(self, r: float) -> float:
-        """Truncated squared kernel norm at radius ``r``, i.e. sum r**(2k) / W(k)."""
-        q = float(r) * float(r)
-        return float(np.sum(q ** np.arange(self.max_degree + 1) / self.weights))
+    def kernel_norm_sq(self, r):
+        """Truncated squared kernel norm sum r**(2k) / W(k) at radius ``r``
+        (scalar or array)."""
+        q = np.asarray(r, dtype=float) ** 2
+        norms = np.sum(q[..., None] ** np.arange(self.max_degree + 1) / self.weights, axis=-1)
+        return float(norms) if q.ndim == 0 else norms
 
     def truncation_tail(self, r: float) -> float:
         """Geometric upper bound for the dropped tail sum_{k>N} r**(2k) / W(k)."""

@@ -127,12 +127,6 @@ def _circle_values(coeffs: np.ndarray, radii, n_angles: int) -> np.ndarray:
     return np.fft.ifft(folded.reshape(radii.size, folds, n_angles).sum(axis=1), axis=1) * n_angles
 
 
-def _kernel_norms_sq(spec: SpaceSpec, radii) -> np.ndarray:
-    """``spec.kernel_norm_sq`` over a radius grid in one array expression."""
-    q = np.asarray(radii, dtype=float) ** 2
-    return np.sum(q[:, None] ** np.arange(spec.max_degree + 1) / spec.weights, axis=1)
-
-
 def _boundary_sup(f: AnalyticFunction, n_angles: int = BOUNDARY_ANGLES) -> float:
     return float(np.max(np.abs(_circle_values(f.coeffs, [1.0], n_angles))))
 
@@ -151,7 +145,7 @@ def bvc_profile(
         if not 0.0 <= r < 1.0:
             raise DomainError(f"profile radius must lie in [0, 1), got {r}")
     sups = np.abs(_circle_values(f.coeffs, radii, n_angles)).max(axis=1)
-    sups /= np.sqrt(_kernel_norms_sq(spec, radii))
+    sups /= np.sqrt(spec.kernel_norm_sq(radii))
     return [(r, float(s)) for r, s in zip(radii, sups)]
 
 
@@ -159,7 +153,7 @@ def check_norm_blowup(spec: SpaceSpec, radii=DEFAULT_RADII) -> ConditionReport:
     """Kernel norms grow strictly with the radius; closed forms are matched
     for the classical and Bergman families within the truncation allowance."""
     radii = [float(r) for r in radii]
-    norms = [spec.kernel_norm_sq(r) for r in radii]
+    norms = spec.kernel_norm_sq(radii).tolist()
     growing = all(b > a for a, b in zip(norms, norms[1:]))
     closed_ok = True
     closed = []
@@ -201,7 +195,7 @@ def estimate_pointwise_bound(
     """
     radii = np.linspace(0.0, max_radius, grid_density)
     sups = np.abs(_circle_values(1.0 / spec.weights, radii, n_angles)).max(axis=1)
-    sups /= _kernel_norms_sq(spec, radii)
+    sups /= spec.kernel_norm_sq(radii)
     best = int(np.argmax(sups))  # the first radius attaining the maximum
     sup, arg = float(sups[best]), float(radii[best])
     bound = family_pointwise_bound(spec)

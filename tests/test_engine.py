@@ -267,6 +267,26 @@ def test_nbest_recovers_double_node(family, seed):
     assert res.residual <= 1e-6 * res.norm
 
 
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family):
+    """The n = 4 warm start extends the 3-node result, whose double node it
+    carries as two coincident nodes: that start lies outside the search
+    domain, so its lane stops at once with its start's MGS energy, and the
+    residual column still does not increase."""
+    spec = MERGE_SPACES[family]
+    cfg = OptimizerConfig(multistart=8, grid_density=12, max_iter=60)
+    results = residual_decay_sweep(spec, _double_node_signal(spec), 4, cfg)
+    residuals = [r.residual for r in results]
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    assert all(r.residual <= 1e-6 * r.norm for r in results[3:])
+    assert 2 in results[3].params.orders
+    assert any(
+        entry["stage"] == "local" and entry["polish_nfev"] == 1
+        and entry["polish_message"].startswith("ABNORMAL")
+        for entry in results[4].trace
+    )
+
+
 def test_merge_polish_merges_a_pair_of_any_separation():
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, _double_node_signal(spec))
@@ -654,15 +674,15 @@ LANE_PROBLEMS = {
 @pytest.mark.parametrize("problem", sorted(LANE_PROBLEMS))
 def test_lanes_end_where_each_start_ends_alone(problem):
     """Starts run as lanes of one lockstep search give each lane the same x,
-    fun, nfev, nit and message as ``minimize`` from that start alone; the
-    function sees only the active lanes, in lane order."""
+    fun, nfev, nit and message as ``minimize`` from that start alone; each
+    round the function sees one row per lane still active."""
     fun, bounds, options, starts = LANE_PROBLEMS[problem]
     starts = np.array(starts)
     lo, hi = np.asarray(bounds, dtype=np.float64).T
     seen: list = []
 
-    def lanes_fun(x, lanes):
-        seen.append(list(lanes))
+    def lanes_fun(x):
+        seen.append(len(x))
         pairs = [fun(row) for row in x]
         return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
 
@@ -673,15 +693,15 @@ def test_lanes_end_where_each_start_ends_alone(problem):
         assert (lane.fun, lane.nfev, lane.nit, lane.message) == (
             alone.fun, alone.nfev, alone.nit, alone.message
         )
-    assert seen[0] == list(range(len(starts)))
-    assert all(active == sorted(active) for active in seen)
+    assert seen == [sum(lane.nfev > k for lane in together) for k in range(len(seen))]
     assert len(seen) == max(lane.nfev for lane in together)
 
 
 def test_lanes_of_a_search_report_their_own_stats():
-    """Each lane's energy, points, evaluation count, stop message and MGS
-    fallback count are those of its start searched alone; a start with two
-    coincident nodes falls back to MGS in its own lane only."""
+    """Each lane's energy, points, evaluation count and stop message are
+    those of its start searched alone; a start with two coincident nodes
+    lies outside the search domain, so its lane alone stops at once, with
+    the start's MGS energy."""
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, _double_node_signal(spec))
     cfg = OptimizerConfig(max_iter=30)
@@ -696,8 +716,12 @@ def test_lanes_of_a_search_report_their_own_stats():
         alone: dict = {}
         assert _local_search(bundle, cfg, start, stats=alone) == (pts, val)
         assert stats == alone
-    fallbacks = [stats["mgs_fallbacks"] for _, _, stats in lanes]
-    assert fallbacks[0] == fallbacks[2] == 0 < fallbacks[1]
+    pts, val, stats = lanes[1]
+    assert stats == {"polish_nfev": 1, "polish_message": "ABNORMAL: "}
+    coincident = bundle.make_tuple(pts, cfg)
+    assert coincident.orders == (1, 2)
+    assert val == bundle._mgs_captured(coincident)[0]
+    assert lanes[0][2]["polish_nfev"] > 1 and lanes[2][2]["polish_nfev"] > 1
 
 
 def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch):
@@ -767,10 +791,7 @@ def test_weak_signals_are_searched_as_normal_ones():
     bits of the signal differ: greedy ends where it ends at scale 1, and the
     global search keeps the greedy nodes, so it does no worse."""
     spec = SCALE_SPACES["hardy"]
-    rng = np.random.default_rng(12)
-    poly = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    poly *= 2.0 ** -math.floor(math.log(norm_sq(spec, as_element(spec, poly)), 4))
-    assert 1.0 <= norm_sq(spec, as_element(spec, poly)) < 4.0
+    poly = _unit_polynomial(spec, 12)
     for sweep in (afd_decay_sweep, residual_decay_sweep):
         nodes, rows = _sweep_rows(sweep, spec, as_element(spec, poly))
         assert nodes == [0, 1, 2, 3]
@@ -785,6 +806,33 @@ def test_weak_signals_are_searched_as_normal_ones():
         nodes, nbest_rows = _sweep_rows(residual_decay_sweep, spec, f)
         assert nodes == [0, 1, 2, 3]
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(afd_rows, nbest_rows))
+
+
+def _unit_polynomial(spec, seed):
+    """Coefficients of a random degree-12 polynomial scaled by a power of 2
+    to squared norm in [1, 4)."""
+    rng = np.random.default_rng(seed)
+    poly = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    poly *= 2.0 ** -math.floor(math.log(norm_sq(spec, as_element(spec, poly)), 4))
+    assert 1.0 <= norm_sq(spec, as_element(spec, poly)) < 4.0
+    return poly
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", sorted(SCALE_SPACES))
+def test_strong_signals_are_searched_as_normal_ones(family):
+    """A signal of squared norm in [1, 4) scaled by 2**j, so that its energy
+    is at or above 2**64, is searched at gain 4**-j: both sweeps keep the
+    params of scale 1 bit for bit, with every energy 4**j times that at
+    scale 1, and nothing overflows."""
+    spec = SCALE_SPACES[family]
+    poly = _unit_polynomial(spec, 12)
+    for sweep in (afd_decay_sweep, residual_decay_sweep):
+        unit = sweep(spec, as_element(spec, poly), 3, SWEEP_CFG)
+        for j in (240, 500):
+            strong = sweep(spec, as_element(spec, 2.0**j * poly), 3, SWEEP_CFG)
+            assert [r.params.points for r in strong] == [r.params.points for r in unit]
+            assert [r.energy for r in strong] == [4.0**j * r.energy for r in unit]
 
 
 @pytest.mark.parametrize(

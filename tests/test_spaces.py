@@ -253,6 +253,16 @@ def test_truncation_honesty_guard():
     assert spec.kernel_norm_sq(0.7) == pytest.approx(1.0 / (1.0 - 0.49), rel=1e-9)
 
 
+@pytest.mark.parametrize("family,param", [("hardy", 0.0), ("bergman", 1.0), ("weighted_hardy", 0.5)])
+def test_kernel_norm_sq_of_an_array_is_that_of_each_radius(family, param):
+    spec = SpaceSpec(family, param)
+    radii = np.linspace(0.0, 0.999, 64)
+    norms = spec.kernel_norm_sq(radii)
+    assert norms.shape == radii.shape
+    assert norms.tolist() == [spec.kernel_norm_sq(r) for r in radii]
+    assert isinstance(spec.kernel_norm_sq(0.5), float)
+
+
 def test_non_finite_coefficients_rejected():
     with pytest.raises(ValueError):
         AnalyticFunction(np.array([1.0, np.nan]))
