@@ -4,7 +4,7 @@
 The tasks are every ``configs/*.json``, every task of the benchmark's
 ``sweep``, ``multistart`` and ``stochastic`` workloads at the given seeds
 (built by ``perfbench/workloads.py``, which is only imported), and the edge
-cases in ``EDGE``.  Each task runs through ``cli.parse_config`` and
+cases in ``EDGE``, among them ensembles that end in a partial row block.  Each task runs through ``cli.parse_config`` and
 ``cli.run_task`` from this checkout's ``src`` on one BLAS thread, so two
 checkouts whose programs write the same bytes print the same digests.  Run it
 in each checkout and compare the two files:
@@ -88,6 +88,15 @@ def _scaled_tasks(name, factor):
 # at one n, a stochastic task on one function (M = 1), and weak and strong
 # signals, whose coefficients are scaled by _WEAK and by _STRONG.  _STRONG is
 # a power of 2, so a strong signal is an exact multiple of the unscaled one.
+# The "partial-block" ensembles have M = 100, which the engine's passes over
+# all realizations take as a full block of 64 rows and a partial one of 36
+# (the workloads' M = 256 and the other edge ensembles' M = 8 fill their
+# blocks): a rank-1 one, a full-rank one on _WIDE_SPACE, where M <= N + 1 and
+# the search runs on the ensemble itself, and one of rank N + 1 < M on
+# _SPACE, which compression deflates.
+_WIDE_SPACE = {**_SPACE, "degree": 128}
+_PARTIAL_BLOCK_M = 100
+_GAUSSIAN = {"kind": "decaying_gaussian", "gamma": 1.0, "M": _PARTIAL_BLOCK_M, "seed": 3}
 EDGE = {
     "afd-n0": ("afd", _SIGNAL, 0),
     "afd-n2": ("afd", _SIGNAL, 2),
@@ -97,7 +106,14 @@ EDGE = {
     "stochastic-single-function": ("stochastic", _SIGNAL, 2),
     **_scaled_tasks("weak", _WEAK),
     **_scaled_tasks("strong", _STRONG),
+    "stochastic-rank1-partial-block": (
+        "stochastic", {"random": {**_ENSEMBLE["random"], "M": _PARTIAL_BLOCK_M}}, 2
+    ),
+    "stochastic-fullrank-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
+    "stochastic-deflated-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
 }
+# The space of each edge task that does not run on _SPACE.
+EDGE_SPACES = {"stochastic-fullrank-partial-block": _WIDE_SPACE}
 
 
 def tasks(seeds):
@@ -109,7 +125,8 @@ def tasks(seeds):
             for task in workloads.build(name, seed):
                 yield f"{name}/{seed}/{task.id}", task.text
     for label, (task, signal, n) in EDGE.items():
-        config = {"task": task, "space": _SPACE, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
+        space = EDGE_SPACES.get(label, _SPACE)
+        config = {"task": task, "space": space, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
         yield f"edge/{label}", json.dumps(config)
 
 

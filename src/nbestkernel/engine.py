@@ -185,16 +185,14 @@ class _Nodes(NamedTuple):
 
 class _Span(NamedTuple):
     """The span of the tuple ``params``, read from its kept MGS system: its
-    orthonormal basis rows ``Q``, the coefficients ``<f_m, Q_j>``, the
-    two-pass residual ``R = F - P_Q F`` of each signal, the captured energy
-    ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
+    orthonormal basis rows ``Q``, the two-pass residual ``R = F - P_Q F`` of
+    each signal, the captured energy ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
     before it.  Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their
     row's largest entry are zero; greedy appends a node to it by
     ``_span_captured`` (module docstring: why not the lanes' Gram path)."""
 
     params: ParamTuple
     basis: np.ndarray
-    coefficients: np.ndarray
     residual: np.ndarray
     energy: float
     degraded: bool
@@ -229,22 +227,42 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
 
 
 class _Bundle:
-    """A weighted family of signals over one space; single signals are M = 1."""
+    """A weighted family of signals over one space; single signals are M = 1.
+
+    A bundle keeps one M x (N+1) array, its coefficient matrix; of what is
+    computed from it, only a ``_Span``'s residual is as large.  Every pass over
+    all realizations (norms, MGS coefficients, residuals, compression) runs
+    ``_RANK_BLOCK`` rows at a time and forms the weighted rows ``f_m W`` per
+    block.  A row's results are the bits the same formula gives on the whole
+    matrix, except where a block has a single row (M = 65, say): numpy rounds
+    a one-row product in its vector kernels, within 1e-12 relative.
+    """
 
     def __init__(self, spec: SpaceSpec, matrix: np.ndarray, probs: np.ndarray, systems=None):
         self.spec = spec
         self.matrix = matrix
         self.probs = probs
-        self.weighted = matrix * spec.weights
         self.inv_weights = 1.0 / spec.weights
+        sums = np.empty(len(matrix), dtype=np.complex128)
         with np.errstate(over="ignore"):  # ``_check_norm`` refuses an infinite norm
-            self.norms_sq = np.real(np.sum(self.weighted * np.conj(matrix), axis=1))
+            for rows in self._blocks():
+                block = matrix[rows]
+                sums[rows] = np.sum(block * spec.weights * np.conj(block), axis=1)
+        # The strided real view of the sums, not a contiguous copy: BLAS
+        # rounds the dot product for ``total_sq`` otherwise on a contiguous
+        # copy, and reported norms would move in their last bit.
+        self.norms_sq = np.real(sums)
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
+        self._finals: dict[tuple, tuple] = {}
         # MGS bases depend on the space and the tuple only, so a factor
         # shares the ones its ensemble keeps (``systems``).
         self._systems: dict[tuple, tuple[np.ndarray, bool]] = {} if systems is None else systems
+
+    def _blocks(self) -> list[slice]:
+        """The row blocks of every pass over the realizations."""
+        return [slice(start, start + _RANK_BLOCK) for start in range(0, len(self.matrix), _RANK_BLOCK)]
 
     @classmethod
     def single(cls, spec: SpaceSpec, f: AnalyticFunction) -> "_Bundle":
@@ -265,7 +283,8 @@ class _Bundle:
         ``R = T Q / sqrt(W)``.  Entries of ``u_m`` below ``_TINY_POWER`` are
         flushed to zero, as in ``_powers``.  When M <= N + 1, one Cholesky
         factorization of the M x M Gram matrix of the ``u_m`` detects full
-        rank and skips the deflation.
+        rank and skips the deflation.  Every pass forms the ``u_m`` of one row
+        block at a time, the Gram matrix's too.
         """
         m, n1 = self.matrix.shape
         if m == 1:
@@ -281,29 +300,35 @@ class _Bundle:
             out[np.abs(out) < _TINY_POWER] = 0.0
             return out
 
-        def keeps_every_row(rows: slice) -> bool:
-            # Cholesky pivots of the rows' Gram matrix are the residual norms
-            # of Gram-Schmidt in row order.  Its rounding stays below 8 n1 eps
-            # times its trace (at most the number of rows), far above
-            # _RANK_TOL**2, so pivots above that bound keep every row.
-            u = units(rows)
-            gram = np.empty((len(u), len(u)), dtype=np.complex128)
-            for start in range(0, len(u), _RANK_BLOCK):  # conjugate copies stay block-sized
-                gram[:, start : start + _RANK_BLOCK] = u @ u[start : start + _RANK_BLOCK].conj().T
-            del u
+        blocks = self._blocks()
+
+        def keeps_every_row(count: int) -> bool:
+            # Cholesky pivots of the Gram matrix of the first ``count`` rows
+            # are the residual norms of Gram-Schmidt in row order.  Its
+            # rounding stays below 8 n1 eps times its trace (at most
+            # ``count``), far above _RANK_TOL**2, so pivots above that bound
+            # keep every row.  The Gram matrix is built a block of rows by a
+            # block of columns at a time, on and below the diagonal, the part
+            # that the factorization reads.
+            gram = np.zeros((count, count), dtype=np.complex128)
+            within = [slice(b.start, min(b.stop, count)) for b in blocks if b.start < count]
+            for i, rows in enumerate(within):
+                left = units(rows)
+                for cols in within[:i]:
+                    gram[rows, cols] = left @ units(cols).conj().T
+                gram[rows, rows] = left @ left.conj().T
             try:
                 pivots = np.linalg.cholesky(gram).diagonal().real
             except np.linalg.LinAlgError:
                 return False
-            return bool(np.min(pivots) ** 2 > 8.0 * n1 * np.finfo(np.float64).eps * len(pivots))
+            return bool(np.min(pivots) ** 2 > 8.0 * n1 * np.finfo(np.float64).eps * count)
 
         # Full rank returns at once; the first block screens out deficient
         # ensembles before the M x M Gram matrix is formed.
-        if m <= n1 and keeps_every_row(slice(0, _RANK_BLOCK)) and keeps_every_row(slice(None)):
+        if m <= n1 and keeps_every_row(min(m, _RANK_BLOCK)) and keeps_every_row(m):
             return self
         basis = np.empty((min(m, n1), n1), dtype=np.complex128)
         r = 0
-        blocks = [slice(start, start + _RANK_BLOCK) for start in range(0, m, _RANK_BLOCK)]
         for rows in blocks:
             block = units(rows)
             for _ in range(2):
@@ -323,7 +348,9 @@ class _Bundle:
             return self
         basis = basis[:r]
         scale = np.sqrt(self.probs) * norms
-        coords = np.vstack([scale[rows, None] * (units(rows) @ basis.conj().T) for rows in blocks])
+        coords = np.empty((m, r), dtype=np.complex128)
+        for rows in blocks:
+            coords[rows] = scale[rows, None] * (units(rows) @ basis.conj().T)
         factor = np.linalg.qr(coords, mode="r") @ basis / root_w
         return _Bundle(self.spec, factor, np.ones(r), self._systems)
 
@@ -370,8 +397,28 @@ class _Bundle:
 
     def _mgs_captured(self, params: ParamTuple) -> tuple[float, bool]:
         basis, degraded = self.system(params)
-        c = self.weighted @ basis.conj().T
-        return float(self.probs @ np.sum(np.abs(c) ** 2, axis=1)), degraded
+        return self._captured_by(self._coefficients(basis)), degraded
+
+    def _coefficients(self, basis: np.ndarray) -> np.ndarray:
+        """The coefficients ``<f_m, Q_j>`` of each realization on the basis
+        rows, computed a row block at a time."""
+        out = np.empty((len(self.matrix), len(basis)), dtype=np.complex128)
+        basis_h = basis.conj().T
+        for rows in self._blocks():
+            out[rows] = (self.matrix[rows] * self.spec.weights) @ basis_h
+        return out
+
+    def _captured_by(self, coeffs: np.ndarray) -> float:
+        return float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+
+    def _residual(self, rows: slice, basis: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """The residuals ``f_m - P_Q f_m`` of the realizations of a row block
+        after projection on the basis rows, in two passes and flushed, in
+        ``out`` if given."""
+        fit = coeffs[rows] @ basis
+        block = np.subtract(self.matrix[rows], fit, out=out)
+        block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
+        return _flushed(block)
 
     def _powers(self, centers: np.ndarray) -> np.ndarray:
         """Rows ``conj(c)**k`` for k = 0 .. N, as products of the powers
@@ -455,16 +502,16 @@ class _Bundle:
     def span(self, params: ParamTuple) -> _Span:
         """The ``_Span`` of the tuple, read from its kept MGS system: a greedy
         prefix is the tuple that the previous step's search, or ``finalize``
-        for a sweep's warm extension, has just kept.  The basis is a flushed
-        copy, as the kept one is read-only and may hold subnormals."""
+        for a sweep's warm extension, has just kept, with its basis flushed.
+        The residual is the one M x (N+1) array a span holds; it is filled a
+        row block at a time."""
         basis, degraded = self.system(params)
-        basis = _flushed(basis.copy())
-        coeffs = self.weighted @ basis.conj().T
-        energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
-        # The signals' residual after projection on the basis, in two passes.
-        residual = self.matrix - coeffs @ basis
-        residual -= (residual @ (self.spec.weights * basis).conj().T) @ basis
-        return _Span(params, basis, coeffs, _flushed(residual), energy, degraded)
+        basis = _flushed(basis.copy())  # the kept basis is read-only and may hold subnormals
+        coeffs = self._coefficients(basis)
+        residual = np.empty_like(self.matrix)
+        for rows in self._blocks():
+            self._residual(rows, basis, coeffs, out=residual[rows])
+        return _Span(params, basis, residual, self._captured_by(coeffs), degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span):
         """Span evaluation of the B tuples that append one node of ``points``
@@ -517,15 +564,31 @@ class _Bundle:
 
     def finalize(self, points, cfg: OptimizerConfig):
         """Params trimmed to the basis, coefficients, energy, residual norm
-        and degradation of the tuple, read from its ``span`` (its kept MGS
-        system and two-pass residual)."""
-        span = self.span(self.make_tuple(points, cfg))
-        params = span.params
-        if len(span.basis) < len(params):
-            params = ParamTuple(params.points[: len(span.basis)], params.merge_tol, params.radius_cap)
-        resid_sq = np.sum(self.spec.weights * np.abs(span.residual) ** 2, axis=1)
+        and degradation of the tuple, read as its ``span`` reads them (its
+        kept MGS system and two-pass residual).  Each realization's residual
+        norm is summed a row block at a time; the residuals themselves are
+        not kept."""
+        params = self.make_tuple(points, cfg)
+        basis, degraded = self.system(params)
+        basis = _flushed(basis.copy())
+        if len(basis) < len(params):
+            params = ParamTuple(params.points[: len(basis)], params.merge_tol, params.radius_cap)
+        coeffs = self._coefficients(basis)
+        resid_sq = np.empty(len(self.matrix))
+        for rows in self._blocks():
+            block = self._residual(rows, basis, coeffs)
+            resid_sq[rows] = np.sum(self.spec.weights * np.abs(block) ** 2, axis=1)
         residual = math.sqrt(max(float(self.probs @ resid_sq), 0.0))
-        return params, span.coefficients, span.energy, residual, span.degraded
+        return params, coeffs, self._captured_by(coeffs), residual, degraded
+
+    def finalized(self, points, cfg: OptimizerConfig):
+        """``finalize``'s result for the tuple, kept per points for the life of
+        the bundle: the candidate ranking and the result of a search on the
+        bundle itself read one finalization of the winner."""
+        key = (tuple(points), cfg.merge_tol)
+        if key not in self._finals:
+            self._finals[key] = self.finalize(points, cfg)
+        return self._finals[key]
 
 
 def _energy(bundle: _Bundle, params: ParamTuple) -> float:
@@ -1013,6 +1076,7 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, p
         new_pts, total = _local_search(
             bundle, cfg, _as_x([grid.points[best]]), prefix=tuple(points), span=span
         )
+        del span  # before the next step builds its own
         points = list(new_pts)
         trace.append(
             {
@@ -1121,7 +1185,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     def sort_key(cand):
         pts = cand[0]
         rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
-        return (bundle.finalize(pts, cfg)[3], rounded)
+        return (bundle.finalized(pts, cfg)[3], rounded)
 
     best_pts, _, entry = min(candidates, key=sort_key)
     trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
@@ -1134,14 +1198,15 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
 def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> ApproximationResult:
     """The result for the tuple of ``points``, finalized on the bundle, or,
     without points, the zero-node result; coefficients have one row per
-    realization."""
+    realization.  A winner that a search on the bundle itself ranked is read
+    from that ranking's finalization (``_Bundle.finalized``)."""
     norm = math.sqrt(bundle.total_sq)
     if points is None:
         params = bundle.make_tuple((), cfg)
         coeffs = np.zeros((len(bundle.probs), 0), dtype=np.complex128)
         cap, residual, degraded = 0.0, norm, False
     else:
-        params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
+        params, coeffs, cap, residual, degraded = bundle.finalized(points, cfg)
     return ApproximationResult(params, coeffs, cap, residual, norm, method, list(trace), degraded)
 
 

@@ -11,6 +11,13 @@ the pipeline searches on an exact rank-r factor of the ensemble
 (r <= min(M, N+1); r = 1 for random multiples of one function) and its cost
 does not grow with M.  The per-realization coefficients, the expected energy
 and the residual of the chosen tuple are computed from all M realizations.
+
+An ensemble holds one M x (N+1) coefficient array.  ``generate_ensemble``
+writes its draws straight into it, and every pass over all realizations
+(norms, compression, the final coefficients and residual) streams through it
+a block of rows at a time, so the memory beyond that array is the M x r
+factor, the M x n coefficients and block-sized temporaries, except for a
+search on a full-rank ensemble, whose greedy spans hold one residual array.
 """
 
 from __future__ import annotations
@@ -21,7 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceRiskError, ShapeMismatchError
-from .engine import ApproximationResult, OptimizerConfig, _Bundle, _check_norm, _energy, _run
+from .engine import (
+    _RANK_BLOCK,
+    ApproximationResult,
+    OptimizerConfig,
+    _Bundle,
+    _check_norm,
+    _energy,
+    _run,
+)
 from .spaces import AnalyticFunction, ParamTuple, SpaceSpec, multiple_kernel
 
 # perfbench/tracer.py times the multistart stage under this name.
@@ -30,7 +45,13 @@ from .engine import _nbest_points  # noqa: F401
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Weighted finite family of realizations sharing one space."""
+    """Weighted finite family of realizations sharing one space.
+
+    The ensemble keeps ``matrix`` read-only.  A matrix that is already
+    read-only and owns its memory, as ``generate_ensemble``'s is, is taken
+    as it is; any other is copied, so a caller writing to its own array
+    later leaves the ensemble unchanged.
+    """
 
     spec: SpaceSpec
     matrix: np.ndarray
@@ -52,7 +73,8 @@ class Ensemble:
             raise ValueError("weights must be non-negative, one per realization")
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one within 1e-12")
-        m = m.copy()
+        if m.flags.writeable or m.base is not None:
+            m = m.copy()
         p = p.copy()
         m.setflags(write=False)
         p.setflags(write=False)
@@ -63,6 +85,7 @@ class Ensemble:
     def from_functions(cls, spec, functions, weights=None) -> "Ensemble":
         functions = list(functions)
         mat = np.stack([f.coeffs for f in functions])
+        mat.setflags(write=False)  # a fresh array, which the ensemble takes as it is
         if weights is None:
             weights = np.full(len(functions), 1.0 / len(functions))
         return cls(spec, mat, np.asarray(weights, dtype=np.float64))
@@ -156,11 +179,19 @@ def generate_ensemble(
                 f"gamma > {(1.0 + beta_eff) / 2.0:g} for this space"
             )
         sd = (1.0 + np.arange(n1)) ** (-gamma)
-        re = rng.standard_normal((m, n1))
-        im = rng.standard_normal((m, n1))
-        mat = sd[None, :] * (re + 1j * im)
+        # All real parts are drawn first, row by row, then all imaginary
+        # parts, each block of rows into one float buffer and scaled into
+        # place: the stream and the values of ``sd * (re + 1j * im)``.
+        mat = np.empty((m, n1), dtype=np.complex128)
+        draws = np.empty((_RANK_BLOCK, n1))
+        for part in (mat.real, mat.imag):
+            for start in range(0, m, _RANK_BLOCK):
+                block = draws[: min(_RANK_BLOCK, m - start)]
+                rng.standard_normal(out=block)
+                np.multiply(sd, block, out=part[start : start + _RANK_BLOCK])
     else:
         raise ValueError(f"unknown ensemble kind {kind!r}")
+    mat.setflags(write=False)
     e = Ensemble(spec, mat, np.full(m, 1.0 / m))
     _check_norm(_bundle(e))
     return e

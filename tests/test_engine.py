@@ -630,7 +630,7 @@ def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
         basis = span.basis
         ortho = rows - ((rows * w) @ basis.conj().T) @ basis
         norms = np.real(np.sum(w * np.abs(ortho) ** 2, axis=1))
-        gains = bundle.probs @ np.abs(bundle.weighted @ ortho.conj().T) ** 2
+        gains = bundle.probs @ np.abs((bundle.matrix * w) @ ortho.conj().T) ** 2
         ok = norms > 1e-12 * np.maximum(raw, 1.0)
         got = _grid_increments(bundle, grid, span)
         assert np.array_equal(np.isfinite(got), ok)

@@ -49,7 +49,7 @@ def _signal(spec, seed):
 def _mgs_value(bundle, params):
     """The MGS energy exactly as the reference path computes it."""
     system, _ = _gram_schmidt_impl(bundle.spec, params, eps_degenerate=1e-10, allow_partial=True)
-    c = bundle.weighted @ system.basis.conj().T
+    c = (bundle.matrix * bundle.spec.weights) @ system.basis.conj().T
     return float(bundle.probs @ np.sum(np.abs(c) ** 2, axis=1))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nbestkernel import (
     stochastic_nbest,
 )
 from nbestkernel.engine import (
+    _RANK_BLOCK,
     _Bundle,
     _disc_grid,
     _greedy_points,
@@ -29,7 +31,9 @@ from nbestkernel.engine import (
     _grid_increments,
     _nbest_points,
     _Nodes,
+    _flushed,
 )
+from nbestkernel.stochastic import kernel_mix
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
 
@@ -128,6 +132,47 @@ def test_generate_gaussian_divergence_guard():
     with pytest.raises(DivergenceRiskError):
         generate_ensemble(dirichlet, "decaying_gaussian", {"gamma": 1.0}, 4, seed=0)
     generate_ensemble(dirichlet, "decaying_gaussian", {"gamma": 1.5}, 4, seed=0)
+
+
+def test_generated_realizations_are_the_draws_bit_for_bit(hardy_small):
+    """Each generator writes into the ensemble's one array the bits of its
+    whole-array formula on the same stream: ``sd * (re + 1j * im)`` with all
+    real parts drawn before the imaginary ones, and ``xi[:, None] * base``;
+    M = 100 ends in a partial row block."""
+    m, n1, seed = 100, hardy_small.max_degree + 1, 4
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal((m, n1))
+    im = rng.standard_normal((m, n1))
+    want = (1.0 + np.arange(n1)) ** -1.5 * (re + 1j * im)
+    e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.5}, m, seed)
+    assert e.matrix.tobytes() == want.tobytes()
+
+    atoms = [(0.3 + 0.1j, 1.0, 1), (-0.35 - 0.2j, 0.8 + 0.4j, 2)]
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = xi[:, None] * kernel_mix(hardy_small, atoms).coeffs
+    e = generate_ensemble(hardy_small, "kernel_mix", {"atoms": atoms}, m, seed)
+    assert e.matrix.tobytes() == want.tobytes()
+
+
+def test_ensemble_does_not_share_a_callers_array(hardy_small):
+    """An ensemble copies a matrix its caller can still write to, directly or
+    through the array a read-only view looks into, and keeps its own
+    read-only."""
+    rng = np.random.default_rng(6)
+    n1 = hardy_small.max_degree + 1
+    matrix = rng.standard_normal((3, n1)) + 1j * rng.standard_normal((3, n1))
+    probs = np.full(3, 1.0 / 3.0)
+    view = matrix[:]
+    view.setflags(write=False)
+    kept = matrix.copy()
+    ensembles = [Ensemble(hardy_small, matrix, probs), Ensemble(hardy_small, view, probs)]
+    matrix[:] = 0.0
+    probs[:] = 0.0
+    for e in ensembles:
+        assert np.array_equal(e.matrix, kept)
+        assert np.array_equal(e.probs, np.full(3, 1.0 / 3.0))
+        assert not e.matrix.flags.writeable
 
 
 # -- shared-node search ------------------------------------------------------------
@@ -323,3 +368,120 @@ def test_trace_names_rank_and_winner(hardy_small):
     assert entry["stage"] == select["from"]
     assert select["from"] in ("greedy", "local", "merge-polish")
     assert entry["energy"] == pytest.approx(res.expected_energy, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["single", "full-rank"])
+def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypatch, kind):
+    """Where the search runs on the bundle itself (M = 1, or full rank), the
+    result reads the candidate ranking's finalization of the winner instead of
+    finalizing it again."""
+    calls = []
+    finalize = _Bundle.finalize
+
+    def counted(self, points, cfg):
+        calls.append((id(self), tuple(points)))
+        return finalize(self, points, cfg)
+
+    monkeypatch.setattr(_Bundle, "finalize", counted)
+    if kind == "single":
+        rng = np.random.default_rng(12)
+        f = as_element(hardy_small, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        res = nbest(hardy_small, f, 2, FAST)
+    else:
+        e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
+        res = stochastic_nbest(e, 2, FAST)
+        assert res.trace[0]["rank"] == 6
+    assert res.trace[-1]["stage"] == "select" and len(calls) >= 2  # candidates were ranked
+    assert len(calls) == len(set(calls))
+
+
+# -- row blocks and bounded memory -----------------------------------------------------
+
+BLOCK_SPACE = SpaceSpec.bergman(1.0, 40, radius_cap=0.6)
+BLOCK_TUPLES = [
+    ParamTuple((0.3 + 0.1j,), radius_cap=0.6),
+    ParamTuple((0.3 + 0.1j, -0.2 + 0.4j, -0.2 + 0.4j), radius_cap=0.6),  # with an order-2 node
+]
+
+
+def _block_bundle(m):
+    """M realizations of widely spread norms; for M > 1 one row is zero and
+    another has probability zero."""
+    rng = np.random.default_rng(m)
+    n1 = BLOCK_SPACE.max_degree + 1
+    matrix = (rng.standard_normal((m, n1)) + 1j * rng.standard_normal((m, n1))) / (1.0 + np.arange(n1))
+    matrix *= np.exp(rng.uniform(-4.0, 4.0, (m, 1)))
+    probs = rng.uniform(0.5, 1.5, m)
+    if m > 1:
+        matrix[m // 2] = 0.0
+        probs[m // 3] = 0.0
+    return _Bundle(BLOCK_SPACE, matrix, probs / probs.sum())
+
+
+@pytest.mark.parametrize("m", [1, _RANK_BLOCK - 1, _RANK_BLOCK, _RANK_BLOCK + 1, 200])
+def test_row_block_passes_equal_whole_array_formulas(m):
+    """Every pass over the realizations runs a row block at a time; each
+    quantity equals its formula on the whole matrix at once, bit for bit, for
+    M on both sides of a block boundary and ending in a partial block: the
+    norms, the MGS energy, a span's basis, residual and energy, and the
+    coefficients, energy and residual norm of ``finalize``.  The one
+    exception is a last block of a single row (M = 65): numpy takes a one-row
+    product through its vector kernels, which round otherwise, so that row's
+    coefficients and residual, and the sums over rows, agree to 1e-12
+    relative."""
+    bundle = _block_bundle(m)
+    matrix, probs, w = bundle.matrix, bundle.probs, BLOCK_SPACE.weights
+    alone = m % _RANK_BLOCK == 1 and m > 1
+    exact = slice(None, -1) if alone else slice(None)
+
+    def same_rows(got, want):
+        assert np.array_equal(got[exact], want[exact])
+        if alone:
+            assert np.max(np.abs(got[-1] - want[-1])) <= 1e-12 * np.max(np.abs(want[-1]))
+
+    def same(got, want):
+        assert got == want if not alone else abs(got - want) <= 1e-12 * abs(want)
+
+    weighted = matrix * w
+    assert np.array_equal(bundle.norms_sq, np.real(np.sum(weighted * np.conj(matrix), axis=1)))
+    cfg = OptimizerConfig(merge_tol=1e-9)
+    for params in BLOCK_TUPLES:
+        kept, degraded = bundle.system(params)
+        c = weighted @ kept.conj().T
+        got, got_degraded = bundle._mgs_captured(params)
+        same(got, float(probs @ np.sum(np.abs(c) ** 2, axis=1)))
+        assert got_degraded == degraded
+
+        basis = _flushed(kept.copy())
+        coeffs = weighted @ basis.conj().T
+        energy = float(probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+        residual = matrix - coeffs @ basis
+        residual -= (residual @ (w * basis).conj().T) @ basis
+        residual = _flushed(residual)
+        span = bundle.span(params)
+        assert np.array_equal(span.basis, basis)
+        same_rows(span.residual, residual)
+        same(span.energy, energy)
+
+        _, got_coeffs, got_energy, got_residual, _ = bundle.finalize(params.points, cfg)
+        same_rows(got_coeffs, coeffs)
+        same(got_energy, energy)
+        resid_sq = np.sum(w * np.abs(residual) ** 2, axis=1)
+        same(got_residual, math.sqrt(max(float(probs @ resid_sq), 0.0)))
+
+
+def test_rank1_ensemble_peak_memory_is_bounded(hardy_small):
+    """Generating a rank-1 ensemble of M = 4096 (16.8 MB of coefficients) and
+    searching it allocate at most half that again: the ensemble holds one
+    coefficient array, and the passes over it keep block-sized temporaries."""
+    atoms = [(0.3 + 0.1j, 1.0, 1), (-0.35 - 0.2j, 0.8 + 0.4j, 1)]
+    cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=200, seed=0)
+    tracemalloc.start()
+    try:
+        e = generate_ensemble(hardy_small, "kernel_mix", {"atoms": atoms}, 4096, seed=7)
+        res = stochastic_nbest(e, 2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trace[0]["rank"] == 1
+    assert peak <= 1.5 * e.matrix.nbytes
