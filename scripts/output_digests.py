@@ -4,7 +4,9 @@
 The tasks are every ``configs/*.json``, every task of the benchmark's
 ``sweep``, ``multistart`` and ``stochastic`` workloads at the given seeds
 (built by ``perfbench/workloads.py``, which is only imported), and the edge
-cases in ``EDGE``, among them ensembles that end in a partial row block.  Each task runs through ``cli.parse_config`` and
+cases in ``EDGE``, among them ensembles that end in a partial row block and
+a search on degree 40, where the Gram path's kernel rows have length 32 or
+41.  Each task runs through ``cli.parse_config`` and
 ``cli.run_task`` from this checkout's ``src`` on one BLAS thread, so two
 checkouts whose programs write the same bytes print the same digests.  Run it
 in each checkout and compare the two files:
@@ -93,8 +95,15 @@ def _scaled_tasks(name, factor):
 # (the workloads' M = 256 and the other edge ensembles' M = 8 fill their
 # blocks): a rank-1 one, a full-rank one on _WIDE_SPACE, where M <= N + 1 and
 # the search runs on the ensemble itself, and one of rank N + 1 < M on
-# _SPACE, which compression deflates.
+# _SPACE, which compression deflates.  On _SHORT_SPACE (degree 40) the Gram
+# path's kernel rows have length 32 or N + 1 = 41, the top of its ladder of
+# row lengths; a node near the atom at radius 0.85 needs all 41 and one near
+# the other atom 32.
 _WIDE_SPACE = {**_SPACE, "degree": 128}
+_SHORT_SPACE = {"family": "weighted_hardy", "param": 2.0, "degree": 40, "radius_cap": 0.9}
+_NEAR_CAP = {
+    "kernel_mix": [{"a": [0.6, 0.6], "c": [1.0, 0.0]}, {"a": [-0.2, 0.1], "c": [0.5, 0.3]}]
+}
 _PARTIAL_BLOCK_M = 100
 _GAUSSIAN = {"kind": "decaying_gaussian", "gamma": 1.0, "M": _PARTIAL_BLOCK_M, "seed": 3}
 EDGE = {
@@ -111,9 +120,13 @@ EDGE = {
     ),
     "stochastic-fullrank-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
     "stochastic-deflated-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
+    "nbest-degree40-near-cap": ("nbest", _NEAR_CAP, 2),
 }
 # The space of each edge task that does not run on _SPACE.
-EDGE_SPACES = {"stochastic-fullrank-partial-block": _WIDE_SPACE}
+EDGE_SPACES = {
+    "stochastic-fullrank-partial-block": _WIDE_SPACE,
+    "nbest-degree40-near-cap": _SHORT_SPACE,
+}
 
 
 def tasks(seeds):

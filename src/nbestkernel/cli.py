@@ -177,13 +177,19 @@ def _parse_atoms(items, path: str, spec: SpaceSpec) -> list[tuple[complex, compl
 
 def _checked_norm(signal, spec: SpaceSpec, path: str):
     """``signal``, if the engine accepts its squared norm (``_check_norm``).
-    A random ensemble is checked where it is generated."""
+    A random ensemble is checked where it is generated.  An ensemble keeps
+    the norms of this check, which its search reads (``Ensemble``)."""
     rows = signal if isinstance(signal, Ensemble) else Ensemble.from_functions(spec, [signal])
     try:
         _check_norm(_bundle(rows))
     except DomainError as exc:
         _fail(path, str(exc))
     return signal
+
+
+def _as_signal(f: AnalyticFunction, spec: SpaceSpec, single: bool):
+    """``f``, or for a stochastic task the ensemble of ``f`` alone."""
+    return f if single else Ensemble.from_functions(spec, [f])
 
 
 def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
@@ -206,10 +212,10 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
         values = [_complex_pair(p, f"{path}/coefficients/{i}") for i, p in enumerate(pairs)]
         if len(values) > spec.max_degree + 1:
             _fail(f"{path}/coefficients", "more coefficients than the space degree allows")
-        return _checked_norm(as_element(spec, values), spec, path)
+        return _checked_norm(_as_signal(as_element(spec, values), spec, single), spec, path)
     if form == "kernel_mix":
         atoms = _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec)
-        return _checked_norm(kernel_mix(spec, atoms), spec, path)
+        return _checked_norm(_as_signal(kernel_mix(spec, atoms), spec, single), spec, path)
     if form == "realizations":
         rows = obj["realizations"]
         if not isinstance(rows, list) or not rows:
@@ -405,8 +411,6 @@ def run_task(cfg: TaskConfig, out_dir: Path, seed: int | None = None) -> int:
 
     signal = cfg.signal
     if cfg.task == "stochastic":
-        if isinstance(signal, AnalyticFunction):
-            signal = Ensemble.from_functions(cfg.space, [signal])
         res = stochastic_nbest(signal, cfg.n, optimizer)
     elif cfg.n_max is not None:
         if cfg.task == "afd":

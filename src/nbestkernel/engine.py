@@ -11,6 +11,18 @@ pivots signal near-dependence, or whose moving nodes merge, has value +inf
 Modified Gram-Schmidt (MGS), the reference, produces every reported value and
 the final coefficients.
 
+A kernel at radius r has coefficients that fall like r**k, so the Gram path
+forms each tuple's kernel rows only as long as the tuple needs
+(``_Bundle._row_lengths``): the shortest of 32, 64, 128, 256 and 512
+entries, or all N + 1, at which a tail bound on every row it forms, of each
+node's order and of the next order for the gradient, is at most eps**2 of the
+row's squared norm.  The dropped tail moves a Gram entry by at most eps**2
+||K_i|| ||K_j|| and a pairing ``<f_m, K_i>`` by at most eps ||f_m|| ||K_i||,
+below the rounding of the full-length sums.  The length depends on the tuple
+alone, and the products that depend on it run per group of tuples of equal
+length, so a tuple's results keep their bits in any batch.  Greedy's span,
+the grid, MGS and ``finalize`` use full rows.
+
 Every local search is a bounded dense BFGS run on that gradient (in numpy,
 over the box of the search radius), run as lanes of one lockstep search
 (``_descend``): each round evaluates one trial point per active lane in one
@@ -86,6 +98,9 @@ _PIVOT_FLOOR = 1e-4
 # two entries out of the subnormal range, where arithmetic is slow.
 _POWER_BLOCK = 32
 _TINY_POWER = 1e-75
+# The lengths below N + 1 to which the Gram path cuts kernel rows
+# (``_Bundle._row_lengths``): 32 .. 512, the power block doubled.
+_ROW_LENGTHS = tuple(_POWER_BLOCK << j for j in range(5))
 # Ensemble compression keeps a realization's Gram-Schmidt residual only when
 # its norm exceeds _RANK_TOL times the realization's own norm, so the factor
 # drops at most _RANK_TOL**2 * total_sq of energy in any direction.
@@ -226,6 +241,20 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         return out
 
 
+def _row_norms_sq(spec: SpaceSpec, matrix: np.ndarray) -> np.ndarray:
+    """The squared space norm of each row of ``matrix``, in one pass over it,
+    ``_RANK_BLOCK`` rows at a time.  It is the strided real view of the
+    complex row sums, not a contiguous copy: BLAS rounds the dot product for
+    ``_Bundle.total_sq`` otherwise on a contiguous copy, and reported norms
+    would move in their last bit."""
+    sums = np.empty(len(matrix), dtype=np.complex128)
+    with np.errstate(over="ignore"):  # ``_check_norm`` refuses an infinite norm
+        for start in range(0, len(matrix), _RANK_BLOCK):
+            block = matrix[start : start + _RANK_BLOCK]
+            sums[start : start + _RANK_BLOCK] = np.sum(block * spec.weights * np.conj(block), axis=1)
+    return np.real(sums)
+
+
 class _Bundle:
     """A weighted family of signals over one space; single signals are M = 1.
 
@@ -238,22 +267,21 @@ class _Bundle:
     a one-row product in its vector kernels, within 1e-12 relative.
     """
 
-    def __init__(self, spec: SpaceSpec, matrix: np.ndarray, probs: np.ndarray, systems=None):
+    def __init__(self, spec: SpaceSpec, matrix: np.ndarray, probs: np.ndarray, systems=None, norms_sq=None):
         self.spec = spec
         self.matrix = matrix
         self.probs = probs
         self.inv_weights = 1.0 / spec.weights
-        sums = np.empty(len(matrix), dtype=np.complex128)
-        with np.errstate(over="ignore"):  # ``_check_norm`` refuses an infinite norm
-            for rows in self._blocks():
-                block = matrix[rows]
-                sums[rows] = np.sum(block * spec.weights * np.conj(block), axis=1)
-        # The strided real view of the sums, not a contiguous copy: BLAS
-        # rounds the dot product for ``total_sq`` otherwise on a contiguous
-        # copy, and reported norms would move in their last bit.
-        self.norms_sq = np.real(sums)
+        # An ensemble hands in the norms of its one pass (``_row_norms_sq``).
+        self.norms_sq = _row_norms_sq(spec, matrix) if norms_sq is None else norms_sq
         self.total_sq = float(self.probs @ self.norms_sq)
         self._falling: dict[int, np.ndarray] = {}
+        # Kernel row lengths of the Gram path (``_row_lengths``), with each
+        # order's limiting radii and each tuple structure's.
+        n1 = spec.max_degree + 1
+        self._lengths = np.array([n for n in _ROW_LENGTHS if n < n1] + [n1])
+        self._reach: dict[int, np.ndarray] = {}
+        self._limits: dict[tuple, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
         self._finals: dict[tuple, tuple] = {}
         # MGS bases depend on the space and the tuple only, so a factor
@@ -420,32 +448,36 @@ class _Bundle:
         block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
         return _flushed(block)
 
-    def _powers(self, centers: np.ndarray) -> np.ndarray:
-        """Rows ``conj(c)**k`` for k = 0 .. N, as products of the powers
-        k = 32 i and k = j < 32; terms below ``_TINY_POWER`` become zero."""
+    def _powers(self, centers: np.ndarray, length: int | None = None) -> np.ndarray:
+        """Rows ``conj(c)**k`` for k = 0 .. length - 1 (by default N), as
+        products of the powers k = 32 i and k = j < 32; terms below
+        ``_TINY_POWER`` become zero.  Each block is a running product, so an
+        entry has the same bits whatever the length."""
+        length = self.spec.max_degree + 1 if length is None else length
         z = np.conj(centers)[:, None]
         low = np.empty((z.size, _POWER_BLOCK), dtype=np.complex128)
         low[:, 0] = 1.0
         low[:, 1:] = z
         np.cumprod(low[:, 1:], axis=1, out=low[:, 1:])
-        high = np.empty((z.size, -(-(self.spec.max_degree + 1) // _POWER_BLOCK)), dtype=np.complex128)
+        high = np.empty((z.size, -(-length // _POWER_BLOCK)), dtype=np.complex128)
         high[:, 0] = 1.0
         high[:, 1:] = low[:, -1:] * z
         np.cumprod(high[:, 1:], axis=1, out=high[:, 1:])
         low[np.abs(low) < _TINY_POWER] = 0.0
         high[np.abs(high) < _TINY_POWER] = 0.0
-        return (high[:, :, None] * low[:, None, :]).reshape(z.size, -1)[:, : self.spec.max_degree + 1]
+        return (high[:, :, None] * low[:, None, :]).reshape(z.size, -1)[:, :length]
 
     def _kernel_rows(self, powers: np.ndarray, orders) -> np.ndarray:
         """Rows ``W * K`` of the order-``o`` kernels whose ``_powers`` rows are
         given (n rows, or a stack of n rows per tuple): ``k (k-1) ... (k-o+2)
-        conj(c)**(k-o+1)``, i.e. ``multiple_kernel`` times the weights."""
+        conj(c)**(k-o+1)``, i.e. ``multiple_kernel`` times the weights, as
+        long as the powers; an entry has the same bits whatever the length."""
         if all(o == 1 for o in orders):
             return powers
         n1 = powers.shape[-1]
         rows = np.zeros_like(powers)
         for i, o in enumerate(orders):
-            rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * self._falling_factorial(o - 1)
+            rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * self._falling_factorial(o - 1)[: n1 - o + 1]
         return rows
 
     def _falling_factorial(self, lag: int) -> np.ndarray:
@@ -455,6 +487,65 @@ class _Bundle:
             out = self._falling[lag] = _falling_factorial(self.spec.max_degree, lag)
         return out
 
+    def _row_lengths(self, centers: np.ndarray, orders: tuple, moving: np.ndarray) -> np.ndarray:
+        """Each tuple's kernel row length on the Gram path: the shortest of
+        ``_ROW_LENGTHS`` below N + 1, or N + 1, at which a tail bound on
+        every row the evaluation forms, of each node's order and, for a
+        moving node, of the next order, is at most eps**2 of that row's
+        squared norm (module docstring).
+
+        The order-o row at radius r has squared-norm terms ``t_k = c_k
+        r**(2 (k-o+1))`` with ``c_k = ff_{o-1}(k)**2 / W(k)``, and for k >= L
+        ``t_{k+1} / t_k <= r**2 q_L``, where ``q_L`` is the largest ratio
+        ``c_{k+1} / c_k`` from k = L on.  So the terms from L on sum to at
+        most ``t_L / (1 - r**2 q_L)``, which is compared with ``eps**2
+        t_{o-1}``.  The bound grows with r, so each order keeps, per length,
+        the largest radius at which it holds (found once per bundle by
+        bisection); a tuple's length is then a comparison of its radii.
+        """
+        lengths = self._lengths
+        if len(lengths) == 1:
+            return np.full(len(centers), lengths[0])
+        key = (orders, moving.tobytes())
+        limits = self._limits.get(key)
+        if limits is None:
+            new = sorted({o + step for o in orders for step in (0, 1)} - self._reach.keys())
+            if new:
+                self._reach.update(zip(new, self._order_reach(new)))
+            limits = self._limits[key] = np.array([
+                np.minimum(self._reach[o], self._reach[o + 1]) if m else self._reach[o]
+                for o, m in zip(orders, moving)
+            ])
+        return lengths[(np.abs(centers)[:, :, None] > limits).sum(axis=2).max(axis=1)]
+
+    def _order_reach(self, orders: list) -> list:
+        """For each order, each length L below N + 1 of ``_row_lengths``: the
+        largest radius at which L entries hold that order's kernel rows, or
+        -1 where no radius does.  One bisection covers every order and
+        length; a radius that a length admits, longer lengths admit too."""
+        w, ladder = self.spec.weights, self._lengths[:-1]
+        parts = []
+        for o in orders:
+            lag = o - 1
+            c = self._falling_factorial(lag) ** 2 / w[lag:]  # c_k for k = lag .. N
+            k = np.arange(lag + 1, len(w))
+            ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
+            q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
+            at = np.minimum(ladder - lag, len(c) - 1)  # L - lag, clipped where L <= lag
+            parts.append((c[at], q[at], 2.0 * (ladder - lag), np.full(len(ladder), c[0])))
+        c_l, q_l, power, lead = (np.concatenate(p) for p in zip(*parts))
+        lo = np.zeros(len(c_l))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            hi = np.minimum(1.0, 1.0 / np.sqrt(q_l))
+            for _ in range(53):
+                mid = 0.5 * (lo + hi)
+                ok = c_l * mid**power <= _EPS**2 * lead * (1.0 - mid * mid * q_l)
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return [
+            np.maximum.accumulate(np.where(ladder >= o, reach, -1.0))
+            for o, reach in zip(orders, lo.reshape(len(orders), -1))
+        ]
+
     def _gram_captured(self, centers: np.ndarray, orders: tuple, owners: np.ndarray):
         """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
         their values, their gradients (one row per tuple), and the mask of
@@ -463,16 +554,41 @@ class _Bundle:
 
         With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
         dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
-        the next-order kernel, i.e. dK_j / d(conj a_c).  Every step is a
-        stacked or elementwise operation, so a tuple's results are the same
-        bits whichever batch it is evaluated in.
+        the next-order kernel, i.e. dK_j / d(conj a_c).
+
+        Each tuple's kernel rows are cut to its own length L
+        (``_row_lengths``): the dropped tail moves a Gram entry by at most
+        eps**2 ||K_i|| ||K_j|| and a pairing ``<f_m, K_i>`` by at most eps
+        ||f_m|| ||K_i||, below the rounding of the full sums.  The powers and
+        rows are formed once, at the batch's longest L, and their entries do
+        not depend on the length; the four products that do (the Gram
+        matrices, the pairings, the cross terms with next-order rows and the
+        signals against those rows) run once per group of tuples with equal
+        L.  Every step is a stacked or elementwise operation, so a tuple's
+        results are the same bits whichever batch it is evaluated in.
         """
         count, n = centers.shape
-        powers = self._powers(centers.ravel()).reshape(count, n, -1)
+        moving = owners >= 0
+        length = self._row_lengths(centers, orders, moving)
+        top = int(length.max())
+        powers = self._powers(centers.ravel(), top).reshape(count, n, top)
         rows = self._kernel_rows(powers, orders)
-        rows_conj = rows.conj()
-        gram = (rows_conj * self.inv_weights) @ rows.transpose(0, 2, 1)  # G_ij = <K_j, K_i>
-        pairs = self.matrix @ rows_conj.transpose(0, 2, 1)  # v_mi = <f_m, K_i>
+        nxt = self._kernel_rows(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m])
+        m, k = len(self.matrix), nxt.shape[1]
+        gram, pairs, cross, pairs_nxt = (
+            np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, k), (m, k))
+        )
+        sizes = sorted(set(length.tolist()))
+        for size in sizes:
+            group = slice(None) if len(sizes) == 1 else length == size
+            cut = rows[group, :, :size]
+            cut_conj = cut.conj()
+            nxt_conj_t = nxt[group, :, :size].conj().transpose(0, 2, 1)
+            inv_w, signals = self.inv_weights[:size], self.matrix[:, :size]
+            gram[group] = (cut_conj * inv_w) @ cut.transpose(0, 2, 1)  # G_ij = <K_j, K_i>
+            pairs[group] = signals @ cut_conj.transpose(0, 2, 1)  # v_mi = <f_m, K_i>
+            cross[group] = (cut * inv_w) @ nxt_conj_t  # <K_i, K_j+>
+            pairs_nxt[group] = signals @ nxt_conj_t  # <f_m, K_j+>
         chol = _cholesky(gram)
         floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
         ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
@@ -482,16 +598,12 @@ class _Bundle:
         grad = np.zeros((count, owners.max() + 1), dtype=np.complex128)
         if failed.all():
             return value, grad, failed
-        powers, rows, chol, pairs = powers[held], rows[held], chol[held], pairs[held]
+        chol, pairs, cross, pairs_nxt = chol[held], pairs[held], cross[held], pairs_nxt[held]
         y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
         value[held] = _rowdot(np.sum(np.abs(y) ** 2, axis=1), self.probs)
         x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
-        moving = owners >= 0
-        nxt_orders = [o + 1 for o, own in zip(orders, owners) if own >= 0]
-        nxt_conj_t = self._kernel_rows(powers[:, moving], nxt_orders).conj().transpose(0, 2, 1)
         # <r_m, K_j+> = <f_m, K_j+> - sum_i x_mi <K_i, K_j+>
-        cross = (rows * self.inv_weights) @ nxt_conj_t
-        resid_pairs = self.matrix @ nxt_conj_t - x.transpose(0, 2, 1) @ cross
+        resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
         x_moving = x[:, moving].transpose(0, 2, 1).conj()
         per_row = np.sum(self.probs[:, None] * x_moving * resid_pairs, axis=1)
         part = np.zeros((len(y), grad.shape[1]), dtype=np.complex128)

@@ -18,12 +18,15 @@ writes its draws straight into it, and every pass over all realizations
 a block of rows at a time, so the memory beyond that array is the M x r
 factor, the M x n coefficients and block-sized temporaries, except for a
 search on a full-rank ensemble, whose greedy spans hold one residual array.
+The norms take one pass per ensemble: its norm check and its search read
+the same ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .engine import (
     _Bundle,
     _check_norm,
     _energy,
+    _row_norms_sq,
     _run,
 )
 from .spaces import AnalyticFunction, ParamTuple, SpaceSpec, multiple_kernel
@@ -97,6 +101,15 @@ class Ensemble:
     def realizations(self) -> list[AnalyticFunction]:
         return [AnalyticFunction(row) for row in self.matrix]
 
+    @cached_property
+    def _norms_sq(self) -> np.ndarray:
+        """Each realization's squared space norm, read-only: the one pass
+        over the matrix that every bundle of the ensemble reads (``_bundle``),
+        the norm check of ``generate_ensemble`` and the CLI included."""
+        norms = _row_norms_sq(self.spec, self.matrix)
+        norms.setflags(write=False)
+        return norms
+
 
 # A stochastic result is the engines' result, whose expected_energy,
 # expected_residual and bochner_norm name its energy, residual and norm.
@@ -104,7 +117,7 @@ StochasticResult = ApproximationResult
 
 
 def _bundle(e: Ensemble) -> _Bundle:
-    return _Bundle(e.spec, e.matrix, e.probs)
+    return _Bundle(e.spec, e.matrix, e.probs, norms_sq=e._norms_sq)
 
 
 def bochner_norm(e: Ensemble) -> float:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nbestkernel import ConfigError, Ensemble, OptimizerConfig, ParamTuple, afd_greedy, energy, norm
-from nbestkernel import cli
+from nbestkernel import cli, engine, stochastic
 from nbestkernel.cli import (
     TaskConfig,
     _dump_json,
@@ -354,6 +354,41 @@ def test_stochastic_accepts_explicit_realizations(tmp_path):
     path = _write(tmp_path, "cfg.json", cfg_payload)
     cfg = parse_config(path.read_text())
     assert run_task(cfg, tmp_path) == 0
+
+
+ONE_PASS_SIGNALS = {
+    "rank1": {"random": {"kind": "kernel_mix", "atoms": [{"a": [0.3, 0.0], "c": [1.0, 0.0]}], "M": 8, "seed": 7}},
+    "full_rank": {"random": {"kind": "decaying_gaussian", "gamma": 1.0, "M": 8, "seed": 7}},
+    "realizations": {"realizations": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 1.0], [0.25, 0.0]]]},
+    "coefficients": {"coefficients": [[1.0, 0.0], [0.5, 0.25]]},
+    "kernel_mix": {"kernel_mix": [{"a": [0.3, 0.0], "c": [1.0, 0.0]}]},
+}
+
+
+@pytest.mark.parametrize("form", sorted(ONE_PASS_SIGNALS))
+def test_a_stochastic_task_passes_over_its_norms_once(form, monkeypatch, tmp_path):
+    """Parsing and running a stochastic task compute the squared norms of the
+    ensemble's realizations in one pass: the norm check and the search read
+    the same norms.  Only a compressed factor, of fewer rows, has a pass of
+    its own."""
+    seen = []
+
+    def spy(spec, matrix):
+        seen.append(matrix)
+        return row_norms_sq(spec, matrix)
+
+    row_norms_sq = engine._row_norms_sq
+    monkeypatch.setattr(engine, "_row_norms_sq", spy)
+    monkeypatch.setattr(stochastic, "_row_norms_sq", spy)
+    payload = {"task": "stochastic", "space": SMALL_SPACE, "signal": ONE_PASS_SIGNALS[form], "n": 1,
+               "optimizer": {"multistart": 2, "grid_density": 8, "seed": 0}}
+    cfg = parse_config(json.dumps(payload))
+    assert isinstance(cfg.signal, Ensemble)
+    assert run_task(cfg, tmp_path) == 0
+    matrix = cfg.signal.matrix
+    assert sum(m is matrix for m in seen) == 1
+    assert all(len(m) < len(matrix) for m in seen if m is not matrix)
+    assert len(seen) == 1 + (form == "rank1")
 
 
 def test_afd_rejects_ensemble_signal(tmp_path, capsys):

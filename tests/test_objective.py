@@ -615,3 +615,175 @@ def test_objective_falls_back_to_the_mgs_reference_in_one_place(m, monkeypatch):
     cap = bundle.captured(_Nodes(np.array([[SPAN_NODES[0]]]), (1,)), np.array([0]), span=on_span.span)
     assert values[0] == -cap.value[0]
     assert _outside(values[1], grads[1])
+
+
+# -- kernel row lengths ---------------------------------------------------------
+
+
+def _full_length(self, centers, orders, moving):
+    return np.full(len(centers), self.spec.max_degree + 1)
+
+
+# Decay exponents just above each family's divergence bound
+# (``generate_ensemble``): coefficients decay so slowly that a pairing's tail
+# beyond a short row reaches its last bits.
+HEAVY_TAILS = {"hardy": 0.6, "bergman": 0.0, "weighted_hardy": 0.85}
+
+
+def _random_batch(rng, bundle, merged):
+    """2-9 tuples of three nodes, or with ``merged`` of two nodes of which
+    the first has order 2, at radii in [0.05, 0.95]: half of them uniform,
+    half just inside a radius at which a row length stops sufficing, where a
+    row's dropped tail is largest."""
+    count = int(rng.integers(2, 10))
+    n = 2 if merged else 3
+    orders, owners = ((1, 2, 1), np.array([0, 0, 1])) if merged else ((1, 1, 1), np.arange(3))
+    bundle._row_lengths(np.zeros((1, len(orders))), orders, owners >= 0)
+    limits = np.concatenate([bundle._reach[o] for o in sorted(bundle._reach)])
+    limits = limits[(limits >= 0.05) & (limits <= 0.95)]
+    radii = rng.uniform(0.05, 0.95, (count, n))
+    edge = rng.uniform(size=(count, n)) < 0.5
+    radii[edge] = rng.choice(limits, edge.sum()) * (1.0 - 1e-9 * rng.uniform(size=edge.sum()))
+    centers = radii * np.exp(2j * np.pi * rng.uniform(size=(count, n)))
+    return (np.repeat(centers, [2, 1], axis=1) if merged else centers), orders, owners
+
+
+@pytest.mark.parametrize("m", [1, 16, 256])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_batches_of_mixed_row_lengths_match_single_tuples(family, m):
+    """Random batches whose tuples need kernel rows of different lengths, on
+    signals with slowly decaying coefficients: each row's value, gradient
+    and ``failed`` flag are the tuple's own, evaluated alone, bit for bit,
+    with and without a merged order-2 node.  (Evaluating a batch at its
+    longest length instead moves the last bits of some gradients.)"""
+    spec = SPACES[family]
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": HEAVY_TAILS[family]}, m, seed=7)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
+    rng = np.random.default_rng(m + len(family))
+    mixed = 0
+    for trial in range(24):
+        centers, orders, owners = _random_batch(rng, bundle, merged=trial % 2 == 1)
+        lengths = bundle._row_lengths(centers, orders, owners >= 0)
+        mixed += len(set(lengths.tolist())) > 1
+        cap = bundle.captured(_Nodes(centers, orders), owners)
+        for row in range(len(centers)):
+            alone = bundle.captured(_Nodes(centers[row : row + 1], orders), owners)
+            assert cap.failed[row] == alone.failed[0]
+            assert np.array_equal(cap.value[row : row + 1], alone.value, equal_nan=True)
+            assert np.array_equal(cap.grad[row], alone.grad[0])
+    assert mixed >= 12
+
+
+def _split_tuple(a, order, split, third):
+    """A node of ``order`` at ``a = r exp(0.4i)``, a node ``split`` closer
+    to the origin on its ray (none when ``split`` is None) and a third node;
+    owners give each node its own moving index."""
+    pts = [a] * order + ([] if split is None else [a - split * np.exp(0.4j)]) + [third]
+    params = ParamTuple(tuple(pts), merge_tol=0.0)
+    owners = np.repeat(np.arange(len(params.orders) - order + 1), [order] + [1] * (len(params.orders) - order))
+    return params, owners
+
+
+SPLITS = [None, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
+DIFF_RADII = [0.0, 0.2, 0.45, 0.7, 0.85, 0.95, 0.99]
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_cut_rows_match_full_rows_and_mgs(family, m, monkeypatch):
+    """Kernel rows cut to each tuple's length against full-length rows and
+    MGS, for orders 1-3, radii up to the cap and splits 1e-1 to 1e-7: the
+    same ``failed`` flag; values within 1e-15 relative of the full rows' and
+    no farther from MGS than theirs by more than that; gradients within
+    1e-13 of their largest component without a split and 1e-11 with one,
+    on signals with slowly decaying coefficients."""
+    spec = SPACES[family]
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": HEAVY_TAILS[family]}, m, seed=8)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
+    held = 0
+    cut_lengths = set()
+    for order in (1, 2, 3):
+        for r in DIFF_RADII:
+            a = r * np.exp(0.4j)
+            third = -0.5 * a + 0.3j if r else 0.3j
+            for split in SPLITS:
+                params, owners = _split_tuple(a, order, split, third)
+                nodes = _Nodes(np.array([params.centers]), params.orders)
+                cut_lengths.update(bundle._row_lengths(nodes.centers, nodes.orders, owners >= 0).tolist())
+                cut = bundle.captured(nodes, owners)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_Bundle, "_row_lengths", _full_length)
+                    full = bundle.captured(nodes, owners)
+                assert cut.failed[0] == full.failed[0]
+                if cut.failed[0]:
+                    continue
+                held += 1
+                value, want = cut.value[0], full.value[0]
+                assert abs(value - want) <= 1e-15 * want
+                ref = _mgs_value(bundle, params)
+                assert abs(value - ref) <= abs(want - ref) + 1e-15 * ref
+                tol = 1e-13 if split is None else 1e-11
+                scale = np.max(np.abs(full.grad[0]))
+                assert np.max(np.abs(cut.grad[0] - full.grad[0])) <= tol * scale
+    assert len(cut_lengths) >= 4  # short, middle and full lengths were all met
+    assert held >= 60
+
+
+def _relative_tail(spec, order, r, length):
+    """The part of the order-``order`` kernel row's squared norm at radius r
+    from entry ``length`` on."""
+    lag = order - 1
+    k = np.arange(lag, spec.max_degree + 1)
+    terms = engine._falling_factorial(spec.max_degree, lag) ** 2 * r ** (2.0 * (k - lag)) / spec.weights[lag:]
+    return terms[length - lag :].sum() / terms.sum() if length > lag else 1.0
+
+
+def _custom_weights(spec):
+    """``spec`` with a weight sequence of no family, whose term ratios
+    wander up and down and jump by 1e10 at three entries beyond a short
+    length, which only the largest ratio beyond a length bounds."""
+    ks = np.arange(spec.max_degree + 1)
+    weights = (1.0 + ks) ** -0.5 * np.exp(0.4 * np.sin(ks))
+    weights[[40, 100, 300]] *= 1e-10
+    weights.setflags(write=False)
+    object.__setattr__(spec, "weights", weights)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SPACES["hardy"],
+        SPACES["bergman"],
+        SPACES["weighted_hardy"],
+        SpaceSpec.weighted_hardy(2.0, max_degree=40, radius_cap=0.9),
+        SpaceSpec.hardy(max_degree=20, radius_cap=0.5),
+        _custom_weights(SpaceSpec.hardy(radius_cap=0.9)),
+    ],
+    ids=["hardy", "bergman", "weighted_hardy", "degree40", "degree20", "custom"],
+)
+def test_row_length_rule_is_sound(spec):
+    """At the length a node is given, for each order 1-3 and the next order
+    of a moving node, the true tail of every kernel row is at most eps**2 of
+    its squared norm: at radius 0, at each length's own limiting radius and
+    around it, and up to the cap.  A degree below 32 keeps every row whole,
+    and no length is longer than N + 1."""
+    bundle = _Bundle.single(spec, as_element(spec, [1.0]))
+    n1 = spec.max_degree + 1
+    eps_sq = np.finfo(np.float64).eps ** 2
+    for order in (1, 2, 3):
+        orders = (order,)
+        bundle._row_lengths(np.zeros((1, 1)), orders, np.array([True]))
+        limits = [x for x in bundle._reach.get(order, []) if x >= 0.0]
+        radii = {0.0, spec.radius_cap, *np.linspace(0.0, spec.radius_cap, 23)}
+        radii |= {x * f for x in limits for f in (1.0, 1.0 - 1e-9, 1.0 + 1e-9)}
+        radii = sorted(r for r in radii if r <= spec.radius_cap)
+        for moving in (False, True):
+            lengths = bundle._row_lengths(np.array(radii)[:, None], orders, np.array([moving]))
+            assert lengths.max() <= n1
+            if spec.max_degree < 32:
+                assert set(lengths.tolist()) == {n1}
+            assert lengths[0] == min(32, n1)  # radius 0
+            for r, length in zip(radii, lengths.tolist()):
+                for o in (order, order + 1) if moving else (order,):
+                    assert _relative_tail(spec, o, r, length) <= eps_sq, (o, r, length)
