@@ -2,8 +2,10 @@
 """sha256 digests of every output file of a fixed set of CLI tasks, as JSON.
 
 The tasks are every ``configs/*.json``, every task of the benchmark's
-``sweep``, ``multistart`` and ``stochastic`` workloads at the given seeds
-(built by ``perfbench/workloads.py``, which is only imported), and the edge
+``sweep``, ``multistart``, ``stochastic`` and ``certify`` workloads at the
+given seeds (built by ``perfbench/workloads.py``, which is only imported;
+``certify`` is the verify battery over the ten spaces of
+``scripts/certify_spaces.py``), and the edge
 cases in ``EDGE``, among them ensembles that end in a partial row block and
 a search on degree 40, where the Gram path's kernel rows have length 32 or
 41.  Each task runs through ``cli.parse_config`` and
@@ -53,7 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from nbestkernel import cli  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
-WORKLOADS = ("sweep", "multistart", "stochastic")
+WORKLOADS = ("sweep", "multistart", "stochastic", "certify")
 
 _SPACE = {"family": "bergman", "param": 1.0, "degree": 64, "radius_cap": 0.5}
 _SIGNAL = {"coefficients": [[1.0, 0.0], [0.5, 0.25], [-0.3, 0.0], [0.1, -0.2]]}

@@ -81,8 +81,10 @@ from .spaces import (
     AnalyticFunction,
     ParamTuple,
     SpaceSpec,
+    _POWER_BLOCK,
     _check_member,
     _falling_factorial,
+    _power_blocks,
     kernel_matrix,
 )
 from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
@@ -92,11 +94,11 @@ _EXACT_CAPTURE_TOL = 1e-13
 # it the energy loses about eps / ratio**2 relative accuracy, so the tuple
 # fails and lies outside the search domain.
 _PIVOT_FLOOR = 1e-4
-# Kernel rows are built as products of two power blocks of this length.  Block
-# powers below _TINY_POWER are flushed to zero: they are negligible against
-# the leading term 1, and flushing keeps every row entry and every product of
-# two entries out of the subnormal range, where arithmetic is slow.
-_POWER_BLOCK = 32
+# Kernel rows are built as products of the two power blocks of
+# ``spaces._power_blocks`` (k = j < _POWER_BLOCK and k = _POWER_BLOCK i).
+# Block powers below _TINY_POWER are flushed to zero: they are negligible
+# against the leading term 1, and flushing keeps every row entry and every
+# product of two entries out of the subnormal range, where arithmetic is slow.
 _TINY_POWER = 1e-75
 # The lengths below N + 1 to which the Gram path cuts kernel rows
 # (``_Bundle._row_lengths``): 32 .. 512, the power block doubled.
@@ -450,22 +452,14 @@ class _Bundle:
 
     def _powers(self, centers: np.ndarray, length: int | None = None) -> np.ndarray:
         """Rows ``conj(c)**k`` for k = 0 .. length - 1 (by default N), as
-        products of the powers k = 32 i and k = j < 32; terms below
-        ``_TINY_POWER`` become zero.  Each block is a running product, so an
-        entry has the same bits whatever the length."""
+        products of the two blocks of ``spaces._power_blocks``; block terms
+        below ``_TINY_POWER`` become zero.  An entry has the same bits
+        whatever the length."""
         length = self.spec.max_degree + 1 if length is None else length
-        z = np.conj(centers)[:, None]
-        low = np.empty((z.size, _POWER_BLOCK), dtype=np.complex128)
-        low[:, 0] = 1.0
-        low[:, 1:] = z
-        np.cumprod(low[:, 1:], axis=1, out=low[:, 1:])
-        high = np.empty((z.size, -(-length // _POWER_BLOCK)), dtype=np.complex128)
-        high[:, 0] = 1.0
-        high[:, 1:] = low[:, -1:] * z
-        np.cumprod(high[:, 1:], axis=1, out=high[:, 1:])
+        low, high = _power_blocks(np.conj(np.asarray(centers, dtype=np.complex128)), length)
         low[np.abs(low) < _TINY_POWER] = 0.0
         high[np.abs(high) < _TINY_POWER] = 0.0
-        return (high[:, :, None] * low[:, None, :]).reshape(z.size, -1)[:, :length]
+        return (high[:, :, None] * low[:, None, :]).reshape(len(low), -1)[:, :length]
 
     def _kernel_rows(self, powers: np.ndarray, orders) -> np.ndarray:
         """Rows ``W * K`` of the order-``o`` kernels whose ``_powers`` rows are

@@ -28,6 +28,10 @@ DEFAULT_DEGREE = 1024
 DEFAULT_RADIUS_CAP = 0.99
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_TRUNCATION_TOL = 1e-5
+# Tables of powers are products of two running-product blocks, the powers
+# k = j < 32 and k = 32 i, so the power k takes about 32 + k / 32 roundings
+# where one running product would take k.
+_POWER_BLOCK = 32
 
 _FAMILIES = ("hardy", "bergman", "weighted_hardy")
 
@@ -118,10 +122,11 @@ class SpaceSpec:
 
     def kernel_norm_sq(self, r):
         """Truncated squared kernel norm sum r**(2k) / W(k) at radius ``r``
-        (scalar or array)."""
-        q = np.asarray(r, dtype=float) ** 2
-        norms = np.sum(q[..., None] ** np.arange(self.max_degree + 1) / self.weights, axis=-1)
-        return float(norms) if q.ndim == 0 else norms
+        (scalar or array), from the squares of the table of powers r**k."""
+        r = np.asarray(r, dtype=float)
+        powers = _power_table(r.ravel(), self.max_degree + 1)
+        norms = np.sum(np.square(powers) / self.weights, axis=-1).reshape(r.shape)
+        return float(norms) if r.ndim == 0 else norms
 
     def truncation_tail(self, r: float) -> float:
         """Geometric upper bound for the dropped tail sum_{k>N} r**(2k) / W(k)."""
@@ -286,33 +291,65 @@ def multiple_kernel(spec: SpaceSpec, a: complex, order: int) -> AnalyticFunction
     return AnalyticFunction(coeffs)
 
 
-def evaluate(f: AnalyticFunction, z):
-    """Horner evaluation of the truncated series at ``z`` (scalar or array)."""
+def _power_blocks(z: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers ``z**j`` for j < 32 and ``z**(32 i)`` for 32 i < length,
+    one row per entry of the 1-d ``z``, in its dtype.  Each block is a running
+    product, so an entry has the same bits whatever the length."""
+    z = z[:, None]
+    low = np.empty((z.size, _POWER_BLOCK), dtype=z.dtype)
+    low[:, 0] = 1.0
+    low[:, 1:] = z
+    np.cumprod(low[:, 1:], axis=1, out=low[:, 1:])
+    high = np.empty((z.size, -(-length // _POWER_BLOCK)), dtype=z.dtype)
+    high[:, 0] = 1.0
+    high[:, 1:] = low[:, -1:] * z
+    np.cumprod(high[:, 1:], axis=1, out=high[:, 1:])
+    return low, high
+
+
+def _power_table(z: np.ndarray, length: int) -> np.ndarray:
+    """Rows ``z**k`` for k < length, one per entry of the 1-d ``z``: the
+    products of the two blocks of ``_power_blocks``."""
+    low, high = _power_blocks(z, length)
+    return (high[:, :, None] * low[:, None, :]).reshape(z.size, -1)[:, :length]
+
+
+def _series_at(coeffs: np.ndarray, z):
+    """sum_k coeffs[k] z**k at ``z`` (scalar or array) by a blocked Horner
+    rule: each block of 32 coefficients is one product with the powers
+    z**j, j < 32, and Horner's rule runs over the block values in z**32.  No
+    power above z**32 is formed, and the temporaries hold 32 powers and one
+    value per block for each point."""
     zs = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(zs)):
         raise ValueError("non-finite evaluation point")
-    vals = np.polynomial.polynomial.polyval(zs, f.coeffs)
+    low, high = _power_blocks(zs.ravel(), 2 * _POWER_BLOCK)
+    blocks = np.pad(coeffs, (0, -coeffs.size % _POWER_BLOCK)).reshape(-1, _POWER_BLOCK)
+    values = blocks @ low.T
+    vals = values[-1]
+    for row in values[-2::-1]:
+        vals *= high[:, 1]
+        vals += row
     if zs.ndim == 0:
-        return complex(vals)
-    return vals
+        return complex(vals[0])
+    return vals.reshape(zs.shape)
+
+
+def evaluate(f: AnalyticFunction, z):
+    """Value of the truncated series at ``z`` (scalar or array), by the
+    blocked Horner rule of ``_series_at``."""
+    return _series_at(f.coeffs, z)
 
 
 def derivative_at(f: AnalyticFunction, z, m: int):
-    """m-th derivative of the truncated series at ``z``; m = 0 is plain evaluation."""
+    """m-th derivative of the truncated series at ``z``; m = 0 is plain
+    evaluation.  It is the series of the coefficients ``c_k`` scaled by
+    k (k-1) ... (k-m+1), k >= m, evaluated as ``evaluate`` does."""
     if m < 0:
         raise DegreeError("derivative order must be non-negative")
     if m > f.degree:
         raise DegreeError(f"derivative order {m} exceeds degree {f.degree}")
-    if m == 0:
-        return evaluate(f, z)
-    zs = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("non-finite evaluation point")
-    dc = np.polynomial.polynomial.polyder(f.coeffs, m)
-    vals = np.polynomial.polynomial.polyval(zs, dc)
-    if zs.ndim == 0:
-        return complex(vals)
-    return vals
+    return _series_at(f.coeffs[m:] * _falling_factorial(f.degree, m), z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from .spaces import (
     SpaceSpec,
     _check_member,
     _jsonify,
+    _power_table,
     as_element,
     derivative_at,  # noqa: F401  (perfbench/tracer.py wraps verify.derivative_at)
     evaluate,  # noqa: F401  (perfbench/tracer.py wraps verify.evaluate)
@@ -116,15 +117,25 @@ def _zeta(s: float) -> float:
 def _circle_values(coeffs: np.ndarray, radii, n_angles: int) -> np.ndarray:
     """Series values at r exp(2 pi i j / n_angles), one row per radius r.
 
-    On equally spaced angles the truncated series is a DFT: the scaled
-    coefficients c_k r**k are folded modulo ``n_angles`` and each row is one
-    inverse FFT.
+    On equally spaced angles the truncated series is a DFT: the coefficients
+    c_k scaled by the table of powers r**k (``spaces._power_table``) are
+    folded modulo ``n_angles`` and each row is one inverse FFT.
     """
     radii = np.asarray(radii, dtype=float)
     folds = -(-coeffs.size // n_angles)
     folded = np.zeros((radii.size, folds * n_angles), dtype=np.complex128)
-    folded[:, : coeffs.size] = coeffs * radii[:, None] ** np.arange(coeffs.size)
+    folded[:, : coeffs.size] = coeffs * _power_table(radii, coeffs.size)
     return np.fft.ifft(folded.reshape(radii.size, folds, n_angles).sum(axis=1), axis=1) * n_angles
+
+
+def _disc_radii(radii) -> list[float]:
+    """The radii as floats; each must lie in [0, 1), where kernel norms are
+    finite."""
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not 0.0 <= r < 1.0:  # a NaN radius fails too
+            raise DomainError(f"radius must lie in [0, 1), got {r}")
+    return radii
 
 
 def _boundary_sup(f: AnalyticFunction, n_angles: int = BOUNDARY_ANGLES) -> float:
@@ -140,10 +151,7 @@ def bvc_profile(
     the compact search radius.
     """
     _check_member(spec, f)
-    radii = [float(r) for r in radii]
-    for r in radii:
-        if not 0.0 <= r < 1.0:
-            raise DomainError(f"profile radius must lie in [0, 1), got {r}")
+    radii = _disc_radii(radii)
     sups = np.abs(_circle_values(f.coeffs, radii, n_angles)).max(axis=1)
     sups /= np.sqrt(spec.kernel_norm_sq(radii))
     return [(r, float(s)) for r, s in zip(radii, sups)]
@@ -152,7 +160,7 @@ def bvc_profile(
 def check_norm_blowup(spec: SpaceSpec, radii=DEFAULT_RADII) -> ConditionReport:
     """Kernel norms grow strictly with the radius; closed forms are matched
     for the classical and Bergman families within the truncation allowance."""
-    radii = [float(r) for r in radii]
+    radii = _disc_radii(radii)
     norms = spec.kernel_norm_sq(radii).tolist()
     growing = all(b > a for a, b in zip(norms, norms[1:]))
     closed_ok = True
@@ -193,6 +201,7 @@ def estimate_pointwise_bound(
     parameter radii r and points on the circle |zeta| = r covers the full
     (a, z) grid with z in the closed disc exactly.
     """
+    _disc_radii([max_radius])
     radii = np.linspace(0.0, max_radius, grid_density)
     sups = np.abs(_circle_values(1.0 / spec.weights, radii, n_angles)).max(axis=1)
     sups /= spec.kernel_norm_sq(radii)
@@ -295,6 +304,7 @@ def check_bounded_kernel_limit(spec: SpaceSpec, radius: float = 0.9999) -> Condi
     the norm at the probe radius must sit within 1% of the truncated limit."""
     if spec.family != "weighted_hardy" or spec.param <= 1.0:
         raise UnsupportedSpaceError("finite rim limit requires weighted_hardy with beta > 1")
+    _disc_radii([radius])
     measured = spec.kernel_norm_sq(radius)
     limit = float(np.sum(1.0 / spec.weights))
     return ConditionReport(

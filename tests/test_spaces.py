@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -214,6 +214,33 @@ def test_evaluate_examples(hardy):
     assert evaluate(as_element(hardy, [0, 0, 0, 1]), 1j) == pytest.approx(-1j, abs=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 1100),
+    radius=st.floats(0.0, 2.5),
+    shape=st.sampled_from([(), (7,), (3, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1100, radius=2.5, shape=(3, 4), seed=0)  # polyval overflows at some points
+@example(size=1025, radius=1.0, shape=(7,), seed=1)
+@example(size=33, radius=2.5, shape=(), seed=2)  # one coefficient past a block
+def test_evaluate_matches_horner(size, radius, shape, seed):
+    """The blocked evaluation agrees with Horner's polyval within 1e-12 of
+    sum |c_k| |z|**k, and is finite wherever polyval is."""
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / (1.0 + np.arange(size))
+    z = radius * rng.uniform(0.0, 1.0, shape) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = evaluate(AnalyticFunction(c), z)
+        ref = np.polynomial.polynomial.polyval(z, c)
+        scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(c))
+    assert np.shape(got) == shape
+    assert isinstance(got, complex) if shape == () else got.dtype == np.complex128
+    finite = np.isfinite(ref)
+    assert np.all(np.isfinite(np.asarray(got)[finite]))
+    assert np.all(np.abs(got - ref)[finite] <= 1e-12 * scale[finite])
+
+
 def test_derivative_examples(hardy):
     f = as_element(hardy, [0, 0, 1])
     assert derivative_at(f, 0.3, 1) == pytest.approx(0.6, abs=1e-15)
@@ -261,6 +288,17 @@ def test_kernel_norm_sq_of_an_array_is_that_of_each_radius(family, param):
     assert norms.shape == radii.shape
     assert norms.tolist() == [spec.kernel_norm_sq(r) for r in radii]
     assert isinstance(spec.kernel_norm_sq(0.5), float)
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [("hardy", 0.0), ("bergman", 0.0), ("bergman", 2.5), ("weighted_hardy", 0.25), ("weighted_hardy", 3.0)],
+)
+def test_kernel_norm_sq_matches_the_power_formula(family, param):
+    spec = SpaceSpec(family, param)
+    radii = np.append(np.linspace(0.0, 0.999, 64), [0.9995, 0.9999])
+    ref = [np.sum(np.power(r * r, np.arange(spec.max_degree + 1)) / spec.weights) for r in radii]
+    np.testing.assert_allclose(spec.kernel_norm_sq(radii), ref, rtol=1e-12, atol=0.0)
 
 
 def test_non_finite_coefficients_rejected():

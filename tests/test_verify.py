@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from nbestkernel import (
     ConditionReport,
+    DomainError,
     ParamTuple,
     SpaceSpec,
     UnsupportedSpaceError,
     as_element,
     battery,
+    bvc_profile,
     check_bounded_kernel_limit,
     check_boundary_vanishing,
     check_norm_blowup,
@@ -328,3 +330,71 @@ def test_battery_flags_match_scipy_special_functions(monkeypatch):
     failing = {(label, check) for label, check, passed in ours if not passed}
     assert {check for _, check in failing} == {"boundary-vanishing"}
     assert len(failing) == 3
+
+
+def _assert_reports_match(ours, ref, rel):
+    """Equal flags, strings and shapes; every float within ``rel``."""
+    if isinstance(ours, dict):
+        assert ours.keys() == ref.keys()
+        for key in ours:
+            _assert_reports_match(ours[key], ref[key], rel)
+    elif isinstance(ours, list):
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            _assert_reports_match(a, b, rel)
+    elif isinstance(ours, float):
+        assert ours == pytest.approx(ref, rel=rel, abs=0.0)
+    else:
+        assert ours == ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_battery_matches_power_and_horner_references(monkeypatch, seed):
+    """The battery reads the same flags, and numbers within 1e-12, when its
+    tables of powers are per-entry ``**`` and its series values Horner's
+    polyval."""
+
+    def reports():
+        specs = [SpaceSpec(family, param) for family, param in CERTIFY_SPACES]
+        return [r.to_dict() for s in specs for r in battery(s, seed)]
+
+    ours = reports()
+
+    def power_table(z, length):
+        return z[:, None] ** np.arange(length)
+
+    def series_at(coeffs, z):
+        vals = np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), coeffs)
+        return complex(vals) if np.ndim(vals) == 0 else vals
+
+    monkeypatch.setattr(spaces, "_power_table", power_table)
+    monkeypatch.setattr(verify, "_power_table", power_table)
+    monkeypatch.setattr(spaces, "_series_at", series_at)
+    _assert_reports_match(ours, reports(), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda spec: check_norm_blowup(spec, radii=(0.5, 1.5)), id="norm-blowup-1.5"),
+        pytest.param(lambda spec: check_norm_blowup(spec, radii=(0.5, 1.0)), id="norm-blowup-1"),
+        pytest.param(lambda spec: check_norm_blowup(spec, radii=(-0.5, 0.5)), id="norm-blowup-negative"),
+        pytest.param(lambda spec: check_norm_blowup(spec, radii=(0.5, math.nan)), id="norm-blowup-nan"),
+        pytest.param(lambda spec: estimate_pointwise_bound(spec, max_radius=1.5), id="pointwise-1.5"),
+        pytest.param(lambda spec: estimate_pointwise_bound(spec, max_radius=1.0), id="pointwise-1"),
+        pytest.param(
+            lambda spec: check_boundary_vanishing(spec, as_element(spec, [1.0]), radii=(0.5, 1.0)),
+            id="boundary-vanishing-1",
+        ),
+        pytest.param(lambda spec: bvc_profile(spec, as_element(spec, [1.0]), (0.5, 1.2)), id="profile-1.2"),
+    ],
+)
+def test_checks_reject_radii_outside_the_disc(check):
+    with pytest.raises(DomainError):
+        check(SpaceSpec.bergman(1.0))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.5, math.nan])
+def test_bounded_kernel_limit_rejects_radii_outside_the_disc(radius):
+    with pytest.raises(DomainError):
+        check_bounded_kernel_limit(SpaceSpec.weighted_hardy(2.0), radius=radius)
