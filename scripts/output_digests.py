@@ -6,9 +6,11 @@ The tasks are every ``configs/*.json``, every task of the benchmark's
 given seeds (built by ``perfbench/workloads.py``, which is only imported;
 ``certify`` is the verify battery over the ten spaces of
 ``scripts/certify_spaces.py``), and the edge
-cases in ``EDGE``, among them ensembles that end in a partial row block and
-a search on degree 40, where the Gram path's kernel rows have length 32 or
-41.  Each task runs through ``cli.parse_config`` and
+cases in ``EDGE``, among them ensembles that end in a partial row block, a
+search on degree 40, where the Gram path's kernel rows have length 32 or
+41, and signals on both sides of the n-best search's exact path: exact
+kernel mixes, which it certifies, and the same mix plus a polynomial of
+1e-9 of its norm, which it declines.  Each task runs through ``cli.parse_config`` and
 ``cli.run_task`` from this checkout's ``src`` on one BLAS thread, so two
 checkouts whose programs write the same bytes print the same digests.  Run it
 in each checkout and compare the two files:
@@ -25,7 +27,8 @@ anything.  For digest files it prints how many files are identical and how
 many differ, and lists those that differ or appear in one file only.  For
 ``--residuals`` files it prints, per group (the first part of each label:
 ``configs``, ``sweep``, ...), how many rows B has worse and better than A by
-more than 1e-9 relative, and the mean residual / norm of each, then lists
+more than 1e-9 relative, and the mean and the worst (largest) residual /
+norm of each, so that a mean cannot hide a loss on one task, then lists
 each worse row as ``worse: <label> <A> <B>``.  The exit status is 1 when a
 file differs or a row is worse, else 0:
 
@@ -45,6 +48,7 @@ import argparse  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -52,6 +56,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import numpy as np  # noqa: E402
 from nbestkernel import cli  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -106,6 +111,26 @@ _SHORT_SPACE = {"family": "weighted_hardy", "param": 2.0, "degree": 40, "radius_
 _NEAR_CAP = {
     "kernel_mix": [{"a": [0.6, 0.6], "c": [1.0, 0.0]}, {"a": [-0.2, 0.1], "c": [0.5, 0.3]}]
 }
+# The exact path's edge cases on _SPACE: a mix with an order-2 atom at 0.9
+# of the radius cap, which the path certifies; the same mix plus a fixed
+# polynomial of 1e-9 of its norm, which it declines; and one order-3 atom.
+_EXACT_MIX = [
+    {"a": [0.45, 0.0], "c": [1.0, 0.0], "order": 2},
+    {"a": [-0.1, 0.2], "c": [0.5, 0.3]},
+]
+
+
+def _mix_plus_polynomial():
+    config = {"task": "nbest", "space": _SPACE, "signal": {"kernel_mix": _EXACT_MIX}, "n": 3}
+    task = cli.parse_config(json.dumps(config))
+    mix = task.signal.coeffs
+    poly = np.zeros_like(mix)
+    poly[:13] = [complex(math.cos(k), math.sin(3 * k)) for k in range(13)]
+    weights = task.space.weights
+    poly *= 1e-9 * math.sqrt(np.sum(weights * np.abs(mix) ** 2) / np.sum(weights * np.abs(poly) ** 2))
+    return {"coefficients": [[z.real, z.imag] for z in (mix + poly).tolist()]}
+
+
 _PARTIAL_BLOCK_M = 100
 _GAUSSIAN = {"kind": "decaying_gaussian", "gamma": 1.0, "M": _PARTIAL_BLOCK_M, "seed": 3}
 EDGE = {
@@ -123,6 +148,9 @@ EDGE = {
     "stochastic-fullrank-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
     "stochastic-deflated-partial-block": ("stochastic", {"random": _GAUSSIAN}, 2),
     "nbest-degree40-near-cap": ("nbest", _NEAR_CAP, 2),
+    "nbest-exact-mix-near-cap": ("nbest", {"kernel_mix": _EXACT_MIX}, 3),
+    "nbest-exact-mix-plus-polynomial": ("nbest", _mix_plus_polynomial(), 3),
+    "nbest-order3-atom": ("nbest", {"kernel_mix": [{"a": [-0.2, -0.3], "c": [0.8, -0.6], "order": 3}]}, 3),
 }
 # The space of each edge task that does not run on _SPACE.
 EDGE_SPACES = {
@@ -186,12 +214,14 @@ def compare(a: dict, b: dict) -> int:
     for label in shared:
         groups.setdefault(label.split("/")[0], []).append((a[label], b[label]))
     worse = [k for k in shared if _worse(a[k], b[k])]
-    print("group rows worse better mean_A mean_B")
+    print("group rows worse better mean_A mean_B worst_A worst_B")
     for name, rows in sorted(groups.items()):
         n_worse = sum(_worse(x, y) for x, y in rows)
         better = sum(_worse(y, x) for x, y in rows)
         mean_a, mean_b = (sum(r[i] for r in rows) / len(rows) for i in (0, 1))
-        print(f"{name} {len(rows)} {n_worse} {better} {mean_a:.6e} {mean_b:.6e}")
+        worst_a, worst_b = (max(r[i] for r in rows) for i in (0, 1))
+        print(f"{name} {len(rows)} {n_worse} {better} "
+              f"{mean_a:.6e} {mean_b:.6e} {worst_a:.6e} {worst_b:.6e}")
     for label in worse:
         print(f"worse: {label} {a[label]!r} {b[label]!r}")
     return int(bool(worse or only))

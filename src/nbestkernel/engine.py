@@ -34,6 +34,15 @@ from every start as the lanes of one search, and a merge polish that searches
 again from the best inexact candidate with its closest pair as one order-2
 node.
 
+An exact kernel mix ``f = sum_i c_i K_{a_i}^{(o_i)}`` of total multiplicity
+k <= n is its own best approximation, and ``g = W f`` obeys the recurrence of
+``prod_i (z - conj a_i)^{o_i}`` (Prony's method): its Hankel matrix has rank
+k.  After greedy, a bundle of at most n rows is tested for the smallest such
+k (``_annihilator``), and the roots of the recurrence, grouped into nodes
+with multiplicity, give one candidate (``_exact_candidate``).  When MGS
+certifies its capture no lane runs; otherwise it joins the candidates.  The
+test only decides speed: every result is still certified by MGS.
+
 A greedy step works on one span of its fixed prefix (``_Span``): the
 orthonormal basis ``Q`` of the prefix's kernels, the residual ``R = F - P_Q F``
 of the signals and the prefix energy ``E_p``.  A span reads the tuple's kept
@@ -109,6 +118,14 @@ _ROW_LENGTHS = tuple(_POWER_BLOCK << j for j in range(5))
 # Realizations are processed _RANK_BLOCK at a time, which bounds temporaries.
 _RANK_TOL = 1e-8
 _RANK_BLOCK = 64
+# The exact path (``_exact_candidate``): a recurrence annihilates the signals
+# when it leaves at most _HANKEL_TOL of their energy (rounding leaves about
+# eps**2 of an exact mix, a polynomial of 1e-9 of its norm about 1e-18), and
+# roots of its polynomial within _ROOT_SPLIT of each other are one multiple
+# node.  The recurrence is refined at most _REFINE_STEPS times.
+_HANKEL_TOL = 1e-23
+_ROOT_SPLIT = 1e-3
+_REFINE_STEPS = 30
 # Local search: the Armijo sufficient-decrease fraction and the line search's
 # cap on trial steps.
 _ARMIJO = 1e-4
@@ -286,6 +303,7 @@ class _Bundle:
         self._limits: dict[tuple, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
         self._finals: dict[tuple, tuple] = {}
+        self._exact: dict[tuple, tuple | None] = {}
         # MGS bases depend on the space and the tuple only, so a factor
         # shares the ones its ensemble keeps (``systems``).
         self._systems: dict[tuple, tuple[np.ndarray, bool]] = {} if systems is None else systems
@@ -866,6 +884,8 @@ _PGTOL_STOP = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
 _MAXITER_STOP = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 _FTOL_STOP = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
 _ABNORMAL_STOP = "ABNORMAL: "
+# The exact path's message where the Prony nodes need no search.
+_PRONY_STOP = "NO SEARCH: PRONY NODES CAPTURE THE SIGNALS"
 
 
 def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> list[_Minimum]:
@@ -1242,13 +1262,110 @@ def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace
     candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
 
 
+def _annihilator(bundle: _Bundle, k: int):
+    """Coefficients p_0 .. p_k = 1 of the monic polynomial whose recurrence
+    ``sum_l p_l g[j + l] = 0`` (j = 0 .. N - k) every row of ``g = W f``
+    obeys, or None where none of degree k does.
+
+    The Gram matrix of the rows' Hankel windows is formed by lagged sums,
+    never the windows, and its last Cholesky pivot ratio at or above
+    ``_PIVOT_FLOOR`` declines at once.  Otherwise p solves the normal
+    equations and is refined on the prediction error, which is formed
+    directly, until a step no longer halves that error, so the test reads
+    the error and not its square: the recurrence holds when the error,
+    weighed as the signals are, leaves at most ``_HANKEL_TOL`` of their
+    energy per unit ``|p|^2``.  A signal that is no exact mix, or a Gram
+    matrix too ill-conditioned for the refinement, leaves more.
+    """
+    g = bundle.matrix * bundle.spec.weights
+    w = g.shape[1] - k
+
+    def lagged(i, seq):  # sum_m p_m <seq_m, g_m[i : i + w]>
+        return bundle.probs @ np.einsum("mj,mj->m", g[:, i : i + w].conj(), seq)
+
+    gram = np.empty((k + 1, k + 1), dtype=np.complex128)
+    for i, j in itertools.combinations_with_replacement(range(k + 1), 2):
+        gram[i, j] = lagged(i, g[:, j : j + w])
+        gram[j, i] = np.conj(gram[i, j])
+    try:
+        if np.linalg.cholesky(gram)[k, k].real >= _PIVOT_FLOOR * math.sqrt(gram[k, k].real):
+            return None
+    except np.linalg.LinAlgError:
+        pass
+    best, least = None, math.inf
+    try:
+        coef = np.append(np.linalg.solve(gram[:k, :k], -gram[:k, k]), 1.0)
+        for _ in range(_REFINE_STEPS):
+            err = sum(c * g[:, l : l + w] for l, c in enumerate(coef))
+            left = bundle.probs @ (np.abs(err) ** 2 @ bundle.inv_weights[:w]) / np.vdot(coef, coef).real
+            if not left < 0.5 * least:  # refinement has converged or stalled
+                break
+            best, least = coef.copy(), left
+            coef[:k] -= np.linalg.solve(gram[:k, :k], [lagged(l, err) for l in range(k)])
+    except np.linalg.LinAlgError:
+        pass
+    return best if least <= _HANKEL_TOL * bundle.total_sq else None
+
+
+def _prony_candidate(bundle: _Bundle, k: int, cfg: OptimizerConfig):
+    """The Prony tuple of an annihilator of degree k: None where there is
+    none, () where a node lies outside the search disc, else its points, MGS
+    energy and trace fields.  The roots are conj(a_i); those within
+    ``_ROOT_SPLIT`` of each other (single linkage) are one node at their
+    mean, of their count as multiplicity.  A tuple that MGS does not certify
+    gets one search with these orders, as the merge polish runs it; one that
+    it certifies gets none, since near exact capture the search's energy no
+    longer resolves the residual and a search can drift."""
+    coef = _annihilator(bundle, k)
+    if coef is None:
+        return None
+    roots = np.conj(np.roots(coef[::-1]))
+    label = list(range(k))
+    for i, j in itertools.combinations(range(k), 2):
+        if abs(roots[i] - roots[j]) <= _ROOT_SPLIT:
+            label = [label[i] if x == label[j] else x for x in label]
+    clusters = [roots[[x == c for x in label]] for c in dict.fromkeys(label)]
+    centers, orders = [complex(np.mean(c)) for c in clusters], [len(c) for c in clusters]
+    if max(abs(c) for c in centers) > _search_radius(bundle, cfg):
+        return ()
+    points = tuple(c for c, o in zip(centers, orders) for _ in range(o))
+    energy = bundle._mgs_captured(bundle.make_tuple(points, cfg))[0]
+    stats = {"polish_nfev": 0, "polish_message": _PRONY_STOP}
+    if not bundle.captures(energy):
+        points, energy = _local_search(bundle, cfg, _as_x(centers), orders=orders, stats=stats)
+    return tuple(points), energy, {"rank": k, **stats}
+
+
+def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
+    """The Prony candidate at the smallest k <= n at which the signals obey
+    a recurrence of order k (``_annihilator``), as (points, energy, trace
+    fields), or None.  A bundle of more than n rows is not tested: n nodes
+    with multiplicity span at most n dimensions.  Each k's outcome is kept
+    per bundle, so every n of a sweep reads the same candidate."""
+    if len(bundle.matrix) > n:
+        return None
+    for k in range(1, n + 1):
+        key = (k, _search_radius(bundle, cfg), cfg.max_iter, cfg.merge_tol)
+        if key not in bundle._exact:
+            bundle._exact[key] = _prony_candidate(bundle, k, cfg)
+        if bundle._exact[key] is not None:
+            return bundle._exact[key] or None
+    return None
+
+
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy, warm=()):
-    """Greedy, multistart and merge-polish candidates; returns the points of
-    the one with the smallest residual.  ``greedy`` holds the points and
-    trace steps of the greedy run to n nodes; ``warm`` holds more start
-    tuples.  Each candidate is recorded by one trace entry, and a final
+    """Greedy, exact, multistart and merge-polish candidates; returns the
+    points of the one with the smallest residual.  ``greedy`` holds the
+    points and trace steps of the greedy run to n nodes; ``warm`` holds more
+    start tuples.  Each candidate is recorded by one trace entry, and a final
     ``select`` entry gives the index in ``trace`` of the winner's entry and
-    its stage."""
+    its stage.
+
+    A greedy capture returns at once.  Otherwise an exact kernel mix of
+    multiplicity at most n yields its Prony candidate (``exact`` entry,
+    ``_exact_candidate``); when MGS certifies its capture, the search ends
+    among greedy, that candidate and the warm tuples as they are (``warm``
+    entries), and the lanes and the merge polish do not run."""
     radius = _search_radius(bundle, cfg)
     greedy_pts, steps = greedy
     greedy_energy = steps[-1]["energy"] if steps else 0.0
@@ -1261,6 +1378,32 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     if bundle.captures(greedy_energy):
         trace.append({"stage": "select", "winner": len(trace) - 1, "from": "greedy"})
         return list(greedy_pts)
+
+    # Near exact capture energies no longer separate candidates; the
+    # residual computed by finalize still does.
+    def sort_key(cand):
+        pts = cand[0]
+        rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
+        return (bundle.finalized(pts, cfg)[3], rounded)
+
+    def select():
+        best_pts, _, entry = min(candidates, key=sort_key)
+        trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
+        return list(best_pts)
+
+    exact = _exact_candidate(bundle, n, cfg)
+    if exact is not None:
+        pts, val, stats = exact
+        trace.append({"stage": "exact", "energy": val, **stats})
+        candidates.append((pts, val, len(trace) - 1))
+        if bundle.captures(val):
+            # The search ends; the warm starts compete as they are, so a
+            # sweep's residuals stay nonincreasing.
+            for w in warm:
+                val = bundle._mgs_captured(bundle.make_tuple(w, cfg))[0]
+                trace.append({"stage": "warm", "energy": val})
+                candidates.append((tuple(w), val, len(trace) - 1))
+            return select()
 
     starts: list[np.ndarray] = []
     if len(greedy_pts) == n:
@@ -1285,17 +1428,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
         candidates.append((tuple(pts), val, len(trace) - 1))
 
     _merge_polish(bundle, cfg, candidates, trace)
-
-    # Near exact capture energies no longer separate candidates; the
-    # residual computed by finalize still does.
-    def sort_key(cand):
-        pts = cand[0]
-        rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
-        return (bundle.finalized(pts, cfg)[3], rounded)
-
-    best_pts, _, entry = min(candidates, key=sort_key)
-    trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
-    return list(best_pts)
+    return select()
 
 
 # -- public engines ------------------------------------------------------------

@@ -180,14 +180,16 @@ def _mul_one_minus(c: np.ndarray, abar: complex) -> np.ndarray:
 
 
 def _div_geometric(c: np.ndarray, abar: complex) -> np.ndarray:
-    """Coefficients of f / (1 - abar z): the recurrence y_k = c_k + abar y_{k-1}."""
-    out = []
-    y = 0j
-    abar = complex(abar)
-    for ck in np.asarray(c, dtype=np.complex128).tolist():
-        y = ck + abar * y
-        out.append(y)
-    return np.array(out, dtype=np.complex128)
+    """Coefficients of f / (1 - abar z): the recurrence y_k = c_k + abar y_{k-1},
+    i.e. y_k = sum_{i <= k} abar**(k-i) c_i, as a doubling scan.  After the
+    step of span d each y_k sums its terms from the last 2d inputs, so
+    ceil(log2 N) vectorized steps replace a loop over the N coefficients."""
+    y = np.array(c, dtype=np.complex128)
+    span, power = 1, complex(abar)
+    while span < y.size:
+        y[span:] += power * y[:-span]
+        span, power = 2 * span, power * power
+    return y
 
 
 def _deflate(c: np.ndarray, a: complex) -> tuple[np.ndarray, complex]:

@@ -1,6 +1,6 @@
 import pytest
 
-from nbestkernel import SpaceSpec
+from nbestkernel import SpaceSpec, engine
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -41,3 +41,11 @@ def bergman0():
 @pytest.fixture(scope="session")
 def dirichlet():
     return SpaceSpec.weighted_hardy(1.0)
+
+
+@pytest.fixture
+def declined_exact_path(monkeypatch):
+    """The n-best search with its exact path declining every signal
+    (``engine._exact_candidate`` returns None), so that a test written on an
+    exact kernel mix keeps covering the lanes and the merge polish."""
+    monkeypatch.setattr(engine, "_exact_candidate", lambda *args: None)

@@ -288,20 +288,28 @@ def test_afd_decay_sweep_matches_per_n_loop(tmp_path, family, signal):
         assert len(per_n[-1].params) < 4
 
 
-def test_nbest_trace_records_search_counts(tmp_path):
+def test_nbest_trace_records_search_counts(tmp_path, exact_path=True):
     cfg = parse_config(json.dumps(NBEST_CFG))
     assert run_task(cfg, tmp_path) == 0
     trace = json.loads((tmp_path / "result.json").read_text())["trace"]
-    searches = [t for t in trace if t["stage"] in ("local", "merge-polish")]
+    stages = ("local", "merge-polish") + (("exact",) if exact_path else ())
+    searches = [t for t in trace if t["stage"] in stages]
     assert searches
     for entry in searches:
         assert "nelder_mead_nfev" not in entry
-        assert entry["polish_nfev"] >= 1
+        if entry["stage"] == "exact" and entry["polish_nfev"] == 0:  # Prony nodes needing no search
+            assert entry["polish_message"] == engine._PRONY_STOP
+        else:
+            assert entry["polish_nfev"] >= 1
         assert isinstance(entry["polish_message"], str)
         assert "mgs_fallbacks" not in entry
         assert not any("time" in key for key in entry)
         if entry["stage"] == "merge-polish":
             assert trace[entry["merged_from"]]["stage"] in ("greedy", "local")
+
+
+def test_nbest_trace_records_search_counts_on_the_lanes(declined_exact_path, tmp_path):
+    test_nbest_trace_records_search_counts(tmp_path, exact_path=False)
 
 
 def test_emit_decay_table_shape():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nbestkernel import (
     bvc_profile,
     energy,
     evaluate,
+    generate_ensemble,
     gram_schmidt,
     kernel,
     kernel_matrix,
@@ -268,11 +270,19 @@ def test_nbest_recovers_double_node(family, seed):
 
 
 @pytest.mark.parametrize("family", sorted(MERGE_SPACES))
-def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nbest_recovers_double_node_on_the_lanes(declined_exact_path, family, seed):
+    test_nbest_recovers_double_node(family, seed)
+
+
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family, exact_path=True):
     """The n = 4 warm start extends the 3-node result, whose double node it
     carries as two coincident nodes: that start lies outside the search
     domain, so its lane stops at once with its start's MGS energy, and the
-    residual column still does not increase."""
+    residual column still does not increase.  With the exact path on, the
+    signal is an exact mix: n = 4 reads the n = 3 Prony candidate and
+    searches no lane."""
     spec = MERGE_SPACES[family]
     cfg = OptimizerConfig(multistart=8, grid_density=12, max_iter=60)
     results = residual_decay_sweep(spec, _double_node_signal(spec), 4, cfg)
@@ -280,11 +290,16 @@ def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family):
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert all(r.residual <= 1e-6 * r.norm for r in results[3:])
     assert 2 in results[3].params.orders
-    assert any(
+    assert (exact_path and any(entry["stage"] == "exact" for entry in results[4].trace)) or any(
         entry["stage"] == "local" and entry["polish_nfev"] == 1
         and entry["polish_message"].startswith("ABNORMAL")
         for entry in results[4].trace
     )
+
+
+@pytest.mark.parametrize("family", sorted(MERGE_SPACES))
+def test_sweep_past_a_double_node_on_the_lanes(declined_exact_path, family):
+    test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family, exact_path=False)
 
 
 def test_merge_polish_merges_a_pair_of_any_separation():
@@ -852,6 +867,18 @@ def test_weak_kernel_mix_keeps_its_double_node(spec, double, single, weight):
     assert any(o == 2 and abs(c - double) <= 1e-4 for c, o in res.params.node_structure())
 
 
+@pytest.mark.parametrize(
+    "spec,double,single,weight",
+    [
+        (SpaceSpec.hardy(), -0.0519 + 0.4153j, 0.1198 + 0.0125j, 1.0),
+        (SpaceSpec.bergman(1.0), 0.23 - 0.52j, 0.06 - 0.08j, 0.8),
+    ],
+    ids=["hardy", "bergman1"],
+)
+def test_weak_kernel_mix_keeps_its_double_node_on_the_lanes(declined_exact_path, spec, double, single, weight):
+    test_weak_kernel_mix_keeps_its_double_node(spec, double, single, weight)
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-160])
 def test_signal_norms_outside_the_normal_range_are_refused(scale):
     """A squared norm that overflows, underflows to 0 or is subnormal is
@@ -927,3 +954,154 @@ def test_energy_and_finalize_are_invariant_under_permutations(family, radii, ang
         _, _, e, r, _ = bundle.finalize(perm, cfg)
         assert e == pytest.approx(fin_energy, rel=1e-12)
         assert r == pytest.approx(fin_residual, rel=1e-12)
+
+
+# -- exact kernel mixes --------------------------------------------------------------
+
+EXACT_SPACES = {
+    "hardy": SpaceSpec.hardy(128, radius_cap=0.9),
+    "bergman": SpaceSpec.bergman(1.0, 128, radius_cap=0.9),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5, 128, radius_cap=0.9),
+}
+EXACT_CFG = OptimizerConfig(multistart=4, grid_density=12, max_iter=60, seed=1)
+EXACT_NODES = (0.3 + 0.2j, -0.5 + 0.1j, 0.1 - 0.6j, 0.6 + 0.5j)
+EXACT_WEIGHTS = (1.0, 0.7 - 0.2j, -0.4j, 0.5)
+
+
+def _declined(search, *args):
+    """``search(*args)`` with the exact path declining every signal."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_exact_candidate", lambda *a: None)
+        return search(*args)
+
+
+def _captures(res) -> bool:
+    return res.norm**2 - res.energy <= engine_module._EXACT_CAPTURE_TOL * res.norm**2
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_SPACES))
+@pytest.mark.parametrize("orders", [(1, 1), (3,), (2, 1), (1, 1, 1), (2, 2, 3)])
+def test_exact_mixes_end_the_search_at_their_prony_tuple(family, orders):
+    """A mix of well separated atoms is certified by the exact path: it wins,
+    recovers the atoms with their multiplicities, and leaves no more than
+    the search without the path."""
+    spec = EXACT_SPACES[family]
+    atoms = list(zip(EXACT_NODES, EXACT_WEIGHTS, orders))
+    f = kernel_mix(spec, atoms)
+    n = sum(orders)
+    res = nbest(spec, f, n, EXACT_CFG)
+    assert res.trace[-1]["from"] == "exact"
+    assert res.residual <= 1e-9 * res.norm
+    assert res.residual <= max(_declined(nbest, spec, f, n, EXACT_CFG).residual, 1e-12 * res.norm)
+    structure = sorted((round(c.real, 6), round(c.imag, 6), o) for c, o in res.params.node_structure())
+    assert structure == sorted((round(a.real, 6), round(a.imag, 6), o) for a, _, o in atoms)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(EXACT_SPACES)),
+    atoms=st.lists(
+        st.tuples(
+            st.floats(0.0, 0.9), st.floats(0.0, 2 * np.pi), st.integers(1, 3),
+            st.floats(0.2, 2.0), st.floats(0.0, 2 * np.pi),
+        ),
+        min_size=1, max_size=3,
+    ),
+    exponent=st.floats(-6.0, 6.0),
+)
+def test_exact_mixes_are_certified_no_worse_than_on_the_lanes(family, atoms, exponent):
+    """Mixes of 1-3 atoms of orders 1-3, radius <= 0.9, separation >= 1e-2,
+    scaled by 1e-6 to 1e6.  The result is within residual / norm 1e-9 or no
+    worse than the search without the exact path, a Prony winner captures
+    the signal, and so does the path wherever the lanes do.  Near-confluent
+    atoms can leave the Hankel too ill-conditioned for the path, which then
+    declines."""
+    nodes = [r * np.exp(1j * t) for r, t, *_ in atoms]
+    assume(all(abs(a - b) >= 1e-2 for a, b in itertools.combinations(nodes, 2)))
+    spec = EXACT_SPACES[family]
+    scale = 10.0**exponent
+    f = kernel_mix(spec, [(a, scale * m * np.exp(1j * p), o) for a, (_, _, o, m, p) in zip(nodes, atoms)])
+    n = sum(o for _, _, o, _, _ in atoms)
+    res = nbest(spec, f, n, EXACT_CFG)
+    off = _declined(nbest, spec, f, n, EXACT_CFG)
+    assert res.residual <= max(off.residual, 1e-9 * res.norm)
+    if res.trace[-1]["from"] == "exact":
+        assert _captures(res)
+    if _captures(off):
+        assert _captures(res)
+
+
+def _non_exact_signal(spec, kind):
+    mix = kernel_mix(spec, [(EXACT_NODES[0], 1.0, 2), (EXACT_NODES[1], EXACT_WEIGHTS[1], 1)])
+    poly = as_element(spec, _unit_polynomial(spec, 12))
+    if kind == "polynomial":
+        return poly
+    if kind == "mix-plus-polynomial":
+        return mix + (1e-9 * norm(spec, mix) / norm(spec, poly)) * poly
+    return kernel_mix(spec, [(a, c, 1) for a, c in zip(EXACT_NODES, EXACT_WEIGHTS)])  # 4 atoms
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_SPACES))
+@pytest.mark.parametrize("kind", ["polynomial", "mix-plus-polynomial", "four-atoms"])
+def test_signals_that_are_no_exact_mix_of_n_nodes_are_declined(family, kind):
+    """A random polynomial, an exact mix plus a polynomial of 1e-9 of its
+    norm, and four atoms searched with n = 3 are declined, and their results
+    are those of the search without the exact path, bit for bit."""
+    spec = EXACT_SPACES[family]
+    f = _non_exact_signal(spec, kind)
+    assert engine_module._exact_candidate(_Bundle.single(spec, f), 3, EXACT_CFG) is None
+    res = nbest(spec, f, 3, EXACT_CFG)
+    off = _declined(nbest, spec, f, 3, EXACT_CFG)
+    assert res.params.points == off.params.points
+    assert np.array_equal(res.coefficients, off.coefficients)
+    assert (res.energy, res.residual, res.trace) == (off.energy, off.residual, off.trace)
+
+
+def test_an_ensemble_of_rank_at_most_n_is_certified():
+    """Realizations mixing one order-2 and one order-1 atom span two
+    dimensions, and share the recurrence of order 3 of those nodes."""
+    spec = EXACT_SPACES["bergman"]
+    rng = np.random.default_rng(4)
+    double, single = multiple_kernel(spec, EXACT_NODES[0], 2), kernel(spec, EXACT_NODES[1])
+    rows = [complex(*rng.standard_normal(2)) * double + complex(*rng.standard_normal(2)) * single
+            for _ in range(16)]
+    res = stochastic_nbest(Ensemble.from_functions(spec, rows), 3, EXACT_CFG)
+    assert res.trace[0]["rank"] == 2
+    assert res.trace[-1]["from"] == "exact"
+    assert res.expected_residual <= 1e-9 * res.bochner_norm
+    assert sorted(o for _, o in res.params.node_structure()) == [1, 2]
+
+
+def test_the_exact_path_forms_nothing_for_a_full_rank_ensemble(monkeypatch):
+    """A bundle of more rows than nodes is never tested, so the full-rank
+    ensemble of M = 256 searches as without the path and peaks no higher."""
+    spec = SpaceSpec.hardy()
+    e = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.0}, 256, seed=1)
+    cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=200, seed=0)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    off, off_peak = peak(lambda: _declined(stochastic_nbest, e, 2, cfg))
+    monkeypatch.setattr(engine_module, "_annihilator", None)  # must not be called
+    res, on_peak = peak(lambda: stochastic_nbest(e, 2, cfg))
+    assert res.trace == off.trace and np.array_equal(res.coefficients, off.coefficients)
+    assert on_peak <= off_peak
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_SPACES))
+def test_sweep_past_an_exact_capture_keeps_its_residuals_nonincreasing(family):
+    """From n = 3 on, every n reads the Prony candidate of the double-node
+    mix, which competes with the greedy tuple and the warm start."""
+    spec = EXACT_SPACES[family]
+    results = residual_decay_sweep(spec, _double_node_signal(spec), 5, EXACT_CFG)
+    residuals = [r.residual for r in results]
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    assert all(r.residual <= 1e-9 * r.norm for r in results[3:])
+    for res in results[3:]:
+        assert [e["stage"] for e in res.trace] == ["greedy", "exact", "warm", "select"]
+        assert res.trace[1]["rank"] == 3

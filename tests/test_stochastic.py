@@ -355,7 +355,7 @@ def test_full_rank_search_is_the_uncompressed_search(hardy_small):
     assert res.trace == trace
 
 
-def test_trace_names_rank_and_winner(hardy_small):
+def test_trace_names_rank_and_winner(hardy_small, exact_path=True):
     e = generate_ensemble(
         hardy_small, "kernel_mix", {"atoms": [(0.3, 1.0, 1), (-0.4, 1.0, 1)]}, 64, seed=7
     )
@@ -366,8 +366,12 @@ def test_trace_names_rank_and_winner(hardy_small):
     assert select["stage"] == "select"
     entry = res.trace[select["winner"]]
     assert entry["stage"] == select["from"]
-    assert select["from"] in ("greedy", "local", "merge-polish")
+    assert select["from"] in ("greedy", "local", "merge-polish") + (("exact",) if exact_path else ())
     assert entry["energy"] == pytest.approx(res.expected_energy, rel=1e-9)
+
+
+def test_trace_names_rank_and_winner_on_the_lanes(declined_exact_path, hardy_small):
+    test_trace_names_rank_and_winner(hardy_small, exact_path=False)
 
 
 @pytest.mark.parametrize("kind", ["single", "full-rank"])
