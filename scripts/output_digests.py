@@ -17,6 +17,13 @@ in each checkout and compare the two files:
 
     python3 scripts/output_digests.py --seeds 1 2 3 101 > digests.json
 
+With ``--groups G...`` it runs only the tasks of the named groups, the first
+part of each label (``configs``, ``edge``, ``sweep``, ``multistart``,
+``stochastic``, ``certify``; default: all), e.g. the residual rows of the
+sweep alone:
+
+    python3 scripts/output_digests.py --residuals --groups sweep --seeds 1 2 3
+
 With ``--residuals`` it prints, in place of the digests, residual / norm of
 every result (``<task>/<result file>``) and of every decay row
 (``<task>/<decay file>/<n>``), so that two checkouts whose bytes differ can be
@@ -61,6 +68,7 @@ from nbestkernel import cli  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 WORKLOADS = ("sweep", "multistart", "stochastic", "certify")
+GROUPS = ("configs", *WORKLOADS, "edge")
 
 _SPACE = {"family": "bergman", "param": 1.0, "degree": 64, "radius_cap": 0.5}
 _SIGNAL = {"coefficients": [[1.0, 0.0], [0.5, 0.25], [-0.3, 0.0], [0.1, -0.2]]}
@@ -159,14 +167,19 @@ EDGE_SPACES = {
 }
 
 
-def tasks(seeds):
-    """(label, config text) of every task."""
-    for path in sorted((ROOT / "configs").glob("*.json")):
-        yield f"configs/{path.stem}", path.read_text()
+def tasks(seeds, groups=GROUPS):
+    """(label, config text) of every task of the named groups."""
+    if "configs" in groups:
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            yield f"configs/{path.stem}", path.read_text()
     for name in WORKLOADS:
+        if name not in groups:
+            continue
         for seed in seeds:
             for task in workloads.build(name, seed):
                 yield f"{name}/{seed}/{task.id}", task.text
+    if "edge" not in groups:
+        return
     for label, (task, signal, n) in EDGE.items():
         space = EDGE_SPACES.get(label, _SPACE)
         config = {"task": task, "space": space, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
@@ -230,6 +243,8 @@ def compare(a: dict, b: dict) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 101])
+    ap.add_argument("--groups", nargs="+", choices=GROUPS, default=GROUPS, metavar="G",
+                    help=f"run only the tasks of these groups (default: all of {' '.join(GROUPS)})")
     ap.add_argument("--residuals", action="store_true",
                     help="print residual / norm of every result and decay row instead of digests")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
@@ -240,7 +255,7 @@ def main(argv=None) -> int:
         return compare(a, b)
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, text) in enumerate(tasks(args.seeds)):
+        for i, (label, text) in enumerate(tasks(args.seeds, args.groups)):
             out = Path(tmp) / str(i)
             cli.run_task(cli.parse_config(text), out)
             if args.residuals:

@@ -11,10 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, DomainError
 from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, _jsonify, as_element
@@ -43,16 +41,6 @@ _MAX_ENSEMBLE_ENTRIES = 1 << 24
 
 # Output files by config key, with their default names.
 _OUTPUT_NAMES = {"result": "result.json", "decay": "decay.csv", "report": "report.json"}
-
-_OPTIMIZER_KEYS = {
-    "delta": float,
-    "grid_density": int,
-    "multistart": int,
-    "max_iter": int,
-    "seed": int,
-    "merge_tol": float,
-}
-
 
 @dataclass
 class TaskConfig:
@@ -273,12 +261,15 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
 
 
 def _parse_optimizer(obj, path: str) -> OptimizerConfig:
-    """The optimizer block.  Each field is checked alone, the others at their
-    defaults, so that a range error points at its field."""
-    obj = _expect_mapping(obj, path, set(_OPTIMIZER_KEYS), set())
+    """The optimizer block, whose keys and their kinds (an integer or a
+    number, by the default's type) are ``OptimizerConfig``'s fields.  Each
+    field is checked alone, the others at their defaults, so that a range
+    error points at its field."""
+    kinds = {f.name: type(f.default) for f in fields(OptimizerConfig)}
+    obj = _expect_mapping(obj, path, set(kinds), set())
     kwargs = {}
     for key, value in obj.items():
-        if _OPTIMIZER_KEYS[key] is int:
+        if kinds[key] is int:
             kwargs[key] = _positive_int(value, f"{path}/{key}", minimum=0)
         else:
             kwargs[key] = _number(value, f"{path}/{key}")
@@ -337,10 +328,6 @@ def parse_config(text: str) -> TaskConfig:
 # -- serialization -------------------------------------------------------------
 
 
-def _pairs(values) -> list[list[float]]:
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(values).ravel()]
-
-
 def _space_block(spec: SpaceSpec) -> dict:
     return {"family": spec.family, "param": spec.param, "degree": spec.max_degree}
 
@@ -351,10 +338,10 @@ def _result_payload(cfg: TaskConfig, res: ApproximationResult, n: int, seed: int
         "method": res.method,
         "space": _space_block(cfg.space),
         "n": n,
-        "parameters": _pairs(res.params.points),
+        "parameters": res.params.points,
         "multiplicities": list(res.params.orders),
         "seed": seed,
-        "trace": _jsonify(res.trace),
+        "trace": res.trace,
         "degraded": res.degraded,
     }
     if cfg.task == "stochastic":
@@ -363,14 +350,14 @@ def _result_payload(cfg: TaskConfig, res: ApproximationResult, n: int, seed: int
             bochner_norm=res.bochner_norm,
             expected_energy=res.expected_energy,
             expected_residual=res.expected_residual,
-            coefficients=[_pairs(row) for row in res.coefficients],
+            coefficients=res.coefficients,
         )
     else:
         payload.update(
             norm=res.norm,
             energy=res.energy,
             residual=res.residual,
-            coefficients=_pairs(res.coefficients),
+            coefficients=res.coefficients,
         )
     return payload
 

@@ -11,6 +11,14 @@ pivots signal near-dependence, or whose moving nodes merge, has value +inf
 Modified Gram-Schmidt (MGS), the reference, produces every reported value and
 the final coefficients.
 
+The search's kernel rows come from ``spaces`` (``_kernel_powers``,
+``_kernel_rows``): powers ``conj(c)**k`` as products of two running-product
+blocks, flushed below 1e-75, times a falling factorial for higher orders.
+The MGS reference keeps its own power sources, the running product of
+``kernel_matrix`` and the per-entry powers of ``multiple_kernel``, so the
+search and its reference round independently and the reference's bits,
+which tests pin, stay as they are.
+
 A kernel at radius r has coefficients that fall like r**k, so the Gram path
 forms each tuple's kernel rows only as long as the tuple needs
 (``_Bundle._row_lengths``): the shortest of 32, 64, 128, 256 and 512
@@ -91,9 +99,11 @@ from .spaces import (
     ParamTuple,
     SpaceSpec,
     _POWER_BLOCK,
+    _TINY_POWER,
     _check_member,
     _falling_factorial,
-    _power_blocks,
+    _kernel_powers,
+    _kernel_rows,
     kernel_matrix,
 )
 from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
@@ -103,12 +113,6 @@ _EXACT_CAPTURE_TOL = 1e-13
 # it the energy loses about eps / ratio**2 relative accuracy, so the tuple
 # fails and lies outside the search domain.
 _PIVOT_FLOOR = 1e-4
-# Kernel rows are built as products of the two power blocks of
-# ``spaces._power_blocks`` (k = j < _POWER_BLOCK and k = _POWER_BLOCK i).
-# Block powers below _TINY_POWER are flushed to zero: they are negligible
-# against the leading term 1, and flushing keeps every row entry and every
-# product of two entries out of the subnormal range, where arithmetic is slow.
-_TINY_POWER = 1e-75
 # The lengths below N + 1 to which the Gram path cuts kernel rows
 # (``_Bundle._row_lengths``): 32 .. 512, the power block doubled.
 _ROW_LENGTHS = tuple(_POWER_BLOCK << j for j in range(5))
@@ -234,7 +238,8 @@ class _Span(NamedTuple):
 
 def _flushed(rows: np.ndarray) -> np.ndarray:
     """``rows`` with every entry below ``_TINY_POWER`` times its row's largest
-    entry set to zero, in place, as ``_powers`` flushes its powers."""
+    entry set to zero, in place, as ``spaces._kernel_powers`` flushes its
+    powers."""
     mags = np.abs(rows)
     rows[mags < _TINY_POWER * mags.max(axis=-1, initial=0.0, keepdims=True)] = 0.0
     return rows
@@ -294,7 +299,6 @@ class _Bundle:
         # An ensemble hands in the norms of its one pass (``_row_norms_sq``).
         self.norms_sq = _row_norms_sq(spec, matrix) if norms_sq is None else norms_sq
         self.total_sq = float(self.probs @ self.norms_sq)
-        self._falling: dict[int, np.ndarray] = {}
         # Kernel row lengths of the Gram path (``_row_lengths``), with each
         # order's limiting radii and each tuple structure's.
         n1 = spec.max_degree + 1
@@ -329,10 +333,10 @@ class _Bundle:
         ``_RANK_TOL`` is dropped.  With ``B_m = sqrt(p_m) ||f_m|| u_m Q^H`` and
         ``T`` the triangular factor of ``B``, the factor is
         ``R = T Q / sqrt(W)``.  Entries of ``u_m`` below ``_TINY_POWER`` are
-        flushed to zero, as in ``_powers``.  When M <= N + 1, one Cholesky
-        factorization of the M x M Gram matrix of the ``u_m`` detects full
-        rank and skips the deflation.  Every pass forms the ``u_m`` of one row
-        block at a time, the Gram matrix's too.
+        flushed to zero, as in ``spaces._kernel_powers``.  When M <= N + 1,
+        one Cholesky factorization of the M x M Gram matrix of the ``u_m``
+        detects full rank and skips the deflation.  Every pass forms the
+        ``u_m`` of one row block at a time, the Gram matrix's too.
         """
         m, n1 = self.matrix.shape
         if m == 1:
@@ -438,7 +442,7 @@ class _Bundle:
         kept = self._systems.get(key)
         if kept is None:
             system, degraded = _gram_schmidt_impl(
-                self.spec, params, eps_degenerate=1e-10, allow_partial=True
+                self.spec, params, eps_degenerate=EPS_DEGENERATE, allow_partial=True
             )
             kept = self._systems[key] = (system.basis, degraded)
         return kept
@@ -467,37 +471,6 @@ class _Bundle:
         block = np.subtract(self.matrix[rows], fit, out=out)
         block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
         return _flushed(block)
-
-    def _powers(self, centers: np.ndarray, length: int | None = None) -> np.ndarray:
-        """Rows ``conj(c)**k`` for k = 0 .. length - 1 (by default N), as
-        products of the two blocks of ``spaces._power_blocks``; block terms
-        below ``_TINY_POWER`` become zero.  An entry has the same bits
-        whatever the length."""
-        length = self.spec.max_degree + 1 if length is None else length
-        low, high = _power_blocks(np.conj(np.asarray(centers, dtype=np.complex128)), length)
-        low[np.abs(low) < _TINY_POWER] = 0.0
-        high[np.abs(high) < _TINY_POWER] = 0.0
-        return (high[:, :, None] * low[:, None, :]).reshape(len(low), -1)[:, :length]
-
-    def _kernel_rows(self, powers: np.ndarray, orders) -> np.ndarray:
-        """Rows ``W * K`` of the order-``o`` kernels whose ``_powers`` rows are
-        given (n rows, or a stack of n rows per tuple): ``k (k-1) ... (k-o+2)
-        conj(c)**(k-o+1)``, i.e. ``multiple_kernel`` times the weights, as
-        long as the powers; an entry has the same bits whatever the length."""
-        if all(o == 1 for o in orders):
-            return powers
-        n1 = powers.shape[-1]
-        rows = np.zeros_like(powers)
-        for i, o in enumerate(orders):
-            rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * self._falling_factorial(o - 1)[: n1 - o + 1]
-        return rows
-
-    def _falling_factorial(self, lag: int) -> np.ndarray:
-        """k (k-1) ... (k-lag+1) for k = lag .. N."""
-        out = self._falling.get(lag)
-        if out is None:
-            out = self._falling[lag] = _falling_factorial(self.spec.max_degree, lag)
-        return out
 
     def _row_lengths(self, centers: np.ndarray, orders: tuple, moving: np.ndarray) -> np.ndarray:
         """Each tuple's kernel row length on the Gram path: the shortest of
@@ -539,7 +512,7 @@ class _Bundle:
         parts = []
         for o in orders:
             lag = o - 1
-            c = self._falling_factorial(lag) ** 2 / w[lag:]  # c_k for k = lag .. N
+            c = _falling_factorial(self.spec.max_degree, lag) ** 2 / w[lag:]  # c_k for k = lag .. N
             k = np.arange(lag + 1, len(w))
             ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
             q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
@@ -583,9 +556,10 @@ class _Bundle:
         moving = owners >= 0
         length = self._row_lengths(centers, orders, moving)
         top = int(length.max())
-        powers = self._powers(centers.ravel(), top).reshape(count, n, top)
-        rows = self._kernel_rows(powers, orders)
-        nxt = self._kernel_rows(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m])
+        powers = _kernel_powers(centers.ravel(), top).reshape(count, n, top)
+        degree = self.spec.max_degree
+        rows = _kernel_rows(powers, orders, degree)
+        nxt = _kernel_rows(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m], degree)
         m, k = len(self.matrix), nxt.shape[1]
         gram, pairs, cross, pairs_nxt = (
             np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, k), (m, k))
@@ -662,7 +636,7 @@ class _Bundle:
         if span.degraded:
             return value, grad, np.ones(count, dtype=bool)
         w = self.spec.weights
-        powers = self._powers(points)  # W K
+        powers = _kernel_powers(points, self.spec.max_degree + 1)  # W K
         u = powers * self.inv_weights
         scale_sq = np.sum(w * np.abs(u) ** 2, axis=1)
         basis_h = span.basis.conj().T
@@ -677,7 +651,8 @@ class _Bundle:
             return value, grad, failed
         u, beta = u[held], beta[held, None]
         # W u, and W K+ for the gradient
-        rows = np.concatenate([(w * u)[:, None], self._kernel_rows(powers[held, None], (2,))], axis=1)
+        nxt = _kernel_rows(powers[held, None], (2,), self.spec.max_degree)
+        rows = np.concatenate([(w * u)[:, None], nxt], axis=1)
         pairs = span.residual @ rows.conj().transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
         alpha = pairs[:, :, 0]
         value[held] = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
@@ -1142,8 +1117,8 @@ def _disc_grid(radius: float, density: int) -> np.ndarray:
 class _Grid(NamedTuple):
     """The disc grid of a search: its points, the conjugate transpose of
     their kernel rows times the weights (the powers ``conj(c)**k``, flushed
-    as in ``_powers``), the rows' squared norms, and each grid kernel's
-    energy increment on the empty span."""
+    as in ``spaces._kernel_powers``), the rows' squared norms, and each grid
+    kernel's energy increment on the empty span."""
 
     points: np.ndarray
     weighted_h: np.ndarray

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,11 @@ DEFAULT_TRUNCATION_TOL = 1e-5
 # k = j < 32 and k = 32 i, so the power k takes about 32 + k / 32 roundings
 # where one running product would take k.
 _POWER_BLOCK = 32
+# The search's kernel rows (``_kernel_powers``) flush block powers below
+# _TINY_POWER to zero: they are negligible against the leading term 1, and
+# flushing keeps every row entry and every product of two entries out of the
+# subnormal range, where arithmetic is slow.
+_TINY_POWER = 1e-75
 
 _FAMILIES = ("hardy", "bergman", "weighted_hardy")
 
@@ -258,13 +264,42 @@ def kernel_matrix(spec: SpaceSpec, points: np.ndarray) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)
 def _falling_factorial(max_degree: int, lag: int) -> np.ndarray:
-    """k (k-1) ... (k-lag+1) for k = lag .. max_degree."""
+    """k (k-1) ... (k-lag+1) for k = lag .. max_degree, kept read-only."""
     ks = np.arange(lag, max_degree + 1, dtype=np.float64)
     out = np.ones_like(ks)
     for j in range(lag):
         out *= ks - j
+    out.setflags(write=False)
     return out
+
+
+def _kernel_powers(centers, length: int) -> np.ndarray:
+    """Rows ``conj(c)**k`` for k < length, one per center, as products of
+    the two blocks of ``_power_blocks``; block terms below ``_TINY_POWER``
+    become zero.  An entry has the same bits whatever the length.  The
+    search forms its kernel rows from these; the MGS reference keeps its own
+    power sources (``kernel_matrix``, ``multiple_kernel``)."""
+    low, high = _power_blocks(np.conj(np.asarray(centers, dtype=np.complex128)), length)
+    low[np.abs(low) < _TINY_POWER] = 0.0
+    high[np.abs(high) < _TINY_POWER] = 0.0
+    return (high[:, :, None] * low[:, None, :]).reshape(len(low), -1)[:, :length]
+
+
+def _kernel_rows(powers: np.ndarray, orders, max_degree: int) -> np.ndarray:
+    """Rows ``W * K`` of the order-``o`` kernels (``multiple_kernel``'s
+    coefficients times the weights) from their rows of powers ``conj(c)**k``
+    (n rows, or a stack of n rows per tuple), as long as the powers; an
+    entry has the same bits whatever the length."""
+    if all(o == 1 for o in orders):
+        return powers
+    n1 = powers.shape[-1]
+    rows = np.zeros_like(powers)
+    for i, o in enumerate(orders):
+        falling = _falling_factorial(max_degree, o - 1)[: n1 - o + 1]
+        rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * falling
+    return rows
 
 
 def multiple_kernel(spec: SpaceSpec, a: complex, order: int) -> AnalyticFunction:
@@ -284,11 +319,8 @@ def multiple_kernel(spec: SpaceSpec, a: complex, order: int) -> AnalyticFunction
         raise DegreeError(f"kernel order {order} exceeds truncation degree {spec.max_degree}")
     if order == 1:
         return kernel(spec, a)
-    l = order - 1
-    coeffs = np.zeros(spec.max_degree + 1, dtype=np.complex128)
-    powers = np.conj(a) ** np.arange(spec.max_degree + 1 - l)
-    coeffs[l:] = _falling_factorial(spec.max_degree, l) * powers / spec.weights[l:]
-    return AnalyticFunction(coeffs)
+    powers = np.conj(a) ** np.arange(spec.max_degree + 1)
+    return AnalyticFunction(_kernel_rows(powers[None], (order,), spec.max_degree)[0] / spec.weights)
 
 
 def _power_blocks(z: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,12 +451,12 @@ class ParamTuple:
                 out.append((c, o))
         return out
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.complex128)
-
 
 def _jsonify(obj):
-    """Plain JSON types for nested numpy and Python scalars; complex becomes [re, im]."""
+    """Plain JSON types for nested numpy arrays and scalars and Python
+    scalars; complex becomes [re, im]."""
+    if isinstance(obj, np.ndarray):
+        return _jsonify(obj.tolist())
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

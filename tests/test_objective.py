@@ -32,6 +32,7 @@ from nbestkernel.engine import (
     _Span,
 )
 from nbestkernel.orthosystem import _gram_schmidt_impl
+from nbestkernel.spaces import _falling_factorial, _kernel_powers, _kernel_rows
 
 SPACES = {
     "hardy": SpaceSpec.hardy(),
@@ -82,7 +83,8 @@ def _outside(value, grad) -> bool:
 
 
 def _min_pivot_ratio(bundle, params):
-    rows = bundle._kernel_rows(bundle._powers(np.asarray(params.centers)), params.orders)
+    spec = bundle.spec
+    rows = _kernel_rows(_kernel_powers(params.centers, spec.max_degree + 1), params.orders, spec.max_degree)
     gram = (rows.conj() * bundle.inv_weights) @ rows.T
     chol = np.linalg.cholesky(gram)
     return float(np.min(chol.diagonal().real / np.sqrt(gram.diagonal().real)))
@@ -734,7 +736,7 @@ def _relative_tail(spec, order, r, length):
     from entry ``length`` on."""
     lag = order - 1
     k = np.arange(lag, spec.max_degree + 1)
-    terms = engine._falling_factorial(spec.max_degree, lag) ** 2 * r ** (2.0 * (k - lag)) / spec.weights[lag:]
+    terms = _falling_factorial(spec.max_degree, lag) ** 2 * r ** (2.0 * (k - lag)) / spec.weights[lag:]
     return terms[length - lag :].sum() / terms.sum() if length > lag else 1.0
 
 

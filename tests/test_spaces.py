@@ -24,6 +24,7 @@ from nbestkernel import (
     norm_sq,
     weight,
 )
+from nbestkernel.spaces import _falling_factorial, _kernel_powers, _kernel_rows
 
 
 def test_weight_examples(hardy, dirichlet, bergman0):
@@ -207,6 +208,42 @@ def test_multiple_kernel_order_errors(hardy_small):
         multiple_kernel(hardy_small, 0.3, hardy_small.max_degree + 1)
     with pytest.raises(DegreeError):
         multiple_kernel(hardy_small, 0.3, 0)
+
+
+_ROW_SPACES = {
+    "hardy": SpaceSpec.hardy(),
+    "bergman": SpaceSpec.bergman(1.0),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_ROW_SPACES)),
+    order=st.integers(1, 3),
+    fraction=st.floats(0.0, 1.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+@example(family="hardy", order=3, fraction=1.0, angle=0.3)
+@example(family="bergman", order=2, fraction=1.0, angle=2.0)
+@example(family="weighted_hardy", order=1, fraction=1.0, angle=-1.0)
+@example(family="bergman", order=3, fraction=0.0, angle=0.0)
+def test_search_kernel_rows_match_reference(family, order, fraction, angle):
+    """The search's kernel rows (block powers, flushed) against the MGS
+    reference's (``kernel_matrix``'s running product for order 1,
+    ``multiple_kernel``'s per-entry powers above): within 1e-12 of each
+    row's largest entry, up to the radius cap.  A row cut to 32 entries is
+    the full row's prefix bit for bit, and the cached falling factorial
+    that every row reads is read-only."""
+    spec = _ROW_SPACES[family]
+    c = fraction * spec.radius_cap * complex(math.cos(angle), math.sin(angle))
+    n1 = spec.max_degree + 1
+    rows = _kernel_rows(_kernel_powers([c], n1), (order,), spec.max_degree)[0]
+    ref = multiple_kernel(spec, c, order).coeffs
+    assert np.max(np.abs(rows / spec.weights - ref)) <= 1e-12 * np.max(np.abs(ref))
+    cut = _kernel_rows(_kernel_powers([c], 32), (order,), spec.max_degree)[0]
+    assert np.array_equal(cut, rows[:32])
+    assert not _falling_factorial(spec.max_degree, order - 1).flags.writeable
 
 
 def test_evaluate_examples(hardy):

@@ -199,13 +199,16 @@ def test_report_to_dict_plain_types():
             "count": np.int64(3),
             "ok": np.bool_(True),
             "closed_form": [None, np.float32(0.25)],
+            "radii": np.array([0.5, 2.0]),
+            "rows": np.array([[1 + 2j, 3.0]]),
         },
         bound=np.float64(2.0),
         passed=np.bool_(False),
     )
     assert json.dumps(rep.to_dict(), sort_keys=True) == (
         '{"bound": 2.0, "check": "c", "grid": "g", "measured": {"closed_form": [null, 0.25], '
-        '"count": 3, "ok": true, "values": [0.5, 1.0]}, "notes": "", "passed": false, "space": "s"}'
+        '"count": 3, "ok": true, "radii": [0.5, 2.0], "rows": [[[1.0, 2.0], [3.0, 0.0]]], '
+        '"values": [0.5, 1.0]}, "notes": "", "passed": false, "space": "s"}'
     )
 
 
