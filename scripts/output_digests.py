@@ -42,7 +42,13 @@ file differs or a row is worse, else 0:
     python3 scripts/output_digests.py --compare parent.json change.json
 
 A copy of this file placed in a checkout's ``scripts/`` runs that checkout's
-program.
+program.  With ``--against REV`` (default ``HEAD``) it runs the tasks here
+and, with such a copy, in a temporary ``git worktree`` of REV, removes the
+worktree, and prints the ``--compare`` result of REV's file (A) against this
+checkout's (B), so that the byte-identity of a change in progress is one
+offline command:
+
+    python3 scripts/output_digests.py --against HEAD --seeds 1 2 3 101
 """
 
 import os
@@ -56,6 +62,8 @@ import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -240,6 +248,41 @@ def compare(a: dict, b: dict) -> int:
     return int(bool(worse or only))
 
 
+def run_at(rev: str, args: list) -> dict:
+    """The report that a copy of this script prints with ``args`` in a
+    temporary ``git worktree`` of ``rev``, which is removed afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        if subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev]).returncode:
+            sys.exit(f"no worktree of {rev!r}")
+        try:
+            copy = tree / "scripts" / Path(__file__).name
+            copy.parent.mkdir(exist_ok=True)
+            shutil.copyfile(__file__, copy)
+            run = subprocess.run([sys.executable, str(copy), *args], capture_output=True, text=True)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    if run.returncode:
+        sys.exit(f"the tasks failed at {rev}:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
+def report(seeds, groups, residuals: bool) -> dict:
+    """The digests, or with ``residuals`` the residual rows, of the tasks."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, text) in enumerate(tasks(seeds, groups)):
+            path = Path(tmp) / str(i)
+            cli.run_task(cli.parse_config(text), path)
+            if residuals:
+                out.update(relative_residuals(label, path))
+                continue
+            for file in sorted(path.iterdir()):
+                out[f"{label}/{file.name}"] = hashlib.sha256(file.read_bytes()).hexdigest()
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 101])
@@ -249,21 +292,20 @@ def main(argv=None) -> int:
                     help="print residual / norm of every result and decay row instead of digests")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two digest or residual files instead of running the tasks")
+    ap.add_argument("--against", nargs="?", const="HEAD", metavar="REV",
+                    help="run the tasks here and in a temporary worktree of REV (default HEAD) "
+                    "and compare REV's outputs (A) with these (B)")
     args = ap.parse_args(argv)
     if args.compare:
+        if args.against:
+            ap.error("--compare and --against exclude each other")
         a, b = (json.loads(Path(path).read_text()) for path in args.compare)
         return compare(a, b)
-    report = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, text) in enumerate(tasks(args.seeds, args.groups)):
-            out = Path(tmp) / str(i)
-            cli.run_task(cli.parse_config(text), out)
-            if args.residuals:
-                report.update(relative_residuals(label, out))
-                continue
-            for path in sorted(out.iterdir()):
-                report[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    here = report(args.seeds, args.groups, args.residuals)
+    if args.against:
+        flags = ["--seeds", *map(str, args.seeds), "--groups", *args.groups]
+        return compare(run_at(args.against, flags + ["--residuals"] * args.residuals), here)
+    json.dump(here, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 

@@ -51,12 +51,14 @@ with multiplicity, give one candidate (``_exact_candidate``).  When MGS
 certifies its capture no lane runs; otherwise it joins the candidates.  The
 test only decides speed: every result is still certified by MGS.
 
-A greedy step works on one span of its fixed prefix (``_Span``): the
-orthonormal basis ``Q`` of the prefix's kernels, the residual ``R = F - P_Q F``
-of the signals and the prefix energy ``E_p``.  A span reads the tuple's kept
-MGS system, which the previous step's search kept, and ``finalize`` reads a
-span too, so each tuple is orthogonalized once.  Its grid scan scores node g
-as ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
+Each tuple a search keeps is orthogonalized once (``_Bundle.system``, which
+flushes its basis) and read once per bundle (``_Bundle.read``: the
+coefficients ``<f_m, Q_j>``, their energy and, once ``finalize`` sums it, the
+residual norm) for the reported value, the spans, the ranking and the
+result.  A greedy step works on one span of its fixed prefix
+(``_Span``): the basis ``Q``, the residual ``R = F - P_Q F`` of the signals
+and the prefix energy ``E_p``.  Its grid scan scores node g as
+``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
 local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 / ||u||^2``, with ``u``
 the part of the moving node's kernel outside the span, and the closed-form
 gradient, so greedy forms no Gram matrix.  A node that merges with a prefix
@@ -71,7 +73,9 @@ Every engine, the stochastic one included, is one run of one pipeline
 the case M = 1.  It searches on the bundle's exact low-rank factor and
 finalizes the chosen tuple on the bundle.  A decay sweep runs greedy once, to
 its largest node count: greedy results finalize prefixes of that run, and
-each n-best search starts from its n-prefix.
+each n-best search starts from its n-prefix and, in a residual sweep, from
+the greedy extension of the (n-1)-node result, which is greedy's own
+n-prefix, unsearched, when that result is greedy's (n-1)-prefix.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
 
@@ -221,10 +225,22 @@ class _Nodes(NamedTuple):
     orders: tuple
 
 
+class _Read(NamedTuple):
+    """A kept tuple read on one bundle (``_Bundle.read``): its basis rows, the
+    read-only coefficients ``<f_m, Q_j>`` on them, their energy, whether it
+    degraded, and the residual norm once ``finalize`` has summed it."""
+
+    basis: np.ndarray
+    coeffs: np.ndarray
+    energy: float
+    degraded: bool
+    residual: float | None = None
+
+
 class _Span(NamedTuple):
-    """The span of the tuple ``params``, read from its kept MGS system: its
-    orthonormal basis rows ``Q``, the two-pass residual ``R = F - P_Q F`` of
-    each signal, the captured energy ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
+    """The span of the tuple ``params``: its kept MGS basis rows ``Q``, the
+    two-pass residual ``R = F - P_Q F`` of each signal, the captured energy
+    ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
     before it.  Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their
     row's largest entry are zero; greedy appends a node to it by
     ``_span_captured`` (module docstring: why not the lanes' Gram path)."""
@@ -306,7 +322,7 @@ class _Bundle:
         self._reach: dict[int, np.ndarray] = {}
         self._limits: dict[tuple, np.ndarray] = {}
         self._grids: dict[tuple, _Grid] = {}
-        self._finals: dict[tuple, tuple] = {}
+        self._reads: dict[tuple, _Read] = {}
         self._exact: dict[tuple, tuple | None] = {}
         # MGS bases depend on the space and the tuple only, so a factor
         # shares the ones its ensemble keeps (``systems``).
@@ -431,11 +447,9 @@ class _Bundle:
 
     def system(self, params: ParamTuple) -> tuple[np.ndarray, bool]:
         """The MGS basis rows of the tuple and whether it degraded, kept per
-        (centers, orders) for the life of the bundle and its factor, i.e. of
-        one engine call: the value a search reports, the spans of greedy
-        prefixes, the ranking of candidates and the result read one
-        orthogonalization of each tuple.  Search evaluations never reach MGS,
-        so every tuple kept is one of these."""
+        (centers, orders) for the life of the bundle and its factor (one
+        engine call), flushed (``_flushed``) as they are kept, and read-only.
+        Search evaluations never reach MGS: every kept tuple was ``read``."""
         if not len(params):  # the empty span, which needs no Gram-Schmidt
             return np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128), False
         key = (params.centers, params.orders)
@@ -444,24 +458,27 @@ class _Bundle:
             system, degraded = _gram_schmidt_impl(
                 self.spec, params, eps_degenerate=EPS_DEGENERATE, allow_partial=True
             )
-            kept = self._systems[key] = (system.basis, degraded)
+            basis = _flushed(system.basis.copy())
+            basis.setflags(write=False)
+            kept = self._systems[key] = (basis, degraded)
         return kept
 
-    def _mgs_captured(self, params: ParamTuple) -> tuple[float, bool]:
-        basis, degraded = self.system(params)
-        return self._captured_by(self._coefficients(basis)), degraded
-
-    def _coefficients(self, basis: np.ndarray) -> np.ndarray:
-        """The coefficients ``<f_m, Q_j>`` of each realization on the basis
-        rows, computed a row block at a time."""
-        out = np.empty((len(self.matrix), len(basis)), dtype=np.complex128)
-        basis_h = basis.conj().T
-        for rows in self._blocks():
-            out[rows] = (self.matrix[rows] * self.spec.weights) @ basis_h
-        return out
-
-    def _captured_by(self, coeffs: np.ndarray) -> float:
-        return float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+    def read(self, params: ParamTuple) -> _Read:
+        """The tuple's ``_Read``, formed once per bundle and tuple: the
+        coefficients on its kept basis rows, a row block at a time, and their
+        energy.  Every value, span and finalization of the tuple reads it."""
+        key = (params.centers, params.orders)
+        got = self._reads.get(key)
+        if got is None:
+            basis, degraded = self.system(params)
+            coeffs = np.zeros((len(self.matrix), len(basis)), dtype=np.complex128)
+            basis_h = basis.conj().T
+            for rows in self._blocks() if len(basis) else ():
+                coeffs[rows] = (self.matrix[rows] * self.spec.weights) @ basis_h
+            coeffs.setflags(write=False)
+            energy = float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1))
+            got = self._reads[key] = _Read(basis, coeffs, energy, degraded)
+        return got
 
     def _residual(self, rows: slice, basis: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
         """The residuals ``f_m - P_Q f_m`` of the realizations of a row block
@@ -542,15 +559,13 @@ class _Bundle:
         the next-order kernel, i.e. dK_j / d(conj a_c).
 
         Each tuple's kernel rows are cut to its own length L
-        (``_row_lengths``): the dropped tail moves a Gram entry by at most
-        eps**2 ||K_i|| ||K_j|| and a pairing ``<f_m, K_i>`` by at most eps
-        ||f_m|| ||K_i||, below the rounding of the full sums.  The powers and
-        rows are formed once, at the batch's longest L, and their entries do
-        not depend on the length; the four products that do (the Gram
-        matrices, the pairings, the cross terms with next-order rows and the
-        signals against those rows) run once per group of tuples with equal
-        L.  Every step is a stacked or elementwise operation, so a tuple's
-        results are the same bits whichever batch it is evaluated in.
+        (``_row_lengths``, module docstring).  The powers and rows are formed
+        once, at the batch's longest L, and their entries do not depend on
+        the length; the four products that do (the Gram matrices, the
+        pairings, the cross terms with next-order rows and the signals
+        against those rows) run once per group of tuples with equal L.  Every
+        step is stacked or elementwise, so a tuple's results are the same
+        bits whichever batch it is evaluated in.
         """
         count, n = centers.shape
         moving = owners >= 0
@@ -598,18 +613,14 @@ class _Bundle:
         return value, grad, failed
 
     def span(self, params: ParamTuple) -> _Span:
-        """The ``_Span`` of the tuple, read from its kept MGS system: a greedy
-        prefix is the tuple that the previous step's search, or ``finalize``
-        for a sweep's warm extension, has just kept, with its basis flushed.
-        The residual is the one M x (N+1) array a span holds; it is filled a
-        row block at a time."""
-        basis, degraded = self.system(params)
-        basis = _flushed(basis.copy())  # the kept basis is read-only and may hold subnormals
-        coeffs = self._coefficients(basis)
+        """The ``_Span`` of the tuple from its kept basis and its ``read``;
+        the residual, the one M x (N+1) array a span holds, is filled a row
+        block at a time."""
+        read = self.read(params)
         residual = np.empty_like(self.matrix)
         for rows in self._blocks():
-            self._residual(rows, basis, coeffs, out=residual[rows])
-        return _Span(params, basis, residual, self._captured_by(coeffs), degraded)
+            self._residual(rows, read.basis, read.coeffs, out=residual[rows])
+        return _Span(params, read.basis, residual, read.energy, read.degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span):
         """Span evaluation of the B tuples that append one node of ``points``
@@ -662,45 +673,31 @@ class _Bundle:
         return value, grad, failed
 
     def finalize(self, points, cfg: OptimizerConfig):
-        """Params trimmed to the basis, coefficients, energy, residual norm
-        and degradation of the tuple, read as its ``span`` reads them (its
-        kept MGS system and two-pass residual).  Each realization's residual
-        norm is summed a row block at a time; the residuals themselves are
-        not kept."""
+        """Params built from ``points`` and trimmed to the basis, and the
+        tuple's ``read``: coefficients, energy, the norm of its two-pass
+        residual (summed a row block at a time, once) and degradation."""
         params = self.make_tuple(points, cfg)
-        basis, degraded = self.system(params)
-        basis = _flushed(basis.copy())
-        if len(basis) < len(params):
-            params = ParamTuple(params.points[: len(basis)], params.merge_tol, params.radius_cap)
-        coeffs = self._coefficients(basis)
-        resid_sq = np.empty(len(self.matrix))
-        for rows in self._blocks():
-            block = self._residual(rows, basis, coeffs)
-            resid_sq[rows] = np.sum(self.spec.weights * np.abs(block) ** 2, axis=1)
-        residual = math.sqrt(max(float(self.probs @ resid_sq), 0.0))
-        return params, coeffs, self._captured_by(coeffs), residual, degraded
-
-    def finalized(self, points, cfg: OptimizerConfig):
-        """``finalize``'s result for the tuple, kept per points for the life of
-        the bundle: the candidate ranking and the result of a search on the
-        bundle itself read one finalization of the winner."""
-        key = (tuple(points), cfg.merge_tol)
-        if key not in self._finals:
-            self._finals[key] = self.finalize(points, cfg)
-        return self._finals[key]
+        read = self.read(params)
+        if read.residual is None:
+            resid_sq = np.empty(len(self.matrix))
+            for rows in self._blocks():
+                block = self._residual(rows, read.basis, read.coeffs)
+                resid_sq[rows] = np.sum(self.spec.weights * np.abs(block) ** 2, axis=1)
+            residual = math.sqrt(max(float(self.probs @ resid_sq), 0.0))
+            read = self._reads[params.centers, params.orders] = read._replace(residual=residual)
+        if len(read.basis) < len(params):
+            params = ParamTuple(params.points[: len(read.basis)], params.merge_tol, params.radius_cap)
+        return params, read.coeffs, read.energy, read.residual, read.degraded
 
 
 def _energy(bundle: _Bundle, params: ParamTuple) -> float:
     """Captured energy of the bundle by MGS, the reference; warns, at the
     public caller's caller, when the tuple degrades."""
-    val, degraded = bundle._mgs_captured(params)
-    if degraded:
-        warnings.warn(
-            "degenerate node tuple: energy computed on its well-conditioned prefix",
-            DegenerateTupleWarning,
-            stacklevel=3,
-        )
-    return val
+    read = bundle.read(params)
+    if read.degraded:
+        message = "degenerate node tuple: energy computed on its well-conditioned prefix"
+        warnings.warn(message, DegenerateTupleWarning, stacklevel=3)
+    return read.energy
 
 
 def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
@@ -1051,14 +1048,14 @@ def _search_options(cfg: OptimizerConfig) -> dict:
 
 
 def _reported(objective: _Objective, res: _Minimum, stats) -> tuple:
-    """The points a search ended at and their energy, recomputed with MGS, also
-    for a search that stopped at a start outside the search domain;
+    """The points a search ended at and their MGS energy (``_Bundle.read``),
+    also for a search that stopped at a start outside the search domain;
     ``stats``, if given, receives the search's evaluation count and stop
     message."""
     params = objective.params(res.x)
     if stats is not None:
         stats.update(polish_nfev=int(res.nfev), polish_message=str(res.message))
-    return params.points, objective.bundle._mgs_captured(params)[0]
+    return params.points, objective.bundle.read(params).energy
 
 
 def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None):
@@ -1066,11 +1063,8 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None
     gradient of the captured energy, started at ``x0`` on the flattened real
     coordinates of the moving nodes, in the box ``[-R, R]`` of the search
     radius R: a lockstep search of one lane, as greedy steps and the merge
-    polish run it.  ``span``, if given, is the ``_Span`` of ``prefix``.
-
-    The returned energy is recomputed with MGS.  ``stats``, if given, receives
-    the evaluation count and the stop message.
-    """
+    polish run it.  ``span``, if given, is the ``_Span`` of ``prefix``.  It
+    returns what ``_reported`` reports."""
     x0 = np.asarray(x0, dtype=np.float64)
     objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders, span)
     res = minimize(
@@ -1192,8 +1186,12 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, p
 
 
 # perfbench/tracer.py times the warm extension of a sweep under this name.
-def _extend_greedily(bundle, points, n, cfg, trace):
-    return _greedy_points(bundle, n, cfg, trace, prefix=points)
+def _extend_greedily(bundle, points, n, cfg, greedy):
+    """Greedy's steps after ``points`` to n nodes: where ``points`` is a prefix
+    of the ``greedy`` run and it reached n nodes, that run's n-prefix."""
+    if len(greedy) >= n and list(points) == greedy[: len(points)]:
+        return greedy[:n]
+    return _greedy_points(bundle, n, cfg, [], prefix=points)
 
 
 def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray]:
@@ -1304,7 +1302,7 @@ def _prony_candidate(bundle: _Bundle, k: int, cfg: OptimizerConfig):
     if max(abs(c) for c in centers) > _search_radius(bundle, cfg):
         return ()
     points = tuple(c for c, o in zip(centers, orders) for _ in range(o))
-    energy = bundle._mgs_captured(bundle.make_tuple(points, cfg))[0]
+    energy = bundle.read(bundle.make_tuple(points, cfg)).energy
     stats = {"polish_nfev": 0, "polish_message": _PRONY_STOP}
     if not bundle.captures(energy):
         points, energy = _local_search(bundle, cfg, _as_x(centers), orders=orders, stats=stats)
@@ -1359,7 +1357,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     def sort_key(cand):
         pts = cand[0]
         rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
-        return (bundle.finalized(pts, cfg)[3], rounded)
+        return (bundle.finalize(pts, cfg)[3], rounded)
 
     def select():
         best_pts, _, entry = min(candidates, key=sort_key)
@@ -1375,7 +1373,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
             # The search ends; the warm starts compete as they are, so a
             # sweep's residuals stay nonincreasing.
             for w in warm:
-                val = bundle._mgs_captured(bundle.make_tuple(w, cfg))[0]
+                val = bundle.read(bundle.make_tuple(w, cfg)).energy
                 trace.append({"stage": "warm", "energy": val})
                 candidates.append((tuple(w), val, len(trace) - 1))
             return select()
@@ -1412,15 +1410,16 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
 def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> ApproximationResult:
     """The result for the tuple of ``points``, finalized on the bundle, or,
     without points, the zero-node result; coefficients have one row per
-    realization.  A winner that a search on the bundle itself ranked is read
-    from that ranking's finalization (``_Bundle.finalized``)."""
+    realization, in an array the result owns.  A winner that a search on the
+    bundle itself ranked is read from that ranking's finalization."""
     norm = math.sqrt(bundle.total_sq)
     if points is None:
         params = bundle.make_tuple((), cfg)
         coeffs = np.zeros((len(bundle.probs), 0), dtype=np.complex128)
         cap, residual, degraded = 0.0, norm, False
     else:
-        params, coeffs, cap, residual, degraded = bundle.finalized(points, cfg)
+        params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
+        coeffs = coeffs.copy()  # the read keeps its own read-only
     return ApproximationResult(params, coeffs, cap, residual, norm, method, list(trace), degraded)
 
 
@@ -1446,13 +1445,13 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
     Greedy selection never revisits a node, so the run to k nodes is the
     k-prefix of the run to n, with the same trace prefix.  ``afd`` finalizes
     that prefix; ``nbest`` and ``stochastic_nbest`` search from it, and in a
-    sweep also from the greedy extension of the (k-1)-node result.  The
-    searches run on the bundle's exact low-rank factor, which is the bundle
-    itself for one realization and for full rank; every result is finalized
-    on the bundle.  A ``stochastic_nbest`` trace opens with a ``compress``
-    entry giving M and the rank r the search ran on.  A signal whose squared
-    norm is not 0 or a finite normal double raises ``DomainError``
-    (``_check_norm``).
+    sweep also from the greedy extension of the (k-1)-node result
+    (``_extend_greedily``).  The searches run on the bundle's exact low-rank
+    factor, which is the bundle itself for one realization and for full
+    rank; every result is finalized on the bundle.  A ``stochastic_nbest``
+    trace opens with a ``compress`` entry giving M and the rank r the search
+    ran on.  A signal whose squared norm is not 0 or a finite normal double
+    raises ``DomainError`` (``_check_norm``).
     """
     cfg = config or OptimizerConfig()
     if n < 0:
@@ -1476,7 +1475,7 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
         else:
             warm = []
             if prev and len(prev) == k - 1:
-                warm.append(_extend_greedily(factor, prev, k, cfg, []))
+                warm.append(_extend_greedily(factor, prev, k, cfg, points))
             trace = list(opening)
             best = _nbest_points(factor, k, cfg, trace, (points[:k], steps[:k]), warm)
             res = _result(bundle, cfg, method, best, trace)

@@ -309,7 +309,7 @@ def test_merge_polish_merges_a_pair_of_any_separation():
     split = (SINGLE_NODE, DOUBLE_NODE - 0.015, DOUBLE_NODE + 0.015)
     worse = (SINGLE_NODE, DOUBLE_NODE, 0.0)
     candidates = [
-        (pts, bundle._mgs_captured(bundle.make_tuple(pts, cfg))[0], k)
+        (pts, bundle.read(bundle.make_tuple(pts, cfg)).energy, k)
         for k, pts in enumerate((worse, split))
     ]
     assert candidates[0][1] < candidates[1][1] < bundle.total_sq
@@ -345,7 +345,7 @@ def test_merge_polish_skips_exact_capture():
     bundle = _Bundle.single(spec, kernel(spec, 0.2) + kernel(spec, 0.5j))
     cfg = OptimizerConfig()
     pts = (0.2, 0.5j)
-    candidates = [(pts, bundle._mgs_captured(bundle.make_tuple(pts, cfg))[0], 0)]
+    candidates = [(pts, bundle.read(bundle.make_tuple(pts, cfg)).energy, 0)]
     trace = [{"stage": "local"}]
     _merge_polish(bundle, cfg, candidates, trace)
     assert len(candidates) == 1 and len(trace) == 1
@@ -450,6 +450,50 @@ def test_residual_sweep_searches_from_prefixes_of_one_greedy_run(family):
         assert greedy["stage"] == "greedy"
         assert greedy["steps"] == steps[:n]
         assert greedy["energy"] == steps[n - 1]["energy"]
+
+
+def test_sweep_extends_a_greedy_winner_without_repeating_greedy(monkeypatch):
+    """Where greedy's 2-node tuple wins n = 2 of a residual sweep, the warm
+    start of n = 3 is greedy's own 3-prefix, which greedy's step 3 from that
+    tuple has already searched: no two local searches share their start,
+    prefix and orders, and the warm tuple is the one that step gives."""
+    spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
+    cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=200, seed=3)
+    rng = np.random.default_rng(11)
+    f = as_element(spec, rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    searches, warm = [], []
+    search, extend = engine_module._local_search, engine_module._extend_greedily
+
+    def recorded(bundle, cfg, x0, prefix=(), orders=None, **kwargs):
+        key = (np.asarray(x0).tobytes(), tuple(prefix), None if orders is None else tuple(orders))
+        searches.append(key)
+        return search(bundle, cfg, x0, prefix, orders, **kwargs)
+
+    def extended(bundle, points, n, cfg, *args):
+        out = extend(bundle, points, n, cfg, *args)
+        warm.append((bundle, list(points), n, list(out)))
+        return out
+
+    monkeypatch.setattr(engine_module, "_local_search", recorded)
+    monkeypatch.setattr(engine_module, "_extend_greedily", extended)
+    results = residual_decay_sweep(spec, f, 3, cfg)
+    assert results[2].trace[-1]["from"] == "greedy"
+    assert len(searches) == len(set(searches))
+    factor, prev, k, points = warm[-1]
+    assert k == 3 and prev == list(results[2].params.points)
+    assert points == _greedy_points(factor, k, cfg, [], prefix=prev)
+
+
+@pytest.mark.parametrize("sweep", [afd_decay_sweep, residual_decay_sweep])
+def test_sweep_results_own_their_coefficients(sweep):
+    """Past an exact capture every n of a sweep finalizes the same tuple, and
+    each result still holds a writable coefficient array of its own."""
+    spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
+    cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=200, seed=3)
+    results = sweep(spec, kernel(spec, 0.3 + 0.2j), 3, cfg)
+    assert results[1].params.points == results[3].params.points
+    results[1].coefficients[:] = 0.0
+    assert np.all(results[3].coefficients != 0.0)
 
 
 @pytest.mark.parametrize("sweep", [afd_decay_sweep, residual_decay_sweep])
@@ -735,7 +779,7 @@ def test_lanes_of_a_search_report_their_own_stats():
     assert stats == {"polish_nfev": 1, "polish_message": "ABNORMAL: "}
     coincident = bundle.make_tuple(pts, cfg)
     assert coincident.orders == (1, 2)
-    assert val == bundle._mgs_captured(coincident)[0]
+    assert val == bundle.read(coincident).energy
     assert lanes[0][2]["polish_nfev"] > 1 and lanes[2][2]["polish_nfev"] > 1
 
 

@@ -190,7 +190,8 @@ def test_requested_mgs_equals_reference():
     spec = SPACES["hardy"]
     bundle = _Bundle.single(spec, _signal(spec, 2))
     params = ParamTuple((0.2, -0.4j, 0.7 + 0.1j))
-    value, degraded = bundle._mgs_captured(params)
+    read = bundle.read(params)
+    value, degraded = read.energy, read.degraded
     assert not degraded
     assert value == _mgs_value(bundle, params)
 
@@ -441,7 +442,8 @@ def test_span_energy_matches_mgs(family, prefix, m):
     for a in nodes:
         span, cap = _on_span(bundle, prefix, a, cfg)
         assert not cap.failed[0]
-        ref, degraded = bundle._mgs_captured(span.params.extended(a))
+        read = bundle.read(span.params.extended(a))
+        ref, degraded = read.energy, read.degraded
         assert not degraded
         assert abs(cap.value[0] - ref) <= 1e-12 * ref
 
@@ -463,7 +465,7 @@ def test_span_gradient_matches_central_differences(family, m):
         value, grad = objective.value_and_grad(x)
 
         def mgs(x):
-            return -bundle._mgs_captured(objective.params(x))[0]
+            return -bundle.read(objective.params(x)).energy
 
         # A node 1e-3 from an order-2 node makes both values good to about
         # 5e-12 only (against a 40-digit reference), hence 1e-10 here.
@@ -505,7 +507,8 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     seen = set()
     for sep in (1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 1e-12):
         span, cap = _on_span(bundle, prefix, prefix[1] + sep, cfg)
-        ref, degraded = bundle._mgs_captured(span.params.extended(prefix[1] + sep))
+        read = bundle.read(span.params.extended(prefix[1] + sep))
+        ref, degraded = read.energy, read.degraded
         assert bool(cap.failed[0]) == degraded
         if degraded:
             assert _outside(*_span_objective(bundle, cfg, prefix, prefix[1] + sep))
@@ -517,7 +520,7 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     degenerate = (prefix[1], prefix[1] + 1e-12)
     span, cap = _on_span(bundle, degenerate, SPAN_NODES[0], cfg)
     assert span.degraded and len(span.basis) == 1
-    assert bundle._mgs_captured(span.params.extended(SPAN_NODES[0]))[1]
+    assert bundle.read(span.params.extended(SPAN_NODES[0])).degraded
     assert cap.failed[0]
     assert _outside(*_span_objective(bundle, cfg, degenerate, SPAN_NODES[0]))
 
@@ -539,7 +542,7 @@ def test_finalize_keeps_pythagoras_on_a_degraded_tuple(family, m):
     span = bundle.span(params)
     assert len(params) == len(span.basis) and coeffs.shape == (m, len(params))
     assert abs(cap + residual**2 - bundle.total_sq) <= 1e-12 * bundle.total_sq
-    ref = bundle._mgs_captured(params)[0]
+    ref = bundle.read(params).energy
     assert abs(span.energy - ref) <= 1e-14 * ref
     assert cap == span.energy
 
@@ -572,7 +575,7 @@ def test_captured_marks_failed_rows_without_mgs(monkeypatch):
     tuples = [ParamTuple(prefix + tuple(BATCH_LANES[k])) for k in ("plain", "pivot_floor")]
     assert _min_pivot_ratio(bundle, tuples[1]) < _PIVOT_FLOOR
     near = prefix[1] + 1e-12
-    assert bundle._mgs_captured(bundle.make_tuple(prefix + (near,), cfg))[1]
+    assert bundle.read(bundle.make_tuple(prefix + (near,), cfg)).degraded
     span = bundle.span(bundle.make_tuple(prefix, cfg))
     degenerate = bundle.span(bundle.make_tuple((prefix[1], near), cfg))
     monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)

@@ -33,6 +33,7 @@ from nbestkernel.engine import (
     _Nodes,
     _flushed,
 )
+from nbestkernel import engine
 from nbestkernel.stochastic import kernel_mix
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -310,7 +311,7 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
     if not want.failed[0]:
         assert abs(got.value[0] - want.value[0]) <= 1e-12 * scale
         assert np.max(np.abs(got.grad[0] - want.grad[0])) <= 1e-12 * scale
-    got, want = factor._mgs_captured(params), full._mgs_captured(params)
+    got, want = ((b.read(params).energy, b.read(params).degraded) for b in (factor, full))
     assert got[1] == want[1]
     assert abs(got[0] - want[0]) <= 1e-12 * scale
 
@@ -374,19 +375,78 @@ def test_trace_names_rank_and_winner_on_the_lanes(declined_exact_path, hardy_sma
     test_trace_names_rank_and_winner(hardy_small, exact_path=False)
 
 
+class _Signals(np.ndarray):
+    """A bundle's signal matrix that records its coefficient passes: each
+    product ``(F[rows] * W) @ Q^H`` of a row block times the space's weights
+    with the conjugate transpose of basis rows, as the bytes of ``Q``.  Its
+    ufuncs give plain arrays with the same bits, except that a product with
+    the weights gives a ``_Weighted`` block, whose matmul is recorded."""
+
+    weights: np.ndarray
+    passes: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [np.asarray(x) if isinstance(x, np.ndarray) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        if ufunc is np.multiply and inputs[0] is self and inputs[1] is _Signals.weights:
+            return result.view(_Weighted)
+        return result
+
+
+class _Weighted(np.ndarray):
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) if isinstance(x, np.ndarray) else x for x in inputs]
+        if ufunc is np.matmul and inputs[0] is self and plain[1].ndim == 2:
+            _Signals.passes.append(np.ascontiguousarray(plain[1].conj().T).tobytes())
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["sweep", "full-rank"])
+def test_a_search_forms_each_tuple_coefficients_once(monkeypatch, kind):
+    """A residual sweep on one signal and a search on a full-rank ensemble
+    run on the bundle itself, and form the coefficients ``<f_m, Q_j>`` of
+    each tuple they keep once: the values a search reports, the spans of
+    greedy prefixes, the ranking of candidates and the results read one
+    coefficient pass of each kept basis, and the empty tuple needs none."""
+    spec = SpaceSpec.bergman(1.0, 48, radius_cap=0.8)
+    cfg = OptimizerConfig(grid_density=10, multistart=4, max_iter=100, seed=5)
+    if kind == "sweep":
+        rng = np.random.default_rng(4)
+        head = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        matrix, probs, n = np.pad(head, (0, 41))[None], np.ones(1), 3
+    else:
+        e = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.0}, 24, seed=6)
+        matrix, probs, n = e.matrix, e.probs, 2
+    monkeypatch.setattr(_Signals, "weights", spec.weights, raising=False)
+    monkeypatch.setattr(_Signals, "passes", [], raising=False)
+    bundle = _Bundle(spec, np.array(matrix).view(_Signals), probs)
+    results = engine._run(bundle, n, cfg, "nbest" if kind == "sweep" else "stochastic_nbest", kind == "sweep")
+    assert bundle.compressed() is bundle and results[-1].trace[-1]["stage"] == "select"
+    kept = [basis.tobytes() for basis, _ in bundle._systems.values()]
+    assert len(kept) >= 3
+    assert sorted(_Signals.passes) == sorted(kept)
+
+
 @pytest.mark.parametrize("kind", ["single", "full-rank"])
 def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypatch, kind):
     """Where the search runs on the bundle itself (M = 1, or full rank), the
     result reads the candidate ranking's finalization of the winner instead of
-    finalizing it again."""
+    finalizing it again: each tuple's residual norm is summed once, over the
+    residual of its read's coefficients (``finalize`` is the one caller of
+    ``_residual`` without ``out``)."""
     calls = []
-    finalize = _Bundle.finalize
+    residual = _Bundle._residual
 
-    def counted(self, points, cfg):
-        calls.append((id(self), tuple(points)))
-        return finalize(self, points, cfg)
+    def counted(self, rows, basis, coeffs, out=None):
+        if out is None:
+            calls.append((id(self), id(coeffs), rows.start))
+        return residual(self, rows, basis, coeffs, out)
 
-    monkeypatch.setattr(_Bundle, "finalize", counted)
+    monkeypatch.setattr(_Bundle, "_residual", counted)
     if kind == "single":
         rng = np.random.default_rng(12)
         f = as_element(hardy_small, rng.standard_normal(9) + 1j * rng.standard_normal(9))
@@ -452,7 +512,8 @@ def test_row_block_passes_equal_whole_array_formulas(m):
     for params in BLOCK_TUPLES:
         kept, degraded = bundle.system(params)
         c = weighted @ kept.conj().T
-        got, got_degraded = bundle._mgs_captured(params)
+        read = bundle.read(params)
+        got, got_degraded = read.energy, read.degraded
         same(got, float(probs @ np.sum(np.abs(c) ** 2, axis=1)))
         assert got_degraded == degraded
 
