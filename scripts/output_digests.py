@@ -29,6 +29,13 @@ every result (``<task>/<result file>``) and of every decay row
 (``<task>/<decay file>/<n>``), so that two checkouts whose bytes differ can be
 compared by the quality of their approximations.
 
+With ``--without-trace`` each ``result.json`` is digested with its ``trace``
+key removed (the rest re-serialized as the program writes it), while decay
+tables and verify reports are digested as they are, so that a change that
+moves only traces shows that every approximation kept its bytes:
+
+    python3 scripts/output_digests.py --without-trace --against HEAD
+
 With ``--compare A.json B.json`` it reads two such files instead of running
 anything.  For digest files it prints how many files are identical and how
 many differ, and lists those that differ or appear in one file only.  For
@@ -268,7 +275,18 @@ def run_at(rev: str, args: list) -> dict:
     return json.loads(run.stdout)
 
 
-def report(seeds, groups, residuals: bool) -> dict:
+def digest(file: Path, without_trace: bool) -> str:
+    """sha256 of the file, or with ``without_trace`` of a result's JSON
+    without its ``trace`` key, written with the program's own settings."""
+    data = file.read_bytes()
+    if without_trace and file.suffix == ".json":
+        result = json.loads(data)
+        if result.pop("trace", None) is not None:
+            data = (json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def report(seeds, groups, residuals: bool, without_trace: bool = False) -> dict:
     """The digests, or with ``residuals`` the residual rows, of the tasks."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -279,7 +297,7 @@ def report(seeds, groups, residuals: bool) -> dict:
                 out.update(relative_residuals(label, path))
                 continue
             for file in sorted(path.iterdir()):
-                out[f"{label}/{file.name}"] = hashlib.sha256(file.read_bytes()).hexdigest()
+                out[f"{label}/{file.name}"] = digest(file, without_trace)
     return out
 
 
@@ -290,6 +308,8 @@ def main(argv=None) -> int:
                     help=f"run only the tasks of these groups (default: all of {' '.join(GROUPS)})")
     ap.add_argument("--residuals", action="store_true",
                     help="print residual / norm of every result and decay row instead of digests")
+    ap.add_argument("--without-trace", action="store_true",
+                    help="digest each result.json without its trace key")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two digest or residual files instead of running the tasks")
     ap.add_argument("--against", nargs="?", const="HEAD", metavar="REV",
@@ -301,10 +321,11 @@ def main(argv=None) -> int:
             ap.error("--compare and --against exclude each other")
         a, b = (json.loads(Path(path).read_text()) for path in args.compare)
         return compare(a, b)
-    here = report(args.seeds, args.groups, args.residuals)
+    here = report(args.seeds, args.groups, args.residuals, args.without_trace)
     if args.against:
         flags = ["--seeds", *map(str, args.seeds), "--groups", *args.groups]
-        return compare(run_at(args.against, flags + ["--residuals"] * args.residuals), here)
+        flags += ["--residuals"] * args.residuals + ["--without-trace"] * args.without_trace
+        return compare(run_at(args.against, flags), here)
     json.dump(here, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0

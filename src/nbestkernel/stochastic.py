@@ -138,7 +138,9 @@ def stochastic_nbest(
 
     The search runs on the ensemble's exact low-rank factor; the trace opens
     with a ``compress`` entry giving M and the rank r it ran on, and the
-    coefficients have one row per realization.
+    coefficients have one row per realization.  A factor of rank at most n
+    that is an exact kernel mix ends at its certified Prony tuple before
+    greedy runs, with the trace ``compress``, ``exact``, ``select``.
     """
     return _run(_bundle(e), n, config, "stochastic_nbest", sweep=False)[0]
 

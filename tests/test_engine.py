@@ -42,6 +42,7 @@ from nbestkernel.engine import (
     _local_search,
     _merge_polish,
     _nbest_points,
+    _result,
     _search_grid,
     minimize,
 )
@@ -204,6 +205,17 @@ def test_afd_two_kernel_mix_matches_selection_oracle(hardy):
 
 
 def test_nbest_single_kernel(hardy):
+    b = 0.35 + 0.2j
+    f = kernel(hardy, b)
+    res = nbest(hardy, f, 1, FAST)
+    assert abs(res.params.points[0] - b) <= 1e-5
+    assert res.energy == pytest.approx(norm_sq(hardy, f), rel=1e-10)
+    # the exact path certifies the kernel before greedy runs, and wins
+    assert [entry["stage"] for entry in res.trace] == ["exact", "select"]
+    assert res.trace[-1] == {"stage": "select", "winner": 0, "from": "exact"}
+
+
+def test_nbest_single_kernel_on_the_lanes(declined_exact_path, hardy):
     b = 0.35 + 0.2j
     f = kernel(hardy, b)
     res = nbest(hardy, f, 1, FAST)
@@ -811,6 +823,27 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
 def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
     """With ``multistart: 0`` and a greedy run that stops short of n at exact
     capture there is no start, so no lane is searched and greedy is
+    selected.  The public search certifies the kernel before greedy runs."""
+    spec = MERGE_SPACES["hardy"]
+    f = kernel(spec, 0.3 + 0.1j)
+    cfg = OptimizerConfig(grid_density=12, multistart=0, seed=1)
+    bundle = _Bundle.single(spec, f)
+    steps: list = []
+    greedy_pts = _greedy_points(bundle, 3, cfg, steps)
+    assert len(greedy_pts) == 1
+    trace: list = []
+    assert _nbest_points(bundle, 3, cfg, trace, (greedy_pts, steps)) == greedy_pts
+    assert [entry["stage"] for entry in trace] == ["greedy", "select"]
+    assert _descend(None, np.zeros((0, 6)), -np.ones(6), np.ones(6), TIGHT) == []
+    res = nbest(spec, f, 3, cfg)
+    assert res.params.points == pytest.approx(tuple(greedy_pts), abs=1e-12)
+    assert [entry["stage"] for entry in res.trace] == ["exact", "select"]
+    assert res.trace[-1] == {"stage": "select", "winner": 0, "from": "exact"}
+
+
+def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes_on_the_lanes(declined_exact_path):
+    """With ``multistart: 0`` and a greedy run that stops short of n at exact
+    capture there is no start, so no lane is searched and greedy is
     selected."""
     spec = MERGE_SPACES["hardy"]
     f = kernel(spec, 0.3 + 0.1j)
@@ -1114,6 +1147,57 @@ def test_an_ensemble_of_rank_at_most_n_is_certified():
     assert res.trace[-1]["from"] == "exact"
     assert res.expected_residual <= 1e-9 * res.bochner_norm
     assert sorted(o for _, o in res.params.node_structure()) == [1, 2]
+
+
+def _greedy_then_searched(bundle, n, cfg, method):
+    """The result of a greedy run to n nodes on the bundle's factor, then
+    ``_nbest_points`` from it and ``_result``: the search with greedy run
+    first, as a sweep runs it."""
+    factor = bundle.compressed()
+    steps: list = []
+    greedy = (_greedy_points(factor, n, cfg, steps), steps)
+    trace: list = []
+    return _result(bundle, cfg, method, _nbest_points(factor, n, cfg, trace, greedy), trace)
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_SPACES))
+def test_a_certified_exact_mix_runs_no_greedy(monkeypatch, family):
+    """Single-n ``nbest`` on a mix with an order-2 atom, and
+    ``stochastic_nbest`` on an ensemble of such mixes of rank 2 <= n, end at
+    the Prony tuple with no greedy step and no grid.  Points, coefficients,
+    energy and residual equal, bit for bit, those of greedy followed by the
+    search, which picks the same tuple."""
+    spec = EXACT_SPACES[family]
+    double, single = multiple_kernel(spec, EXACT_NODES[0], 2), kernel(spec, EXACT_NODES[1])
+    f = double + EXACT_WEIGHTS[1] * single
+    rng = np.random.default_rng(7)
+    e = Ensemble.from_functions(spec, [
+        complex(*rng.standard_normal(2)) * double + complex(*rng.standard_normal(2)) * single
+        for _ in range(16)
+    ])
+    want = [
+        _greedy_then_searched(_Bundle.single(spec, f), 3, EXACT_CFG, "nbest"),
+        _greedy_then_searched(_Bundle(spec, e.matrix, e.probs), 3, EXACT_CFG, "stochastic_nbest"),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search ran greedy or built its grid")
+
+    monkeypatch.setattr(engine_module, "_greedy_points", forbidden)
+    monkeypatch.setattr(engine_module, "_grid", forbidden)
+    got = [nbest(spec, f, 3, EXACT_CFG), stochastic_nbest(e, 3, EXACT_CFG)]
+    assert [entry["stage"] for entry in got[1].trace] == ["compress", "exact", "select"]
+    assert got[1].trace[0]["rank"] == 2
+    for res, ref in zip(got, want):
+        assert ref.trace[-1]["from"] == "exact"
+        assert res.trace[-2:] == [
+            ref.trace[ref.trace[-1]["winner"]],
+            {"stage": "select", "winner": len(res.trace) - 2, "from": "exact"},
+        ]
+        assert (res.params.points, res.params.orders) == (ref.params.points, ref.params.orders)
+        assert sorted(o for _, o in res.params.node_structure()) == [1, 2]
+        assert np.array_equal(res.coefficients, ref.coefficients.reshape(res.coefficients.shape))
+        assert (res.energy, res.residual, res.norm) == (ref.energy, ref.residual, ref.norm)
 
 
 def test_the_exact_path_forms_nothing_for_a_full_rank_ensemble(monkeypatch):
