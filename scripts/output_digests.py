@@ -98,6 +98,7 @@ _ENSEMBLE = {
 _OPTIMIZER = {"multistart": 2, "grid_density": 8, "max_iter": 40, "seed": 1}
 _WEAK = 1e-7
 _STRONG = 2.0**300
+_TINY_SCALE = 2.0**-500
 
 
 def _scaled(pairs, factor):
@@ -117,9 +118,13 @@ def _scaled_tasks(name, factor):
 
 
 # Paths the configs and workloads leave out: zero nodes, a zero signal, greedy
-# at one n, a stochastic task on one function (M = 1), and weak and strong
-# signals, whose coefficients are scaled by _WEAK and by _STRONG.  _STRONG is
-# a power of 2, so a strong signal is an exact multiple of the unscaled one.
+# at one n, a stochastic task on one function (M = 1), and weak, strong and
+# tiny signals, whose coefficients are scaled by _WEAK, _STRONG and
+# _TINY_SCALE.  _STRONG and _TINY_SCALE are powers of 2, so those signals are
+# exact multiples of the unscaled one.  A tiny signal's squared norm, about
+# 2**-1000, is near the smallest that the engine's norm check accepts, so its
+# residuals' small entries reach the subnormal range, where flushing and
+# underflow meet.
 # The "partial-block" ensembles have M = 100, which the engine's passes over
 # all realizations take as a full block of 64 rows and a partial one of 36
 # (the workloads' M = 256 and the other edge ensembles' M = 8 fill their
@@ -165,6 +170,7 @@ EDGE = {
     "stochastic-single-function": ("stochastic", _SIGNAL, 2),
     **_scaled_tasks("weak", _WEAK),
     **_scaled_tasks("strong", _STRONG),
+    **_scaled_tasks("tiny", _TINY_SCALE),
     "stochastic-rank1-partial-block": (
         "stochastic", {"random": {**_ENSEMBLE["random"], "M": _PARTIAL_BLOCK_M}}, 2
     ),

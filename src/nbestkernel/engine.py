@@ -114,6 +114,10 @@ from .spaces import (
 from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
+# The n-best ranking finalizes only candidates whose MGS energy is within
+# _RANK_MARGIN * total_sq of the best: energy + residual**2 = total_sq holds to
+# 1e-8 of it, so with over twice that margin no other candidate can win.
+_RANK_MARGIN = 1e-6
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
 # it the energy loses about eps / ratio**2 relative accuracy, so the tuple
 # fails and lies outside the search domain.
@@ -353,7 +357,8 @@ class _Bundle:
         flushed to zero, as in ``spaces._kernel_powers``.  When M <= N + 1,
         one Cholesky factorization of the M x M Gram matrix of the ``u_m``
         detects full rank and skips the deflation.  Every pass forms the
-        ``u_m`` of one row block at a time, the Gram matrix's too.
+        ``u_m`` of one row block at a time, the Gram matrix's too; a block's
+        first deflation product is its ``u_m Q^H`` unless Q grew after it.
         """
         m, n1 = self.matrix.shape
         if m == 1:
@@ -398,10 +403,12 @@ class _Bundle:
             return self
         basis = np.empty((min(m, n1), n1), dtype=np.complex128)
         r = 0
+        firsts = []
         for rows in blocks:
             block = units(rows)
-            for _ in range(2):
-                block -= (block @ basis[:r].conj().T) @ basis[:r]
+            firsts.append(block @ basis[:r].conj().T)
+            block -= firsts[-1] @ basis[:r]
+            block -= (block @ basis[:r].conj().T) @ basis[:r]
             while r < len(basis):
                 parts = block.view(np.float64)
                 left = np.einsum("ij,ij->i", parts, parts)
@@ -418,8 +425,9 @@ class _Bundle:
         basis = basis[:r]
         scale = np.sqrt(self.probs) * norms
         coords = np.empty((m, r), dtype=np.complex128)
-        for rows in blocks:
-            coords[rows] = scale[rows, None] * (units(rows) @ basis.conj().T)
+        for rows, first in zip(blocks, firsts):
+            got = first if first.shape[1] == r else units(rows) @ basis.conj().T
+            coords[rows] = scale[rows, None] * got
         factor = np.linalg.qr(coords, mode="r") @ basis / root_w
         return _Bundle(self.spec, factor, np.ones(r), self._systems)
 
@@ -482,13 +490,15 @@ class _Bundle:
         return got
 
     def _residual(self, rows: slice, basis: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
-        """The residuals ``f_m - P_Q f_m`` of the realizations of a row block
-        after projection on the basis rows, in two passes and flushed, in
-        ``out`` if given."""
+        """The two-pass residuals ``f_m - P_Q f_m`` of a row block's signals on
+        the basis rows, in ``out`` if given, a copy on none (x - 0 = x), and
+        unflushed: ``span`` flushes the residual it keeps."""
+        if not len(basis):
+            return np.positive(self.matrix[rows], out=out)
         fit = coeffs[rows] @ basis
         block = np.subtract(self.matrix[rows], fit, out=out)
         block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
-        return _flushed(block)
+        return block
 
     def _row_lengths(self, centers: np.ndarray, orders: tuple, moving: np.ndarray) -> np.ndarray:
         """Each tuple's kernel row length on the Gram path: the shortest of
@@ -615,12 +625,12 @@ class _Bundle:
 
     def span(self, params: ParamTuple) -> _Span:
         """The ``_Span`` of the tuple from its kept basis and its ``read``;
-        the residual, the one M x (N+1) array a span holds, is filled a row
-        block at a time."""
+        the residual, the one M x (N+1) array a span holds, is filled and
+        flushed (``_flushed``) a row block at a time."""
         read = self.read(params)
         residual = np.empty_like(self.matrix)
         for rows in self._blocks():
-            self._residual(rows, read.basis, read.coeffs, out=residual[rows])
+            _flushed(self._residual(rows, read.basis, read.coeffs, out=residual[rows]))
         return _Span(params, read.basis, residual, read.energy, read.degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span):
@@ -676,7 +686,9 @@ class _Bundle:
     def finalize(self, points, cfg: OptimizerConfig):
         """Params built from ``points`` and trimmed to the basis, and the
         tuple's ``read``: coefficients, energy, the norm of its two-pass
-        residual (summed a row block at a time, once) and degradation."""
+        residual (summed unflushed a row block at a time, once: an entry below
+        ``_TINY_POWER`` of its row's largest moves no sum of squares) and
+        degradation."""
         params = self.make_tuple(points, cfg)
         read = self.read(params)
         if read.residual is None:
@@ -1331,7 +1343,8 @@ def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
 
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy=None, warm=()):
     """Greedy, exact, multistart and merge-polish candidates; returns the
-    points of the one with the smallest residual.  ``greedy`` holds the
+    points of the one with the smallest residual among those within
+    ``_RANK_MARGIN`` of the best MGS energy (``select``).  ``greedy`` holds the
     points and trace steps of the greedy run to n nodes, or is None, and
     the run is made here when it is needed; ``warm`` holds more start
     tuples.  Each candidate is recorded by one trace entry, and a final
@@ -1344,7 +1357,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
     when MGS certifies its capture, the search ends among greedy, that
     candidate and the warm tuples as they are (``warm`` entries), and the
     lanes and the merge polish do not run."""
-    # (points, energy, index of the candidate's trace entry)
+    # (points, MGS energy, index of the candidate's trace entry)
     candidates: list[tuple[tuple, float, int]] = []
 
     # Near exact capture energies no longer separate candidates; the
@@ -1355,7 +1368,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
         return (bundle.finalize(pts, cfg)[3], rounded)
 
     def select():
-        best_pts, _, entry = min(candidates, key=sort_key)
+        floor = max(c[1] for c in candidates) - _RANK_MARGIN * bundle.total_sq
+        best_pts, _, entry = min((c for c in candidates if c[1] >= floor), key=sort_key)
         trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
         return list(best_pts)
 

@@ -1233,3 +1233,89 @@ def test_sweep_past_an_exact_capture_keeps_its_residuals_nonincreasing(family):
     for res in results[3:]:
         assert [e["stage"] for e in res.trace] == ["greedy", "exact", "warm", "select"]
         assert res.trace[1]["rank"] == 3
+
+
+# -- the ranking window --------------------------------------------------------------
+
+WINDOW_SPACES = {
+    "hardy": SpaceSpec.hardy(64, radius_cap=0.8),
+    "bergman": SpaceSpec.bergman(1.0, 64, radius_cap=0.8),
+    "weighted_hardy": SpaceSpec.weighted_hardy(0.5, 64, radius_cap=0.8),
+}
+WINDOW_CFG = OptimizerConfig(grid_density=12, multistart=2, max_iter=40, seed=5)
+
+
+def _degraded_warm_search():
+    """A certified exact mix of two atoms at n = 3 whose warm tuples degrade:
+    the atoms with a third node 1e-12 from one of them, whose prefix captures
+    the signal, and two other nodes with one such neighbour, far below it."""
+    spec = EXACT_SPACES["hardy"]
+    cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=60, seed=1, merge_tol=1e-14)
+    a, b, c, d = EXACT_NODES
+    bundle = _Bundle.single(spec, kernel_mix(spec, [(a, 1.0, 1), (b, EXACT_WEIGHTS[1], 1)]))
+    warm = [(a, b, a + 1e-12), (c, c + 1e-12, d)]
+    assert all(bundle.read(bundle.make_tuple(w, cfg)).degraded for w in warm)
+    trace: list = []
+    best = _nbest_points(bundle, 3, cfg, trace, warm=warm)
+    assert [e["stage"] for e in trace] == ["exact", "warm", "warm", "select"]
+    return [_result(bundle, cfg, "nbest", best, trace)]
+
+
+def _window_search(kind):
+    if kind.startswith("sweep-"):
+        spec = WINDOW_SPACES[kind[len("sweep-") :]]
+        return residual_decay_sweep(spec, as_element(spec, _unit_polynomial(spec, 38)), 3, WINDOW_CFG)
+    spec = EXACT_SPACES["hardy"]
+    if kind == "full-rank":
+        e = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
+        res = stochastic_nbest(e, 2, FAST)
+        assert res.trace[0]["rank"] == 6
+        return [res]
+    if kind == "rank-1":  # three atoms at n = 2: no exact mix, so the lanes run
+        f = kernel_mix(spec, [(a, c, 1) for a, c in zip(EXACT_NODES[:3], EXACT_WEIGHTS)])
+        res = stochastic_nbest(Ensemble.from_functions(spec, [f, -0.5 * f, 2j * f]), 2, FAST)
+        assert res.trace[0]["rank"] == 1
+        return [res]
+    if kind == "near-capture":
+        return [nbest(spec, _non_exact_signal(spec, "mix-plus-polynomial"), 3, EXACT_CFG)]
+    return _degraded_warm_search()
+
+
+def _ranked(kind, margin):
+    """The results of the search ``kind`` with the ranking margin
+    ``margin``, and how many tuples had their residual summed."""
+    summed = []
+    residual = _Bundle._residual
+
+    def counted(self, rows, basis, coeffs, out=None):
+        if out is None and rows.start == 0:
+            summed.append(coeffs)
+        return residual(self, rows, basis, coeffs, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_RANK_MARGIN", margin)
+        patch.setattr(_Bundle, "_residual", counted)
+        return _window_search(kind), len(summed)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [*(f"sweep-{family}" for family in sorted(WINDOW_SPACES)), "full-rank", "rank-1", "near-capture", "degraded"],
+)
+def test_the_ranking_window_keeps_the_winner_of_every_candidate(kind):
+    """Finalizing only the candidates within ``_RANK_MARGIN`` of the best
+    energy picks the winner that finalizing every candidate picks: the same
+    points, coefficients, energy, residual and trace, bit for bit, on decay
+    sweeps in three families, a full-rank and a rank-1 ensemble, a signal
+    within 1e-9 of an exact mix, where lanes end 1e-11 to 1e-8 of its
+    energy apart, and a search among degraded tuples.  Each search leaves
+    some candidate out of the window."""
+    got, summed = _ranked(kind, engine_module._RANK_MARGIN)
+    want, summed_all = _ranked(kind, math.inf)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array(a.params.points).tobytes() == np.array(b.params.points).tobytes()
+        assert a.params.orders == b.params.orders
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert (a.energy, a.residual, a.degraded, a.trace) == (b.energy, b.residual, b.degraded, b.trace)
+    assert summed < summed_all

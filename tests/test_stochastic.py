@@ -17,6 +17,7 @@ from nbestkernel import (
     energy,
     generate_ensemble,
     kernel,
+    kernel_matrix,
     nbest,
     norm,
     stochastic_energy,
@@ -457,6 +458,59 @@ def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypat
         assert res.trace[0]["rank"] == 6
     assert res.trace[-1]["stage"] == "select" and len(calls) >= 2  # candidates were ranked
     assert len(calls) == len(set(calls))
+
+
+def test_a_full_rank_search_sums_residuals_only_inside_the_ranking_window(hardy_small, monkeypatch):
+    """The ranking sums the residual of every candidate whose energy is within
+    ``_RANK_MARGIN`` of the signals' energy of the best one's, and of no other:
+    here greedy's tuple and the merge polish's, 1e-3 of the energy or more
+    below the lanes, are never finalized."""
+    summed = []
+    residual = _Bundle._residual
+
+    def counted(self, rows, basis, coeffs, out=None):
+        if out is None and rows.start == 0:
+            summed.append(float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1)))  # the read's energy
+        return residual(self, rows, basis, coeffs, out)
+
+    monkeypatch.setattr(_Bundle, "_residual", counted)
+    e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
+    res = stochastic_nbest(e, 2, FAST)
+    assert res.trace[0]["rank"] == 6
+    energies = [entry["energy"] for entry in res.trace if "energy" in entry]
+    floor = max(energies) - engine._RANK_MARGIN * res.bochner_norm**2
+    inside = [x for x in energies if x >= floor]
+    outside = {entry["stage"] for entry in res.trace if entry.get("energy", math.inf) < floor}
+    assert outside == {"greedy", "merge-polish"}
+    assert min(summed) >= floor and set(inside) <= set(summed)
+
+
+@pytest.mark.parametrize("m", [1, _RANK_BLOCK + 1])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-500, 2.0**300])
+def test_finalize_sums_the_residual_unflushed_to_the_flushed_bits(m, scale):
+    """``finalize`` sums its residual unflushed, and its norm has the bits of
+    the flushed residual's: entries below ``_TINY_POWER`` of their row's
+    largest cannot move a sum of squares.  The signals are kernel mixes at
+    radius 0.8 or below on degree 1024, whose residual tails fall below that
+    bound, at three scales, on one realization and on M = 65, whose last row
+    block has one row."""
+    spec = SpaceSpec.bergman(1.0, 1024, radius_cap=0.8)
+    rng = np.random.default_rng(m)
+    nodes = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, (m, 3))) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, 3)))
+    weights = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    matrix = scale * np.stack([w @ kernel_matrix(spec, a) for a, w in zip(nodes, weights)])
+    bundle = _Bundle(spec, matrix, np.full(m, 1.0 / m))
+    cfg = OptimizerConfig()
+    points = (0.5 + 0.1j, -0.3 + 0.4j)
+    _, _, _, got, _ = bundle.finalize(points, cfg)
+    read = bundle.read(bundle.make_tuple(points, cfg))
+    resid_sq, flushed = np.empty(m), 0
+    for rows in bundle._blocks():
+        block = bundle._residual(rows, read.basis, read.coeffs)
+        flushed += np.count_nonzero(block) - np.count_nonzero(_flushed(block))
+        resid_sq[rows] = np.sum(spec.weights * np.abs(block) ** 2, axis=1)
+    assert flushed > 0
+    assert got == math.sqrt(max(float(bundle.probs @ resid_sq), 0.0))
 
 
 # -- row blocks and bounded memory -----------------------------------------------------
