@@ -8,12 +8,13 @@ given seeds (built by ``perfbench/workloads.py``, which is only imported;
 ``scripts/certify_spaces.py``), and the edge
 cases in ``EDGE``, among them ensembles that end in a partial row block, a
 search on degree 40, where the Gram path's kernel rows have length 32 or
-41, and signals on both sides of the n-best search's exact path: exact
-kernel mixes, which it certifies, and the same mix plus a polynomial of
-1e-9 of its norm, which it declines.  Each task runs through ``cli.parse_config`` and
-``cli.run_task`` from this checkout's ``src`` on one BLAS thread, so two
-checkouts whose programs write the same bytes print the same digests.  Run it
-in each checkout and compare the two files:
+41, signals on both sides of the n-best search's exact path (exact kernel
+mixes, which it certifies, and the same mix plus a polynomial of 1e-9 of
+its norm, which it declines), and n-best decay sweeps that run past the
+capture of an exact mix and of a single kernel.  Each task runs through
+``cli.parse_config`` and ``cli.run_task`` from this checkout's ``src`` on one
+BLAS thread, so two checkouts whose programs write the same bytes print the
+same digests.  Run it in each checkout and compare the two files:
 
     python3 scripts/output_digests.py --seeds 1 2 3 101 > digests.json
 
@@ -180,12 +181,17 @@ EDGE = {
     "nbest-exact-mix-near-cap": ("nbest", {"kernel_mix": _EXACT_MIX}, 3),
     "nbest-exact-mix-plus-polynomial": ("nbest", _mix_plus_polynomial(), 3),
     "nbest-order3-atom": ("nbest", {"kernel_mix": [{"a": [-0.2, -0.3], "c": [0.8, -0.6], "order": 3}]}, 3),
+    "nbest-sweep-past-exact-mix": ("nbest", {"kernel_mix": _EXACT_MIX}, 4),
+    "nbest-sweep-past-single-kernel": ("nbest", {"kernel_mix": [{"a": [0.3, 0.2], "c": [1.0, 0.0]}]}, 3),
 }
 # The space of each edge task that does not run on _SPACE.
 EDGE_SPACES = {
     "stochastic-fullrank-partial-block": _WIDE_SPACE,
     "nbest-degree40-near-cap": _SHORT_SPACE,
 }
+# The edge tasks that run as decay sweeps to their n: every row past the
+# signal's capture keeps the captured tuple.
+EDGE_SWEEPS = {"nbest-sweep-past-exact-mix", "nbest-sweep-past-single-kernel"}
 
 
 def tasks(seeds, groups=GROUPS):
@@ -204,6 +210,8 @@ def tasks(seeds, groups=GROUPS):
     for label, (task, signal, n) in EDGE.items():
         space = EDGE_SPACES.get(label, _SPACE)
         config = {"task": task, "space": space, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
+        if label in EDGE_SWEEPS:
+            config["n_max"] = n
         yield f"edge/{label}", json.dumps(config)
 
 

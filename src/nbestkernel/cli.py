@@ -180,6 +180,17 @@ def _as_signal(f: AnalyticFunction, spec: SpaceSpec, single: bool):
     return f if single else Ensemble.from_functions(spec, [f])
 
 
+def _parse_coefficients(pairs, path: str, spec: SpaceSpec) -> AnalyticFunction:
+    """The function whose coefficients are the list at ``path``: a non-empty
+    list of at most N + 1 [re, im] pairs."""
+    if not isinstance(pairs, list) or not pairs:
+        _fail(path, "expected a non-empty list of [re, im] pairs")
+    values = [_complex_pair(p, f"{path}/{i}") for i, p in enumerate(pairs)]
+    if len(values) > spec.max_degree + 1:
+        _fail(path, "more coefficients than the space degree allows")
+    return as_element(spec, values)
+
+
 def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
     """The signal at ``path``; with ``single`` only a single function is accepted."""
     obj = _expect_mapping(
@@ -194,13 +205,8 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
     if "weights" in obj and form != "realizations":
         _fail(f"{path}/weights", "weights apply only to explicit realizations")
     if form == "coefficients":
-        pairs = obj["coefficients"]
-        if not isinstance(pairs, list) or not pairs:
-            _fail(f"{path}/coefficients", "expected a non-empty list of [re, im] pairs")
-        values = [_complex_pair(p, f"{path}/coefficients/{i}") for i, p in enumerate(pairs)]
-        if len(values) > spec.max_degree + 1:
-            _fail(f"{path}/coefficients", "more coefficients than the space degree allows")
-        return _checked_norm(_as_signal(as_element(spec, values), spec, single), spec, path)
+        f = _parse_coefficients(obj["coefficients"], f"{path}/coefficients", spec)
+        return _checked_norm(_as_signal(f, spec, single), spec, path)
     if form == "kernel_mix":
         atoms = _parse_atoms(obj["kernel_mix"], f"{path}/kernel_mix", spec)
         return _checked_norm(_as_signal(kernel_mix(spec, atoms), spec, single), spec, path)
@@ -209,16 +215,7 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
         if not isinstance(rows, list) or not rows:
             _fail(f"{path}/realizations", "expected a non-empty list of coefficient lists")
         _check_ensemble_size(len(rows), f"{path}/realizations", spec)
-        funcs = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or not row:
-                _fail(f"{path}/realizations/{i}", "expected a non-empty list of [re, im] pairs")
-            values = [
-                _complex_pair(p, f"{path}/realizations/{i}/{j}") for j, p in enumerate(row)
-            ]
-            if len(values) > spec.max_degree + 1:
-                _fail(f"{path}/realizations/{i}", "more coefficients than the space degree allows")
-            funcs.append(as_element(spec, values))
+        funcs = [_parse_coefficients(row, f"{path}/realizations/{i}", spec) for i, row in enumerate(rows)]
         weights = None
         if "weights" in obj:
             w = obj["weights"]

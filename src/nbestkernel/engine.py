@@ -46,11 +46,11 @@ An exact kernel mix ``f = sum_i c_i K_{a_i}^{(o_i)}`` of total multiplicity
 k <= n is its own best approximation, and ``g = W f`` obeys the recurrence of
 ``prod_i (z - conj a_i)^{o_i}`` (Prony's method): its Hankel matrix has rank
 k.  A bundle of at most n rows is tested for the smallest such k
-(``_annihilator``), at a single n before greedy and in a sweep after it, and
-the roots of the recurrence, grouped into nodes with multiplicity, give one
-candidate (``_exact_candidate``).  When MGS certifies its capture no lane
-runs, nor at a single n greedy; otherwise it joins the candidates.  Every
-result is still certified by MGS.
+(``_annihilator``) before greedy runs, and the roots of the recurrence,
+grouped into nodes with multiplicity, give one candidate
+(``_exact_candidate``).  When MGS certifies its capture neither greedy nor a
+lane runs; otherwise it joins the candidates.  Every result is still
+certified by MGS.
 
 Each tuple a search keeps is orthogonalized once (``_Bundle.system``, which
 flushes its basis) and read once per bundle (``_Bundle.read``: the
@@ -65,18 +65,21 @@ the part of the moving node's kernel outside the span, and the closed-form
 gradient, so greedy forms no Gram matrix.  A node that merges with a prefix
 node, or whose kernel lies in the span by MGS's degeneracy test, lies outside
 the search domain too.  Greedy and the lanes keep separate evaluators, each
-the faster where it runs (2 cores, alternating pairs): greedy steps by
-Cholesky on the span-projected block made ``sweep`` 6-14% slower, and the
-lanes by stacked two-pass Gram-Schmidt made ``multistart`` 29-37% slower.
+the faster where it runs (2 cores): greedy steps by Cholesky on the
+span-projected block made ``sweep`` 6-14% slower in alternating pairs, and
+the lanes' calls of one ``sweep`` pass took 1.6 times as long replayed on a
+stacked two-pass Gram-Schmidt evaluator.
 
 Every engine, the stochastic one included, is one run of one pipeline
 (``_run``) on a ``_Bundle`` of M weighted signals, of which a single signal is
 the case M = 1.  It searches on the bundle's exact low-rank factor and
-finalizes the chosen tuple on the bundle.  A decay sweep runs greedy once, to
-its largest node count: greedy results finalize prefixes of that run, and
-each n-best search starts from its n-prefix and, in a residual sweep, from
-the greedy extension of the (n-1)-node result, which is greedy's own
-n-prefix, unsearched, when that result is greedy's (n-1)-prefix.
+finalizes the chosen tuple on the bundle.  Each n, alone or as a row of a
+decay sweep, is searched in one order (``_nbest_points``): the exact test,
+greedy, the Prony candidate, then the lanes and the merge polish.  The bundle
+keeps greedy's steps by prefix (``_greedy_step``), so a sweep takes each
+step once: greedy results finalize prefixes of one run, and a residual sweep
+also starts row n from the greedy extension of row n - 1's result, which
+takes no step from a result that captures the signal.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
 
@@ -326,9 +329,11 @@ class _Bundle:
         self._lengths = np.array([n for n in _ROW_LENGTHS if n < n1] + [n1])
         self._reach: dict[int, np.ndarray] = {}
         self._limits: dict[tuple, np.ndarray] = {}
-        self._grids: dict[tuple, _Grid] = {}
         self._reads: dict[tuple, _Read] = {}
+        # Kept per ``_search_key``: the grid, exact candidates, greedy steps.
+        self._grids: dict[tuple, _Grid] = {}
         self._exact: dict[tuple, tuple | None] = {}
+        self._steps: dict[tuple, tuple | None] = {}
         # MGS bases depend on the space and the tuple only, so a factor
         # shares the ones its ensemble keeps (``systems``).
         self._systems: dict[tuple, tuple[np.ndarray, bool]] = {} if systems is None else systems
@@ -743,6 +748,11 @@ def _reflected_points(x: np.ndarray, radius: float) -> np.ndarray:
 
 def _search_radius(bundle: _Bundle, cfg: OptimizerConfig) -> float:
     return min(1.0 - cfg.delta, bundle.spec.radius_cap)
+
+
+def _search_key(bundle: _Bundle, cfg: OptimizerConfig) -> tuple:
+    """The settings a bundle's grid, exact candidates and greedy steps need."""
+    return _search_radius(bundle, cfg), cfg.grid_density, cfg.max_iter, cfg.merge_tol
 
 
 class _Objective:
@@ -1161,51 +1171,55 @@ def _grid(bundle: _Bundle, points: np.ndarray, empty: _Span | None = None) -> _G
 
 
 def _search_grid(bundle: _Bundle, cfg: OptimizerConfig, empty: _Span | None = None) -> _Grid:
-    """The search's ``_Grid``, built once per bundle, radius and density."""
-    key = (_search_radius(bundle, cfg), cfg.grid_density)
+    """The search's ``_Grid``, built once per bundle and ``_search_key``."""
+    key = _search_key(bundle, cfg)
     if key not in bundle._grids:
-        bundle._grids[key] = _grid(bundle, _disc_grid(*key), empty)
+        bundle._grids[key] = _grid(bundle, _disc_grid(*key[:2]), empty)
     return bundle._grids[key]
 
 
+def _greedy_step(bundle: _Bundle, cfg: OptimizerConfig, prefix: tuple):
+    """Greedy's step after ``prefix``, kept per bundle, ``_search_key`` and
+    prefix points: the points and captured energy after it, or None where
+    the prefix captures the signal (``_Bundle.captures``) or no grid node
+    adds energy.  It reads the ``_Span`` of its prefix, which lives for the
+    step only (the empty one also scores the grid), scans the grid and runs
+    its local search on it."""
+    key = (_search_key(bundle, cfg), prefix)
+    if key not in bundle._steps:
+        fixed = bundle.make_tuple(prefix, cfg)
+        step = None
+        if not bundle.captures(bundle.read(fixed).energy):
+            span = bundle.span(fixed)
+            grid = _search_grid(bundle, cfg, None if prefix else span)
+            inc = _grid_increments(bundle, grid, span) if prefix else grid.single
+            best = int(np.argmax(inc))
+            if np.isfinite(inc[best]) and inc[best] > 0.0:
+                step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix, span=span)
+        bundle._steps[key] = step
+    return bundle._steps[key]
+
+
 def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=()):
-    """Sequential node selection after the fixed ``prefix`` up to n nodes;
-    stops early once the signal is captured.  Each step reads the ``_Span``
-    of its prefix, which the previous step's search has kept, scans the grid
-    and runs its local search on it, and appends its node and the energy
-    captured after it to ``trace``.  The spans live for one step only; the
-    empty one also scores the grid."""
+    """Sequential node selection after the fixed ``prefix`` up to n nodes,
+    one kept step (``_greedy_step``) at a time, each appending its node and
+    the energy captured after it to ``trace``.  It stops early once the
+    signal is captured, so a prefix that captures it takes no step."""
     points = list(prefix)
     for step in range(len(points), n):
-        span = bundle.span(bundle.make_tuple(points, cfg))
-        grid = _search_grid(bundle, cfg, None if points else span)
-        inc = _grid_increments(bundle, grid, span) if points else grid.single
-        best = int(np.argmax(inc))
-        if not np.isfinite(inc[best]) or inc[best] <= 0.0:
+        kept = _greedy_step(bundle, cfg, tuple(points))
+        if kept is None:
             break
-        new_pts, total = _local_search(
-            bundle, cfg, _as_x([grid.points[best]]), prefix=tuple(points), span=span
-        )
-        del span  # before the next step builds its own
-        points = list(new_pts)
-        trace.append(
-            {
-                "step": step + 1,
-                "node": [points[-1].real, points[-1].imag],
-                "energy": total,
-            }
-        )
+        points, total = list(kept[0]), kept[1]
+        trace.append({"step": step + 1, "node": [points[-1].real, points[-1].imag], "energy": total})
         if bundle.captures(total):
             break
     return points
 
 
 # perfbench/tracer.py times the warm extension of a sweep under this name.
-def _extend_greedily(bundle, points, n, cfg, greedy):
-    """Greedy's steps after ``points`` to n nodes: where ``points`` is a prefix
-    of the ``greedy`` run and it reached n nodes, that run's n-prefix."""
-    if len(greedy) >= n and list(points) == greedy[: len(points)]:
-        return greedy[:n]
+def _extend_greedily(bundle, points, n, cfg):
+    """Greedy's steps after ``points`` to n nodes."""
     return _greedy_points(bundle, n, cfg, [], prefix=points)
 
 
@@ -1333,7 +1347,7 @@ def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
     if len(bundle.matrix) > n:
         return None
     for k in range(1, n + 1):
-        key = (k, _search_radius(bundle, cfg), cfg.max_iter, cfg.merge_tol)
+        key = (k, *_search_key(bundle, cfg))
         if key not in bundle._exact:
             bundle._exact[key] = _prony_candidate(bundle, k, cfg)
         if bundle._exact[key] is not None:
@@ -1341,24 +1355,25 @@ def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
     return None
 
 
-def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, greedy=None, warm=()):
-    """Greedy, exact, multistart and merge-polish candidates; returns the
-    points of the one with the smallest residual among those within
-    ``_RANK_MARGIN`` of the best MGS energy (``select``).  ``greedy`` holds the
-    points and trace steps of the greedy run to n nodes, or is None, and
-    the run is made here when it is needed; ``warm`` holds more start
-    tuples.  Each candidate is recorded by one trace entry, and a final
-    ``select`` entry gives the index in ``trace`` of the winner's entry and
-    its stage.
+def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=()):
+    """Exact, greedy, warm, multistart and merge-polish candidates; returns
+    the points of the one with the smallest residual among those within
+    ``_RANK_MARGIN`` of the best MGS energy (``select``).  ``warm`` holds
+    more start tuples.  Each candidate is recorded by one trace entry, and a
+    final ``select`` entry gives the index in ``trace`` of the winner's entry
+    and its stage.
 
-    Without ``greedy``, a certified exact mix (``_exact_candidate``) ends
-    the search before greedy runs.  Otherwise a greedy capture returns at
-    once, or the Prony candidate (``exact`` entry) joins the candidates;
-    when MGS certifies its capture, the search ends among greedy, that
-    candidate and the warm tuples as they are (``warm`` entries), and the
-    lanes and the merge polish do not run."""
+    The Prony candidate (``_exact_candidate``) comes first, and unless MGS
+    certifies its capture, greedy to n nodes.  A certified capture, or
+    greedy's, ends the search among these and the warm tuples as they are
+    (``warm`` entries).  Otherwise warm tuples of fewer than n nodes join as
+    they are, and greedy's tuple and those of n nodes start lanes."""
     # (points, MGS energy, index of the candidate's trace entry)
     candidates: list[tuple[tuple, float, int]] = []
+
+    def add(pts, val, entry):
+        trace.append(entry)
+        candidates.append((tuple(pts), val, len(trace) - 1))
 
     # Near exact capture energies no longer separate candidates; the
     # residual computed by finalize still does.
@@ -1373,36 +1388,25 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
         trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
         return list(best_pts)
 
-    exact = _exact_candidate(bundle, n, cfg) if greedy is None else None
-    if exact is None or not bundle.captures(exact[1]):
-        if greedy is None:
-            steps: list = []
-            greedy = (_greedy_points(bundle, n, cfg, steps), steps)
-        greedy_pts, steps = greedy
+    exact = _exact_candidate(bundle, n, cfg)
+    ended = exact is not None and bundle.captures(exact[1])
+    if not ended:
+        steps: list = []
+        greedy_pts = _greedy_points(bundle, n, cfg, steps)
         greedy_energy = steps[-1]["energy"] if steps else 0.0
-        trace.append({"stage": "greedy", "steps": steps, "energy": greedy_energy})
-        candidates.append((tuple(greedy_pts), greedy_energy, len(trace) - 1))
-        if bundle.captures(greedy_energy):
-            trace.append({"stage": "select", "winner": len(trace) - 1, "from": "greedy"})
-            return list(greedy_pts)
-        exact = _exact_candidate(bundle, n, cfg)
+        add(greedy_pts, greedy_energy, {"stage": "greedy", "steps": steps, "energy": greedy_energy})
+        ended = bundle.captures(greedy_energy)
     if exact is not None:
         pts, val, stats = exact
-        trace.append({"stage": "exact", "energy": val, **stats})
-        candidates.append((pts, val, len(trace) - 1))
-        if bundle.captures(val):
-            # The search ends; the warm starts compete as they are, so a
-            # sweep's residuals stay nonincreasing.
-            for w in warm:
-                val = bundle.read(bundle.make_tuple(w, cfg)).energy
-                trace.append({"stage": "warm", "energy": val})
-                candidates.append((tuple(w), val, len(trace) - 1))
-            return select()
+        add(pts, val, {"stage": "exact", "energy": val, **stats})
+    for w in warm:
+        if ended or len(w) < n:
+            val = bundle.read(bundle.make_tuple(w, cfg)).energy
+            add(w, val, {"stage": "warm", "energy": val})
+    if ended:
+        return select()
 
-    starts: list[np.ndarray] = []
-    if len(greedy_pts) == n:
-        starts.append(_as_x(greedy_pts))
-    starts.extend(_as_x(pts) for pts in warm if len(pts) == n)
+    starts = [_as_x(pts) for pts in (greedy_pts, *warm) if len(pts) == n]
 
     rng = np.random.default_rng(cfg.seed)
     grid = _search_grid(bundle, cfg)
@@ -1417,8 +1421,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, gr
 
     distinct = list({x0.tobytes(): x0 for x0 in starts}.values())  # equal starts, equal searches
     for pts, val, stats in _lane_searches(bundle, cfg, distinct):
-        trace.append({"stage": "local", "energy": val, **stats})
-        candidates.append((tuple(pts), val, len(trace) - 1))
+        add(pts, val, {"stage": "local", "energy": val, **stats})
 
     _merge_polish(bundle, cfg, candidates, trace)
     return select()
@@ -1459,20 +1462,20 @@ def _check_norm(bundle: _Bundle) -> None:
 
 
 def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[ApproximationResult]:
-    """Results for n nodes, or with ``sweep`` for each of 0 .. n, from one
-    greedy run to n nodes.
+    """Results for n nodes, or with ``sweep`` for each of 0 .. n.
 
-    Greedy selection never revisits a node, so the run to k nodes is the
-    k-prefix of the run to n, with the same trace prefix.  ``afd`` finalizes
-    that prefix; ``nbest`` and ``stochastic_nbest`` search from it, and in a
-    sweep also from the greedy extension of the (k-1)-node result
-    (``_extend_greedily``); at a single n, ``_nbest_points`` runs greedy
-    when it needs it.  The searches run on the bundle's exact low-rank
-    factor, which is the bundle itself for one realization and for full
-    rank; every result is finalized on the bundle.  A ``stochastic_nbest``
-    trace opens with a ``compress`` entry giving M and the rank r the search
-    ran on.  A signal whose squared norm is not 0 or a finite normal double
-    raises ``DomainError`` (``_check_norm``).
+    Every n is searched as at a single n, on steps the bundle keeps: greedy
+    selection never revisits a node, so the run to k nodes is the k-prefix
+    of the run to n, and each step is taken once (``_greedy_step``).
+    ``afd`` finalizes greedy's run to k nodes; ``nbest`` and
+    ``stochastic_nbest`` search with ``_nbest_points``, in a sweep also from
+    the greedy extension of the previous result (``_extend_greedily``).
+    The searches run on the bundle's exact low-rank factor, which is the
+    bundle itself for one realization and for full rank; every result is
+    finalized on the bundle.  A ``stochastic_nbest`` trace opens with a
+    ``compress`` entry giving M and the rank r the search ran on.  A signal
+    whose squared norm is not 0 or a finite normal double raises
+    ``DomainError`` (``_check_norm``).
     """
     cfg = config or OptimizerConfig()
     if n < 0:
@@ -1484,23 +1487,17 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
     if method == "stochastic_nbest":
         rank = len(factor.probs)
         opening = [{"stage": "compress", "realizations": len(bundle.probs), "rank": rank}]
-    steps: list = []
-    ahead = searched and (sweep or method == "afd")  # single-n searches run greedy if they must
-    points = _greedy_points(factor, n, cfg, steps) if ahead else []
     results: list[ApproximationResult] = []
     prev: list = []
     for k in range(n + 1) if sweep else (n,):
+        trace = list(opening)
         if k == 0 or not searched:
             res = _result(bundle, cfg, method)
         elif method == "afd":
-            res = _result(bundle, cfg, method, points[:k], steps[:k])
+            res = _result(bundle, cfg, method, _greedy_points(factor, k, cfg, trace), trace)
         else:
-            warm = []
-            if prev and len(prev) == k - 1:
-                warm.append(_extend_greedily(factor, prev, k, cfg, points))
-            trace = list(opening)
-            greedy = (points[:k], steps[:k]) if sweep else None
-            best = _nbest_points(factor, k, cfg, trace, greedy, warm)
+            warm = [_extend_greedily(factor, prev, k, cfg)] if prev else []
+            best = _nbest_points(factor, k, cfg, trace, warm)
             res = _result(bundle, cfg, method, best, trace)
             prev = list(res.params.points)
         if method != "stochastic_nbest":
@@ -1531,13 +1528,15 @@ def nbest(
     """Best n-node approximation by multistart global search over the compact
     search disc, warm-started from the greedy solution.  The returned energy
     never falls below the greedy energy, but for an exact kernel mix certified
-    before greedy runs: its energy is within 1e-13 of the signal's."""
+    before greedy runs: its energy is within 1e-13 of the signal's.  Row n of
+    ``residual_decay_sweep`` is searched in the same order."""
     return _run(_Bundle.single(spec, f), n, config, "nbest", sweep=False)[0]
 
 
 def residual_decay_sweep(
     spec: SpaceSpec, f: AnalyticFunction, n_max: int, config: OptimizerConfig | None = None
 ) -> list[ApproximationResult]:
-    """Global results for n = 0 .. n_max from one greedy run, with chained
-    warm starts, so the residual column is nonincreasing."""
+    """Global results for n = 0 .. n_max, each searched as ``nbest`` searches
+    it, on greedy steps taken once, and with a warm start from the result
+    for n - 1, so the residual column is nonincreasing."""
     return _run(_Bundle.single(spec, f), n_max, config, "nbest", sweep=True)

@@ -67,15 +67,9 @@ class ConditionReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "check": self.check,
-            "grid": self.grid,
-            "measured": _jsonify(self.measured),
-            "bound": None if self.bound is None else float(self.bound),
-            "passed": bool(self.passed),
-            "notes": self.notes,
-        }
+        # The fields as they are: ``dataclasses.asdict`` would deep-copy the
+        # measured arrays only for ``_jsonify`` to convert them again.
+        return _jsonify(vars(self))
 
 
 def family_pointwise_bound(spec: SpaceSpec) -> float:

@@ -289,12 +289,12 @@ def test_nbest_recovers_double_node_on_the_lanes(declined_exact_path, family, se
 
 @pytest.mark.parametrize("family", sorted(MERGE_SPACES))
 def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family, exact_path=True):
-    """The n = 4 warm start extends the 3-node result, whose double node it
-    carries as two coincident nodes: that start lies outside the search
-    domain, so its lane stops at once with its start's MGS energy, and the
-    residual column still does not increase.  With the exact path on, the
-    signal is an exact mix: n = 4 reads the n = 3 Prony candidate and
-    searches no lane."""
+    """The 3-node result, with its double node, captures the signal, so the
+    n = 4 warm start takes no greedy step from it: it competes as it is, as
+    a ``warm`` entry with that result's energy, and starts no lane, and the
+    residual column does not increase.  With the exact path on, the signal
+    is an exact mix: n = 4 reads the n = 3 Prony candidate and searches no
+    lane."""
     spec = MERGE_SPACES[family]
     cfg = OptimizerConfig(multistart=8, grid_density=12, max_iter=60)
     results = residual_decay_sweep(spec, _double_node_signal(spec), 4, cfg)
@@ -302,11 +302,12 @@ def test_sweep_past_a_double_node_keeps_its_residuals_nonincreasing(family, exac
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert all(r.residual <= 1e-6 * r.norm for r in results[3:])
     assert 2 in results[3].params.orders
-    assert (exact_path and any(entry["stage"] == "exact" for entry in results[4].trace)) or any(
-        entry["stage"] == "local" and entry["polish_nfev"] == 1
-        and entry["polish_message"].startswith("ABNORMAL")
-        for entry in results[4].trace
-    )
+    trace = results[4].trace
+    if exact_path:
+        assert any(entry["stage"] == "exact" for entry in trace)
+    else:
+        assert {"stage": "warm", "energy": results[3].energy} in trace
+        assert all(entry.get("polish_nfev") != 1 for entry in trace)
 
 
 @pytest.mark.parametrize("family", sorted(MERGE_SPACES))
@@ -341,12 +342,11 @@ def test_multistart_skips_a_warm_start_equal_to_the_greedy_tuple():
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, _random_signal(spec, 31))
     cfg = OptimizerConfig(grid_density=12, multistart=2, max_iter=40, seed=5)
-    steps: list = []
-    greedy_pts = _greedy_points(bundle, 2, cfg, steps)
+    greedy_pts = _greedy_points(bundle, 2, cfg, [])
     trace: list = []
     warm_trace: list = []
-    plain = _nbest_points(bundle, 2, cfg, trace, (greedy_pts, steps))
-    warmed = _nbest_points(bundle, 2, cfg, warm_trace, (greedy_pts, steps), [tuple(greedy_pts)])
+    plain = _nbest_points(bundle, 2, cfg, trace)
+    warmed = _nbest_points(bundle, 2, cfg, warm_trace, [tuple(greedy_pts)])
     # one search from the greedy tuple, one from each multistart seed
     assert sum(e["stage"] == "local" for e in warm_trace) == 1 + cfg.multistart
     assert warmed == plain and warm_trace == trace
@@ -450,6 +450,47 @@ def test_greedy_from_a_prefix_of_its_run_repeats_the_run(family):
     assert [s["step"] for s in steps] == [2]
 
 
+def test_greedy_steps_are_kept_per_bundle(monkeypatch):
+    """A second greedy run on one bundle reads every step the first took: it
+    scans no grid and runs no local search, and its points and trace are the
+    first run's.  The steps are kept per search settings, which the seed and
+    the multistart count are not; another grid density searches again."""
+    spec = MERGE_SPACES["hardy"]
+    bundle = _Bundle.single(spec, _random_signal(spec, 21))
+    first: list = []
+    pts = _greedy_points(bundle, 3, SWEEP_CFG, first)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kept greedy step was searched again")
+
+    monkeypatch.setattr(engine_module, "_local_search", forbidden)
+    monkeypatch.setattr(engine_module, "_grid_increments", forbidden)
+    for cfg in (SWEEP_CFG, OptimizerConfig(grid_density=12, multistart=5, max_iter=40, seed=9)):
+        again: list = []
+        assert _greedy_points(bundle, 3, cfg, again) == pts
+        assert again == first
+    with pytest.raises(AssertionError, match="searched again"):
+        _greedy_points(bundle, 3, OptimizerConfig(grid_density=13, multistart=2, max_iter=40, seed=5), [])
+
+
+def test_a_residual_sweep_past_a_capture_keeps_the_captured_tuple():
+    """Every row of a sweep is searched as at a single n, so past a capture
+    the Prony candidate ends each row's search, and the captured result,
+    extended by greedy, takes no step.  For a two-kernel mix rows 2-5 keep
+    the points and orders of ``nbest`` at n = 2; for a single kernel every
+    row is its Prony tuple."""
+    spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
+    cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=60, seed=1)
+    single = kernel(spec, 0.3 + 0.2j)
+    for f, captured_at in ((single + 0.7 * kernel(spec, -0.4 + 0.1j), 2), (single, 1)):
+        want = nbest(spec, f, captured_at, cfg)
+        assert want.trace[-1]["from"] == "exact" and len(want.params) == captured_at
+        results = residual_decay_sweep(spec, f, 5, cfg)
+        for res in results[captured_at:]:
+            assert (res.params.points, res.params.orders) == (want.params.points, want.params.orders)
+            assert res.trace[-1]["from"] == "exact"
+
+
 @pytest.mark.parametrize("family", sorted(MERGE_SPACES))
 def test_residual_sweep_searches_from_prefixes_of_one_greedy_run(family):
     spec = MERGE_SPACES[family]
@@ -466,9 +507,10 @@ def test_residual_sweep_searches_from_prefixes_of_one_greedy_run(family):
 
 def test_sweep_extends_a_greedy_winner_without_repeating_greedy(monkeypatch):
     """Where greedy's 2-node tuple wins n = 2 of a residual sweep, the warm
-    start of n = 3 is greedy's own 3-prefix, which greedy's step 3 from that
-    tuple has already searched: no two local searches share their start,
-    prefix and orders, and the warm tuple is the one that step gives."""
+    start of n = 3 is greedy's own 3-prefix: the extension and greedy's run
+    to 3 nodes read one kept step 3 from that tuple, so no two local
+    searches share their start, prefix and orders, and the warm tuple is the
+    one that step gives."""
     spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
     cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=200, seed=3)
     rng = np.random.default_rng(11)
@@ -799,8 +841,7 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
     spec = MERGE_SPACES["bergman"]
     bundle = _Bundle.single(spec, _random_signal(spec, 33))
     cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=40, seed=2)
-    steps: list = []
-    greedy_pts = _greedy_points(bundle, 2, cfg, steps)
+    greedy_pts = _greedy_points(bundle, 2, cfg, [])
     searched: list = []
 
     def recording(bundle, cfg, starts):
@@ -809,7 +850,7 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
 
     monkeypatch.setattr(engine_module, "_lane_searches", recording)
     trace: list = []
-    _nbest_points(bundle, 2, cfg, trace, (greedy_pts, steps), [tuple(greedy_pts)])
+    _nbest_points(bundle, 2, cfg, trace, [tuple(greedy_pts)])
     local = [entry for entry in trace if entry["stage"] == "local"]
     # the warm start equals the greedy tuple, so it is searched once
     assert len(searched) == len(local) == 1 + cfg.multistart
@@ -821,19 +862,16 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
 
 
 def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
-    """With ``multistart: 0`` and a greedy run that stops short of n at exact
-    capture there is no start, so no lane is searched and greedy is
-    selected.  The public search certifies the kernel before greedy runs."""
+    """With ``multistart: 0`` greedy's run stops short of n at exact capture,
+    but the search certifies the kernel before greedy runs and selects its
+    Prony tuple, greedy's node to 1e-12, with no lane.  The variant on the
+    lanes covers greedy's capture."""
     spec = MERGE_SPACES["hardy"]
     f = kernel(spec, 0.3 + 0.1j)
     cfg = OptimizerConfig(grid_density=12, multistart=0, seed=1)
     bundle = _Bundle.single(spec, f)
-    steps: list = []
-    greedy_pts = _greedy_points(bundle, 3, cfg, steps)
+    greedy_pts = _greedy_points(bundle, 3, cfg, [])
     assert len(greedy_pts) == 1
-    trace: list = []
-    assert _nbest_points(bundle, 3, cfg, trace, (greedy_pts, steps)) == greedy_pts
-    assert [entry["stage"] for entry in trace] == ["greedy", "select"]
     assert _descend(None, np.zeros((0, 6)), -np.ones(6), np.ones(6), TIGHT) == []
     res = nbest(spec, f, 3, cfg)
     assert res.params.points == pytest.approx(tuple(greedy_pts), abs=1e-12)
@@ -849,11 +887,10 @@ def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes_on_the_lanes(
     f = kernel(spec, 0.3 + 0.1j)
     cfg = OptimizerConfig(grid_density=12, multistart=0, seed=1)
     bundle = _Bundle.single(spec, f)
-    steps: list = []
-    greedy_pts = _greedy_points(bundle, 3, cfg, steps)
+    greedy_pts = _greedy_points(bundle, 3, cfg, [])
     assert len(greedy_pts) == 1
     trace: list = []
-    assert _nbest_points(bundle, 3, cfg, trace, (greedy_pts, steps)) == greedy_pts
+    assert _nbest_points(bundle, 3, cfg, trace) == greedy_pts
     assert [entry["stage"] for entry in trace] == ["greedy", "select"]
     assert _descend(None, np.zeros((0, 6)), -np.ones(6), np.ones(6), TIGHT) == []
     res = nbest(spec, f, 3, cfg)
@@ -1149,24 +1186,14 @@ def test_an_ensemble_of_rank_at_most_n_is_certified():
     assert sorted(o for _, o in res.params.node_structure()) == [1, 2]
 
 
-def _greedy_then_searched(bundle, n, cfg, method):
-    """The result of a greedy run to n nodes on the bundle's factor, then
-    ``_nbest_points`` from it and ``_result``: the search with greedy run
-    first, as a sweep runs it."""
-    factor = bundle.compressed()
-    steps: list = []
-    greedy = (_greedy_points(factor, n, cfg, steps), steps)
-    trace: list = []
-    return _result(bundle, cfg, method, _nbest_points(factor, n, cfg, trace, greedy), trace)
-
-
 @pytest.mark.parametrize("family", sorted(EXACT_SPACES))
 def test_a_certified_exact_mix_runs_no_greedy(monkeypatch, family):
     """Single-n ``nbest`` on a mix with an order-2 atom, and
     ``stochastic_nbest`` on an ensemble of such mixes of rank 2 <= n, end at
     the Prony tuple with no greedy step and no grid.  Points, coefficients,
-    energy and residual equal, bit for bit, those of greedy followed by the
-    search, which picks the same tuple."""
+    energy and residual equal, bit for bit, those of row n of a decay sweep,
+    which searches n = 1 and 2 with greedy and the lanes first and picks the
+    same tuple."""
     spec = EXACT_SPACES[family]
     double, single = multiple_kernel(spec, EXACT_NODES[0], 2), kernel(spec, EXACT_NODES[1])
     f = double + EXACT_WEIGHTS[1] * single
@@ -1176,8 +1203,8 @@ def test_a_certified_exact_mix_runs_no_greedy(monkeypatch, family):
         for _ in range(16)
     ])
     want = [
-        _greedy_then_searched(_Bundle.single(spec, f), 3, EXACT_CFG, "nbest"),
-        _greedy_then_searched(_Bundle(spec, e.matrix, e.probs), 3, EXACT_CFG, "stochastic_nbest"),
+        residual_decay_sweep(spec, f, 3, EXACT_CFG)[3],
+        engine_module._run(_Bundle(spec, e.matrix, e.probs), 3, EXACT_CFG, "stochastic_nbest", True)[3],
     ]
 
     def forbidden(*args, **kwargs):
@@ -1224,15 +1251,37 @@ def test_the_exact_path_forms_nothing_for_a_full_rank_ensemble(monkeypatch):
 @pytest.mark.parametrize("family", sorted(EXACT_SPACES))
 def test_sweep_past_an_exact_capture_keeps_its_residuals_nonincreasing(family):
     """From n = 3 on, every n reads the Prony candidate of the double-node
-    mix, which competes with the greedy tuple and the warm start."""
+    mix, which ends the search before greedy runs and competes with the warm
+    start.  Past n = 3 that start is the previous result, the Prony tuple,
+    which captures the signal and so takes no greedy step."""
     spec = EXACT_SPACES[family]
     results = residual_decay_sweep(spec, _double_node_signal(spec), 5, EXACT_CFG)
     residuals = [r.residual for r in results]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert all(r.residual <= 1e-9 * r.norm for r in results[3:])
     for res in results[3:]:
-        assert [e["stage"] for e in res.trace] == ["greedy", "exact", "warm", "select"]
-        assert res.trace[1]["rank"] == 3
+        assert [e["stage"] for e in res.trace] == ["exact", "warm", "select"]
+        assert res.trace[0]["rank"] == 3
+        assert res.trace[-1]["from"] == "exact"
+        assert res.params.points == results[3].params.points
+    for res in results[4:]:
+        assert res.trace[1] == {"stage": "warm", "energy": results[3].energy}
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_SPACES))
+def test_sweep_past_the_capture_of_a_signal_that_is_no_exact_mix(family):
+    """An exact mix plus a polynomial of 1e-9 of its norm is declined by the
+    exact path and captured from n = 3 on.  Every later row's warm start is
+    the previous result, which captures the signal, takes no greedy step and
+    competes as it is, so no residual exceeds the one before, also where
+    that result has fewer nodes than the row before it."""
+    spec = EXACT_SPACES[family]
+    results = residual_decay_sweep(spec, _non_exact_signal(spec, "mix-plus-polynomial"), 5, EXACT_CFG)
+    residuals = [r.residual for r in results]
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    assert all(_captures(r) for r in results[3:])
+    for prev, res in zip(results[3:], results[4:]):
+        assert {"stage": "warm", "energy": prev.energy} in res.trace
 
 
 # -- the ranking window --------------------------------------------------------------

@@ -27,7 +27,6 @@ from nbestkernel.engine import (
     _RANK_BLOCK,
     _Bundle,
     _disc_grid,
-    _greedy_points,
     _grid,
     _grid_increments,
     _nbest_points,
@@ -347,9 +346,7 @@ def test_full_rank_search_is_the_uncompressed_search(hardy_small):
     res = stochastic_nbest(e, 2, FAST)
     bundle = _Bundle(e.spec, e.matrix, e.probs)
     trace = [{"stage": "compress", "realizations": 6, "rank": 6}]
-    steps: list = []
-    greedy = _greedy_points(bundle, 2, FAST, steps), steps
-    points = _nbest_points(bundle, 2, FAST, trace, greedy)
+    points = _nbest_points(bundle, 2, FAST, trace)
     params, coeffs, cap, residual, _ = bundle.finalize(points, FAST)
     assert res.params.points == params.points
     assert np.array_equal(res.coefficients, coeffs)
