@@ -35,6 +35,14 @@ Every local search is a bounded dense BFGS run on that gradient (in numpy,
 over the box of the search radius), run as lanes of one lockstep search
 (``_descend``): each round evaluates one trial point per active lane in one
 stacked Gram/Cholesky evaluation, while each lane keeps its own iteration.
+A round's cost is mostly numpy dispatch on small arrays, not arithmetic:
+on ``sweep`` (seed 211, one BLAS thread, 2-core x86-64) a round averages
+about 250 us, of which about 70 us are ``_descend``'s own steps, 35 us the
+objective's mirror and merge tests around the evaluation, and 150 us the
+evaluation.  The evaluators therefore skip what changes no bit: a flush
+that flushes nothing, a copy of all moving rows, a scatter of nodes that
+each move alone, a conjugate of long rows where one of a short product
+does (``conj(a) conj(b) = conj(a b)`` in IEEE arithmetic).
 Greedy selection maximizes the per-step energy increment over a coarse disc
 grid refined by a local search of one lane (``minimize``); the global engine
 adds stratified multistart seeds, descent over all node coordinates at once
@@ -67,7 +75,7 @@ node, or whose kernel lies in the span by MGS's degeneracy test, lies outside
 the search domain too.  Greedy and the lanes keep separate evaluators, each
 the faster where it runs (2 cores): greedy steps by Cholesky on the
 span-projected block made ``sweep`` 6-14% slower in alternating pairs, and
-the lanes' calls of one ``sweep`` pass took 1.6 times as long replayed on a
+the lanes' calls of one ``sweep`` pass took 2.2 times as long replayed on a
 stacked two-pass Gram-Schmidt evaluator.
 
 Every engine, the stochastic one included, is one run of one pipeline
@@ -95,6 +103,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -289,6 +298,15 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         return out
 
 
+def _spread(ok: np.ndarray, width: int, value=None, grad=None) -> tuple:
+    """A batch's values, NaN where a tuple fails, its gradients, zero there,
+    from ``value`` and ``grad`` of the tuples ``ok``, and the failure mask."""
+    out = np.full(len(ok), np.nan), np.zeros((len(ok), width), dtype=np.complex128)
+    if value is not None:
+        out[0][ok], out[1][ok] = value, grad
+    return (*out, ~ok)
+
+
 def _row_norms_sq(spec: SpaceSpec, matrix: np.ndarray) -> np.ndarray:
     """The squared space norm of each row of ``matrix``, in one pass over it,
     ``_RANK_BLOCK`` rows at a time.  It is the strided real view of the
@@ -301,6 +319,42 @@ def _row_norms_sq(spec: SpaceSpec, matrix: np.ndarray) -> np.ndarray:
             block = matrix[start : start + _RANK_BLOCK]
             sums[start : start + _RANK_BLOCK] = np.sum(block * spec.weights * np.conj(block), axis=1)
     return np.real(sums)
+
+
+@lru_cache(maxsize=64)
+def _order_reach(weights: bytes, orders: tuple) -> tuple:
+    """For each order, each length L below N + 1 of ``_Bundle._row_lengths``
+    on the space whose float64 weights W(0) .. W(N) are ``weights``: the
+    largest radius at which L entries hold that order's kernel rows, or -1
+    where no radius does, read-only.  One bisection covers every order and
+    length; a radius that a length admits, longer lengths admit too.  Kept
+    per space and orders, so the bundles of one space share it."""
+    w = np.frombuffer(weights)
+    ladder = np.array([n for n in _ROW_LENGTHS if n < len(w)])
+    parts = []
+    for o in orders:
+        lag = o - 1
+        c = _falling_factorial(len(w) - 1, lag) ** 2 / w[lag:]  # c_k for k = lag .. N
+        k = np.arange(lag + 1, len(w))
+        ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
+        q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
+        at = np.minimum(ladder - lag, len(c) - 1)  # L - lag, clipped where L <= lag
+        parts.append((c[at], q[at], 2.0 * (ladder - lag), np.full(len(ladder), c[0])))
+    c_l, q_l, power, lead = (np.concatenate(p) for p in zip(*parts))
+    lo = np.zeros(len(c_l))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.minimum(1.0, 1.0 / np.sqrt(q_l))
+        for _ in range(53):
+            mid = 0.5 * (lo + hi)
+            ok = c_l * mid**power <= _EPS**2 * lead * (1.0 - mid * mid * q_l)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    reaches = tuple(
+        np.maximum.accumulate(np.where(ladder >= o, reach, -1.0))
+        for o, reach in zip(orders, lo.reshape(len(orders), -1))
+    )
+    for reach in reaches:
+        reach.setflags(write=False)
+    return reaches
 
 
 class _Bundle:
@@ -518,8 +572,9 @@ class _Bundle:
         ``c_{k+1} / c_k`` from k = L on.  So the terms from L on sum to at
         most ``t_L / (1 - r**2 q_L)``, which is compared with ``eps**2
         t_{o-1}``.  The bound grows with r, so each order keeps, per length,
-        the largest radius at which it holds (found once per bundle by
-        bisection); a tuple's length is then a comparison of its radii.
+        the largest radius at which it holds (``_order_reach``, found once
+        per space by bisection); a tuple's length is then a comparison of its
+        radii.
         """
         lengths = self._lengths
         if len(lengths) == 1:
@@ -527,42 +582,14 @@ class _Bundle:
         key = (orders, moving.tobytes())
         limits = self._limits.get(key)
         if limits is None:
-            new = sorted({o + step for o in orders for step in (0, 1)} - self._reach.keys())
+            new = tuple(sorted({o + step for o in orders for step in (0, 1)} - self._reach.keys()))
             if new:
-                self._reach.update(zip(new, self._order_reach(new)))
+                self._reach.update(zip(new, _order_reach(self.spec.weights.tobytes(), new)))
             limits = self._limits[key] = np.array([
                 np.minimum(self._reach[o], self._reach[o + 1]) if m else self._reach[o]
                 for o, m in zip(orders, moving)
             ])
         return lengths[(np.abs(centers)[:, :, None] > limits).sum(axis=2).max(axis=1)]
-
-    def _order_reach(self, orders: list) -> list:
-        """For each order, each length L below N + 1 of ``_row_lengths``: the
-        largest radius at which L entries hold that order's kernel rows, or
-        -1 where no radius does.  One bisection covers every order and
-        length; a radius that a length admits, longer lengths admit too."""
-        w, ladder = self.spec.weights, self._lengths[:-1]
-        parts = []
-        for o in orders:
-            lag = o - 1
-            c = _falling_factorial(self.spec.max_degree, lag) ** 2 / w[lag:]  # c_k for k = lag .. N
-            k = np.arange(lag + 1, len(w))
-            ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
-            q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
-            at = np.minimum(ladder - lag, len(c) - 1)  # L - lag, clipped where L <= lag
-            parts.append((c[at], q[at], 2.0 * (ladder - lag), np.full(len(ladder), c[0])))
-        c_l, q_l, power, lead = (np.concatenate(p) for p in zip(*parts))
-        lo = np.zeros(len(c_l))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hi = np.minimum(1.0, 1.0 / np.sqrt(q_l))
-            for _ in range(53):
-                mid = 0.5 * (lo + hi)
-                ok = c_l * mid**power <= _EPS**2 * lead * (1.0 - mid * mid * q_l)
-                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        return [
-            np.maximum.accumulate(np.where(ladder >= o, reach, -1.0))
-            for o, reach in zip(orders, lo.reshape(len(orders), -1))
-        ]
 
     def _gram_captured(self, centers: np.ndarray, orders: tuple, owners: np.ndarray):
         """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
@@ -584,49 +611,61 @@ class _Bundle:
         bits whichever batch it is evaluated in.
         """
         count, n = centers.shape
+        own = owners.tolist()
         moving = owners >= 0
         length = self._row_lengths(centers, orders, moving)
         top = int(length.max())
         powers = _kernel_powers(centers.ravel(), top).reshape(count, n, top)
         degree = self.spec.max_degree
         rows = _kernel_rows(powers, orders, degree)
-        nxt = _kernel_rows(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m], degree)
-        m, k = len(self.matrix), nxt.shape[1]
-        gram, pairs, cross, pairs_nxt = (
-            np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, k), (m, k))
-        )
+        nxt_orders = [o + 1 for o, j in zip(orders, own) if j >= 0]
+        all_move = len(nxt_orders) == n  # then rows and coefficients need no copy by mask
+        nxt = _kernel_rows(powers if all_move else powers[:, moving], nxt_orders, degree)
         sizes = sorted(set(length.tolist()))
+        groups = []
         for size in sizes:
             group = slice(None) if len(sizes) == 1 else length == size
-            cut = rows[group, :, :size]
+            cut, nxt_cut = rows[group, :, :size], nxt[group, :, :size]
             cut_conj = cut.conj()
-            nxt_conj_t = nxt[group, :, :size].conj().transpose(0, 2, 1)
-            inv_w, signals = self.inv_weights[:size], self.matrix[:, :size]
-            gram[group] = (cut_conj * inv_w) @ cut.transpose(0, 2, 1)  # G_ij = <K_j, K_i>
-            pairs[group] = signals @ cut_conj.transpose(0, 2, 1)  # v_mi = <f_m, K_i>
-            cross[group] = (cut * inv_w) @ nxt_conj_t  # <K_i, K_j+>
-            pairs_nxt[group] = signals @ nxt_conj_t  # <f_m, K_j+>
+            weighted = cut_conj * self.inv_weights[:size]
+            signals = self.matrix[:, :size]
+            groups.append((group, (
+                weighted @ cut.transpose(0, 2, 1),  # G_ij = <K_j, K_i>
+                signals @ cut_conj.transpose(0, 2, 1),  # v_mi = <f_m, K_i>
+                # <K_i, K_j+>, conjugated: conj(a) conj(b) = conj(a b) exactly
+                np.conj(weighted @ nxt_cut.transpose(0, 2, 1)),
+                signals @ nxt_cut.conj().transpose(0, 2, 1),  # <f_m, K_j+>
+            )))
+        if len(groups) == 1:
+            gram, pairs, cross, pairs_nxt = groups[0][1]
+        else:
+            gram, pairs, cross, pairs_nxt = (
+                np.empty((count, *part.shape[1:]), dtype=np.complex128) for part in groups[0][1]
+            )
+            for group, parts in groups:
+                gram[group], pairs[group], cross[group], pairs_nxt[group] = parts
         chol = _cholesky(gram)
         floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
         ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
-        failed = ~ok
-        held = slice(None) if ok.all() else ok
-        value = np.full(count, np.nan)
-        grad = np.zeros((count, owners.max() + 1), dtype=np.complex128)
-        if failed.all():
-            return value, grad, failed
-        chol, pairs, cross, pairs_nxt = chol[held], pairs[held], cross[held], pairs_nxt[held]
+        width = max(own) + 1
+        every = bool(ok.all())
+        if not every:
+            if not ok.any():
+                return _spread(ok, width)
+            chol, pairs, cross, pairs_nxt = chol[ok], pairs[ok], cross[ok], pairs_nxt[ok]
         y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
-        value[held] = _rowdot(np.sum(np.abs(y) ** 2, axis=1), self.probs)
+        held_value = _rowdot((np.abs(y) ** 2).sum(axis=1), self.probs)
         x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
         # <r_m, K_j+> = <f_m, K_j+> - sum_i x_mi <K_i, K_j+>
         resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
-        x_moving = x[:, moving].transpose(0, 2, 1).conj()
-        per_row = np.sum(self.probs[:, None] * x_moving * resid_pairs, axis=1)
-        part = np.zeros((len(y), grad.shape[1]), dtype=np.complex128)
-        np.add.at(part, (slice(None), owners[moving]), per_row)
-        grad[held] = part
-        return value, grad, failed
+        x_moving = (x if all_move else x[:, moving]).transpose(0, 2, 1).conj()
+        per_row = (self.probs[:, None] * x_moving * resid_pairs).sum(axis=1)
+        if own == list(range(n)):  # each node moves alone: adding into zeros is + 0.0
+            held_grad = per_row + 0.0
+        else:
+            held_grad = np.zeros((len(y), width), dtype=np.complex128)
+            np.add.at(held_grad, (slice(None), owners[moving]), per_row)
+        return (held_value, held_grad, ~ok) if every else _spread(ok, width, held_value, held_grad)
 
     def span(self, params: ParamTuple) -> _Span:
         """The ``_Span`` of the tuple from its kept basis and its ``read``;
@@ -657,36 +696,34 @@ class _Bundle:
         Every product is stacked over the tuples, so a tuple's results are the
         same bits whichever batch it is evaluated in.
         """
-        count = len(points)
-        value = np.full(count, np.nan)
-        grad = np.zeros((count, 1), dtype=np.complex128)
         if span.degraded:
-            return value, grad, np.ones(count, dtype=bool)
+            return _spread(np.zeros(len(points), dtype=bool), 1)
         w = self.spec.weights
         powers = _kernel_powers(points, self.spec.max_degree + 1)  # W K
         u = powers * self.inv_weights
-        scale_sq = np.sum(w * np.abs(u) ** 2, axis=1)
-        basis_h = span.basis.conj().T
-        for _ in range(2):
-            if len(span.basis):
+        scale_sq = (w * np.abs(u) ** 2).sum(axis=1)
+        if len(span.basis):
+            basis_h = span.basis.conj().T
+            for _ in range(2):
                 u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
-        beta = np.sum(w * np.abs(u) ** 2, axis=1)
+        beta = (w * np.abs(u) ** 2).sum(axis=1)
         ok = beta > EPS_DEGENERATE**2 * scale_sq
-        failed = ~ok
-        held = slice(None) if ok.all() else ok
-        if failed.all():
-            return value, grad, failed
-        u, beta = u[held], beta[held, None]
+        every = bool(ok.all())
+        if not every:
+            if not ok.any():
+                return _spread(ok, 1)
+            u, beta, powers = u[ok], beta[ok], powers[ok]
+        beta = beta[:, None]
         # W u, and W K+ for the gradient
-        nxt = _kernel_rows(powers[held, None], (2,), self.spec.max_degree)
-        rows = np.concatenate([(w * u)[:, None], nxt], axis=1)
-        pairs = span.residual @ rows.conj().transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
+        nxt = _kernel_rows(powers[:, None], (2,), self.spec.max_degree)
+        rows_conj = np.concatenate([(w * u)[:, None], nxt], axis=1).conj()
+        pairs = span.residual @ rows_conj.transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
         alpha = pairs[:, :, 0]
-        value[held] = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
+        held_value = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
         x = alpha / beta
-        u_next = _rowdot(u, rows[:, 1].conj())  # <u, K+>
-        grad[held, 0] = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)
-        return value, grad, failed
+        u_next = _rowdot(u, rows_conj[:, 1])  # <u, K+>
+        held_grad = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)[:, None]
+        return (held_value, held_grad, ~ok) if every else _spread(ok, 1, held_value, held_grad)
 
     def finalize(self, points, cfg: OptimizerConfig):
         """Params built from ``points`` and trimmed to the basis, and the
@@ -738,12 +775,19 @@ def _reflected_points(x: np.ndarray, radius: float) -> np.ndarray:
     A radial clamp would leave a flat shelf outside the circle, on which a
     gradient search that overshoots the circle stalls; the mirror leads it
     back."""
-    pts = x[..., 0::2] + 1j * x[..., 1::2]
-    r = np.abs(pts)
+    return _mirror(x, radius)[0]
+
+
+def _mirror(x: np.ndarray, radius: float) -> tuple:
+    """The nodes of ``_reflected_points``, the unmirrored points ``u``, their
+    moduli and the mask of the mirrored ones, which the chain rule reads."""
+    raw = x[..., 0::2] + 1j * x[..., 1::2]
+    r = np.abs(raw)
     over = r > radius
-    if np.any(over):
-        pts = np.where(over, pts * ((2.0 * radius - r) / np.maximum(r, 1e-300)), pts)
-    return pts
+    pts = raw
+    if over.any():
+        pts = np.where(over, raw * ((2.0 * radius - r) / np.maximum(r, 1e-300)), raw)
+    return pts, raw, r, over
 
 
 def _search_radius(bundle: _Bundle, cfg: OptimizerConfig) -> float:
@@ -814,12 +858,13 @@ class _Objective:
         """Rows whose moving nodes merge with no other node, so that the
         tuple's ``ParamTuple`` would keep them as they are."""
         tol = self.cfg.merge_tol
-        apart = np.ones(len(pts), dtype=bool)
-        if self.fixed_reps.size:
-            apart &= (np.abs(pts[:, :, None] - self.fixed_reps) > tol).all(axis=(1, 2))
         if pts.shape[1] > 1:
             close = np.abs(pts[:, :, None] - pts[:, None, :]) <= tol
-            apart &= ~(close & self.earlier).any(axis=(1, 2))
+            apart = ~(close & self.earlier).any(axis=(1, 2))
+        else:
+            apart = np.ones(len(pts), dtype=bool)
+        if self.fixed_reps.size:
+            apart &= (np.abs(pts[:, :, None] - self.fixed_reps) > tol).all(axis=(1, 2))
         return apart
 
     def value_and_grad(self, x):
@@ -828,29 +873,36 @@ class _Objective:
         if x.ndim == 1:
             value, grad = self.value_and_grad(x[None])
             return float(value[0]), grad[0]
-        pts = _reflected_points(x, self.radius)
+        pts, raw, r, over = _mirror(x, self.radius)
         apart = self._apart(pts)
-        value = np.full(len(x), np.inf)
-        grad = np.zeros_like(x)
-        if apart.any():
-            rows = slice(None) if apart.all() else apart
-            moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
-            cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
-            value[rows] = np.where(cap.failed, np.inf, -cap.value)
-            # dE/dx + i dE/dy per node, zero on a failed row; a mirrored node
-            # a = (2R - |u|) u / |u| moves against u radially and by
-            # (2R - |u|) / |u| tangentially.
-            slope = 2.0 * np.conj(cap.grad)
-            raw = x[rows, 0::2] + 1j * x[rows, 1::2]
-            r = np.abs(raw)
-            over = r > self.radius
-            if np.any(over):
-                u = raw[over] / r[over]
-                along = np.conj(u) * slope[over]
-                stretch = (2.0 * self.radius - r[over]) / r[over]
-                slope[over] = u * (-along.real + 1j * stretch * along.imag)
-            grad[rows, 0::2] = -slope.real
-            grad[rows, 1::2] = -slope.imag
+        every = apart.all()
+        if every:
+            rows = slice(None)
+        else:
+            value = np.full(len(x), np.inf)
+            grad = np.zeros_like(x)
+            if not apart.any():
+                return value, grad
+            rows, raw, r, over = apart, raw[apart], r[apart], over[apart]
+        moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
+        cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
+        values = np.where(cap.failed, np.inf, -cap.value)
+        # dE/dx + i dE/dy per node, zero on a failed row; a mirrored node
+        # a = (2R - |u|) u / |u| moves against u radially and by
+        # (2R - |u|) / |u| tangentially.
+        slope = 2.0 * np.conj(cap.grad)
+        if over.any():
+            u = raw[over] / r[over]
+            along = np.conj(u) * slope[over]
+            stretch = (2.0 * self.radius - r[over]) / r[over]
+            slope[over] = u * (-along.real + 1j * stretch * along.imag)
+        grads = (-slope).view(np.float64)  # (x, y) pairs: -Re, -Im per node
+        if every:
+            value, grad = values, grads
+        else:
+            value[rows], grad[rows] = values, grads
+        if self.gain == 1.0:
+            return value, grad
         return value * self.gain, grad * self.gain
 
 
@@ -897,7 +949,9 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
     and stop.  Its scalars are Python floats and its vectors rows of stacked
     arrays, on which every operation is elementwise or a stacked matmul, so a
     lane ends at the same bits as when it runs alone.  Results come in the
-    order of the rows of ``x0``.
+    order of the rows of ``x0``.  These steps cost about 70 us a round on
+    ``sweep`` (module docstring), whether one lane runs or several, since
+    each is a numpy call on a few rows of at most 2n entries.
     """
     ftol, gtol, maxiter = options["ftol"], options["gtol"], options["maxiter"]
     x = np.clip(x0, lo, hi)
@@ -929,12 +983,15 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
                 held = (~free.all(axis=1)).tolist()
             else:
                 free, steep, held = None, -gk, [False] * len(begin)
-            dk = -(h[k] @ gk[:, :, None])[:, :, 0]
-            for j, i in enumerate(begin):
-                if not curved[i]:
-                    dk[j] = steep[j]
-                elif held[j]:
-                    dk[j] = _direction(h[i], gk[j], free[j])
+            if any(curved[i] for i in begin):
+                dk = -(h[k] @ gk[:, :, None])[:, :, 0]
+                for j, i in enumerate(begin):
+                    if not curved[i]:
+                        dk[j] = steep[j]
+                    elif held[j]:
+                        dk[j] = _direction(h[i], gk[j], free[j])
+            else:
+                dk = steep.copy()
             if free is not None:
                 dk[(low & (dk < 0.0)) | (high & (dk > 0.0))] = 0.0
             for j, slope in enumerate(_rowdot(gk, dk).tolist()):
@@ -945,7 +1002,7 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
             # curvature information it has no length scale of its own and
             # stops halfway to the box instead of on its edge.
             room = np.full_like(dk, np.inf)
-            np.divide(np.where(dk > 0.0, hi - xk, lo - xk), dk, out=room, where=dk != 0.0)
+            np.divide(np.where(dk > 0.0, hi, lo) - xk, dk, out=room, where=dk != 0.0)
             d[k] = dk
             for j, (i, tk) in enumerate(zip(begin, room.min(axis=1, initial=1.0).tolist())):
                 if not math.isfinite(f[i]):
@@ -1016,12 +1073,13 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
             u = k
             if len(up) < len(begin):
                 u, sk, yk, sy = [begin[j] for j in up], sk[up], yk[up], sy[up]
-            hu = h[u]
+            hu, col = h[u], sk[:, :, None]
             hy = (hu @ yk[:, :, None])[:, :, 0] / sy[:, None]
-            cross = sk[:, :, None] * hy[:, None, :]
-            outer = sk[:, :, None] * sk[:, None, :]
+            cross = col * hy[:, None, :]
+            outer = col * sk[:, None, :]
             hu += ((1.0 + _rowdot(yk, hy)) / sy)[:, None, None] * outer - (cross + cross.transpose(0, 2, 1))
-            h[u] = hu
+            if isinstance(u, list):  # else hu is a view of h, updated in place
+                h[u] = hu
         if len(begin) == len(f):
             x, g = trial, g_new
         else:

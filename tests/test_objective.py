@@ -679,6 +679,118 @@ def test_batches_of_mixed_row_lengths_match_single_tuples(family, m):
     assert mixed >= 12
 
 
+def _reference_gram_captured(bundle, centers, orders, owners):
+    """The Gram path in its explicit form, the reference for the bits of
+    ``_Bundle._gram_captured``: every node's rows formed one at a time, the
+    moving nodes' powers and coefficients copied by mask, both conjugate
+    products formed as written, each length group's products written into
+    preallocated arrays, and the gradient scattered into zeros by
+    ``np.add.at``."""
+    count, n = centers.shape
+    moving = owners >= 0
+    length = bundle._row_lengths(centers, orders, moving)
+    top = int(length.max())
+    degree = bundle.spec.max_degree
+    powers = _kernel_powers(centers.ravel(), top).reshape(count, n, top)
+
+    def rows_of(pw, ords):
+        rows = np.zeros_like(pw)
+        for i, o in enumerate(ords):
+            rows[:, i, o - 1 :] = pw[:, i, : top - o + 1] * _falling_factorial(degree, o - 1)[: top - o + 1]
+        return rows
+
+    rows = rows_of(powers, orders)
+    nxt = rows_of(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m])
+    m, k = len(bundle.matrix), nxt.shape[1]
+    gram, pairs, cross, pairs_nxt = (
+        np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, k), (m, k))
+    )
+    sizes = sorted(set(length.tolist()))
+    for size in sizes:
+        group = slice(None) if len(sizes) == 1 else length == size
+        cut = rows[group, :, :size]
+        cut_conj = cut.conj()
+        nxt_conj_t = nxt[group, :, :size].conj().transpose(0, 2, 1)
+        inv_w, signals = bundle.inv_weights[:size], bundle.matrix[:, :size]
+        gram[group] = (cut_conj * inv_w) @ cut.transpose(0, 2, 1)
+        pairs[group] = signals @ cut_conj.transpose(0, 2, 1)
+        cross[group] = (cut * inv_w) @ nxt_conj_t
+        pairs_nxt[group] = signals @ nxt_conj_t
+    chol = engine._cholesky(gram)
+    floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
+    ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
+    value = np.full(count, np.nan)
+    grad = np.zeros((count, owners.max() + 1), dtype=np.complex128)
+    if not ok.any():
+        return value, grad, ~ok
+    chol, pairs, cross, pairs_nxt = chol[ok], pairs[ok], cross[ok], pairs_nxt[ok]
+    y = np.linalg.solve(chol, pairs.transpose(0, 2, 1))
+    value[ok] = engine._rowdot(np.sum(np.abs(y) ** 2, axis=1), bundle.probs)
+    x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
+    resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
+    x_moving = x[:, moving].transpose(0, 2, 1).conj()
+    per_row = np.sum(bundle.probs[:, None] * x_moving * resid_pairs, axis=1)
+    part = np.zeros((len(y), grad.shape[1]), dtype=np.complex128)
+    np.add.at(part, (slice(None), owners[moving]), per_row)
+    grad[ok] = part
+    return value, grad, ~ok
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes: NaNs of one payload and the signs of zeros
+    count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Tuple structures of the Gram path: (orders, owners) with each node moving
+# alone, a merged order-2 node, and a fixed node.
+GRAM_STRUCTURES = {
+    "distinct": ((1, 1, 1), np.arange(3)),
+    "merged": ((1, 2, 1), np.array([0, 0, 1])),
+    "fixed": ((1, 1, 1), np.array([0, -1, 1])),
+}
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_gram_path_matches_its_explicit_form_bit_for_bit(family, m):
+    """Values, gradients and failure masks of ``_gram_captured`` against
+    the explicit form (``_reference_gram_captured``), byte for byte, on
+    batches of mixed row lengths for distinct, merged and fixed owners, on
+    batches whose tuples partly or all fail the pivot floor, and at a node
+    on the origin of a constant signal, whose gradient is an exact zero
+    that the scatter into zeros leaves +0."""
+    spec = SPACES[family]
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": HEAVY_TAILS[family]}, m, seed=9)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
+    rng = np.random.default_rng(m + 3 * len(family))
+    batches = []
+    for name, (orders, owners) in GRAM_STRUCTURES.items():
+        for _ in range(4):
+            centers = _random_batch(rng, bundle, merged=name == "merged")[0]
+            batches.append((centers, orders, owners))
+        close = centers.copy()
+        close[::2, -1] = close[::2, 0] + 1e-9  # a node next to another: below the pivot floor
+        batches += [(close, orders, owners), (close[::2], orders, owners)]
+    mixed = failed = 0
+    for centers, orders, owners in batches:
+        got = bundle._gram_captured(centers, orders, owners)
+        want = _reference_gram_captured(bundle, centers, orders, owners)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        mixed += len(set(bundle._row_lengths(centers, orders, owners >= 0).tolist())) > 1
+        failed += int(want[2].sum())
+    assert mixed >= 8 and failed >= 6
+    constant = _Bundle.single(spec, as_element(spec, [1.0]))
+    for orders, owners in GRAM_STRUCTURES.values():
+        centers = np.array([[0.0, 0.5, -0.4j]])
+        if len(set(owners.tolist())) < 3:
+            centers = np.array([[0.0, 0.0, -0.4j]])
+        got = constant._gram_captured(centers, orders, owners)
+        want = _reference_gram_captured(constant, centers, orders, owners)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert want[1][0, 0] == 0.0 and not np.signbit(want[1][0, 0].real)
+
+
 def _split_tuple(a, order, split, third):
     """A node of ``order`` at ``a = r exp(0.4i)``, a node ``split`` closer
     to the origin on its ray (none when ``split`` is None) and a third node;
@@ -792,3 +904,19 @@ def test_row_length_rule_is_sound(spec):
             for r, length in zip(radii, lengths.tolist()):
                 for o in (order, order + 1) if moving else (order,):
                     assert _relative_tail(spec, o, r, length) <= eps_sq, (o, r, length)
+
+
+def test_row_length_radii_are_found_once_per_space():
+    """Bundles of one space share each order's limiting radii, found by one
+    bisection, while a space of other weights but the same family, exponent
+    and degree gets radii of its own."""
+    engine._order_reach.cache_clear()
+    spec = SpaceSpec.bergman(2.0)
+    first, second = (_Bundle.single(spec, _signal(spec, seed)) for seed in (1, 2))
+    other = _custom_weights(SpaceSpec.bergman(2.0))
+    custom = _Bundle.single(other, _signal(other, 3))
+    for bundle in (first, second, custom):
+        bundle._row_lengths(np.zeros((1, 2)), (1, 1), np.array([True, True]))
+    assert engine._order_reach.cache_info().misses == 2
+    assert all(first._reach[o] is second._reach[o] for o in (1, 2))
+    assert not np.array_equal(first._reach[1], custom._reach[1])
