@@ -37,12 +37,14 @@ over the box of the search radius), run as lanes of one lockstep search
 stacked Gram/Cholesky evaluation, while each lane keeps its own iteration.
 A round's cost is mostly numpy dispatch on small arrays, not arithmetic:
 on ``sweep`` (seed 211, one BLAS thread, 2-core x86-64) a round averages
-about 250 us, of which about 70 us are ``_descend``'s own steps, 35 us the
-objective's mirror and merge tests around the evaluation, and 150 us the
-evaluation.  The evaluators therefore skip what changes no bit: a flush
-that flushes nothing, a copy of all moving rows, a scatter of nodes that
-each move alone, a conjugate of long rows where one of a short product
-does (``conj(a) conj(b) = conj(a b)`` in IEEE arithmetic).
+about 260 us, of which about 70 us are ``_descend``'s own steps, 36 us the
+objective's mirror and merge tests around the evaluation, and 154 us the
+evaluation.  The evaluators therefore skip what changes no bit and what
+most rounds can skip: a mask copy of the moving rows when every node
+moves, result arrays of their own for a batch that all passes, a copy
+into preallocated arrays for a batch of one row length, and a conjugate
+of long rows where one of a short product does (``conj(a) conj(b) =
+conj(a b)`` in IEEE arithmetic).
 Greedy selection maximizes the per-step energy increment over a coarse disc
 grid refined by a local search of one lane (``minimize``); the global engine
 adds stratified multistart seeds, descent over all node coordinates at once
@@ -322,39 +324,32 @@ def _row_norms_sq(spec: SpaceSpec, matrix: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _order_reach(weights: bytes, orders: tuple) -> tuple:
-    """For each order, each length L below N + 1 of ``_Bundle._row_lengths``
-    on the space whose float64 weights W(0) .. W(N) are ``weights``: the
-    largest radius at which L entries hold that order's kernel rows, or -1
-    where no radius does, read-only.  One bisection covers every order and
-    length; a radius that a length admits, longer lengths admit too.  Kept
-    per space and orders, so the bundles of one space share it."""
+def _order_reach(weights: bytes, order: int) -> np.ndarray:
+    """For each length L below N + 1 of ``_Bundle._row_lengths``, on the
+    space whose float64 weights W(0) .. W(N) are ``weights``: the largest
+    radius at which L entries hold the order's kernel rows, or -1 where no
+    radius does, read-only.  One bisection covers every length; a radius
+    that a length admits, longer lengths admit too.  Kept per space and
+    order, so the bundles of one space share it."""
     w = np.frombuffer(weights)
     ladder = np.array([n for n in _ROW_LENGTHS if n < len(w)])
-    parts = []
-    for o in orders:
-        lag = o - 1
-        c = _falling_factorial(len(w) - 1, lag) ** 2 / w[lag:]  # c_k for k = lag .. N
-        k = np.arange(lag + 1, len(w))
-        ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
-        q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
-        at = np.minimum(ladder - lag, len(c) - 1)  # L - lag, clipped where L <= lag
-        parts.append((c[at], q[at], 2.0 * (ladder - lag), np.full(len(ladder), c[0])))
-    c_l, q_l, power, lead = (np.concatenate(p) for p in zip(*parts))
-    lo = np.zeros(len(c_l))
+    lag = order - 1
+    c = _falling_factorial(len(w) - 1, lag) ** 2 / w[lag:]  # c_k for k = lag .. N
+    k = np.arange(lag + 1, len(w))
+    ratio = (k / (k - lag)) ** 2 * w[lag:-1] / w[lag + 1 :]  # c_{k+1} / c_k
+    q = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
+    at = np.minimum(ladder - lag, len(c) - 1)  # L - lag, clipped where L <= lag
+    c_l, q_l, power = c[at], q[at], 2.0 * (ladder - lag)
+    lo = np.zeros(len(ladder))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = np.minimum(1.0, 1.0 / np.sqrt(q_l))
         for _ in range(53):
             mid = 0.5 * (lo + hi)
-            ok = c_l * mid**power <= _EPS**2 * lead * (1.0 - mid * mid * q_l)
+            ok = c_l * mid**power <= _EPS**2 * c[0] * (1.0 - mid * mid * q_l)
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    reaches = tuple(
-        np.maximum.accumulate(np.where(ladder >= o, reach, -1.0))
-        for o, reach in zip(orders, lo.reshape(len(orders), -1))
-    )
-    for reach in reaches:
-        reach.setflags(write=False)
-    return reaches
+    reach = np.maximum.accumulate(np.where(ladder >= order, lo, -1.0))
+    reach.setflags(write=False)
+    return reach
 
 
 class _Bundle:
@@ -582,9 +577,8 @@ class _Bundle:
         key = (orders, moving.tobytes())
         limits = self._limits.get(key)
         if limits is None:
-            new = tuple(sorted({o + step for o in orders for step in (0, 1)} - self._reach.keys()))
-            if new:
-                self._reach.update(zip(new, _order_reach(self.spec.weights.tobytes(), new)))
+            for o in {o + step for o in orders for step in (0, 1)} - self._reach.keys():
+                self._reach[o] = _order_reach(self.spec.weights.tobytes(), o)
             limits = self._limits[key] = np.array([
                 np.minimum(self._reach[o], self._reach[o + 1]) if m else self._reach[o]
                 for o, m in zip(orders, moving)
@@ -660,11 +654,8 @@ class _Bundle:
         resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
         x_moving = (x if all_move else x[:, moving]).transpose(0, 2, 1).conj()
         per_row = (self.probs[:, None] * x_moving * resid_pairs).sum(axis=1)
-        if own == list(range(n)):  # each node moves alone: adding into zeros is + 0.0
-            held_grad = per_row + 0.0
-        else:
-            held_grad = np.zeros((len(y), width), dtype=np.complex128)
-            np.add.at(held_grad, (slice(None), owners[moving]), per_row)
+        held_grad = np.zeros((len(y), width), dtype=np.complex128)
+        np.add.at(held_grad, (slice(None), owners[moving]), per_row)
         return (held_value, held_grad, ~ok) if every else _spread(ok, width, held_value, held_grad)
 
     def span(self, params: ParamTuple) -> _Span:
@@ -769,18 +760,13 @@ def energy(spec: SpaceSpec, f: AnalyticFunction, params: ParamTuple) -> float:
 # -- local search -------------------------------------------------------------
 
 
-def _reflected_points(x: np.ndarray, radius: float) -> np.ndarray:
+def _reflected_points(x: np.ndarray, radius: float) -> tuple:
     """Nodes of the coordinates ``x`` (one point, or one per row); one at
     |u| > radius is mirrored in the search circle to radius ``2 radius - |u|``.
     A radial clamp would leave a flat shelf outside the circle, on which a
     gradient search that overshoots the circle stalls; the mirror leads it
-    back."""
-    return _mirror(x, radius)[0]
-
-
-def _mirror(x: np.ndarray, radius: float) -> tuple:
-    """The nodes of ``_reflected_points``, the unmirrored points ``u``, their
-    moduli and the mask of the mirrored ones, which the chain rule reads."""
+    back.  Returned with the unmirrored points ``u``, their moduli and the
+    mask of the mirrored ones, which the chain rule reads."""
     raw = x[..., 0::2] + 1j * x[..., 1::2]
     r = np.abs(raw)
     over = r > radius
@@ -852,7 +838,7 @@ class _Objective:
         return tuple(full)
 
     def params(self, x: np.ndarray) -> ParamTuple:
-        return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)), self.cfg)
+        return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)[0]), self.cfg)
 
     def _apart(self, pts: np.ndarray) -> np.ndarray:
         """Rows whose moving nodes merge with no other node, so that the
@@ -873,7 +859,7 @@ class _Objective:
         if x.ndim == 1:
             value, grad = self.value_and_grad(x[None])
             return float(value[0]), grad[0]
-        pts, raw, r, over = _mirror(x, self.radius)
+        pts, raw, r, over = _reflected_points(x, self.radius)
         apart = self._apart(pts)
         every = apart.all()
         if every:
@@ -901,8 +887,6 @@ class _Objective:
             value, grad = values, grads
         else:
             value[rows], grad[rows] = values, grads
-        if self.gain == 1.0:
-            return value, grad
         return value * self.gain, grad * self.gain
 
 
@@ -983,15 +967,12 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
                 held = (~free.all(axis=1)).tolist()
             else:
                 free, steep, held = None, -gk, [False] * len(begin)
-            if any(curved[i] for i in begin):
-                dk = -(h[k] @ gk[:, :, None])[:, :, 0]
-                for j, i in enumerate(begin):
-                    if not curved[i]:
-                        dk[j] = steep[j]
-                    elif held[j]:
-                        dk[j] = _direction(h[i], gk[j], free[j])
-            else:
-                dk = steep.copy()
+            dk = -(h[k] @ gk[:, :, None])[:, :, 0]
+            for j, i in enumerate(begin):
+                if not curved[i]:
+                    dk[j] = steep[j]
+                elif held[j]:
+                    dk[j] = _direction(h[i], gk[j], free[j])
             if free is not None:
                 dk[(low & (dk < 0.0)) | (high & (dk > 0.0))] = 0.0
             for j, slope in enumerate(_rowdot(gk, dk).tolist()):

@@ -280,18 +280,10 @@ def _kernel_powers(centers, length: int) -> np.ndarray:
     the two blocks of ``_power_blocks``; block terms below ``_TINY_POWER``
     become zero.  An entry has the same bits whatever the length.  The
     search forms its kernel rows from these; the MGS reference keeps its own
-    power sources (``kernel_matrix``, ``multiple_kernel``).
-
-    The flush is skipped where it would change nothing: when the smallest
-    |c| (or 1), raised to the top block power, stays above twice
-    ``_TINY_POWER``, every block term does, since each is a running product
-    of at most N / 32 + 32 roundings of the exact power."""
-    z = np.conj(np.asarray(centers, dtype=np.complex128))
-    low, high = _power_blocks(z, length)
-    smallest = float(np.abs(z).min(initial=1.0))
-    if not smallest ** max(31, 32 * (high.shape[1] - 1)) > 2.0 * _TINY_POWER:
-        low[np.abs(low) < _TINY_POWER] = 0.0
-        high[np.abs(high) < _TINY_POWER] = 0.0
+    power sources (``kernel_matrix``, ``multiple_kernel``)."""
+    low, high = _power_blocks(np.conj(np.asarray(centers, dtype=np.complex128)), length)
+    low[np.abs(low) < _TINY_POWER] = 0.0
+    high[np.abs(high) < _TINY_POWER] = 0.0
     return (high[:, :, None] * low[:, None, :]).reshape(len(low), -1)[:, :length]
 
 
@@ -299,15 +291,14 @@ def _kernel_rows(powers: np.ndarray, orders, max_degree: int) -> np.ndarray:
     """Rows ``W * K`` of the order-``o`` kernels (``multiple_kernel``'s
     coefficients times the weights) from their rows of powers ``conj(c)**k``
     (n rows, or a stack of n rows per tuple), as long as the powers; an
-    entry has the same bits whatever the length.  Rows of one order, all of
-    them, are formed in one product."""
+    entry has the same bits whatever the length."""
     if all(o == 1 for o in orders):
         return powers
     n1 = powers.shape[-1]
     rows = np.zeros_like(powers)
-    for i, o in [(slice(None), orders[0])] if len(set(orders)) == 1 else enumerate(orders):
+    for i, o in enumerate(orders):
         falling = _falling_factorial(max_degree, o - 1)[: n1 - o + 1]
-        np.multiply(powers[..., i, : n1 - o + 1], falling, out=rows[..., i, o - 1 :])
+        rows[..., i, o - 1 :] = powers[..., i, : n1 - o + 1] * falling
     return rows
 
 

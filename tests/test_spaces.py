@@ -24,14 +24,7 @@ from nbestkernel import (
     norm_sq,
     weight,
 )
-from nbestkernel.spaces import (
-    DEFAULT_RADIUS_CAP,
-    _TINY_POWER,
-    _falling_factorial,
-    _kernel_powers,
-    _kernel_rows,
-    _power_blocks,
-)
+from nbestkernel.spaces import _falling_factorial, _kernel_powers, _kernel_rows
 
 
 def test_weight_examples(hardy, dirichlet, bergman0):
@@ -251,34 +244,6 @@ def test_search_kernel_rows_match_reference(family, order, fraction, angle):
     cut = _kernel_rows(_kernel_powers([c], 32), (order,), spec.max_degree)[0]
     assert np.array_equal(cut, rows[:32])
     assert not _falling_factorial(spec.max_degree, order - 1).flags.writeable
-
-
-def _always_flushed_powers(centers, length):
-    """``_kernel_powers`` with both flush passes run whatever the centers:
-    the form whose bits the skipped passes must keep."""
-    low, high = _power_blocks(np.conj(np.asarray(centers, dtype=np.complex128)), length)
-    low[np.abs(low) < _TINY_POWER] = 0.0
-    high[np.abs(high) < _TINY_POWER] = 0.0
-    return (high[:, :, None] * low[:, None, :]).reshape(len(low), -1)[:, :length]
-
-
-KERNEL_POWER_RADII = [0.0, 1e-300, 1e-3, 0.2, 0.8, DEFAULT_RADIUS_CAP]
-
-
-@pytest.mark.parametrize("radius", KERNEL_POWER_RADII + ["all"])
-def test_kernel_powers_match_the_always_flushed_form(radius):
-    """At every length from 32 to N + 1, for centers at one radius on eight
-    rays and for all radii in one batch, the kernel powers keep the bits of
-    the always-flushed form.  Block powers of 1e-300, 1e-3, 0.2 and 0.8
-    fall below ``_TINY_POWER`` at one length or another of that range,
-    those of the radius cap never do, and the origin's are zero."""
-    n1 = SpaceSpec.hardy().max_degree + 1
-    rays = np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8)
-    radii = KERNEL_POWER_RADII if radius == "all" else [radius]
-    centers = np.concatenate([r * rays for r in radii])
-    for length in range(32, n1 + 1):
-        got, want = _kernel_powers(centers, length), _always_flushed_powers(centers, length)
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape, length
 
 
 def test_evaluate_examples(hardy):
