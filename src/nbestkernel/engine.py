@@ -39,12 +39,14 @@ A round's cost is mostly numpy dispatch on small arrays, not arithmetic:
 on ``sweep`` (seed 211, one BLAS thread, 2-core x86-64) a round averages
 about 260 us, of which about 70 us are ``_descend``'s own steps, 36 us the
 objective's mirror and merge tests around the evaluation, and 154 us the
-evaluation.  The evaluators therefore skip what changes no bit and what
-most rounds can skip: a mask copy of the moving rows when every node
-moves, result arrays of their own for a batch that all passes, a copy
-into preallocated arrays for a batch of one row length, and a conjugate
-of long rows where one of a short product does (``conj(a) conj(b) =
-conj(a b)`` in IEEE arithmetic).
+evaluation.  A branch that skips work for some calls stays only where its
+function's recorded calls replayed faster with it in at least 44 of 61
+alternations (``scripts/replay_calls.py``): the evaluators' skips of a mask
+copy (45), preallocated arrays (46) and result arrays (Gram 44, span 57,
+objective 54), the unmirrored return of ``_reflected_points`` (54), both of
+``_apart``'s (61, 61), ``_kernel_rows``' order-1 return (61), ``_residual``'s
+empty-basis copy (52), ``compressed``'s first-deflation reuse (60) and four in
+``_descend``.
 Greedy selection maximizes the per-step energy increment over a coarse disc
 grid refined by a local search of one lane (``minimize``); the global engine
 adds stratified multistart seeds, descent over all node coordinates at once
@@ -257,14 +259,13 @@ class _Read(NamedTuple):
 
 
 class _Span(NamedTuple):
-    """The span of the tuple ``params``: its kept MGS basis rows ``Q``, the
-    two-pass residual ``R = F - P_Q F`` of each signal, the captured energy
+    """The span of a tuple: its kept MGS basis rows ``Q``, the two-pass
+    residual ``R = F - P_Q F`` of each signal, the captured energy
     ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
     before it.  Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their
     row's largest entry are zero; greedy appends a node to it by
     ``_span_captured`` (module docstring: why not the lanes' Gram path)."""
 
-    params: ParamTuple
     basis: np.ndarray
     residual: np.ndarray
     energy: float
@@ -373,10 +374,9 @@ class _Bundle:
         self.norms_sq = _row_norms_sq(spec, matrix) if norms_sq is None else norms_sq
         self.total_sq = float(self.probs @ self.norms_sq)
         # Kernel row lengths of the Gram path (``_row_lengths``), with each
-        # order's limiting radii and each tuple structure's.
+        # tuple structure's limiting radii.
         n1 = spec.max_degree + 1
         self._lengths = np.array([n for n in _ROW_LENGTHS if n < n1] + [n1])
-        self._reach: dict[int, np.ndarray] = {}
         self._limits: dict[tuple, np.ndarray] = {}
         self._reads: dict[tuple, _Read] = {}
         # Kept per ``_search_key``: the grid, exact candidates, greedy steps.
@@ -452,8 +452,9 @@ class _Bundle:
             return bool(np.min(pivots) ** 2 > 8.0 * n1 * np.finfo(np.float64).eps * count)
 
         # Full rank returns at once; the first block screens out deficient
-        # ensembles before the M x M Gram matrix is formed.
-        if m <= n1 and keeps_every_row(min(m, _RANK_BLOCK)) and keeps_every_row(m):
+        # ensembles before the M x M Gram matrix is formed, which for M <= 64
+        # is the first block's.
+        if m <= n1 and all(map(keeps_every_row, sorted({min(m, _RANK_BLOCK), m}))):
             return self
         basis = np.empty((min(m, n1), n1), dtype=np.complex128)
         r = 0
@@ -577,10 +578,10 @@ class _Bundle:
         key = (orders, moving.tobytes())
         limits = self._limits.get(key)
         if limits is None:
-            for o in {o + step for o in orders for step in (0, 1)} - self._reach.keys():
-                self._reach[o] = _order_reach(self.spec.weights.tobytes(), o)
+            weights = self.spec.weights.tobytes()
             limits = self._limits[key] = np.array([
-                np.minimum(self._reach[o], self._reach[o + 1]) if m else self._reach[o]
+                np.minimum(_order_reach(weights, o), _order_reach(weights, o + 1)) if m
+                else _order_reach(weights, o)
                 for o, m in zip(orders, moving)
             ])
         return lengths[(np.abs(centers)[:, :, None] > limits).sum(axis=2).max(axis=1)]
@@ -666,7 +667,7 @@ class _Bundle:
         residual = np.empty_like(self.matrix)
         for rows in self._blocks():
             _flushed(self._residual(rows, read.basis, read.coeffs, out=residual[rows]))
-        return _Span(params, read.basis, residual, read.energy, read.degraded)
+        return _Span(read.basis, residual, read.energy, read.degraded)
 
     def _span_captured(self, points: np.ndarray, span: _Span):
         """Span evaluation of the B tuples that append one node of ``points``
@@ -693,10 +694,9 @@ class _Bundle:
         powers = _kernel_powers(points, self.spec.max_degree + 1)  # W K
         u = powers * self.inv_weights
         scale_sq = (w * np.abs(u) ** 2).sum(axis=1)
-        if len(span.basis):
-            basis_h = span.basis.conj().T
-            for _ in range(2):
-                u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
+        basis_h = span.basis.conj().T
+        for _ in range(2):
+            u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
         beta = (w * np.abs(u) ** 2).sum(axis=1)
         ok = beta > EPS_DEGENERATE**2 * scale_sq
         every = bool(ok.all())
@@ -814,7 +814,6 @@ class _Objective:
         self.radius = _search_radius(bundle, cfg)
         self.prefix = tuple(prefix)
         self.reps = tuple(orders) if orders is not None else (1,) * count
-        self.merged = max(self.reps, default=1) > 1
         fixed = bundle.make_tuple(self.prefix, cfg)
         if span is None and self.prefix:
             span = bundle.span(fixed)
@@ -870,18 +869,17 @@ class _Objective:
             if not apart.any():
                 return value, grad
             rows, raw, r, over = apart, raw[apart], r[apart], over[apart]
-        moving = np.repeat(pts[rows], self.reps, axis=1) if self.merged else pts[rows]
+        moving = np.repeat(pts[rows], self.reps, axis=1)
         cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
         values = np.where(cap.failed, np.inf, -cap.value)
         # dE/dx + i dE/dy per node, zero on a failed row; a mirrored node
         # a = (2R - |u|) u / |u| moves against u radially and by
         # (2R - |u|) / |u| tangentially.
         slope = 2.0 * np.conj(cap.grad)
-        if over.any():
-            u = raw[over] / r[over]
-            along = np.conj(u) * slope[over]
-            stretch = (2.0 * self.radius - r[over]) / r[over]
-            slope[over] = u * (-along.real + 1j * stretch * along.imag)
+        u = raw[over] / r[over]
+        along = np.conj(u) * slope[over]
+        stretch = (2.0 * self.radius - r[over]) / r[over]
+        slope[over] = u * (-along.real + 1j * stretch * along.imag)
         grads = (-slope).view(np.float64)  # (x, y) pairs: -Re, -Im per node
         if every:
             value, grad = values, grads
@@ -935,7 +933,10 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
     lane ends at the same bits as when it runs alone.  Results come in the
     order of the rows of ``x0``.  These steps cost about 70 us a round on
     ``sweep`` (module docstring), whether one lane runs or several, since
-    each is a numpy call on a few rows of at most 2n entries.
+    each is a numpy call on a few rows of at most 2n entries.  Replays kept
+    four shortcuts: a slice indexes the lanes when all begin (57 of 61) or
+    update H (55), no lane on the box skips the held-coordinate screen (54),
+    and an update of every lane takes no subset (53).
     """
     ftol, gtol, maxiter = options["ftol"], options["gtol"], options["maxiter"]
     x = np.clip(x0, lo, hi)
@@ -1059,12 +1060,8 @@ def _descend(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, options) -> li
             cross = col * hy[:, None, :]
             outer = col * sk[:, None, :]
             hu += ((1.0 + _rowdot(yk, hy)) / sy)[:, None, None] * outer - (cross + cross.transpose(0, 2, 1))
-            if isinstance(u, list):  # else hu is a view of h, updated in place
-                h[u] = hu
-        if len(begin) == len(f):
-            x, g = trial, g_new
-        else:
-            x[k], g[k] = trial[k], g_new[k]
+            h[u] = hu
+        x[k], g[k] = trial[k], g_new[k]
         reduced = []
         for i in begin:
             reduction = f[i] - f_new[i]
@@ -1188,10 +1185,8 @@ def _grid_increments(bundle: _Bundle, grid: _Grid, span: _Span) -> np.ndarray:
     ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
     product with ``Q`` and one with ``R``.  It is -inf where the denominator
     is at most ``1e-12 ||K_g||^2``."""
-    norms = grid.raw
-    if len(span.basis):
-        proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)
-        norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
+    proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)
+    norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
     gains = bundle.probs @ np.abs(span.residual @ grid.weighted_h) ** 2
     ok = norms > 1e-12 * grid.raw
     out = np.full(len(grid.points), -np.inf)
@@ -1405,8 +1400,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
     The Prony candidate (``_exact_candidate``) comes first, and unless MGS
     certifies its capture, greedy to n nodes.  A certified capture, or
     greedy's, ends the search among these and the warm tuples as they are
-    (``warm`` entries).  Otherwise warm tuples of fewer than n nodes join as
-    they are, and greedy's tuple and those of n nodes start lanes."""
+    (``warm`` entries).  Otherwise warm tuples of fewer than n distinct nodes
+    join as they are, and greedy's tuple and those of n distinct ones start lanes."""
     # (points, MGS energy, index of the candidate's trace entry)
     candidates: list[tuple[tuple, float, int]] = []
 
@@ -1438,14 +1433,18 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
     if exact is not None:
         pts, val, stats = exact
         add(pts, val, {"stage": "exact", "energy": val, **stats})
+    lanes = []
     for w in warm:
-        if ended or len(w) < n:
-            val = bundle.read(bundle.make_tuple(w, cfg)).energy
+        params = bundle.make_tuple(w, cfg)
+        if ended or params.orders.count(1) < n:  # a double node starts no lane
+            val = bundle.read(params).energy
             add(w, val, {"stage": "warm", "energy": val})
+        else:
+            lanes.append(w)
     if ended:
         return select()
 
-    starts = [_as_x(pts) for pts in (greedy_pts, *warm) if len(pts) == n]
+    starts = [_as_x(pts) for pts in (greedy_pts, *lanes) if len(pts) == n]
 
     rng = np.random.default_rng(cfg.seed)
     grid = _search_grid(bundle, cfg)

@@ -312,9 +312,7 @@ def check_bounded_kernel_limit(spec: SpaceSpec, radius: float = 0.9999) -> Condi
     )
 
 
-def check_zero_space_factorization(
-    spec: SpaceSpec, zeros: ParamTuple, w: complex, n_grid: int = 64
-) -> ConditionReport:
+def check_zero_space_factorization(spec: SpaceSpec, zeros: ParamTuple, w: complex) -> ConditionReport:
     """Classical-family identity: the zero-space kernel equals the plain kernel
     times the Blaschke product of the zeros on both arguments."""
     if spec.family != "hardy":

@@ -538,6 +538,35 @@ def test_sweep_extends_a_greedy_winner_without_repeating_greedy(monkeypatch):
     assert points == _greedy_points(factor, k, cfg, [], prefix=prev)
 
 
+def test_sweep_warm_start_with_a_double_node_joins_as_it_is(monkeypatch):
+    """Where row n - 1 of a residual sweep has an order-2 node and does not
+    capture the signal, row n's warm start lists that node twice: it joins
+    as a ``warm`` entry with its tuple and MGS energy, and starts no lane,
+    which would stop at once outside the search domain."""
+    spec = SpaceSpec.bergman(1.0, 128, radius_cap=0.9)
+    mix = [(0.4 + 0.2j, 1.0, 1), (0.4 + 0.2j, 0.6, 2), (-0.5 + 0.1j, 0.7, 1)]
+    f = sum((multiple_kernel(spec, a, o) * c for a, c, o in mix), zero_function(spec))
+    rng = np.random.default_rng(3)
+    poly = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    f = f + as_element(spec, poly * 1e-6 * math.sqrt(13))
+    cfg = OptimizerConfig(multistart=8, grid_density=12, max_iter=60)
+    warm = []
+    extend = engine_module._extend_greedily
+
+    def extended(bundle, points, n, cfg):
+        warm.append(extend(bundle, points, n, cfg))
+        return warm[-1]
+
+    monkeypatch.setattr(engine_module, "_extend_greedily", extended)
+    results = residual_decay_sweep(spec, f, 4, cfg)
+    assert results[3].params.orders == (1, 1, 2) and results[3].residual > 1e-7 * results[3].norm
+    trace = results[4].trace
+    entries = [e for e in trace if e["stage"] == "warm"]
+    assert len(entries) == 1
+    assert entries[0]["energy"] == energy(spec, f, ParamTuple(tuple(warm[-1]), cfg.merge_tol, spec.radius_cap))
+    assert all(e["polish_nfev"] > 1 for e in trace if e["stage"] == "local")
+
+
 @pytest.mark.parametrize("sweep", [afd_decay_sweep, residual_decay_sweep])
 def test_sweep_results_own_their_coefficients(sweep):
     """Past an exact capture every n of a sweep finalizes the same tuple, and

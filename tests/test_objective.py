@@ -442,7 +442,7 @@ def test_span_energy_matches_mgs(family, prefix, m):
     for a in nodes:
         span, cap = _on_span(bundle, prefix, a, cfg)
         assert not cap.failed[0]
-        read = bundle.read(span.params.extended(a))
+        read = bundle.read(bundle.make_tuple(prefix, cfg).extended(a))
         ref, degraded = read.energy, read.degraded
         assert not degraded
         assert abs(cap.value[0] - ref) <= 1e-12 * ref
@@ -507,7 +507,7 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     seen = set()
     for sep in (1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 1e-12):
         span, cap = _on_span(bundle, prefix, prefix[1] + sep, cfg)
-        read = bundle.read(span.params.extended(prefix[1] + sep))
+        read = bundle.read(bundle.make_tuple(prefix, cfg).extended(prefix[1] + sep))
         ref, degraded = read.energy, read.degraded
         assert bool(cap.failed[0]) == degraded
         if degraded:
@@ -520,7 +520,7 @@ def test_span_reports_degradation_exactly_when_mgs_does(family):
     degenerate = (prefix[1], prefix[1] + 1e-12)
     span, cap = _on_span(bundle, degenerate, SPAN_NODES[0], cfg)
     assert span.degraded and len(span.basis) == 1
-    assert bundle.read(span.params.extended(SPAN_NODES[0])).degraded
+    assert bundle.read(bundle.make_tuple(degenerate, cfg).extended(SPAN_NODES[0])).degraded
     assert cap.failed[0]
     assert _outside(*_span_objective(bundle, cfg, degenerate, SPAN_NODES[0]))
 
@@ -643,8 +643,9 @@ def _random_batch(rng, bundle, merged):
     count = int(rng.integers(2, 10))
     n = 2 if merged else 3
     orders, owners = ((1, 2, 1), np.array([0, 0, 1])) if merged else ((1, 1, 1), np.arange(3))
-    bundle._row_lengths(np.zeros((1, len(orders))), orders, owners >= 0)
-    limits = np.concatenate([bundle._reach[o] for o in sorted(bundle._reach)])
+    weights = bundle.spec.weights.tobytes()
+    reached = sorted({o + step for o in orders for step in (0, 1)})  # each order and the next
+    limits = np.concatenate([engine._order_reach(weights, o) for o in reached])
     limits = limits[(limits >= 0.05) & (limits <= 0.95)]
     radii = rng.uniform(0.05, 0.95, (count, n))
     edge = rng.uniform(size=(count, n)) < 0.5
@@ -890,8 +891,8 @@ def test_row_length_rule_is_sound(spec):
     eps_sq = np.finfo(np.float64).eps ** 2
     for order in (1, 2, 3):
         orders = (order,)
-        bundle._row_lengths(np.zeros((1, 1)), orders, np.array([True]))
-        limits = [x for x in bundle._reach.get(order, []) if x >= 0.0]
+        reach = engine._order_reach(spec.weights.tobytes(), order) if n1 > 32 else ()  # no lengths below N + 1
+        limits = [x for x in reach if x >= 0.0]
         radii = {0.0, spec.radius_cap, *np.linspace(0.0, spec.radius_cap, 23)}
         radii |= {x * f for x in limits for f in (1.0, 1.0 - 1e-9, 1.0 + 1e-9)}
         radii = sorted(r for r in radii if r <= spec.radius_cap)
@@ -918,5 +919,5 @@ def test_row_length_radii_are_found_once_per_space():
     for bundle in (first, second, custom):
         bundle._row_lengths(np.zeros((1, 2)), (1, 1), np.array([True, True]))
     assert engine._order_reach.cache_info().misses == 4  # orders 1 and 2 of two spaces
-    assert all(first._reach[o] is second._reach[o] for o in (1, 2))
-    assert not np.array_equal(first._reach[1], custom._reach[1])
+    reach = [engine._order_reach(b.spec.weights.tobytes(), 1) for b in (first, second, custom)]
+    assert reach[0] is reach[1] and not np.array_equal(reach[0], reach[2])

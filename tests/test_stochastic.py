@@ -341,6 +341,23 @@ def test_factor_of_single_and_full_rank_bundles_is_the_bundle(hardy_small):
     assert thinned.matrix.shape[0] == 31
 
 
+def test_a_full_rank_ensemble_of_one_block_is_factored_once(monkeypatch, hardy_small):
+    """For M <= ``_RANK_BLOCK`` the first block's Gram matrix is the whole
+    ensemble's, so the full-rank screen runs one Cholesky factorization."""
+    e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 8, seed=1)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    full = _Bundle(e.spec, e.matrix, e.probs)
+    assert full.compressed() is full
+    assert calls == [(8, 8)]
+
+
 def test_full_rank_search_is_the_uncompressed_search(hardy_small):
     e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
     res = stochastic_nbest(e, 2, FAST)
