@@ -140,6 +140,8 @@ def _parse_space(obj, path: str) -> SpaceSpec:
     kwargs = {}
     if "radius_cap" in obj:
         kwargs["radius_cap"] = _number(obj["radius_cap"], f"{path}/radius_cap")
+        if not 0.0 < kwargs["radius_cap"] < 1.0:
+            _fail(f"{path}/radius_cap", "radius_cap must lie in (0, 1)")
     try:
         return SpaceSpec(family, param, degree, **kwargs)
     except ValueError as exc:

@@ -44,9 +44,8 @@ function's recorded calls replayed faster with it in at least 44 of 61
 alternations (``scripts/replay_calls.py``): the evaluators' skips of a mask
 copy (45), preallocated arrays (46) and result arrays (Gram 44, span 57,
 objective 54), the unmirrored return of ``_reflected_points`` (54), both of
-``_apart``'s (61, 61), ``_kernel_rows``' order-1 return (61), ``_residual``'s
-empty-basis copy (52), ``compressed``'s first-deflation reuse (60) and four in
-``_descend``.
+``_apart``'s (61, 61), ``_kernel_rows``' order-1 return (61),
+``compressed``'s first-deflation reuse (60) and four in ``_descend``.
 Greedy selection maximizes the per-step energy increment over a coarse disc
 grid refined by a local search of one lane (``minimize``); the global engine
 adds stratified multistart seeds, descent over all node coordinates at once
@@ -66,11 +65,12 @@ certified by MGS.
 
 Each tuple a search keeps is orthogonalized once (``_Bundle.system``, which
 flushes its basis) and read once per bundle (``_Bundle.read``: the
-coefficients ``<f_m, Q_j>``, their energy and, once ``finalize`` sums it, the
-residual norm) for the reported value, the spans, the ranking and the
-result.  A greedy step works on one span of its fixed prefix
-(``_Span``): the basis ``Q``, the residual ``R = F - P_Q F`` of the signals
-and the prefix energy ``E_p``.  Its grid scan scores node g as
+coefficients ``C_mj = <f_m, Q_j>``, their energy and, once ``finalize`` sums
+it, the residual norm) for the reported value, the greedy steps, the ranking
+and the result.  A greedy step reads only its fixed prefix's ``_Read``: the
+basis ``Q``, ``C`` and the prefix energy ``E_p``.  It pairs the residual
+``R_m = f_m - P_Q f_m`` with a kernel ``v`` as ``<f_m, v> - sum_j C_mj
+<Q_j, v>``, so no residual array is formed.  Its grid scan scores node g as
 ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
 local search evaluates ``E_p + sum_m p_m |<R_m, u>|^2 / ||u||^2``, with ``u``
 the part of the moving node's kernel outside the span, and the closed-form
@@ -155,6 +155,9 @@ _RANK_BLOCK = 64
 _HANKEL_TOL = 1e-23
 _ROOT_SPLIT = 1e-3
 _REFINE_STEPS = 30
+# Grid kernels whose part outside a span has below _GRID_NEAR of their squared
+# norm are paired with the residual through that part (``_grid_increments``).
+_GRID_NEAR = 1e-4
 # Local search: the Armijo sufficient-decrease fraction and the line search's
 # cap on trial steps.
 _ARMIJO = 1e-4
@@ -188,8 +191,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
-            ("delta", 1.0 - DEFAULT_RADIUS_CAP <= self.delta < 1.0,
-             f"must lie in [{1.0 - DEFAULT_RADIUS_CAP}, 1)"),
+            ("delta", 1.0 - self.delta <= DEFAULT_RADIUS_CAP and self.delta < 1.0,
+             f"must satisfy 1 - delta <= {DEFAULT_RADIUS_CAP} and delta < 1"),
             ("grid_density", self.grid_density >= 4, "must be at least 4"),
             ("multistart", self.multistart >= 0, "must be non-negative"),
             ("max_iter", self.max_iter >= 1, "must be at least 1"),
@@ -256,20 +259,6 @@ class _Read(NamedTuple):
     energy: float
     degraded: bool
     residual: float | None = None
-
-
-class _Span(NamedTuple):
-    """The span of a tuple: its kept MGS basis rows ``Q``, the two-pass
-    residual ``R = F - P_Q F`` of each signal, the captured energy
-    ``E_p``, and whether a node was degenerate, in which case ``Q`` stops
-    before it.  Entries of ``Q`` and ``R`` below ``_TINY_POWER`` times their
-    row's largest entry are zero; greedy appends a node to it by
-    ``_span_captured`` (module docstring: why not the lanes' Gram path)."""
-
-    basis: np.ndarray
-    residual: np.ndarray
-    energy: float
-    degraded: bool
 
 
 def _flushed(rows: np.ndarray) -> np.ndarray:
@@ -356,8 +345,9 @@ def _order_reach(weights: bytes, order: int) -> np.ndarray:
 class _Bundle:
     """A weighted family of signals over one space; single signals are M = 1.
 
-    A bundle keeps one M x (N+1) array, its coefficient matrix; of what is
-    computed from it, only a ``_Span``'s residual is as large.  Every pass over
+    A bundle keeps one M x (N+1) array, its coefficient matrix; beyond it,
+    each read tuple's basis rows and M x n coefficients, and each grid's
+    M x G pairings (``_Grid``).  Every pass over
     all realizations (norms, MGS coefficients, residuals, compression) runs
     ``_RANK_BLOCK`` rows at a time and forms the weighted rows ``f_m W`` per
     block.  A row's results are the bits the same formula gives on the whole
@@ -500,10 +490,11 @@ class _Bundle:
         tuple position: the index of the moving node it belongs to, or -1 if
         fixed.  Without ``span`` each kernel Gram matrix is factored once, and a
         tuple whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR`` fails.
-        With a ``_Span``, each tuple is one node appended to the span's
-        prefix, evaluated on the span (``_span_captured``) without a Gram
-        matrix, and fails by MGS's degeneracy test.  MGS never runs here; a
-        failed tuple lies outside the search domain (``_Objective``).
+        With ``span``, the ``_Read`` of a prefix, each tuple is one node
+        appended to that prefix, evaluated on its read (``_span_captured``)
+        without a Gram matrix, and fails by MGS's degeneracy test.  MGS never
+        runs here; a failed tuple lies outside the search domain
+        (``_Objective``).
         """
         if span is not None:
             return _Capture(*self._span_captured(nodes.centers[:, 0], span))
@@ -514,7 +505,7 @@ class _Bundle:
         (centers, orders) for the life of the bundle and its factor (one
         engine call), flushed (``_flushed``) as they are kept, and read-only.
         Search evaluations never reach MGS: every kept tuple was ``read``."""
-        if not len(params):  # the empty span, which needs no Gram-Schmidt
+        if not len(params):  # the empty tuple, which needs no Gram-Schmidt
             return np.zeros((0, self.spec.max_degree + 1), dtype=np.complex128), False
         key = (params.centers, params.orders)
         kept = self._systems.get(key)
@@ -530,7 +521,8 @@ class _Bundle:
     def read(self, params: ParamTuple) -> _Read:
         """The tuple's ``_Read``, formed once per bundle and tuple: the
         coefficients on its kept basis rows, a row block at a time, and their
-        energy.  Every value, span and finalization of the tuple reads it."""
+        energy.  Every value, greedy step and finalization of the tuple reads
+        it."""
         key = (params.centers, params.orders)
         got = self._reads.get(key)
         if got is None:
@@ -544,14 +536,11 @@ class _Bundle:
             got = self._reads[key] = _Read(basis, coeffs, energy, degraded)
         return got
 
-    def _residual(self, rows: slice, basis: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
+    def _residual(self, rows: slice, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """The two-pass residuals ``f_m - P_Q f_m`` of a row block's signals on
-        the basis rows, in ``out`` if given, a copy on none (x - 0 = x), and
-        unflushed: ``span`` flushes the residual it keeps."""
-        if not len(basis):
-            return np.positive(self.matrix[rows], out=out)
+        the basis rows, unflushed."""
         fit = coeffs[rows] @ basis
-        block = np.subtract(self.matrix[rows], fit, out=out)
+        block = self.matrix[rows] - fit
         block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
         return block
 
@@ -659,58 +648,56 @@ class _Bundle:
         np.add.at(held_grad, (slice(None), owners[moving]), per_row)
         return (held_value, held_grad, ~ok) if every else _spread(ok, width, held_value, held_grad)
 
-    def span(self, params: ParamTuple) -> _Span:
-        """The ``_Span`` of the tuple from its kept basis and its ``read``;
-        the residual, the one M x (N+1) array a span holds, is filled and
-        flushed (``_flushed``) a row block at a time."""
-        read = self.read(params)
-        residual = np.empty_like(self.matrix)
-        for rows in self._blocks():
-            _flushed(self._residual(rows, read.basis, read.coeffs, out=residual[rows]))
-        return _Span(read.basis, residual, read.energy, read.degraded)
-
-    def _span_captured(self, points: np.ndarray, span: _Span):
+    def _span_captured(self, points: np.ndarray, read: _Read):
         """Span evaluation of the B tuples that append one node of ``points``
-        to the span's prefix: their values, their gradients (one column), and
-        the mask of the tuples that fail, which get neither: all of a
-        degraded span's, and those whose node's kernel ``K``
-        keeps ``||u|| <= 1e-10 ||K||`` outside the span, MGS's own degeneracy
-        test.
+        to the prefix whose ``_Read`` is ``read``: their values, their
+        gradients (one column), and the mask of the tuples that fail, which
+        get neither: all of a degraded prefix's, and those whose node's kernel
+        ``K`` keeps ``||u|| <= 1e-10 ||K||`` outside the prefix's basis ``Q``,
+        MGS's own degeneracy test.
 
         With ``u = K - P_Q K`` taken in two passes, ``beta = ||u||^2`` and
-        ``alpha_m = <R_m, u>``, the energy is ``E_p + sum_m p_m |alpha_m|^2 /
-        beta``.  (``alpha_m`` equals ``<R_m, K>`` in exact arithmetic, but
-        near a prefix node, where ``||u|| << ||K||``, that form loses about
-        ``||K|| / ||u||`` in relative accuracy and this one keeps MGS's.)
-        The projection of f_m on the extended span adds ``x_m u`` with ``x_m
-        = alpha_m / beta``, so the envelope theorem gives ``dE/da = sum_m p_m
-        conj(x_m) (<R_m, K+> - x_m <u, K+>)``, with K+ the next-order kernel.
-        Every product is stacked over the tuples, so a tuple's results are the
-        same bits whichever batch it is evaluated in.
+        ``alpha_m = <R_m, u>`` on the residual ``R_m = f_m - P_Q f_m``, the
+        energy is ``E_p + sum_m p_m |alpha_m|^2 / beta``.  (``alpha_m`` equals
+        ``<R_m, K>`` in exact arithmetic, but near a prefix node, where ``||u||
+        << ||K||``, that form loses about ``||K|| / ||u||`` in relative
+        accuracy and this one keeps MGS's.)  The projection of f_m on the
+        extended span adds ``x_m u`` with ``x_m = alpha_m / beta``, so the
+        envelope theorem gives ``dE/da = sum_m p_m conj(x_m) (<R_m, K+> - x_m
+        <u, K+>)``, with K+ the next-order kernel.  No residual is formed:
+        ``<R_m, v> = <f_m, v> - sum_j C_mj <Q_j, v>`` with ``C_mj = <f_m,
+        Q_j>``.  As R is orthogonal to Q, ``<R_m, u>`` is paired on the
+        once-projected kernel ``u'``, whose ``<Q_j, u'>`` the second pass forms
+        in one product with ``<Q_j, K+>``.  Every product is stacked over the
+        tuples, so a tuple's results are the same bits whichever batch it is
+        evaluated in.
         """
-        if span.degraded:
+        if read.degraded:
             return _spread(np.zeros(len(points), dtype=bool), 1)
-        w = self.spec.weights
+        w, basis = self.spec.weights, read.basis
         powers = _kernel_powers(points, self.spec.max_degree + 1)  # W K
         u = powers * self.inv_weights
         scale_sq = (w * np.abs(u) ** 2).sum(axis=1)
-        basis_h = span.basis.conj().T
-        for _ in range(2):
-            u -= (((w * u)[:, None, :] @ basis_h) @ span.basis)[:, 0]
+        basis_h = basis.conj().T
+        u -= (((w * u)[:, None, :] @ basis_h) @ basis)[:, 0]
+        # W u' and W K+, and their coefficients <u', Q_j> and <K+, Q_j> on Q
+        nxt = _kernel_rows(powers[:, None], (2,), self.spec.max_degree)
+        rows = np.concatenate([(w * u)[:, None], nxt], axis=1)
+        onto = rows @ basis_h
+        u -= (onto[:, :1] @ basis)[:, 0]
         beta = (w * np.abs(u) ** 2).sum(axis=1)
         ok = beta > EPS_DEGENERATE**2 * scale_sq
         every = bool(ok.all())
         if not every:
             if not ok.any():
                 return _spread(ok, 1)
-            u, beta, powers = u[ok], beta[ok], powers[ok]
+            u, beta, rows, onto = u[ok], beta[ok], rows[ok], onto[ok]
         beta = beta[:, None]
-        # W u, and W K+ for the gradient
-        nxt = _kernel_rows(powers[:, None], (2,), self.spec.max_degree)
-        rows_conj = np.concatenate([(w * u)[:, None], nxt], axis=1).conj()
-        pairs = span.residual @ rows_conj.transpose(0, 2, 1)  # <R_m, u>, <R_m, K+>
+        rows_conj = rows.conj()
+        # <R_m, u>, <R_m, K+>
+        pairs = self.matrix @ rows_conj.transpose(0, 2, 1) - read.coeffs @ onto.conj().transpose(0, 2, 1)
         alpha = pairs[:, :, 0]
-        held_value = span.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
+        held_value = read.energy + _rowdot(np.abs(alpha) ** 2 / beta, self.probs)
         x = alpha / beta
         u_next = _rowdot(u, rows_conj[:, 1])  # <u, K+>
         held_grad = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)[:, None]
@@ -791,8 +778,8 @@ class _Objective:
 
     With ``orders`` moving node i enters with multiplicity ``orders[i]``
     (merge polish).  ``prefix`` nodes stay fixed; the objective then takes one
-    moving node and evaluates it on the prefix's ``_Span`` (``span``, or one
-    built here).  Nodes overshooting the search disc are mirrored back into
+    moving node and evaluates it on the prefix's ``_Read`` (``span``, or the
+    bundle's).  Nodes overshooting the search disc are mirrored back into
     it, and the analytic gradient is chained through the mirror.  The points
     whose moving nodes stay apart from every other node are evaluated
     together, in one batch on the span or else on the Gram path.  The search
@@ -816,7 +803,7 @@ class _Objective:
         self.reps = tuple(orders) if orders is not None else (1,) * count
         fixed = bundle.make_tuple(self.prefix, cfg)
         if span is None and self.prefix:
-            span = bundle.span(fixed)
+            span = bundle.read(fixed)
         if span is not None and self.reps != (1,):
             raise ValueError("a fixed prefix takes one moving node of order 1")
         self.span = span
@@ -1122,7 +1109,7 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None
     gradient of the captured energy, started at ``x0`` on the flattened real
     coordinates of the moving nodes, in the box ``[-R, R]`` of the search
     radius R: a lockstep search of one lane, as greedy steps and the merge
-    polish run it.  ``span``, if given, is the ``_Span`` of ``prefix``.  It
+    polish run it.  ``span``, if given, is the ``_Read`` of ``prefix``.  It
     returns what ``_reported`` reports."""
     x0 = np.asarray(x0, dtype=np.float64)
     objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders, span)
@@ -1170,45 +1157,55 @@ def _disc_grid(radius: float, density: int) -> np.ndarray:
 class _Grid(NamedTuple):
     """The disc grid of a search: its points, the conjugate transpose of
     their kernel rows times the weights (the powers ``conj(c)**k``, flushed
-    as in ``spaces._kernel_powers``), the rows' squared norms, and each grid
-    kernel's energy increment on the empty span."""
+    as in ``spaces._kernel_powers``), the rows' squared norms, and the
+    signals' pairings ``<f_m, K_g>`` with them."""
 
     points: np.ndarray
     weighted_h: np.ndarray
     raw: np.ndarray
-    single: np.ndarray | None
+    pairs: np.ndarray
 
 
-def _grid_increments(bundle: _Bundle, grid: _Grid, span: _Span) -> np.ndarray:
-    """Energy increment of adding each grid kernel ``K_g`` to the span.  With
-    ``Q`` the span's basis and ``R`` its residual, the increment is
-    ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``: one
-    product with ``Q`` and one with ``R``.  It is -inf where the denominator
-    is at most ``1e-12 ||K_g||^2``."""
-    proj = span.basis @ grid.weighted_h  # conj(<K_g, Q_j>)
+def _grid_increments(bundle: _Bundle, grid: _Grid, read: _Read) -> np.ndarray:
+    """Energy increment of adding each grid kernel ``K_g`` to the tuple whose
+    ``_Read`` is ``read``.  With ``Q`` its basis, ``C`` its coefficients and
+    ``R_m = f_m - P_Q f_m`` the residual, the increment is ``sum_m p_m
+    |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, where ``<R_m, K_g>
+    = <f_m, K_g> - sum_j C_mj <Q_j, K_g>``: one product with ``Q`` and one
+    with ``C``.  It is -inf where the denominator is at most ``1e-12
+    ||K_g||^2``.  That form rounds by eps ``||f_m|| ||K_g||``, which the
+    increment divides by the norm of ``u_g``, the part of ``K_g`` outside the
+    span; where ``||u_g||^2 < _GRID_NEAR ||K_g||^2`` the pairing is ``<f_m,
+    u_g> - sum_j C_mj <Q_j, u_g>`` instead, which rounds as a formed residual
+    would, by eps ``||f_m|| ||u_g||`` and eps ``||R_m|| ||K_g||``."""
+    proj = read.basis @ grid.weighted_h  # <Q_j, K_g>
     norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
-    gains = bundle.probs @ np.abs(span.residual @ grid.weighted_h) ** 2
+    pairs = grid.pairs - read.coeffs @ proj
+    near = norms < _GRID_NEAR * grid.raw
+    outside = grid.weighted_h[:, near] - (bundle.spec.weights * read.basis).conj().T @ proj[:, near]  # W u_g
+    pairs[:, near] = bundle.matrix @ outside - read.coeffs @ (read.basis @ outside)
+    gains = bundle.probs @ np.abs(pairs) ** 2
     ok = norms > 1e-12 * grid.raw
     out = np.full(len(grid.points), -np.inf)
     out[ok] = gains[ok] / norms[ok]
     return out
 
 
-def _grid(bundle: _Bundle, points: np.ndarray, empty: _Span | None = None) -> _Grid:
-    """The grid of ``points``, scored on the empty span ``empty`` (built here when not given)."""
+def _grid(bundle: _Bundle, points: np.ndarray) -> _Grid:
+    """The grid of ``points``."""
     rows = kernel_matrix(bundle.spec, points)
     w = bundle.spec.weights
     raw = np.real(np.sum(w * np.abs(rows) ** 2, axis=1))
     rows *= w
-    grid = _Grid(points, np.conj(_flushed(rows), out=rows).T, raw, None)
-    return grid._replace(single=_grid_increments(bundle, grid, empty or bundle.span(ParamTuple(()))))
+    weighted_h = np.conj(_flushed(rows), out=rows).T
+    return _Grid(points, weighted_h, raw, bundle.matrix @ weighted_h)
 
 
-def _search_grid(bundle: _Bundle, cfg: OptimizerConfig, empty: _Span | None = None) -> _Grid:
+def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
     """The search's ``_Grid``, built once per bundle and ``_search_key``."""
     key = _search_key(bundle, cfg)
     if key not in bundle._grids:
-        bundle._grids[key] = _grid(bundle, _disc_grid(*key[:2]), empty)
+        bundle._grids[key] = _grid(bundle, _disc_grid(*key[:2]))
     return bundle._grids[key]
 
 
@@ -1216,20 +1213,18 @@ def _greedy_step(bundle: _Bundle, cfg: OptimizerConfig, prefix: tuple):
     """Greedy's step after ``prefix``, kept per bundle, ``_search_key`` and
     prefix points: the points and captured energy after it, or None where
     the prefix captures the signal (``_Bundle.captures``) or no grid node
-    adds energy.  It reads the ``_Span`` of its prefix, which lives for the
-    step only (the empty one also scores the grid), scans the grid and runs
-    its local search on it."""
+    adds energy.  It reads the ``_Read`` of its prefix, scans the grid and
+    runs its local search on it."""
     key = (_search_key(bundle, cfg), prefix)
     if key not in bundle._steps:
-        fixed = bundle.make_tuple(prefix, cfg)
+        read = bundle.read(bundle.make_tuple(prefix, cfg))
         step = None
-        if not bundle.captures(bundle.read(fixed).energy):
-            span = bundle.span(fixed)
-            grid = _search_grid(bundle, cfg, None if prefix else span)
-            inc = _grid_increments(bundle, grid, span) if prefix else grid.single
+        if not bundle.captures(read.energy):
+            grid = _search_grid(bundle, cfg)
+            inc = _grid_increments(bundle, grid, read)
             best = int(np.argmax(inc))
             if np.isfinite(inc[best]) and inc[best] > 0.0:
-                step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix, span=span)
+                step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix, span=read)
         bundle._steps[key] = step
     return bundle._steps[key]
 
@@ -1448,7 +1443,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
 
     rng = np.random.default_rng(cfg.seed)
     grid = _search_grid(bundle, cfg)
-    top = grid.points[np.argsort(grid.single)[::-1][: max(3 * n, 8)]]
+    single = _grid_increments(bundle, grid, bundle.read(bundle.make_tuple((), cfg)))
+    top = grid.points[np.argsort(single)[::-1][: max(3 * n, 8)]]
     n_top = cfg.multistart // 2
     for _ in range(n_top):
         if len(top) >= n:

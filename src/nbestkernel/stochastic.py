@@ -16,8 +16,9 @@ An ensemble holds one M x (N+1) coefficient array.  ``generate_ensemble``
 writes its draws straight into it, and every pass over all realizations
 (norms, compression, the final coefficients and residual) streams through it
 a block of rows at a time, so the memory beyond that array is the M x r
-factor, the M x n coefficients and block-sized temporaries, except for a
-search on a full-rank ensemble, whose greedy spans hold one residual array.
+factor, the M x n coefficients and block-sized temporaries; greedy reads
+each prefix's coefficients and forms no residual array.  A full-rank
+ensemble adds its rank screen's M x M Gram matrix and Cholesky factor.
 The norms take one pass per ensemble: its norm check and its search read
 the same ones.
 """

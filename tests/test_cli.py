@@ -64,6 +64,7 @@ def test_parse_minimal_config_defaults():
         (lambda c: c.update(surprise=1), "/surprise"),
         (lambda c: c["optimizer"].update(unknown_knob=2), "/optimizer/unknown_knob"),
         (lambda c: c.update(n=-1), "/n"),
+        *((lambda c, cap=cap: c["space"].update(radius_cap=cap), "/space/radius_cap") for cap in (0, 1, 1.5, -0.5)),
     ],
 )
 def test_parse_rejections_carry_paths(mutate, fragment):
@@ -168,6 +169,18 @@ def test_optimizer_config_rejects_bad_floats(knob, value):
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(cfg))
         assert str(err.value).startswith(f"/optimizer/{knob}: ")
+
+
+def test_delta_at_the_radius_cap_margin_is_accepted():
+    """``delta = 0.01`` leaves the search radius at the default cap, 0.99,
+    though ``1.0 - 0.99`` rounds to 0.010000000000000009; 0.005 stays out."""
+    assert OptimizerConfig(delta=0.01).delta == 0.01
+    cfg = json.loads(json.dumps(NBEST_CFG))
+    cfg["optimizer"]["delta"] = 0.01
+    assert parse_config(json.dumps(cfg)).optimizer.delta == 0.01
+    cfg["optimizer"]["delta"] = 0.005
+    with pytest.raises(ConfigError, match="^/optimizer/delta: delta must satisfy 1 - delta <= 0.99"):
+        parse_config(json.dumps(cfg))
 
 
 def test_dump_json_rejects_non_finite(tmp_path):

@@ -29,7 +29,6 @@ from nbestkernel.engine import (
     _Nodes,
     _Objective,
     _reflected_points,
-    _Span,
 )
 from nbestkernel.orthosystem import _gram_schmidt_impl
 from nbestkernel.spaces import _falling_factorial, _kernel_powers, _kernel_rows
@@ -422,8 +421,8 @@ def _span_bundle(spec, m):
 
 
 def _on_span(bundle, prefix, a, cfg):
-    """The prefix's span and the capture of one node appended to it."""
-    span = bundle.span(bundle.make_tuple(prefix, cfg))
+    """The prefix's read and the capture of one node appended to it."""
+    span = bundle.read(bundle.make_tuple(prefix, cfg))
     return span, bundle.captured(_Nodes(np.array([[a]]), (1,)), np.array([0]), span=span)
 
 
@@ -472,6 +471,88 @@ def test_span_gradient_matches_central_differences(family, m):
         assert value == pytest.approx(mgs(x), rel=1e-10)
         fd = _five_point_differences(mgs, x, h=1e-4)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+NEAR_CAPTURE_PREFIX = SPAN_PREFIXES["2"]
+EPS = np.finfo(np.float64).eps
+
+
+def _near_capture_bundle(spec, m, level):
+    """A bundle whose signals leave ``level`` of their norm outside the span
+    of ``NEAR_CAPTURE_PREFIX``: kernel mixes on its nodes plus a multiple of
+    one polynomial, a single signal or the rank-3 factor of M = 16 of them."""
+    rng = np.random.default_rng(m)
+    kernels = [kernel(spec, a).coeffs for a in NEAR_CAPTURE_PREFIX]
+    weights = np.array([[1.0, 0.7, 1.0]])
+    if m > 1:
+        weights = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    poly = as_element(spec, rng.standard_normal(9) + 1j * rng.standard_normal(9)).coeffs
+    mix = weights[:, :2] @ np.array(kernels)
+    rest = weights[:, 2:] * poly
+    probs = np.full(m, 1.0 / m)
+    cfg = OptimizerConfig()
+    left = _Bundle(spec, rest, probs).finalize(NEAR_CAPTURE_PREFIX, cfg)[3]
+    scale = level * np.sqrt(_Bundle(spec, mix, probs).total_sq) / left
+    bundle = _Bundle(spec, mix + scale * rest, probs)
+    residual = bundle.finalize(NEAR_CAPTURE_PREFIX, cfg)[3]
+    assert 0.5 * level <= residual / np.sqrt(bundle.total_sq) <= 2.0 * level
+    if m == 1:
+        return bundle
+    factor = bundle.compressed()
+    assert len(factor.probs) == 3
+    return factor
+
+
+def _increment(bundle, prefix, a):
+    """The energy that node ``a`` adds to ``prefix``, from the explicit
+    two-pass residual ``R`` of the signals and kernel part ``u`` outside the
+    prefix's basis: ``sum_m p_m |<R_m, u>|^2 / ||u||^2``."""
+    w = bundle.spec.weights
+    basis = bundle.read(bundle.make_tuple(prefix, OptimizerConfig())).basis
+
+    def outside(rows):
+        for _ in range(2):
+            rows = rows - ((rows * w) @ basis.conj().T) @ basis
+        return rows
+
+    u = outside(kernel(bundle.spec, a).coeffs[None])[0]
+    pairs = outside(bundle.matrix) @ (w * u).conj()
+    return float(bundle.probs @ np.abs(pairs) ** 2) / float(np.sum(w * np.abs(u) ** 2))
+
+
+@pytest.mark.parametrize("level", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_span_near_capture_matches_mgs_and_central_differences(family, m, level):
+    """Where the prefix leaves only ``level`` of the norm, ``||R|| <<
+    ||f||``, a greedy step's energy is the MGS energy of the extended tuple
+    within 1e-12 of the total energy, and its gradient matches five-point
+    central differences of the explicit increment ``_increment``, for free
+    nodes and nodes 1e-2 from a prefix node.  Pairings with the residual
+    formed as ``<f_m, v> - sum_j C_mj <Q_j, v>`` carry rounding of eps
+    ``||f||``, so the gradient loses about ``||f|| / ||R|| = 1 / level`` in
+    relative accuracy: it is held to ``1e-6 + 1e4 eps / level`` (up to 1.3e3
+    eps / level in these cases).  The energy's own rounding, eps times the
+    prefix energy, stays far above that loss at every level."""
+    spec = SPACES[family]
+    bundle = _near_capture_bundle(spec, m, level)
+    cfg = OptimizerConfig()
+    prefix = NEAR_CAPTURE_PREFIX
+    nodes = SPAN_NODES[:2] + (prefix[0] + 1e-2, prefix[1] + 1e-2j)
+    for a in nodes:
+        _, cap = _on_span(bundle, prefix, a, cfg)
+        assert not cap.failed[0]
+        ref = bundle.read(bundle.make_tuple(prefix, cfg).extended(a)).energy
+        assert abs(cap.value[0] - ref) <= 1e-12 * bundle.total_sq
+        objective = _Objective(bundle, cfg, 1, prefix)
+        x = _as_x([a])
+        _, grad = objective.value_and_grad(x)
+
+        def increment(x):
+            return -objective.gain * _increment(bundle, prefix, complex(x[0], x[1]))
+
+        fd = _five_point_differences(increment, x, h=1e-4)
+        assert np.max(np.abs(grad - fd)) <= (1e-6 + 1e4 * EPS / level) * np.max(np.abs(fd))
 
 
 def _span_objective(bundle, cfg, prefix, a):
@@ -539,7 +620,7 @@ def test_finalize_keeps_pythagoras_on_a_degraded_tuple(family, m):
     params, coeffs, cap, residual, degraded = bundle.finalize((0.5, a, a + 1e-12), cfg)
     assert degraded
     assert params.points == (0.5, a)
-    span = bundle.span(params)
+    span = bundle.read(params)
     assert len(params) == len(span.basis) and coeffs.shape == (m, len(params))
     assert abs(cap + residual**2 - bundle.total_sq) <= 1e-12 * bundle.total_sq
     ref = bundle.read(params).energy
@@ -547,18 +628,32 @@ def test_finalize_keeps_pythagoras_on_a_degraded_tuple(family, m):
     assert cap == span.energy
 
 
-def test_greedy_runs_on_spans_and_keeps_none_on_the_bundle(monkeypatch):
+def _arrays(value):
+    """The arrays in ``value``, a dict, tuple or list of them included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+def test_greedy_keeps_no_array_as_large_as_the_signals_on_the_bundle(monkeypatch):
+    """Greedy forms no Gram matrix, and after it no value kept on the bundle
+    holds an array as large as the signals' matrix: a step reads its prefix's
+    ``_Read`` and keeps no residual.  M = 128 realizations exceed the grid's
+    points, so the grid's arrays are smaller too."""
     monkeypatch.setattr(_Bundle, "_gram_captured", _no_gram)
     spec = SPACES["weighted_hardy"]
-    bundle = _Bundle.single(spec, _signal(spec, 15))
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.5}, 128, seed=15)
+    bundle = _Bundle(spec, ens.matrix, ens.probs)
     names = set(vars(bundle))
     steps: list = []
     assert len(_greedy_points(bundle, 3, OptimizerConfig(grid_density=12, max_iter=40), steps)) == 3
     assert len(steps) == 3
     assert set(vars(bundle)) == names
-    for value in vars(bundle).values():
-        kept = value.values() if isinstance(value, dict) else [value]
-        assert not any(isinstance(v, _Span) for v in kept)
+    kept = [a for name, value in vars(bundle).items() if name != "matrix" for a in _arrays(value)]
+    assert any(a.shape == (128, 3) for a in kept)  # the 3-node tuple's coefficients
+    assert max(a.size for a in kept) < bundle.matrix.size
 
 
 # -- no MGS in the search ----------------------------------------------------------------
@@ -576,8 +671,8 @@ def test_captured_marks_failed_rows_without_mgs(monkeypatch):
     assert _min_pivot_ratio(bundle, tuples[1]) < _PIVOT_FLOOR
     near = prefix[1] + 1e-12
     assert bundle.read(bundle.make_tuple(prefix + (near,), cfg)).degraded
-    span = bundle.span(bundle.make_tuple(prefix, cfg))
-    degenerate = bundle.span(bundle.make_tuple((prefix[1], near), cfg))
+    span = bundle.read(bundle.make_tuple(prefix, cfg))
+    degenerate = bundle.read(bundle.make_tuple((prefix[1], near), cfg))
     monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
 
     nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)

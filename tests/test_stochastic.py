@@ -316,8 +316,8 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
     assert abs(got[0] - want[0]) <= 1e-12 * scale
 
     points = _disc_grid(0.45, 8)
-    got = _grid_increments(factor, _grid(factor, points), factor.span(params))
-    want = _grid_increments(full, _grid(full, points), full.span(params))
+    got = _grid_increments(factor, _grid(factor, points), factor.read(params))
+    want = _grid_increments(full, _grid(full, points), full.read(params))
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     ok = np.isfinite(want)
     assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
@@ -452,14 +452,13 @@ def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypat
     result reads the candidate ranking's finalization of the winner instead of
     finalizing it again: each tuple's residual norm is summed once, over the
     residual of its read's coefficients (``finalize`` is the one caller of
-    ``_residual`` without ``out``)."""
+    ``_residual``)."""
     calls = []
     residual = _Bundle._residual
 
-    def counted(self, rows, basis, coeffs, out=None):
-        if out is None:
-            calls.append((id(self), id(coeffs), rows.start))
-        return residual(self, rows, basis, coeffs, out)
+    def counted(self, rows, basis, coeffs):
+        calls.append((id(self), id(coeffs), rows.start))
+        return residual(self, rows, basis, coeffs)
 
     monkeypatch.setattr(_Bundle, "_residual", counted)
     if kind == "single":
@@ -482,10 +481,10 @@ def test_a_full_rank_search_sums_residuals_only_inside_the_ranking_window(hardy_
     summed = []
     residual = _Bundle._residual
 
-    def counted(self, rows, basis, coeffs, out=None):
-        if out is None and rows.start == 0:
+    def counted(self, rows, basis, coeffs):
+        if rows.start == 0:
             summed.append(float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1)))  # the read's energy
-        return residual(self, rows, basis, coeffs, out)
+        return residual(self, rows, basis, coeffs)
 
     monkeypatch.setattr(_Bundle, "_residual", counted)
     e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
@@ -555,12 +554,11 @@ def test_row_block_passes_equal_whole_array_formulas(m):
     """Every pass over the realizations runs a row block at a time; each
     quantity equals its formula on the whole matrix at once, bit for bit, for
     M on both sides of a block boundary and ending in a partial block: the
-    norms, the MGS energy, a span's basis, residual and energy, and the
-    coefficients, energy and residual norm of ``finalize``.  The one
-    exception is a last block of a single row (M = 65): numpy takes a one-row
-    product through its vector kernels, which round otherwise, so that row's
-    coefficients and residual, and the sums over rows, agree to 1e-12
-    relative."""
+    norms, the MGS energy, a read's basis and energy, and the coefficients,
+    energy and residual norm of ``finalize``.  The one exception is a last
+    block of a single row (M = 65): numpy takes a one-row product through its
+    vector kernels, which round otherwise, so that row's coefficients, and
+    the sums over rows, agree to 1e-12 relative."""
     bundle = _block_bundle(m)
     matrix, probs, w = bundle.matrix, bundle.probs, BLOCK_SPACE.weights
     alone = m % _RANK_BLOCK == 1 and m > 1
@@ -591,10 +589,8 @@ def test_row_block_passes_equal_whole_array_formulas(m):
         residual = matrix - coeffs @ basis
         residual -= (residual @ (w * basis).conj().T) @ basis
         residual = _flushed(residual)
-        span = bundle.span(params)
-        assert np.array_equal(span.basis, basis)
-        same_rows(span.residual, residual)
-        same(span.energy, energy)
+        assert np.array_equal(read.basis, basis)
+        same(read.energy, energy)
 
         _, got_coeffs, got_energy, got_residual, _ = bundle.finalize(params.points, cfg)
         same_rows(got_coeffs, coeffs)
@@ -617,4 +613,24 @@ def test_rank1_ensemble_peak_memory_is_bounded(hardy_small):
     finally:
         tracemalloc.stop()
     assert res.trace[0]["rank"] == 1
+    assert peak <= 1.5 * e.matrix.nbytes
+
+
+def test_full_rank_search_peak_memory_is_bounded():
+    """A search on a full-rank ensemble of M = 256 on hardy degree 1024 (4.2
+    MB of coefficients) allocates at most 1.5 times its coefficient bytes:
+    greedy reads each prefix's coefficients and forms no residual array.  It
+    measured 1.28 times them, most of it the rank screen's M x M Gram matrix
+    and its Cholesky factor; with the M x (N+1) residual that greedy's spans
+    held, 1.70 times."""
+    spec = SpaceSpec.hardy()
+    e = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.0}, 256, seed=1)
+    cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=200, seed=0)
+    tracemalloc.start()
+    try:
+        res = stochastic_nbest(e, 2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trace[0]["rank"] == 256
     assert peak <= 1.5 * e.matrix.nbytes
