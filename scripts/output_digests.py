@@ -10,11 +10,14 @@ cases in ``EDGE``, among them ensembles that end in a partial row block, a
 search on degree 40, where the Gram path's kernel rows have length 32 or
 41, signals on both sides of the n-best search's exact path (exact kernel
 mixes, which it certifies, and the same mix plus a polynomial of 1e-9 of
-its norm, which it declines), and n-best decay sweeps that run past the
-capture of an exact mix and of a single kernel.  Each task runs through
+its norm, which it declines), n-best decay sweeps that run past the
+capture of an exact mix and of a single kernel, and searches for more nodes
+than a degree-2 space has coefficients.  Each task runs through
 ``cli.parse_config`` and ``cli.run_task`` from this checkout's ``src`` on one
 BLAS thread, so two checkouts whose programs write the same bytes print the
-same digests.  Run it in each checkout and compare the two files:
+same digests.  A task that raises is recorded under its label as ``error:
+<exception type>``, and the other tasks still run.  Run it in each checkout
+and compare the two files:
 
     python3 scripts/output_digests.py --seeds 1 2 3 101 > digests.json
 
@@ -39,13 +42,16 @@ moves only traces shows that every approximation kept its bytes:
 
 With ``--compare A.json B.json`` it reads two such files instead of running
 anything.  For digest files it prints how many files are identical and how
-many differ, and lists those that differ or appear in one file only.  For
+many differ, and lists those that differ or appear in one file only; a
+task that raised in either file differs unless it raised alike in both, and
+is listed once, by its label.  For
 ``--residuals`` files it prints, per group (the first part of each label:
 ``configs``, ``sweep``, ...), how many rows B has worse and better than A by
 more than 1e-9 relative, and the mean and the worst (largest) residual /
 norm of each, so that a mean cannot hide a loss on one task, then lists
-each worse row as ``worse: <label> <A> <B>``.  The exit status is 1 when a
-file differs or a row is worse, else 0:
+each worse row as ``worse: <label> <A> <B>``, and each task that raised in
+either file as ``differs: <label>``.  The exit status is 1 when a file
+differs, a task raised in one file only or a row is worse, else 0:
 
     python3 scripts/output_digests.py --compare parent.json change.json
 
@@ -74,6 +80,7 @@ import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,6 +167,12 @@ def _mix_plus_polynomial():
     return {"coefficients": [[z.real, z.imag] for z in (mix + poly).tolist()]}
 
 
+# A degree-2 space has N + 1 = 3 coefficients; n-best searches for n >= N + 2
+# nodes there end at the 3 nodes that capture the signal.
+_TINY_SPACE = {"family": "hardy", "degree": 2, "radius_cap": 0.05}
+_TINY_SIGNAL = {"coefficients": [[1.0, 0.0], [0.5, 0.0], [0.2, 0.1]]}
+_TINY_ENSEMBLE = {"random": {"kind": "decaying_gaussian", "gamma": 1.0, "M": 6, "seed": 1}}
+
 _PARTIAL_BLOCK_M = 100
 _GAUSSIAN = {"kind": "decaying_gaussian", "gamma": 1.0, "M": _PARTIAL_BLOCK_M, "seed": 3}
 EDGE = {
@@ -183,15 +196,25 @@ EDGE = {
     "nbest-order3-atom": ("nbest", {"kernel_mix": [{"a": [-0.2, -0.3], "c": [0.8, -0.6], "order": 3}]}, 3),
     "nbest-sweep-past-exact-mix": ("nbest", {"kernel_mix": _EXACT_MIX}, 4),
     "nbest-sweep-past-single-kernel": ("nbest", {"kernel_mix": [{"a": [0.3, 0.2], "c": [1.0, 0.0]}]}, 3),
+    "nbest-more-nodes-than-coefficients": ("nbest", _TINY_SIGNAL, 4),
+    "nbest-sweep-more-nodes-than-coefficients": ("nbest", _TINY_SIGNAL, 4),
+    "stochastic-more-nodes-than-coefficients": ("stochastic", _TINY_ENSEMBLE, 5),
 }
 # The space of each edge task that does not run on _SPACE.
 EDGE_SPACES = {
     "stochastic-fullrank-partial-block": _WIDE_SPACE,
     "nbest-degree40-near-cap": _SHORT_SPACE,
+    "nbest-more-nodes-than-coefficients": _TINY_SPACE,
+    "nbest-sweep-more-nodes-than-coefficients": _TINY_SPACE,
+    "stochastic-more-nodes-than-coefficients": _TINY_SPACE,
 }
 # The edge tasks that run as decay sweeps to their n: every row past the
 # signal's capture keeps the captured tuple.
-EDGE_SWEEPS = {"nbest-sweep-past-exact-mix", "nbest-sweep-past-single-kernel"}
+EDGE_SWEEPS = {
+    "nbest-sweep-past-exact-mix",
+    "nbest-sweep-past-single-kernel",
+    "nbest-sweep-more-nodes-than-coefficients",
+}
 
 
 def tasks(seeds, groups=GROUPS):
@@ -239,19 +262,39 @@ def _worse(x: float, y: float) -> bool:
     return y - x > 1e-9 * max(x, y)
 
 
+def _raised(a: dict, b: dict) -> list:
+    """The labels of the tasks that raised in ``a`` or ``b`` and do not
+    match: a task that raised is one ``error:`` entry under its label, and
+    one that ran has an entry per output under it.  Every entry of a task
+    that raised in either is removed from both."""
+    labels = sorted({k for d in (a, b) for k, v in d.items() if str(v).startswith("error: ")})
+    differ = []
+    for label in labels:
+        sides = []
+        for d in (a, b):
+            keys = [k for k in d if k == label or k.startswith(label + "/")]
+            sides.append({k: d.pop(k) for k in keys})
+        if sides[0] != sides[1]:
+            differ.append(label)
+    return differ
+
+
 def compare(a: dict, b: dict) -> int:
     """Print how the outputs of ``b`` differ from those of ``a``; 1 when a
-    digest differs or a residual row is worse."""
+    digest differs, a task raised in one of them only or a residual row is
+    worse."""
+    a, b = dict(a), dict(b)
+    raised = _raised(a, b)
     only = sorted(set(a) ^ set(b))
     for label in only:
         print(f"only in {'A' if label in a else 'B'}: {label}")
     shared = sorted(set(a) & set(b))
     if all(isinstance(a[k], str) for k in shared):
-        differ = [k for k in shared if a[k] != b[k]]
-        print(f"{len(shared) - len(differ)} identical, {len(differ)} differing")
-        for label in differ:
+        changed = [k for k in shared if a[k] != b[k]]
+        print(f"{len(shared) - len(changed)} identical, {len(changed) + len(raised)} differing")
+        for label in sorted(changed + raised):
             print(f"differs: {label}")
-        return int(bool(differ or only))
+        return int(bool(changed or raised or only))
     groups: dict = {}
     for label in shared:
         groups.setdefault(label.split("/")[0], []).append((a[label], b[label]))
@@ -266,7 +309,9 @@ def compare(a: dict, b: dict) -> int:
               f"{mean_a:.6e} {mean_b:.6e} {worst_a:.6e} {worst_b:.6e}")
     for label in worse:
         print(f"worse: {label} {a[label]!r} {b[label]!r}")
-    return int(bool(worse or only))
+    for label in raised:
+        print(f"differs: {label}")
+    return int(bool(worse or only or raised))
 
 
 def run_at(rev: str, args: list) -> dict:
@@ -306,7 +351,13 @@ def report(seeds, groups, residuals: bool, without_trace: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, text) in enumerate(tasks(seeds, groups)):
             path = Path(tmp) / str(i)
-            cli.run_task(cli.parse_config(text), path)
+            try:
+                cli.run_task(cli.parse_config(text), path)
+            except Exception as exc:  # recorded, so that the other tasks still run
+                print(f"{label}:", file=sys.stderr)
+                traceback.print_exc()
+                out[label] = f"error: {type(exc).__name__}"
+                continue
             if residuals:
                 out.update(relative_residuals(label, path))
                 continue

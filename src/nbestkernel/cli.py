@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DivergenceRiskError, DomainError
 from .spaces import DEFAULT_DEGREE, AnalyticFunction, SpaceSpec, _jsonify, as_element
 from .engine import (
     ApproximationResult,
@@ -144,8 +144,10 @@ def _parse_space(obj, path: str) -> SpaceSpec:
             _fail(f"{path}/radius_cap", "radius_cap must lie in (0, 1)")
     try:
         return SpaceSpec(family, param, degree, **kwargs)
-    except ValueError as exc:
+    except DomainError as exc:  # the truncation at radius_cap
         _fail(path, str(exc))
+    except ValueError as exc:  # the weights of param
+        _fail(f"{path}/param", str(exc))
 
 
 def _parse_atoms(items, path: str, spec: SpaceSpec) -> list[tuple[complex, complex, int]]:
@@ -226,8 +228,8 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
             weights = [_number(x, f"{path}/weights/{i}") for i, x in enumerate(w)]
         try:
             ensemble = Ensemble.from_functions(spec, funcs, weights)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        except ValueError as exc:  # only the weights can be refused
+            _fail(f"{path}/weights", str(exc))
         return _checked_norm(ensemble, spec, path)
     rnd = _expect_mapping(
         obj["random"],
@@ -255,6 +257,8 @@ def _parse_signal(obj, path: str, spec: SpaceSpec, single: bool):
         _fail(f"{path}/random/kind", f"unknown random signal kind {kind!r}")
     try:
         return generate_ensemble(spec, kind, params, m, seed)
+    except DivergenceRiskError as exc:
+        _fail(f"{path}/random/gamma", str(exc))
     except ValueError as exc:
         _fail(f"{path}/random", str(exc))
 

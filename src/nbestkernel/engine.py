@@ -41,9 +41,9 @@ about 260 us, of which about 70 us are ``_descend``'s own steps, 36 us the
 objective's mirror and merge tests around the evaluation, and 154 us the
 evaluation.  A branch that skips work for some calls stays only where its
 function's recorded calls replayed faster with it in at least 44 of 61
-alternations (``scripts/replay_calls.py``): the evaluators' skips of a mask
-copy (45), preallocated arrays (46) and result arrays (Gram 44, span 57,
-objective 54), the unmirrored return of ``_reflected_points`` (54), both of
+alternations (``scripts/replay_calls.py``): the evaluators' skips of
+preallocated arrays (46) and result arrays (Gram 44, span 57, objective
+54), the unmirrored return of ``_reflected_points`` (54), both of
 ``_apart``'s (61, 61), ``_kernel_rows``' order-1 return (61),
 ``compressed``'s first-deflation reuse (60) and four in ``_descend``.
 Greedy selection maximizes the per-step energy increment over a coarse disc
@@ -230,23 +230,13 @@ class ApproximationResult:
 
 
 class _Capture(NamedTuple):
-    """One evaluation of a ``_Nodes`` batch, one entry per tuple: the value,
-    dE/da per moving node, and whether the evaluation failed, in which case
-    the tuple's value is NaN and its ``grad`` row zero."""
+    """One evaluation of a batch of tuples (``_Bundle.captured``), one entry
+    per tuple: the value, dE/da per node, and whether the evaluation failed,
+    in which case the tuple's value is NaN and its ``grad`` row zero."""
 
     value: np.ndarray
     grad: np.ndarray
     failed: np.ndarray
-
-
-class _Nodes(NamedTuple):
-    """B node tuples of one structure, evaluated together without building a
-    ``ParamTuple`` for any of them: ``centers`` (B x n) holds each tuple's
-    kernel centers and ``orders`` the n kernel orders they share, as in a
-    ``ParamTuple``'s fields."""
-
-    centers: np.ndarray
-    orders: tuple
 
 
 class _Read(NamedTuple):
@@ -484,21 +474,21 @@ class _Bundle:
         their energy by at most ``_EXACT_CAPTURE_TOL`` of it."""
         return self.total_sq - energy <= _EXACT_CAPTURE_TOL * self.total_sq
 
-    def captured(self, nodes: _Nodes, owners: np.ndarray, span=None) -> _Capture:
-        """Captured energy of each tuple of a ``_Nodes`` batch and its
-        gradient, in one stacked evaluation; ``owners`` holds one entry per
-        tuple position: the index of the moving node it belongs to, or -1 if
-        fixed.  Without ``span`` each kernel Gram matrix is factored once, and a
-        tuple whose Cholesky pivot ratio falls below ``_PIVOT_FLOOR`` fails.
-        With ``span``, the ``_Read`` of a prefix, each tuple is one node
-        appended to that prefix, evaluated on its read (``_span_captured``)
-        without a Gram matrix, and fails by MGS's degeneracy test.  MGS never
-        runs here; a failed tuple lies outside the search domain
-        (``_Objective``).
+    def captured(self, centers: np.ndarray, orders: tuple, owners: np.ndarray, span=None) -> _Capture:
+        """Captured energy and gradient of B tuples of one structure in one
+        stacked evaluation, without a ``ParamTuple``: ``centers`` (B x n) and
+        ``orders`` as in its fields, and ``owners`` the moving node, from 0
+        up, of each position.  Without ``span`` every node moves, each Gram
+        matrix is factored once, and a tuple whose Cholesky pivot ratio
+        falls below ``_PIVOT_FLOOR`` fails.  With ``span``, the ``_Read`` of
+        a fixed prefix, each tuple is one node appended to it, evaluated on
+        its read (``_span_captured``) without a Gram matrix, and fails by
+        MGS's degeneracy test.  MGS never runs here; a failed tuple lies
+        outside the search domain (``_Objective``).
         """
         if span is not None:
-            return _Capture(*self._span_captured(nodes.centers[:, 0], span))
-        return _Capture(*self._gram_captured(nodes.centers, nodes.orders, owners))
+            return _Capture(*self._span_captured(centers[:, 0], span))
+        return _Capture(*self._gram_captured(centers, orders, owners))
 
     def system(self, params: ParamTuple) -> tuple[np.ndarray, bool]:
         """The MGS basis rows of the tuple and whether it degraded, kept per
@@ -544,12 +534,12 @@ class _Bundle:
         block -= np.matmul(block @ (self.spec.weights * basis).conj().T, basis, out=fit)
         return block
 
-    def _row_lengths(self, centers: np.ndarray, orders: tuple, moving: np.ndarray) -> np.ndarray:
+    def _row_lengths(self, centers: np.ndarray, orders: tuple) -> np.ndarray:
         """Each tuple's kernel row length on the Gram path: the shortest of
         ``_ROW_LENGTHS`` below N + 1, or N + 1, at which a tail bound on
-        every row the evaluation forms, of each node's order and, for a
-        moving node, of the next order, is at most eps**2 of that row's
-        squared norm (module docstring).
+        every row the evaluation forms, of each node's order and of the next
+        order, is at most eps**2 of that row's squared norm (module
+        docstring).
 
         The order-o row at radius r has squared-norm terms ``t_k = c_k
         r**(2 (k-o+1))`` with ``c_k = ff_{o-1}(k)**2 / W(k)``, and for k >= L
@@ -564,22 +554,19 @@ class _Bundle:
         lengths = self._lengths
         if len(lengths) == 1:
             return np.full(len(centers), lengths[0])
-        key = (orders, moving.tobytes())
-        limits = self._limits.get(key)
+        limits = self._limits.get(orders)
         if limits is None:
             weights = self.spec.weights.tobytes()
-            limits = self._limits[key] = np.array([
-                np.minimum(_order_reach(weights, o), _order_reach(weights, o + 1)) if m
-                else _order_reach(weights, o)
-                for o, m in zip(orders, moving)
+            limits = self._limits[orders] = np.array([
+                np.minimum(_order_reach(weights, o), _order_reach(weights, o + 1)) for o in orders
             ])
         return lengths[(np.abs(centers)[:, :, None] > limits).sum(axis=2).max(axis=1)]
 
     def _gram_captured(self, centers: np.ndarray, orders: tuple, owners: np.ndarray):
         """Gram/Cholesky evaluation of the B tuples of ``centers`` at once:
-        their values, their gradients (one row per tuple), and the mask of
-        the tuples whose pivot ratios fall below the floor, which get
-        neither.
+        their values, their gradients (one row per tuple, one column per
+        node of ``owners``), and the mask of the tuples whose pivot ratios
+        fall below the floor, which get neither.  Every node moves.
 
         With x = G^{-1} v and residual r = f - Pf, the envelope theorem gives
         dE/da_c = sum_m p_m sum_{j at c} conj(x_mj) <r_m, K_j+>, where K_j+ is
@@ -595,16 +582,12 @@ class _Bundle:
         bits whichever batch it is evaluated in.
         """
         count, n = centers.shape
-        own = owners.tolist()
-        moving = owners >= 0
-        length = self._row_lengths(centers, orders, moving)
+        length = self._row_lengths(centers, orders)
         top = int(length.max())
         powers = _kernel_powers(centers.ravel(), top).reshape(count, n, top)
         degree = self.spec.max_degree
         rows = _kernel_rows(powers, orders, degree)
-        nxt_orders = [o + 1 for o, j in zip(orders, own) if j >= 0]
-        all_move = len(nxt_orders) == n  # then rows and coefficients need no copy by mask
-        nxt = _kernel_rows(powers if all_move else powers[:, moving], nxt_orders, degree)
+        nxt = _kernel_rows(powers, [o + 1 for o in orders], degree)
         sizes = sorted(set(length.tolist()))
         groups = []
         for size in sizes:
@@ -631,7 +614,7 @@ class _Bundle:
         chol = _cholesky(gram)
         floor = _PIVOT_FLOOR * np.sqrt(gram.diagonal(axis1=1, axis2=2).real)
         ok = (chol.diagonal(axis1=1, axis2=2).real >= floor).all(axis=1)
-        width = max(own) + 1
+        width = int(owners[-1]) + 1
         every = bool(ok.all())
         if not every:
             if not ok.any():
@@ -642,10 +625,9 @@ class _Bundle:
         x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
         # <r_m, K_j+> = <f_m, K_j+> - sum_i x_mi <K_i, K_j+>
         resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
-        x_moving = (x if all_move else x[:, moving]).transpose(0, 2, 1).conj()
-        per_row = (self.probs[:, None] * x_moving * resid_pairs).sum(axis=1)
+        per_row = (self.probs[:, None] * x.transpose(0, 2, 1).conj() * resid_pairs).sum(axis=1)
         held_grad = np.zeros((len(y), width), dtype=np.complex128)
-        np.add.at(held_grad, (slice(None), owners[moving]), per_row)
+        np.add.at(held_grad, (slice(None), owners), per_row)
         return (held_value, held_grad, ~ok) if every else _spread(ok, width, held_value, held_grad)
 
     def _span_captured(self, points: np.ndarray, read: _Read):
@@ -857,7 +839,7 @@ class _Objective:
                 return value, grad
             rows, raw, r, over = apart, raw[apart], r[apart], over[apart]
         moving = np.repeat(pts[rows], self.reps, axis=1)
-        cap = self.bundle.captured(_Nodes(moving, self.orders), self.owners, span=self.span)
+        cap = self.bundle.captured(moving, self.orders, self.owners, span=self.span)
         values = np.where(cap.failed, np.inf, -cap.value)
         # dE/dx + i dE/dy per node, zero on a failed row; a mirrored node
         # a = (2R - |u|) u / |u| moves against u radially and by
@@ -1167,23 +1149,23 @@ class _Grid(NamedTuple):
 
 
 def _grid_increments(bundle: _Bundle, grid: _Grid, read: _Read) -> np.ndarray:
-    """Energy increment of adding each grid kernel ``K_g`` to the tuple whose
-    ``_Read`` is ``read``.  With ``Q`` its basis, ``C`` its coefficients and
-    ``R_m = f_m - P_Q f_m`` the residual, the increment is ``sum_m p_m
-    |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, where ``<R_m, K_g>
-    = <f_m, K_g> - sum_j C_mj <Q_j, K_g>``: one product with ``Q`` and one
-    with ``C``.  It is -inf where the denominator is at most ``1e-12
-    ||K_g||^2``.  That form rounds by eps ``||f_m|| ||K_g||``, which the
-    increment divides by the norm of ``u_g``, the part of ``K_g`` outside the
-    span; where ``||u_g||^2 < _GRID_NEAR ||K_g||^2`` the pairing is ``<f_m,
-    u_g> - sum_j C_mj <Q_j, u_g>`` instead, which rounds as a formed residual
-    would, by eps ``||f_m|| ||u_g||`` and eps ``||R_m|| ||K_g||``."""
+    """Energy increment ``sum_m p_m |<R_m, K_g>|^2 / ||u_g||^2`` of adding
+    each grid kernel ``K_g`` to the tuple whose ``_Read`` is ``read``, with
+    ``Q`` its basis, ``C`` its coefficients, ``R_m = f_m - P_Q f_m`` the
+    residual and ``u_g`` the part of ``K_g`` outside the span: ``<f_m, K_g>
+    - sum_j C_mj <Q_j, K_g>`` over ``||K_g||^2 - sum_j |<K_g, Q_j>|^2``, one
+    product with ``Q`` and one with ``C``, and -inf where the denominator
+    is at most ``1e-12 ||K_g||^2``.  These forms round by eps ``||f_m||
+    ||K_g||`` and eps ``||K_g||^2``; where ``||u_g||^2 < _GRID_NEAR
+    ||K_g||^2`` both are read from ``u_g``: ``<f_m, u_g> - sum_j C_mj <Q_j,
+    u_g>``, which rounds as a formed residual would, and its squared norm."""
     proj = read.basis @ grid.weighted_h  # <Q_j, K_g>
     norms = grid.raw - np.sum(np.abs(proj) ** 2, axis=0)
     pairs = grid.pairs - read.coeffs @ proj
     near = norms < _GRID_NEAR * grid.raw
     outside = grid.weighted_h[:, near] - (bundle.spec.weights * read.basis).conj().T @ proj[:, near]  # W u_g
     pairs[:, near] = bundle.matrix @ outside - read.coeffs @ (read.basis @ outside)
+    norms[near] = bundle.inv_weights @ np.abs(outside) ** 2
     gains = bundle.probs @ np.abs(pairs) ** 2
     ok = norms > 1e-12 * grid.raw
     out = np.full(len(grid.points), -np.inf)
@@ -1241,8 +1223,6 @@ def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, p
             break
         points, total = list(kept[0]), kept[1]
         trace.append({"step": step + 1, "node": [points[-1].real, points[-1].imag], "energy": total})
-        if bundle.captures(total):
-            break
     return points
 
 
@@ -1368,14 +1348,15 @@ def _prony_candidate(bundle: _Bundle, k: int, cfg: OptimizerConfig):
 
 
 def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
-    """The Prony candidate at the smallest k <= n at which the signals obey
-    a recurrence of order k (``_annihilator``), as (points, energy, trace
-    fields), or None.  A bundle of more than n rows is not tested: n nodes
-    with multiplicity span at most n dimensions.  Each k's outcome is kept
-    per bundle, so every n of a sweep reads the same candidate."""
+    """The Prony candidate at the smallest k <= min(n, N) (no Hankel window
+    of N + 1 coefficients is longer) at which the signals obey a recurrence
+    of order k (``_annihilator``), as (points, energy, trace fields), or
+    None.  A bundle of more than n rows is not tested: n nodes with
+    multiplicity span at most n dimensions.  Each k's outcome is kept per
+    bundle, so every n of a sweep reads the same candidate."""
     if len(bundle.matrix) > n:
         return None
-    for k in range(1, n + 1):
+    for k in range(1, min(n, bundle.spec.max_degree) + 1):
         key = (k, *_search_key(bundle, cfg))
         if key not in bundle._exact:
             bundle._exact[key] = _prony_candidate(bundle, k, cfg)

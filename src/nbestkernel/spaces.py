@@ -48,7 +48,8 @@ def _weight_values(family: str, param: float, count: int) -> np.ndarray:
     if family == "hardy":
         return np.ones_like(ks)
     if family == "weighted_hardy":
-        return (1.0 + ks) ** param
+        with np.errstate(over="ignore"):  # SpaceSpec refuses an infinite weight
+            return (1.0 + ks) ** param
     # W(0) = 1 and W(k) / W(k-1) = k / (k + 1 + alpha): every factor is below
     # 1, so the product stays finite for large k and alpha, with one rounding
     # per factor.

@@ -76,7 +76,9 @@ class Ensemble:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (m.shape[0],) or np.any(p < 0.0):
             raise ValueError("weights must be non-negative, one per realization")
-        if abs(float(np.sum(p)) - 1.0) > 1e-12:
+        with np.errstate(over="ignore"):  # an infinite sum is refused too
+            total = float(np.sum(p))
+        if abs(total - 1.0) > 1e-12:
             raise ValueError("weights must sum to one within 1e-12")
         if m.flags.writeable or m.base is not None:
             m = m.copy()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -134,6 +135,37 @@ def test_random_ensembles_outside_the_normal_range_are_refused():
                "signal": signal}
     with pytest.raises(ConfigError, match="^/signal/random: squared signal norm"):
         parse_config(json.dumps(payload))
+
+
+_FIELD_SPACE = {"family": "hardy", "degree": 64, "radius_cap": 0.5}
+_TWO_REALIZATIONS = [[[1.0, 0.0]], [[0.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "task,space,signal,pointer",
+    [
+        *(("stochastic", _FIELD_SPACE, {"realizations": _TWO_REALIZATIONS, "weights": w}, "/signal/weights")
+          for w in ([0.5, 0.6], [-0.5, 1.5], [1e308, 1e308])),
+        ("stochastic", _FIELD_SPACE,
+         {"random": {"kind": "decaying_gaussian", "gamma": 0.3, "M": 4, "seed": 1}}, "/signal/random/gamma"),
+        *(("nbest", {"family": "weighted_hardy", "param": beta, "degree": 64, "radius_cap": 0.5},
+           {"coefficients": [[1.0, 0.0]]}, "/space/param") for beta in (1e6, -1e6)),
+    ],
+    ids=["weights-sum", "weights-negative", "weights-overflow", "gamma", "param-overflow", "param-underflow"],
+)
+def test_refused_values_point_at_their_field_without_a_warning(tmp_path, capsys, task, space, signal, pointer):
+    """Realization weights, a decay exponent and a space exponent that the
+    library refuses are reported at their own field, and no numpy warning is
+    printed on the way."""
+    cfg = {"task": task, "space": space, "signal": signal, "n": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+            parse_config(json.dumps(cfg))
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main([task, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: ") and "Warning" not in err
 
 
 def test_non_finite_space_param_exits_with_error(tmp_path, capsys):

@@ -37,6 +37,7 @@ from nbestkernel.engine import (
     _descend,
     _direction,
     _greedy_points,
+    _grid,
     _grid_increments,
     _lane_searches,
     _local_search,
@@ -754,9 +755,8 @@ def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
     transposed, and the rows' norms.  Increments from it, scored on the
     span's residual, match the explicit formula that projects each kernel row
     off the basis within 1e-9 relative, also at a grid node whose kernel is
-    nearly in the span (there the denominator ``||K_g||^2 - sum_j
-    |<K_g, Q_j>|^2`` loses about eps ||K_g||^2 / ||u_g||^2, 1e-10 at a
-    separation of 1e-3), and agree on which nodes are scored at all."""
+    nearly in the span (there the pairing and the denominator are read from
+    the projected row ``u_g``), and agree on which nodes are scored at all."""
     spec = MERGE_SPACES["bergman"]
     bundle = _Bundle.single(spec, _random_signal(spec, 34))
     grid = _search_grid(bundle, SWEEP_CFG)
@@ -778,6 +778,45 @@ def test_grid_increments_from_the_cached_grid_equal_those_from_its_rows():
         assert np.array_equal(np.isfinite(got), ok)
         assert ok.sum() == len(ok) - (points == (node,))
         assert np.max(np.abs(got[ok] - gains[ok] / norms[ok]) / (gains[ok] / norms[ok])) <= 1e-9
+
+
+def _mp_energy(spec, f, kernels):
+    """The captured energy ``v^H G^-1 v`` of ``f`` on the span of the
+    coefficient rows ``kernels``, in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(x)) for x in spec.weights]
+        rows = [[mpmath.mpc(complex(c)) for c in row] for row in (f, *kernels)]
+
+        def pair(x, y):
+            return mpmath.fsum(wk * xk * mpmath.conj(yk) for wk, xk, yk in zip(w, x, y))
+
+        n = len(kernels)
+        gram = mpmath.matrix([[pair(rows[1 + j], rows[1 + i]) for j in range(n)] for i in range(n)])
+        v = mpmath.matrix([pair(rows[0], row) for row in rows[1:]])
+        return mpmath.re((v.H * mpmath.lu_solve(gram, v))[0])
+
+
+def test_grid_increments_next_to_a_double_node_match_a_50_digit_reference():
+    """Next to an order-2 node of the tuple, ``||K_g||^2 - sum_j |<K_g,
+    Q_j>|^2`` cancels to 1e-10 of ``||K_g||^2``, so the grid reads its
+    denominator from ``u_g`` there: every increment 3e-3 and 1e-2 from the
+    double node is within 1e-12 of the signal's energy of the 50-digit
+    difference of the two tuples' energies."""
+    spec = SpaceSpec.weighted_hardy(0.5, max_degree=24, radius_cap=0.5)
+    rng = np.random.default_rng(5)
+    coeffs = (rng.standard_normal(25) + 1j * rng.standard_normal(25)) / (1 + np.arange(25))
+    bundle = _Bundle.single(spec, as_element(spec, coeffs))
+    a, b = 0.3 * np.exp(1.1j), -0.2 + 0.1j
+    read = bundle.read(ParamTuple((a, a, b)))
+    points = np.array([a + d * np.exp(1j * t) for d in (3e-3, 1e-2) for t in (0.0, 2.0, 3.5, 5.0)])
+    got = _grid_increments(bundle, _grid(bundle, points), read)
+    rows = [multiple_kernel(spec, a, 1).coeffs, multiple_kernel(spec, a, 2).coeffs, kernel(spec, b).coeffs]
+    base = _mp_energy(spec, coeffs, rows)
+    for g, inc in zip(points, got):
+        want = _mp_energy(spec, coeffs, [*rows, kernel(spec, g).coeffs]) - base
+        assert abs(inc - float(want)) <= 1e-12 * bundle.total_sq
 
 
 def _held_face_quadratic():
@@ -1294,6 +1333,23 @@ def test_sweep_past_an_exact_capture_keeps_its_residuals_nonincreasing(family):
         assert res.params.points == results[3].params.points
     for res in results[4:]:
         assert res.trace[1] == {"stage": "warm", "energy": results[3].energy}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_more_nodes_than_coefficients_end_at_the_captured_tuple(n):
+    """At n >= N + 2 no recurrence of order n has a Hankel window of the
+    N + 1 coefficients, so the exact path tests orders up to N only: nbest,
+    a decay sweep and stochastic_nbest end at N + 1 nodes that capture the
+    signals, as greedy does."""
+    spec = SpaceSpec.hardy(2, radius_cap=0.05)
+    f = as_element(spec, [1.0, 0.5, 0.2 + 0.1j])
+    cfg = OptimizerConfig(multistart=2, grid_density=6, max_iter=20)
+    greedy = afd_greedy(spec, f, n, cfg)
+    ens = generate_ensemble(spec, "decaying_gaussian", {"gamma": 1.0}, 6, 1)
+    results = [nbest(spec, f, n, cfg), *residual_decay_sweep(spec, f, n, cfg)[3:], stochastic_nbest(ens, n, cfg)]
+    for res in [greedy, *results]:
+        assert len(res.params.points) == 3
+        assert res.residual <= 1e-13 * res.norm
 
 
 @pytest.mark.parametrize("family", sorted(EXACT_SPACES))

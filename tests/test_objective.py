@@ -26,7 +26,6 @@ from nbestkernel.engine import (
     _as_x,
     _Bundle,
     _greedy_points,
-    _Nodes,
     _Objective,
     _reflected_points,
 )
@@ -58,7 +57,7 @@ def _capture(bundle, params, owners=None):
     each position moves as a node of its own."""
     if owners is None:
         owners = np.arange(len(params.centers))
-    return bundle.captured(_Nodes(np.array([params.centers]), params.orders), owners)
+    return bundle.captured(np.array([params.centers]), params.orders, owners)
 
 
 def _gram_value(bundle, params):
@@ -310,7 +309,7 @@ BATCH_LANES = {
 @pytest.mark.parametrize("m", [1, 16])
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_batched_gram_matches_single_tuples(family, m, monkeypatch):
-    """B tuples in one ``_Nodes`` batch: each row's value and gradient is the
+    """B tuples in one ``captured`` batch: each row's value and gradient is the
     single tuple's, bit for bit at M = 1 and within 1e-13 relative at M = 16,
     and a tuple below the pivot floor fails alone, and lies outside the
     search domain."""
@@ -320,9 +319,8 @@ def test_batched_gram_matches_single_tuples(family, m, monkeypatch):
     prefix = (0.1 - 0.4j,)
     tuples = [ParamTuple(prefix + tuple(BATCH_LANES[k])) for k in ("plain", "other", "pivot_floor")]
     assert _min_pivot_ratio(bundle, tuples[2]) < _PIVOT_FLOOR
-    owners = np.array([-1, 0, 1])
-    nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
-    cap = bundle.captured(nodes, owners)
+    owners = np.arange(3)
+    cap = bundle.captured(np.array([p.centers for p in tuples]), tuples[0].orders, owners)
     assert cap.failed.tolist() == [False, False, True]
     for row, params in enumerate(tuples):
         want = _capture(bundle, params, owners)
@@ -423,7 +421,7 @@ def _span_bundle(spec, m):
 def _on_span(bundle, prefix, a, cfg):
     """The prefix's read and the capture of one node appended to it."""
     span = bundle.read(bundle.make_tuple(prefix, cfg))
-    return span, bundle.captured(_Nodes(np.array([[a]]), (1,)), np.array([0]), span=span)
+    return span, bundle.captured(np.array([[a]]), (1,), np.array([0]), span=span)
 
 
 @pytest.mark.parametrize("m", [1, 16])
@@ -675,15 +673,14 @@ def test_captured_marks_failed_rows_without_mgs(monkeypatch):
     degenerate = bundle.read(bundle.make_tuple((prefix[1], near), cfg))
     monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
 
-    nodes = _Nodes(np.array([p.centers for p in tuples]), tuples[0].orders)
-    cap = bundle.captured(nodes, np.array([-1, -1, 0, 1]))
+    cap = bundle.captured(np.array([p.centers for p in tuples]), tuples[0].orders, np.arange(4))
     assert cap.failed.tolist() == [False, True]
     assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
-    on_span = _Nodes(np.array([[SPAN_NODES[0]], [near]]), (1,))
-    cap = bundle.captured(on_span, np.array([0]), span=span)
+    on_span = np.array([[SPAN_NODES[0]], [near]])
+    cap = bundle.captured(on_span, (1,), np.array([0]), span=span)
     assert cap.failed.tolist() == [False, True]
     assert np.isfinite(cap.value[0]) and np.isnan(cap.value[1])
-    cap = bundle.captured(on_span, np.array([0]), span=degenerate)
+    cap = bundle.captured(on_span, (1,), np.array([0]), span=degenerate)
     assert cap.failed.tolist() == [True, True]
 
 
@@ -702,7 +699,7 @@ def test_objective_falls_back_to_the_mgs_reference_in_one_place(m, monkeypatch):
     xs = np.array([_as_x(BATCH_LANES[k]) for k in names])
     objective = _lane_objective(bundle, 2)
     values, grads = objective.value_and_grad(xs)
-    batch = bundle.captured(_Nodes(_reflected_points(xs, objective.radius)[0], (1, 1)), objective.owners)
+    batch = bundle.captured(_reflected_points(xs, objective.radius)[0], (1, 1), objective.owners)
     for lane, name in enumerate(names):
         if name in ("merged", "pivot_floor"):
             assert _outside(values[lane], grads[lane])
@@ -712,7 +709,7 @@ def test_objective_falls_back_to_the_mgs_reference_in_one_place(m, monkeypatch):
     # a node on the span of its prefix, next to one off it
     xs = np.array([_as_x([SPAN_NODES[0]]), _as_x([prefix[1] + 1e-12])])
     values, grads = on_span.value_and_grad(xs)
-    cap = bundle.captured(_Nodes(np.array([[SPAN_NODES[0]]]), (1,)), np.array([0]), span=on_span.span)
+    cap = bundle.captured(np.array([[SPAN_NODES[0]]]), (1,), np.array([0]), span=on_span.span)
     assert values[0] == -cap.value[0]
     assert _outside(values[1], grads[1])
 
@@ -720,7 +717,7 @@ def test_objective_falls_back_to_the_mgs_reference_in_one_place(m, monkeypatch):
 # -- kernel row lengths ---------------------------------------------------------
 
 
-def _full_length(self, centers, orders, moving):
+def _full_length(self, centers, orders):
     return np.full(len(centers), self.spec.max_degree + 1)
 
 
@@ -764,11 +761,11 @@ def test_batches_of_mixed_row_lengths_match_single_tuples(family, m):
     mixed = 0
     for trial in range(24):
         centers, orders, owners = _random_batch(rng, bundle, merged=trial % 2 == 1)
-        lengths = bundle._row_lengths(centers, orders, owners >= 0)
+        lengths = bundle._row_lengths(centers, orders)
         mixed += len(set(lengths.tolist())) > 1
-        cap = bundle.captured(_Nodes(centers, orders), owners)
+        cap = bundle.captured(centers, orders, owners)
         for row in range(len(centers)):
-            alone = bundle.captured(_Nodes(centers[row : row + 1], orders), owners)
+            alone = bundle.captured(centers[row : row + 1], orders, owners)
             assert cap.failed[row] == alone.failed[0]
             assert np.array_equal(cap.value[row : row + 1], alone.value, equal_nan=True)
             assert np.array_equal(cap.grad[row], alone.grad[0])
@@ -777,14 +774,12 @@ def test_batches_of_mixed_row_lengths_match_single_tuples(family, m):
 
 def _reference_gram_captured(bundle, centers, orders, owners):
     """The Gram path in its explicit form, the reference for the bits of
-    ``_Bundle._gram_captured``: every node's rows formed one at a time, the
-    moving nodes' powers and coefficients copied by mask, both conjugate
-    products formed as written, each length group's products written into
-    preallocated arrays, and the gradient scattered into zeros by
-    ``np.add.at``."""
+    ``_Bundle._gram_captured``: every node's rows formed one at a time, both
+    conjugate products formed as written, each length group's products
+    written into preallocated arrays, and the gradient scattered into zeros
+    by ``np.add.at``."""
     count, n = centers.shape
-    moving = owners >= 0
-    length = bundle._row_lengths(centers, orders, moving)
+    length = bundle._row_lengths(centers, orders)
     top = int(length.max())
     degree = bundle.spec.max_degree
     powers = _kernel_powers(centers.ravel(), top).reshape(count, n, top)
@@ -796,10 +791,10 @@ def _reference_gram_captured(bundle, centers, orders, owners):
         return rows
 
     rows = rows_of(powers, orders)
-    nxt = rows_of(powers[:, moving], [o + 1 for o, m in zip(orders, moving) if m])
-    m, k = len(bundle.matrix), nxt.shape[1]
+    nxt = rows_of(powers, [o + 1 for o in orders])
+    m = len(bundle.matrix)
     gram, pairs, cross, pairs_nxt = (
-        np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, k), (m, k))
+        np.empty((count, *shape), dtype=np.complex128) for shape in ((n, n), (m, n), (n, n), (m, n))
     )
     sizes = sorted(set(length.tolist()))
     for size in sizes:
@@ -824,10 +819,9 @@ def _reference_gram_captured(bundle, centers, orders, owners):
     value[ok] = engine._rowdot(np.sum(np.abs(y) ** 2, axis=1), bundle.probs)
     x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
     resid_pairs = pairs_nxt - x.transpose(0, 2, 1) @ cross
-    x_moving = x[:, moving].transpose(0, 2, 1).conj()
-    per_row = np.sum(bundle.probs[:, None] * x_moving * resid_pairs, axis=1)
+    per_row = np.sum(bundle.probs[:, None] * x.transpose(0, 2, 1).conj() * resid_pairs, axis=1)
     part = np.zeros((len(y), grad.shape[1]), dtype=np.complex128)
-    np.add.at(part, (slice(None), owners[moving]), per_row)
+    np.add.at(part, (slice(None), owners), per_row)
     grad[ok] = part
     return value, grad, ~ok
 
@@ -839,11 +833,10 @@ def _same_bits(a, b) -> bool:
 
 
 # Tuple structures of the Gram path: (orders, owners) with each node moving
-# alone, a merged order-2 node, and a fixed node.
+# alone, and a merged order-2 node.
 GRAM_STRUCTURES = {
     "distinct": ((1, 1, 1), np.arange(3)),
     "merged": ((1, 2, 1), np.array([0, 0, 1])),
-    "fixed": ((1, 1, 1), np.array([0, -1, 1])),
 }
 
 
@@ -852,7 +845,7 @@ GRAM_STRUCTURES = {
 def test_gram_path_matches_its_explicit_form_bit_for_bit(family, m):
     """Values, gradients and failure masks of ``_gram_captured`` against
     the explicit form (``_reference_gram_captured``), byte for byte, on
-    batches of mixed row lengths for distinct, merged and fixed owners, on
+    batches of mixed row lengths for distinct and merged owners, on
     batches whose tuples partly or all fail the pivot floor, and at a node
     on the origin of a constant signal, whose gradient is an exact zero
     that the scatter into zeros leaves +0."""
@@ -873,7 +866,7 @@ def test_gram_path_matches_its_explicit_form_bit_for_bit(family, m):
         got = bundle._gram_captured(centers, orders, owners)
         want = _reference_gram_captured(bundle, centers, orders, owners)
         assert all(_same_bits(a, b) for a, b in zip(got, want))
-        mixed += len(set(bundle._row_lengths(centers, orders, owners >= 0).tolist())) > 1
+        mixed += len(set(bundle._row_lengths(centers, orders).tolist())) > 1
         failed += int(want[2].sum())
     assert mixed >= 8 and failed >= 6
     constant = _Bundle.single(spec, as_element(spec, [1.0]))
@@ -921,12 +914,12 @@ def test_cut_rows_match_full_rows_and_mgs(family, m, monkeypatch):
             third = -0.5 * a + 0.3j if r else 0.3j
             for split in SPLITS:
                 params, owners = _split_tuple(a, order, split, third)
-                nodes = _Nodes(np.array([params.centers]), params.orders)
-                cut_lengths.update(bundle._row_lengths(nodes.centers, nodes.orders, owners >= 0).tolist())
-                cut = bundle.captured(nodes, owners)
+                centers = np.array([params.centers])
+                cut_lengths.update(bundle._row_lengths(centers, params.orders).tolist())
+                cut = bundle.captured(centers, params.orders, owners)
                 with monkeypatch.context() as patch:
                     patch.setattr(_Bundle, "_row_lengths", _full_length)
-                    full = bundle.captured(nodes, owners)
+                    full = bundle.captured(centers, params.orders, owners)
                 assert cut.failed[0] == full.failed[0]
                 if cut.failed[0]:
                     continue
@@ -976,8 +969,8 @@ def _custom_weights(spec):
     ids=["hardy", "bergman", "weighted_hardy", "degree40", "degree20", "custom"],
 )
 def test_row_length_rule_is_sound(spec):
-    """At the length a node is given, for each order 1-3 and the next order
-    of a moving node, the true tail of every kernel row is at most eps**2 of
+    """At the length a node is given, for each order 1-3 and the next
+    order, the true tail of every kernel row is at most eps**2 of
     its squared norm: at radius 0, at each length's own limiting radius and
     around it, and up to the cap.  A degree below 32 keeps every row whole,
     and no length is longer than N + 1."""
@@ -991,15 +984,14 @@ def test_row_length_rule_is_sound(spec):
         radii = {0.0, spec.radius_cap, *np.linspace(0.0, spec.radius_cap, 23)}
         radii |= {x * f for x in limits for f in (1.0, 1.0 - 1e-9, 1.0 + 1e-9)}
         radii = sorted(r for r in radii if r <= spec.radius_cap)
-        for moving in (False, True):
-            lengths = bundle._row_lengths(np.array(radii)[:, None], orders, np.array([moving]))
-            assert lengths.max() <= n1
-            if spec.max_degree < 32:
-                assert set(lengths.tolist()) == {n1}
-            assert lengths[0] == min(32, n1)  # radius 0
-            for r, length in zip(radii, lengths.tolist()):
-                for o in (order, order + 1) if moving else (order,):
-                    assert _relative_tail(spec, o, r, length) <= eps_sq, (o, r, length)
+        lengths = bundle._row_lengths(np.array(radii)[:, None], orders)
+        assert lengths.max() <= n1
+        if spec.max_degree < 32:
+            assert set(lengths.tolist()) == {n1}
+        assert lengths[0] == min(32, n1)  # radius 0
+        for r, length in zip(radii, lengths.tolist()):
+            for o in (order, order + 1):
+                assert _relative_tail(spec, o, r, length) <= eps_sq, (o, r, length)
 
 
 def test_row_length_radii_are_found_once_per_space():
@@ -1012,7 +1004,7 @@ def test_row_length_radii_are_found_once_per_space():
     other = _custom_weights(SpaceSpec.bergman(2.0))
     custom = _Bundle.single(other, _signal(other, 3))
     for bundle in (first, second, custom):
-        bundle._row_lengths(np.zeros((1, 2)), (1, 1), np.array([True, True]))
+        bundle._row_lengths(np.zeros((1, 2)), (1, 1))
     assert engine._order_reach.cache_info().misses == 4  # orders 1 and 2 of two spaces
     reach = [engine._order_reach(b.spec.weights.tobytes(), 1) for b in (first, second, custom)]
     assert reach[0] is reach[1] and not np.array_equal(reach[0], reach[2])

@@ -30,7 +30,6 @@ from nbestkernel.engine import (
     _grid,
     _grid_increments,
     _nbest_points,
-    _Nodes,
     _flushed,
 )
 from nbestkernel import engine
@@ -305,8 +304,8 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
     owners = np.array([0] * (1 + double) + list(range(1, len(distinct))))
     params = ParamTuple(tuple(points), radius_cap=0.5)
 
-    nodes = _Nodes(np.array([params.centers]), params.orders)
-    got, want = factor.captured(nodes, owners), full.captured(nodes, owners)
+    centers = np.array([params.centers])
+    got, want = (b.captured(centers, params.orders, owners) for b in (factor, full))
     assert got.failed[0] == want.failed[0]
     if not want.failed[0]:
         assert abs(got.value[0] - want.value[0]) <= 1e-12 * scale
