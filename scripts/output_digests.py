@@ -47,8 +47,9 @@ task that raised in either file differs unless it raised alike in both, and
 is listed once, by its label.  For
 ``--residuals`` files it prints, per group (the first part of each label:
 ``configs``, ``sweep``, ...), how many rows B has worse and better than A by
-more than 1e-9 relative, and the mean and the worst (largest) residual /
-norm of each, so that a mean cannot hide a loss on one task, then lists
+more than 1e-9 relative, the mean and the worst (largest) residual / norm
+of each, so that a mean cannot hide a loss on one task, how many rows moved
+at all and the largest relative move ``|B - A| / max(A, B)``, then lists
 each worse row as ``worse: <label> <A> <B>``, and each task that raised in
 either file as ``differs: <label>``.  The exit status is 1 when a file
 differs, a task raised in one file only or a row is worse, else 0:
@@ -262,6 +263,11 @@ def _worse(x: float, y: float) -> bool:
     return y - x > 1e-9 * max(x, y)
 
 
+def _move(x: float, y: float) -> float:
+    """The relative move from residual / norm ``x`` to ``y``, 0 when equal."""
+    return abs(y - x) / max(x, y) if x != y else 0.0
+
+
 def _raised(a: dict, b: dict) -> list:
     """The labels of the tasks that raised in ``a`` or ``b`` and do not
     match: a task that raised is one ``error:`` entry under its label, and
@@ -299,14 +305,16 @@ def compare(a: dict, b: dict) -> int:
     for label in shared:
         groups.setdefault(label.split("/")[0], []).append((a[label], b[label]))
     worse = [k for k in shared if _worse(a[k], b[k])]
-    print("group rows worse better mean_A mean_B worst_A worst_B")
+    print("group rows worse better mean_A mean_B worst_A worst_B moved max_move")
     for name, rows in sorted(groups.items()):
         n_worse = sum(_worse(x, y) for x, y in rows)
         better = sum(_worse(y, x) for x, y in rows)
         mean_a, mean_b = (sum(r[i] for r in rows) / len(rows) for i in (0, 1))
         worst_a, worst_b = (max(r[i] for r in rows) for i in (0, 1))
+        moves = [_move(x, y) for x, y in rows]
         print(f"{name} {len(rows)} {n_worse} {better} "
-              f"{mean_a:.6e} {mean_b:.6e} {worst_a:.6e} {worst_b:.6e}")
+              f"{mean_a:.6e} {mean_b:.6e} {worst_a:.6e} {worst_b:.6e} "
+              f"{sum(m > 0.0 for m in moves)} {max(moves):.3e}")
     for label in worse:
         print(f"worse: {label} {a[label]!r} {b[label]!r}")
     for label in raised:

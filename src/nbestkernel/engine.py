@@ -87,11 +87,16 @@ Every engine, the stochastic one included, is one run of one pipeline
 the case M = 1.  It searches on the bundle's exact low-rank factor and
 finalizes the chosen tuple on the bundle.  Each n, alone or as a row of a
 decay sweep, is searched in one order (``_nbest_points``): the exact test,
-greedy, the Prony candidate, then the lanes and the merge polish.  The bundle
-keeps greedy's steps by prefix (``_greedy_step``), so a sweep takes each
-step once: greedy results finalize prefixes of one run, and a residual sweep
-also starts row n from the greedy extension of row n - 1's result, which
-takes no step from a result that captures the signal.
+greedy, the Prony candidate, then the lanes and the merge polish.  Its
+ranking sums one residual per distinct tuple within the ranking window:
+candidates whose nodes pair up one-to-one within ``merge_tol`` at equal
+orders are one tuple (``_same_tuple``), and only its earliest record is
+finalized and can win.  The bundle keeps greedy's steps by prefix
+(``_greedy_step``), and each search grid keeps the empty tuple's increments
+(``_search_grid``), so a sweep takes each step and each scan once: greedy
+results finalize prefixes of one run, and a residual sweep also starts row n
+from the greedy extension of row n - 1's result, which takes no step from a
+result that captures the signal, nor from greedy's own tuple.
 Existence theory confines maxima to a compact disc of radius ``1 - delta``,
 which is the search region.
 
@@ -130,9 +135,11 @@ from .spaces import (
 from .orthosystem import EPS_DEGENERATE, _gram_schmidt_impl
 
 _EXACT_CAPTURE_TOL = 1e-13
-# The n-best ranking finalizes only candidates whose MGS energy is within
-# _RANK_MARGIN * total_sq of the best: energy + residual**2 = total_sq holds to
-# 1e-8 of it, so with over twice that margin no other candidate can win.
+# The n-best ranking finalizes one record of each distinct tuple, and only
+# those whose MGS energy is within _RANK_MARGIN * total_sq of the best:
+# energy + residual**2 = total_sq holds to 1e-8 of it, so with over twice that
+# margin no other candidate can win.  One residual is summed per distinct
+# tuple within this window.
 _RANK_MARGIN = 1e-6
 # Smallest Cholesky pivot ratio L_kk / sqrt(G_kk) the Gram path trusts; below
 # it the energy loses about eps / ratio**2 relative accuracy, so the tuple
@@ -1139,13 +1146,16 @@ def _disc_grid(radius: float, density: int) -> np.ndarray:
 class _Grid(NamedTuple):
     """The disc grid of a search: its points, the conjugate transpose of
     their kernel rows times the weights (the powers ``conj(c)**k``, flushed
-    as in ``spaces._kernel_powers``), the rows' squared norms, and the
-    signals' pairings ``<f_m, K_g>`` with them."""
+    as in ``spaces._kernel_powers``), the rows' squared norms, the signals'
+    pairings ``<f_m, K_g>`` with them, and, on a search's grid
+    (``_search_grid``), the empty tuple's increments, which greedy's first
+    step and the multistart starts read."""
 
     points: np.ndarray
     weighted_h: np.ndarray
     raw: np.ndarray
     pairs: np.ndarray
+    empty: np.ndarray | None = None
 
 
 def _grid_increments(bundle: _Bundle, grid: _Grid, read: _Read) -> np.ndarray:
@@ -1184,10 +1194,13 @@ def _grid(bundle: _Bundle, points: np.ndarray) -> _Grid:
 
 
 def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
-    """The search's ``_Grid``, built once per bundle and ``_search_key``."""
+    """The search's ``_Grid`` with its empty tuple's increments, built once
+    per bundle and ``_search_key``."""
     key = _search_key(bundle, cfg)
     if key not in bundle._grids:
-        bundle._grids[key] = _grid(bundle, _disc_grid(*key[:2]))
+        grid = _grid(bundle, _disc_grid(*key[:2]))
+        empty = _grid_increments(bundle, grid, bundle.read(bundle.make_tuple((), cfg)))
+        bundle._grids[key] = grid._replace(empty=empty)
     return bundle._grids[key]
 
 
@@ -1203,7 +1216,7 @@ def _greedy_step(bundle: _Bundle, cfg: OptimizerConfig, prefix: tuple):
         step = None
         if not bundle.captures(read.energy):
             grid = _search_grid(bundle, cfg)
-            inc = _grid_increments(bundle, grid, read)
+            inc = _grid_increments(bundle, grid, read) if prefix else grid.empty
             best = int(np.argmax(inc))
             if np.isfinite(inc[best]) and inc[best] > 0.0:
                 step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix, span=read)
@@ -1365,13 +1378,42 @@ def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
     return None
 
 
+def _same_tuple(a: ParamTuple, b: ParamTuple) -> bool:
+    """Whether two tuples are one: their nodes pair up one-to-one, each with
+    a node of equal order whose center is within ``a.merge_tol``, the
+    distance at which ``ParamTuple`` makes two nodes one.  The pairing is a
+    bipartite matching grown by augmenting paths, so the nodes' order does
+    not matter."""
+    if sorted(a.orders) != sorted(b.orders):
+        return False
+    near = [
+        [j for j, (d, q) in enumerate(zip(b.centers, b.orders)) if q == o and abs(c - d) <= a.merge_tol]
+        for c, o in zip(a.centers, a.orders)
+    ]
+    paired: dict[int, int] = {}  # node of b -> its node of a
+
+    def pair(i: int, seen: set) -> bool:
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in paired or pair(paired[j], seen):
+                    paired[j] = i
+                    return True
+        return False
+
+    return all(pair(i, set()) for i in range(len(near)))
+
+
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=()):
     """Exact, greedy, warm, multistart and merge-polish candidates; returns
-    the points of the one with the smallest residual among those within
-    ``_RANK_MARGIN`` of the best MGS energy (``select``).  ``warm`` holds
-    more start tuples.  Each candidate is recorded by one trace entry, and a
-    final ``select`` entry gives the index in ``trace`` of the winner's entry
-    and its stage.
+    the points of the one with the smallest residual among the distinct
+    tuples within ``_RANK_MARGIN`` of the best MGS energy (``select``).
+    ``warm`` holds more start tuples.  Each candidate is recorded by one
+    trace entry, and a final ``select`` entry gives the index in ``trace`` of
+    the winner's entry and its stage.  A candidate whose tuple an earlier one
+    recorded (``_same_tuple``) is not ranked: its entry names the earliest
+    record of the tuple in ``same_as``, and that record stands for it, so
+    each distinct tuple in the window has its residual summed once.
 
     The Prony candidate (``_exact_candidate``) comes first, and unless MGS
     certifies its capture, greedy to n nodes.  A certified capture, or
@@ -1393,8 +1435,16 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
         return (bundle.finalize(pts, cfg)[3], rounded)
 
     def select():
-        floor = max(c[1] for c in candidates) - _RANK_MARGIN * bundle.total_sq
-        best_pts, _, entry = min((c for c in candidates if c[1] >= floor), key=sort_key)
+        firsts: list = []  # the earliest record of each tuple, with its params
+        for pts, val, entry in candidates:
+            params = bundle.make_tuple(pts, cfg)
+            first = next((f for f in firsts if _same_tuple(f[3], params)), None)
+            if first is None:
+                firsts.append((pts, val, entry, params))
+            else:
+                trace[entry]["same_as"] = first[2]
+        floor = max(c[1] for c in firsts) - _RANK_MARGIN * bundle.total_sq
+        best_pts, _, entry, _ = min((c for c in firsts if c[1] >= floor), key=sort_key)
         trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
         return list(best_pts)
 
@@ -1424,8 +1474,7 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
 
     rng = np.random.default_rng(cfg.seed)
     grid = _search_grid(bundle, cfg)
-    single = _grid_increments(bundle, grid, bundle.read(bundle.make_tuple((), cfg)))
-    top = grid.points[np.argsort(single)[::-1][: max(3 * n, 8)]]
+    top = grid.points[np.argsort(grid.empty)[::-1][: max(3 * n, 8)]]
     n_top = cfg.multistart // 2
     for _ in range(n_top):
         if len(top) >= n:

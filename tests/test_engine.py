@@ -44,6 +44,7 @@ from nbestkernel.engine import (
     _merge_polish,
     _nbest_points,
     _result,
+    _same_tuple,
     _search_grid,
     minimize,
 )
@@ -539,6 +540,39 @@ def test_sweep_extends_a_greedy_winner_without_repeating_greedy(monkeypatch):
     assert points == _greedy_points(factor, k, cfg, [], prefix=prev)
 
 
+def test_sweep_extends_greedy_after_a_lane_refound_its_tuple(monkeypatch):
+    """Where a lane of n = 2 re-finds greedy's 2-node tuple, greedy's earlier
+    record stands for that tuple and wins, so the warm start of n = 3 is
+    greedy's own 3-prefix: the extension and greedy's run to 3 nodes read one
+    kept step 3, and one local search runs from a 2-node prefix.  A win by
+    the lane's record, whose points differ from greedy's in their last bits,
+    would take a second step 3 from the lane's points."""
+    spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
+    cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=200, seed=3)
+    rng = np.random.default_rng(4)
+    f = as_element(spec, rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    searches, warm = [], {}
+    search, extend = engine_module._local_search, engine_module._extend_greedily
+
+    def recorded(bundle, cfg, x0, prefix=(), orders=None, **kwargs):
+        searches.append((np.asarray(x0).tobytes(), tuple(prefix), None if orders is None else tuple(orders)))
+        return search(bundle, cfg, x0, prefix, orders, **kwargs)
+
+    def extended(bundle, points, n, cfg):
+        warm[n] = extend(bundle, points, n, cfg)
+        return warm[n]
+
+    monkeypatch.setattr(engine_module, "_local_search", recorded)
+    monkeypatch.setattr(engine_module, "_extend_greedily", extended)
+    results = residual_decay_sweep(spec, f, 3, cfg)
+    row = results[2].trace
+    assert row[-1] == {"stage": "select", "winner": 0, "from": "greedy"}
+    assert any(entry["stage"] == "local" and entry.get("same_as") == 0 for entry in row)
+    assert len(searches) == len(set(searches))
+    assert [key[1] for key in searches if len(key[1]) == 2] == [results[2].params.points]
+    assert warm[3] == [complex(*step["node"]) for step in results[3].trace[0]["steps"]]
+
+
 def test_sweep_warm_start_with_a_double_node_joins_as_it_is(monkeypatch):
     """Where row n - 1 of a residual sweep has an order-2 node and does not
     capture the signal, row n's warm start lists that node twice: it joins
@@ -922,10 +956,14 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
     # the warm start equals the greedy tuple, so it is searched once
     assert len(searched) == len(local) == 1 + cfg.multistart
     assert np.array_equal(searched[0], _as_x(greedy_pts))
-    for start, entry in zip(searched, local):
+    at = [i for i, entry in enumerate(trace) if entry["stage"] == "local"]
+    for start, entry, i in zip(searched, local, at):
         stats: dict = {}
         _, val = _local_search(bundle, cfg, start, stats=stats)
-        assert entry == {"stage": "local", "energy": val, **stats}
+        # a lane that re-finds an earlier candidate's tuple names its entry
+        same = {"same_as": entry["same_as"]} if "same_as" in entry else {}
+        assert entry == {"stage": "local", "energy": val, **stats, **same}
+        assert entry.get("same_as", -1) < i
 
 
 def test_multistart_zero_with_a_short_greedy_run_searches_no_lanes():
@@ -1332,7 +1370,8 @@ def test_sweep_past_an_exact_capture_keeps_its_residuals_nonincreasing(family):
         assert res.trace[-1]["from"] == "exact"
         assert res.params.points == results[3].params.points
     for res in results[4:]:
-        assert res.trace[1] == {"stage": "warm", "energy": results[3].energy}
+        # the warm start is the Prony tuple again, which its exact entry recorded first
+        assert res.trace[1] == {"stage": "warm", "energy": results[3].energy, "same_as": 0}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -1452,3 +1491,108 @@ def test_the_ranking_window_keeps_the_winner_of_every_candidate(kind):
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
         assert (a.energy, a.residual, a.degraded, a.trace) == (b.energy, b.residual, b.degraded, b.trace)
     assert summed < summed_all
+
+
+def _one_tuple(a: ParamTuple, b: ParamTuple, tol: float) -> bool:
+    """Whether some permutation of ``b``'s nodes pairs each node of ``a``
+    with one of equal order whose center is within ``tol``."""
+    nodes = list(zip(a.centers, a.orders))
+    return len(a) == len(b) and any(
+        all(o == q and abs(c - d) <= tol for (c, o), (d, q) in zip(nodes, perm))
+        for perm in itertools.permutations(zip(b.centers, b.orders))
+    )
+
+
+@pytest.mark.parametrize("kind", ["single", "full-rank"])
+def test_a_tuple_that_lanes_refind_is_ranked_once_by_its_earliest_record(hardy_small, monkeypatch, kind):
+    """Where lanes re-find one tuple, the ranking sums the residual of each
+    distinct tuple inside the window once and of no repeat: every entry with
+    ``same_as`` names the earliest entry whose tuple has its orders and
+    centers that pair up one-to-one within ``merge_tol``, the entries
+    without one are distinct tuples, and the winner is the earliest record
+    of its tuple.  Each candidate's points are read from greedy's steps, the
+    lanes' ends and the merge polish's candidate."""
+    ends, merged, summed = [], [], []
+    lanes, polish, residual = engine_module._lane_searches, engine_module._merge_polish, _Bundle._residual
+
+    def recorded_lanes(bundle, cfg, starts):
+        out = lanes(bundle, cfg, starts)
+        ends.extend(pts for pts, _, _ in out)
+        return out
+
+    def recorded_polish(bundle, cfg, candidates, trace):
+        polish(bundle, cfg, candidates, trace)
+        if trace[-1]["stage"] == "merge-polish":
+            merged.append(candidates[-1][0])
+
+    def counted(self, rows, basis, coeffs):
+        if rows.start == 0:
+            summed.append(id(coeffs))
+        return residual(self, rows, basis, coeffs)
+
+    monkeypatch.setattr(engine_module, "_lane_searches", recorded_lanes)
+    monkeypatch.setattr(engine_module, "_merge_polish", recorded_polish)
+    monkeypatch.setattr(_Bundle, "_residual", counted)
+    if kind == "single":
+        rng = np.random.default_rng(12)
+        f = as_element(hardy_small, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        res = nbest(hardy_small, f, 2, FAST)
+    else:
+        e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
+        res = stochastic_nbest(e, 2, FAST)
+    points = {}
+    for i, entry in enumerate(res.trace):
+        if entry["stage"] == "greedy":
+            points[i] = tuple(complex(*step["node"]) for step in entry["steps"])
+        elif entry["stage"] == "local":
+            points[i] = ends.pop(0)
+        elif entry["stage"] == "merge-polish":
+            points[i] = merged.pop()
+    assert not ends and not merged and set(points) == {i for i, e in enumerate(res.trace) if "energy" in e}
+    tol = FAST.merge_tol
+    tuples = {i: ParamTuple(pts, tol, hardy_small.radius_cap) for i, pts in points.items()}
+    firsts = [i for i in tuples if "same_as" not in res.trace[i]]
+    assert len(firsts) < len(tuples)  # some lane re-found a tuple
+    for i in tuples:
+        j = res.trace[i].get("same_as", i)
+        assert j in firsts and _one_tuple(tuples[i], tuples[j], tol)
+        assert not any(_one_tuple(tuples[i], tuples[k], tol) for k in firsts if k < j)
+    winner = res.trace[-1]["winner"]
+    assert winner in firsts
+    floor = max(res.trace[i]["energy"] for i in firsts) - engine_module._RANK_MARGIN * res.norm**2
+    assert len(summed) == len(set(summed)) == sum(res.trace[i]["energy"] >= floor for i in firsts)
+
+
+def test_candidates_are_one_tuple_only_where_their_nodes_pair_up_within_merge_tol(monkeypatch):
+    """On a certified exact mix of two atoms, whose warm tuples join the
+    ranking as they are, the Prony tuple with its nodes swapped and one
+    moved by 0.9 ``merge_tol`` repeats it, and so does a double-node tuple
+    listed in another order with a node 0.5 ``merge_tol`` off.  The Prony
+    tuple with a node 2 ``merge_tol`` away, and the double-node tuple with
+    the other node doubled (the same centers, other orders), stay distinct,
+    and each distinct tuple has its residual summed once.  The pairing is
+    one-to-one: two nodes near one node are not the tuple of that node and
+    a far one, and a pairing that the nearest nodes miss is found."""
+    spec = EXACT_SPACES["hardy"]
+    cfg, tol = EXACT_CFG, EXACT_CFG.merge_tol
+    a, b = EXACT_NODES[:2]
+    bundle = _Bundle.single(spec, kernel_mix(spec, [(a, 1.0, 1), (b, EXACT_WEIGHTS[1], 1)]))
+    c, d = engine_module._exact_candidate(bundle, 3, cfg)[0]
+    summed = []
+    residual = _Bundle._residual
+
+    def counted(self, rows, basis, coeffs):
+        summed.append(id(coeffs))
+        return residual(self, rows, basis, coeffs)
+
+    monkeypatch.setattr(_Bundle, "_residual", counted)
+    warm = [(d + 0.9 * tol, c), (c + 2 * tol, d), (c, c, d), (d, c + 0.5 * tol, c), (c, d, d)]
+    trace: list = []
+    _nbest_points(bundle, 3, cfg, trace, warm=warm)
+    assert [e["stage"] for e in trace] == ["exact", *["warm"] * 5, "select"]
+    assert [e.get("same_as") for e in trace[:-1]] == [None, 0, None, None, 3, None]
+    assert len(summed) == len(set(summed)) == 4
+    x = 0.1 + 0.2j
+    one = ParamTuple((x, x + 1.4 * tol), tol)
+    assert _same_tuple(one, ParamTuple((x + 0.5 * tol, x - 0.9 * tol), tol))
+    assert not _same_tuple(one, ParamTuple((x + 0.5 * tol, x + 3 * tol), tol))

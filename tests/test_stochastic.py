@@ -192,7 +192,7 @@ def test_stochastic_nbest_matches_nbest_for_single_realization(hardy):
         # the same trace after the compress entry, whose indices it shifts by one
         assert single.trace[0] == {"stage": "compress", "realizations": 1, "rank": 1}
         shifted = [
-            {k: v + 1 if k in ("winner", "merged_from") else v for k, v in entry.items()}
+            {k: v + 1 if k in ("winner", "merged_from", "same_as") else v for k, v in entry.items()}
             for entry in plain.trace
         ]
         assert single.trace[1:] == shifted
@@ -445,18 +445,29 @@ def test_a_search_forms_each_tuple_coefficients_once(monkeypatch, kind):
     assert sorted(_Signals.passes) == sorted(kept)
 
 
+def _ranked_tuples(res) -> tuple[list, float]:
+    """The trace entries of the tuples a search ranks, each tuple's earliest
+    record (no ``same_as``), and the floor of its ranking window."""
+    firsts = [entry for entry in res.trace if "energy" in entry and "same_as" not in entry]
+    return firsts, max(entry["energy"] for entry in firsts) - engine._RANK_MARGIN * res.norm**2
+
+
 @pytest.mark.parametrize("kind", ["single", "full-rank"])
 def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypatch, kind):
     """Where the search runs on the bundle itself (M = 1, or full rank), the
     result reads the candidate ranking's finalization of the winner instead of
-    finalizing it again: each tuple's residual norm is summed once, over the
-    residual of its read's coefficients (``finalize`` is the one caller of
-    ``_residual``)."""
-    calls = []
+    finalizing it again: the residual norm of each distinct tuple within the
+    ranking window is summed once, over the residual of its read's
+    coefficients (``finalize`` is the one caller of ``_residual``), and no
+    other residual is summed.  In both searches lanes re-find a tuple that an
+    earlier candidate recorded, and those repeats are not summed."""
+    calls, summed = [], []
     residual = _Bundle._residual
 
     def counted(self, rows, basis, coeffs):
         calls.append((id(self), id(coeffs), rows.start))
+        if rows.start == 0:
+            summed.append(float(self.probs @ np.sum(np.abs(coeffs) ** 2, axis=1)))  # the read's energy
         return residual(self, rows, basis, coeffs)
 
     monkeypatch.setattr(_Bundle, "_residual", counted)
@@ -468,15 +479,20 @@ def test_a_search_on_the_bundle_finalizes_each_tuple_once(hardy_small, monkeypat
         e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
         res = stochastic_nbest(e, 2, FAST)
         assert res.trace[0]["rank"] == 6
-    assert res.trace[-1]["stage"] == "select" and len(calls) >= 2  # candidates were ranked
+    assert res.trace[-1]["stage"] == "select"
+    assert any("same_as" in entry for entry in res.trace)  # some lane re-found a tuple
     assert len(calls) == len(set(calls))
+    firsts, floor = _ranked_tuples(res)
+    assert sorted(summed) == sorted(entry["energy"] for entry in firsts if entry["energy"] >= floor)
 
 
 def test_a_full_rank_search_sums_residuals_only_inside_the_ranking_window(hardy_small, monkeypatch):
-    """The ranking sums the residual of every candidate whose energy is within
-    ``_RANK_MARGIN`` of the signals' energy of the best one's, and of no other:
-    here greedy's tuple and the merge polish's, 1e-3 of the energy or more
-    below the lanes, are never finalized."""
+    """The ranking sums the residual of each distinct tuple whose energy is
+    within ``_RANK_MARGIN`` of the signals' energy of the best one's, once,
+    and of no other candidate: here greedy's tuple and the merge polish's,
+    1e-3 of the energy or more below the lanes, are never finalized, and
+    neither are the lanes that re-find the first lane's tuple inside the
+    window."""
     summed = []
     residual = _Bundle._residual
 
@@ -489,12 +505,13 @@ def test_a_full_rank_search_sums_residuals_only_inside_the_ranking_window(hardy_
     e = generate_ensemble(hardy_small, "decaying_gaussian", {"gamma": 1.0}, 6, seed=2)
     res = stochastic_nbest(e, 2, FAST)
     assert res.trace[0]["rank"] == 6
-    energies = [entry["energy"] for entry in res.trace if "energy" in entry]
-    floor = max(energies) - engine._RANK_MARGIN * res.bochner_norm**2
-    inside = [x for x in energies if x >= floor]
+    firsts, floor = _ranked_tuples(res)
+    inside = [entry["energy"] for entry in firsts if entry["energy"] >= floor]
     outside = {entry["stage"] for entry in res.trace if entry.get("energy", math.inf) < floor}
     assert outside == {"greedy", "merge-polish"}
-    assert min(summed) >= floor and set(inside) <= set(summed)
+    repeats = [entry for entry in res.trace if "same_as" in entry]
+    assert repeats and all(entry["energy"] >= floor for entry in repeats)
+    assert sorted(summed) == sorted(inside)
 
 
 @pytest.mark.parametrize("m", [1, _RANK_BLOCK + 1])
