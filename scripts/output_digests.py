@@ -12,7 +12,8 @@ search on degree 40, where the Gram path's kernel rows have length 32 or
 mixes, which it certifies, and the same mix plus a polynomial of 1e-9 of
 its norm, which it declines), n-best decay sweeps that run past the
 capture of an exact mix and of a single kernel, and searches for more nodes
-than a degree-2 space has coefficients.  Each task runs through
+than a degree-2 space has coefficients, and one whose lanes' nodes merge
+into a node of an order above the space's degree.  Each task runs through
 ``cli.parse_config`` and ``cli.run_task`` from this checkout's ``src`` on one
 BLAS thread, so two checkouts whose programs write the same bytes print the
 same digests.  A task that raises is recorded under its label as ``error:
@@ -174,6 +175,18 @@ _TINY_SPACE = {"family": "hardy", "degree": 2, "radius_cap": 0.05}
 _TINY_SIGNAL = {"coefficients": [[1.0, 0.0], [0.5, 0.0], [0.2, 0.1]]}
 _TINY_ENSEMBLE = {"random": {"kind": "decaying_gaussian", "gamma": 1.0, "M": 6, "seed": 1}}
 
+# A random polynomial on a Hardy space of degree 8 whose search disc (radius
+# 0.05) lies within the merge tolerance of 0.5: the n nodes of a lane merge
+# into one node of order n, which for n = 9 exceeds the degree.
+_DEGREE8_SPACE = {"family": "hardy", "degree": 8, "radius_cap": 0.05}
+
+
+def _degree8_polynomial():
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    return {"coefficients": [[z.real, z.imag] for z in coeffs.tolist()]}
+
+
 _PARTIAL_BLOCK_M = 100
 _GAUSSIAN = {"kind": "decaying_gaussian", "gamma": 1.0, "M": _PARTIAL_BLOCK_M, "seed": 3}
 EDGE = {
@@ -200,6 +213,7 @@ EDGE = {
     "nbest-more-nodes-than-coefficients": ("nbest", _TINY_SIGNAL, 4),
     "nbest-sweep-more-nodes-than-coefficients": ("nbest", _TINY_SIGNAL, 4),
     "stochastic-more-nodes-than-coefficients": ("stochastic", _TINY_ENSEMBLE, 5),
+    "nbest-merged-lane-above-degree": ("nbest", _degree8_polynomial(), 9),
 }
 # The space of each edge task that does not run on _SPACE.
 EDGE_SPACES = {
@@ -208,7 +222,10 @@ EDGE_SPACES = {
     "nbest-more-nodes-than-coefficients": _TINY_SPACE,
     "nbest-sweep-more-nodes-than-coefficients": _TINY_SPACE,
     "stochastic-more-nodes-than-coefficients": _TINY_SPACE,
+    "nbest-merged-lane-above-degree": _DEGREE8_SPACE,
 }
+# The optimizer of each edge task that does not run with _OPTIMIZER.
+EDGE_OPTIMIZERS = {"nbest-merged-lane-above-degree": {"multistart": 1, "merge_tol": 0.5}}
 # The edge tasks that run as decay sweeps to their n: every row past the
 # signal's capture keeps the captured tuple.
 EDGE_SWEEPS = {
@@ -233,7 +250,8 @@ def tasks(seeds, groups=GROUPS):
         return
     for label, (task, signal, n) in EDGE.items():
         space = EDGE_SPACES.get(label, _SPACE)
-        config = {"task": task, "space": space, "signal": signal, "n": n, "optimizer": _OPTIMIZER}
+        optimizer = EDGE_OPTIMIZERS.get(label, _OPTIMIZER)
+        config = {"task": task, "space": space, "signal": signal, "n": n, "optimizer": optimizer}
         if label in EDGE_SWEEPS:
             config["n_max"] = n
         yield f"edge/{label}", json.dumps(config)

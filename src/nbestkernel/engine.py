@@ -67,8 +67,10 @@ Each tuple a search keeps is orthogonalized once (``_Bundle.system``, which
 flushes its basis) and read once per bundle (``_Bundle.read``: the
 coefficients ``C_mj = <f_m, Q_j>``, their energy and, once ``finalize`` sums
 it, the residual norm) for the reported value, the greedy steps, the ranking
-and the result.  A greedy step reads only its fixed prefix's ``_Read``: the
-basis ``Q``, ``C`` and the prefix energy ``E_p``.  It pairs the residual
+and the result.  It is also built once, where its search ends
+(``_Objective.params``), and handed on as its ``ParamTuple`` to the result.
+A greedy step reads only its fixed prefix's ``_Read``: the basis ``Q``,
+``C`` and the prefix energy ``E_p``.  It pairs the residual
 ``R_m = f_m - P_Q f_m`` with a kernel ``v`` as ``<f_m, v> - sum_j C_mj
 <Q_j, v>``, so no residual array is formed.  Its grid scan scores node g as
 ``sum_m p_m |<R_m, K_g>|^2 / (||K_g||^2 - sum_j |<K_g, Q_j>|^2)``, and its
@@ -366,6 +368,7 @@ class _Bundle:
         self._lengths = np.array([n for n in _ROW_LENGTHS if n < n1] + [n1])
         self._limits: dict[tuple, np.ndarray] = {}
         self._reads: dict[tuple, _Read] = {}
+        self._empty: dict[float, ParamTuple] = {}  # the empty tuple per merge_tol
         # Kept per ``_search_key``: the grid, exact candidates, greedy steps.
         self._grids: dict[tuple, _Grid] = {}
         self._exact: dict[tuple, tuple | None] = {}
@@ -475,6 +478,12 @@ class _Bundle:
 
     def make_tuple(self, points, cfg: OptimizerConfig) -> ParamTuple:
         return ParamTuple(tuple(points), cfg.merge_tol, self.spec.radius_cap)
+
+    def empty(self, cfg: OptimizerConfig) -> ParamTuple:
+        """The empty tuple, built once per bundle and merge tolerance."""
+        if cfg.merge_tol not in self._empty:
+            self._empty[cfg.merge_tol] = self.make_tuple((), cfg)
+        return self._empty[cfg.merge_tol]
 
     def captures(self, energy: float) -> bool:
         """Whether ``energy`` captures the signals exactly: it falls short of
@@ -692,13 +701,12 @@ class _Bundle:
         held_grad = _rowdot(np.conj(x) * (pairs[:, :, 1] - x * u_next[:, None]), self.probs)[:, None]
         return (held_value, held_grad, ~ok) if every else _spread(ok, 1, held_value, held_grad)
 
-    def finalize(self, points, cfg: OptimizerConfig):
-        """Params built from ``points`` and trimmed to the basis, and the
-        tuple's ``read``: coefficients, energy, the norm of its two-pass
-        residual (summed unflushed a row block at a time, once: an entry below
-        ``_TINY_POWER`` of its row's largest moves no sum of squares) and
-        degradation."""
-        params = self.make_tuple(points, cfg)
+    def finalize(self, params: ParamTuple):
+        """``params`` trimmed to its basis, and the tuple's ``read``:
+        coefficients, energy, the norm of its two-pass residual (summed
+        unflushed a row block at a time, once: an entry below ``_TINY_POWER``
+        of its row's largest moves no sum of squares) and degradation.  Only
+        the trim of a degraded tuple builds a ``ParamTuple``."""
         read = self.read(params)
         if read.residual is None:
             resid_sq = np.empty(len(self.matrix))
@@ -766,38 +774,36 @@ class _Objective:
     moving nodes, at one point or at one point per lane of a search.
 
     With ``orders`` moving node i enters with multiplicity ``orders[i]``
-    (merge polish).  ``prefix`` nodes stay fixed; the objective then takes one
-    moving node and evaluates it on the prefix's ``_Read`` (``span``, or the
-    bundle's).  Nodes overshooting the search disc are mirrored back into
-    it, and the analytic gradient is chained through the mirror.  The points
-    whose moving nodes stay apart from every other node are evaluated
-    together, in one batch on the span or else on the Gram path.  The search
-    domain is the set of points that batch accepts: a point whose moving
-    node merges with another node (so that its ``ParamTuple`` would not keep
-    the nodes the search moves), or that the batch marks failed, has value
-    +inf and gradient 0, and no MGS evaluation.
+    (merge polish).  The nodes of ``prefix``, a greedy step's ``ParamTuple``
+    (the empty one included), stay fixed; the objective then takes one
+    moving node and evaluates it on the prefix's ``_Read``, which the bundle
+    keeps.  ``params`` builds the ``ParamTuple`` where a search ends, the one
+    every later stage hands on.  Nodes overshooting the search disc are
+    mirrored back into it, and the analytic gradient is chained through the
+    mirror.  The points whose moving nodes stay apart from every other node
+    are evaluated together, in one batch on the span or else on the Gram
+    path.  The search domain is the set of points that batch accepts: a
+    point whose moving node merges with another node (so that its
+    ``ParamTuple`` would not keep the nodes the search moves), or that the
+    batch marks failed, has value +inf and gradient 0, and no MGS evaluation.
     Every value and gradient is multiplied by ``gain``, the power of 4 that
     brings the bundle's energy into [1, 4) when it lies below 1 or at or
     above 2**64, and 1 otherwise, so that ``minimize``'s absolute stops treat
     a weak signal as a normal one and a strong one stays far from overflow.
     """
 
-    def __init__(
-        self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None, span=None
-    ):
+    def __init__(self, bundle: _Bundle, cfg: OptimizerConfig, count: int, prefix=(), orders=None):
         self.bundle = bundle
         self.cfg = cfg
         self.radius = _search_radius(bundle, cfg)
-        self.prefix = tuple(prefix)
+        self.prefix = prefix
         self.reps = tuple(orders) if orders is not None else (1,) * count
-        fixed = bundle.make_tuple(self.prefix, cfg)
-        if span is None and self.prefix:
-            span = bundle.read(fixed)
-        if span is not None and self.reps != (1,):
+        self.span = None if prefix == () else bundle.read(prefix)  # without one, every node moves
+        if self.span is not None and self.reps != (1,):
             raise ValueError("a fixed prefix takes one moving node of order 1")
-        self.span = span
         # Each distinct fixed node enters the tuple first with order 1.
-        self.fixed_reps = np.array([c for c, o in zip(fixed.centers, fixed.orders) if o == 1])
+        fixed = zip(prefix.centers, prefix.orders) if prefix else ()
+        self.fixed_reps = np.array([c for c, o in fixed if o == 1])
         self.orders = tuple(k + 1 for o in self.reps for k in range(o))
         self.owners = np.array([i for i, o in enumerate(self.reps) for _ in range(o)])
         self.earlier = np.tri(count, k=-1, dtype=bool)
@@ -806,14 +812,10 @@ class _Objective:
         e = math.frexp(bundle.total_sq)[1]
         self.gain = 1.0 if 1 <= e <= 64 else math.ldexp(1.0, 2 * ((2 - e) // 2))
 
-    def expand(self, pts) -> tuple:
-        full = list(self.prefix)
-        for p, o in zip(pts, self.reps):
-            full.extend([complex(p)] * o)
-        return tuple(full)
-
     def params(self, x: np.ndarray) -> ParamTuple:
-        return self.bundle.make_tuple(self.expand(_reflected_points(x, self.radius)[0]), self.cfg)
+        pts = _reflected_points(x, self.radius)[0]
+        moving = [complex(p) for p, o in zip(pts, self.reps) for _ in range(o)]
+        return self.bundle.make_tuple([*self.prefix, *moving], self.cfg)
 
     def _apart(self, pts: np.ndarray) -> np.ndarray:
         """Rows whose moving nodes merge with no other node, so that the
@@ -1082,26 +1084,25 @@ def _search_options(cfg: OptimizerConfig) -> dict:
     return {"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-12}
 
 
-def _reported(objective: _Objective, res: _Minimum, stats) -> tuple:
-    """The points a search ended at and their MGS energy (``_Bundle.read``),
-    also for a search that stopped at a start outside the search domain;
-    ``stats``, if given, receives the search's evaluation count and stop
-    message."""
+def _reported(objective: _Objective, res: _Minimum) -> tuple:
+    """The ``ParamTuple`` a search ended at (``_Objective.params``), its MGS
+    energy (``_Bundle.read``), also for a search that stopped at a start
+    outside the search domain, and its evaluation count and stop message."""
     params = objective.params(res.x)
-    if stats is not None:
-        stats.update(polish_nfev=int(res.nfev), polish_message=str(res.message))
-    return params.points, objective.bundle.read(params).energy
+    stats = {"polish_nfev": int(res.nfev), "polish_message": str(res.message)}
+    return params, objective.bundle.read(params).energy, stats
 
 
-def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None):
+def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None):
     """One bounded dense BFGS search (``minimize``) with the analytic
     gradient of the captured energy, started at ``x0`` on the flattened real
     coordinates of the moving nodes, in the box ``[-R, R]`` of the search
     radius R: a lockstep search of one lane, as greedy steps and the merge
-    polish run it.  ``span``, if given, is the ``_Read`` of ``prefix``.  It
-    returns what ``_reported`` reports."""
+    polish run it.  ``prefix``, if given, is the fixed ``ParamTuple`` of a
+    greedy step.  It returns the tuple the search ended at and its energy
+    (``_reported``), and ``stats``, if given, receives the rest."""
     x0 = np.asarray(x0, dtype=np.float64)
-    objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders, span)
+    objective = _Objective(bundle, cfg, x0.size // 2, prefix, orders)
     res = minimize(
         objective.value_and_grad,
         x0,
@@ -1109,23 +1110,22 @@ def _local_search(bundle, cfg, x0, prefix=(), orders=None, stats=None, span=None
         bounds=[(-objective.radius, objective.radius)] * x0.size,
         options=_search_options(cfg),
     )
-    return _reported(objective, res, stats)
+    params, energy, got = _reported(objective, res)
+    if stats is not None:
+        stats.update(got)
+    return params, energy
 
 
 def _lane_searches(bundle, cfg, starts: list) -> list[tuple]:
     """The search of ``_local_search`` from each of ``starts`` (flattened
     coordinates of n moving nodes each), run as the lanes of one lockstep
-    ``_descend``; one (points, energy, stats) per start, in order."""
+    ``_descend``; one (params, energy, stats) per start, in order."""
     if not starts:
         return []
     objective = _Objective(bundle, cfg, starts[0].size // 2)
     bound = np.full(starts[0].size, objective.radius)
     ends = _descend(objective.value_and_grad, np.array(starts), -bound, bound, _search_options(cfg))
-    out = []
-    for res in ends:
-        stats: dict = {}
-        out.append((*_reported(objective, res, stats), stats))
-    return out
+    return [_reported(objective, res) for res in ends]
 
 
 def _as_x(points) -> np.ndarray:
@@ -1199,50 +1199,52 @@ def _search_grid(bundle: _Bundle, cfg: OptimizerConfig) -> _Grid:
     key = _search_key(bundle, cfg)
     if key not in bundle._grids:
         grid = _grid(bundle, _disc_grid(*key[:2]))
-        empty = _grid_increments(bundle, grid, bundle.read(bundle.make_tuple((), cfg)))
+        empty = _grid_increments(bundle, grid, bundle.read(bundle.empty(cfg)))
         bundle._grids[key] = grid._replace(empty=empty)
     return bundle._grids[key]
 
 
-def _greedy_step(bundle: _Bundle, cfg: OptimizerConfig, prefix: tuple):
-    """Greedy's step after ``prefix``, kept per bundle, ``_search_key`` and
-    prefix points: the points and captured energy after it, or None where
-    the prefix captures the signal (``_Bundle.captures``) or no grid node
-    adds energy.  It reads the ``_Read`` of its prefix, scans the grid and
-    runs its local search on it."""
-    key = (_search_key(bundle, cfg), prefix)
+def _greedy_step(bundle: _Bundle, cfg: OptimizerConfig, prefix: ParamTuple):
+    """Greedy's step after the ``ParamTuple`` ``prefix``, kept per bundle,
+    ``_search_key`` and prefix points: the tuple and captured energy after
+    it, or None where the prefix captures the signal (``_Bundle.captures``)
+    or no grid node adds energy.  It reads the ``_Read`` of its prefix, scans
+    the grid and runs its local search on it."""
+    key = (_search_key(bundle, cfg), prefix.points)
     if key not in bundle._steps:
-        read = bundle.read(bundle.make_tuple(prefix, cfg))
+        read = bundle.read(prefix)
         step = None
         if not bundle.captures(read.energy):
             grid = _search_grid(bundle, cfg)
             inc = _grid_increments(bundle, grid, read) if prefix else grid.empty
             best = int(np.argmax(inc))
             if np.isfinite(inc[best]) and inc[best] > 0.0:
-                step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix, span=read)
+                step = _local_search(bundle, cfg, _as_x([grid.points[best]]), prefix=prefix)
         bundle._steps[key] = step
     return bundle._steps[key]
 
 
-def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=()):
-    """Sequential node selection after the fixed ``prefix`` up to n nodes,
-    one kept step (``_greedy_step``) at a time, each appending its node and
-    the energy captured after it to ``trace``.  It stops early once the
-    signal is captured, so a prefix that captures it takes no step."""
-    points = list(prefix)
-    for step in range(len(points), n):
-        kept = _greedy_step(bundle, cfg, tuple(points))
+def _greedy_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, prefix=None) -> ParamTuple:
+    """Sequential node selection after the fixed ``ParamTuple`` ``prefix``
+    (default: the empty tuple) up to n nodes, one kept step (``_greedy_step``)
+    at a time, each appending its node and the energy captured after it to
+    ``trace``; returns the last tuple.  It stops early once the signal is
+    captured, so a prefix that captures it takes no step."""
+    params = bundle.empty(cfg) if prefix is None else prefix
+    for step in range(len(params), n):
+        kept = _greedy_step(bundle, cfg, params)
         if kept is None:
             break
-        points, total = list(kept[0]), kept[1]
-        trace.append({"step": step + 1, "node": [points[-1].real, points[-1].imag], "energy": total})
-    return points
+        params, total = kept
+        node = params.points[-1]
+        trace.append({"step": step + 1, "node": [node.real, node.imag], "energy": total})
+    return params
 
 
 # perfbench/tracer.py times the warm extension of a sweep under this name.
-def _extend_greedily(bundle, points, n, cfg):
-    """Greedy's steps after ``points`` to n nodes."""
-    return _greedy_points(bundle, n, cfg, [], prefix=points)
+def _extend_greedily(bundle, params, n, cfg):
+    """Greedy's steps after the tuple ``params`` to n nodes."""
+    return _greedy_points(bundle, n, cfg, [], prefix=params)
 
 
 def _stratified_seeds(rng, radius: float, n: int, count: int) -> list[np.ndarray]:
@@ -1269,21 +1271,17 @@ def _merge_polish(bundle: _Bundle, cfg: OptimizerConfig, candidates: list, trace
     mergeable = [c for c in candidates if len(c[0]) >= 2 and not bundle.captures(c[1])]
     if not mergeable:
         return
-    pts, _, source = max(mergeable, key=lambda c: c[1])
-    i, j = min(
-        itertools.combinations(range(len(pts)), 2),
-        key=lambda ij: abs(pts[ij[0]] - pts[ij[1]]),
-    )
+    params, _, source = max(mergeable, key=lambda c: c[1])
+    pts = params.points
+    i, j = min(itertools.combinations(range(len(pts)), 2), key=lambda ij: abs(pts[ij[0]] - pts[ij[1]]))
     centers = [complex(p) for k, p in enumerate(pts) if k != j]
     centers[i] = (pts[i] + pts[j]) / 2.0
     orders = [1] * len(centers)
     orders[i] = 2
     stats: dict = {}
-    merged_pts, merged_val = _local_search(
-        bundle, cfg, _as_x(centers), orders=orders, stats=stats
-    )
+    merged, merged_val = _local_search(bundle, cfg, _as_x(centers), orders=orders, stats=stats)
     trace.append({"stage": "merge-polish", "energy": merged_val, "merged_from": source, **stats})
-    candidates.append((tuple(merged_pts), merged_val, len(trace) - 1))
+    candidates.append((merged, merged_val, len(trace) - 1))
 
 
 def _annihilator(bundle: _Bundle, k: int):
@@ -1333,13 +1331,13 @@ def _annihilator(bundle: _Bundle, k: int):
 
 def _prony_candidate(bundle: _Bundle, k: int, cfg: OptimizerConfig):
     """The Prony tuple of an annihilator of degree k: None where there is
-    none, () where a node lies outside the search disc, else its points, MGS
-    energy and trace fields.  The roots are conj(a_i); those within
-    ``_ROOT_SPLIT`` of each other (single linkage) are one node at their
-    mean, of their count as multiplicity.  A tuple that MGS does not certify
-    gets one search with these orders, as the merge polish runs it; one that
-    it certifies gets none, since near exact capture the search's energy no
-    longer resolves the residual and a search can drift."""
+    none, () where a node lies outside the search disc, else its
+    ``ParamTuple``, MGS energy and trace fields.  The roots are conj(a_i);
+    those within ``_ROOT_SPLIT`` of each other (single linkage) are one node
+    at their mean, of their count as multiplicity.  A tuple that MGS does not
+    certify gets one search with these orders, as the merge polish runs it;
+    one that it certifies gets none, since near exact capture the search's
+    energy no longer resolves the residual and a search can drift."""
     coef = _annihilator(bundle, k)
     if coef is None:
         return None
@@ -1352,18 +1350,18 @@ def _prony_candidate(bundle: _Bundle, k: int, cfg: OptimizerConfig):
     centers, orders = [complex(np.mean(c)) for c in clusters], [len(c) for c in clusters]
     if max(abs(c) for c in centers) > _search_radius(bundle, cfg):
         return ()
-    points = tuple(c for c, o in zip(centers, orders) for _ in range(o))
-    energy = bundle.read(bundle.make_tuple(points, cfg)).energy
+    params = bundle.make_tuple([c for c, o in zip(centers, orders) for _ in range(o)], cfg)
+    energy = bundle.read(params).energy
     stats = {"polish_nfev": 0, "polish_message": _PRONY_STOP}
     if not bundle.captures(energy):
-        points, energy = _local_search(bundle, cfg, _as_x(centers), orders=orders, stats=stats)
-    return tuple(points), energy, {"rank": k, **stats}
+        params, energy = _local_search(bundle, cfg, _as_x(centers), orders=orders, stats=stats)
+    return params, energy, {"rank": k, **stats}
 
 
 def _exact_candidate(bundle: _Bundle, n: int, cfg: OptimizerConfig):
     """The Prony candidate at the smallest k <= min(n, N) (no Hankel window
     of N + 1 coefficients is longer) at which the signals obey a recurrence
-    of order k (``_annihilator``), as (points, energy, trace fields), or
+    of order k (``_annihilator``), as (params, energy, trace fields), or
     None.  A bundle of more than n rows is not tested: n nodes with
     multiplicity span at most n dimensions.  Each k's outcome is kept per
     bundle, so every n of a sweep reads the same candidate."""
@@ -1391,86 +1389,85 @@ def _same_tuple(a: ParamTuple, b: ParamTuple) -> bool:
         for c, o in zip(a.centers, a.orders)
     ]
     paired: dict[int, int] = {}  # node of b -> its node of a
+    return all(_pair(i, near, paired, set()) for i in range(len(near)))
 
-    def pair(i: int, seen: set) -> bool:
-        for j in near[i]:
-            if j not in seen:
-                seen.add(j)
-                if j not in paired or pair(paired[j], seen):
-                    paired[j] = i
-                    return True
-        return False
 
-    return all(pair(i, set()) for i in range(len(near)))
+def _pair(i: int, near: list, paired: dict, seen: set) -> bool:
+    """Whether node i pairs up by an augmenting path through ``paired``; a closure would refer to itself."""
+    for j in near[i]:
+        if j not in seen:
+            seen.add(j)
+            if j not in paired or _pair(paired[j], near, paired, seen):
+                paired[j] = i
+                return True
+    return False
 
 
 def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, warm=()):
-    """Exact, greedy, warm, multistart and merge-polish candidates; returns
-    the points of the one with the smallest residual among the distinct
-    tuples within ``_RANK_MARGIN`` of the best MGS energy (``select``).
-    ``warm`` holds more start tuples.  Each candidate is recorded by one
-    trace entry, and a final ``select`` entry gives the index in ``trace`` of
-    the winner's entry and its stage.  A candidate whose tuple an earlier one
-    recorded (``_same_tuple``) is not ranked: its entry names the earliest
-    record of the tuple in ``same_as``, and that record stands for it, so
-    each distinct tuple in the window has its residual summed once.
+    """Exact, greedy, warm, multistart and merge-polish candidates, each with
+    the ``ParamTuple`` its stage handed on (``warm`` holds more start
+    tuples); returns the tuple of the one with the smallest residual among
+    the distinct tuples within ``_RANK_MARGIN`` of the best MGS energy
+    (``select``), which no stage builds again.  Each candidate is recorded by
+    one trace entry, and a final ``select`` entry gives the index in
+    ``trace`` of the winner's entry and its stage.  A candidate whose tuple
+    an earlier one recorded (``_same_tuple``) is not ranked: its entry names
+    the earliest record of the tuple in ``same_as``, and that record stands
+    for it, so each distinct tuple in the window has its residual summed once.
 
     The Prony candidate (``_exact_candidate``) comes first, and unless MGS
     certifies its capture, greedy to n nodes.  A certified capture, or
     greedy's, ends the search among these and the warm tuples as they are
     (``warm`` entries).  Otherwise warm tuples of fewer than n distinct nodes
     join as they are, and greedy's tuple and those of n distinct ones start lanes."""
-    # (points, MGS energy, index of the candidate's trace entry)
-    candidates: list[tuple[tuple, float, int]] = []
+    # (params, MGS energy, index of the candidate's trace entry)
+    candidates: list[tuple[ParamTuple, float, int]] = []
 
-    def add(pts, val, entry):
+    def add(params, val, entry):
         trace.append(entry)
-        candidates.append((tuple(pts), val, len(trace) - 1))
+        candidates.append((params, val, len(trace) - 1))
 
     # Near exact capture energies no longer separate candidates; the
     # residual computed by finalize still does.
     def sort_key(cand):
-        pts = cand[0]
-        rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in pts)
-        return (bundle.finalize(pts, cfg)[3], rounded)
+        rounded = sorted((round(p.real, 12), round(p.imag, 12)) for p in cand[0].points)
+        return (bundle.finalize(cand[0])[3], rounded)
 
     def select():
-        firsts: list = []  # the earliest record of each tuple, with its params
-        for pts, val, entry in candidates:
-            params = bundle.make_tuple(pts, cfg)
-            first = next((f for f in firsts if _same_tuple(f[3], params)), None)
+        firsts: list = []  # the earliest record of each tuple
+        for cand in candidates:
+            first = next((f for f in firsts if _same_tuple(f[0], cand[0])), None)
             if first is None:
-                firsts.append((pts, val, entry, params))
+                firsts.append(cand)
             else:
-                trace[entry]["same_as"] = first[2]
+                trace[cand[2]]["same_as"] = first[2]
         floor = max(c[1] for c in firsts) - _RANK_MARGIN * bundle.total_sq
-        best_pts, _, entry, _ = min((c for c in firsts if c[1] >= floor), key=sort_key)
+        best, _, entry = min((c for c in firsts if c[1] >= floor), key=sort_key)
         trace.append({"stage": "select", "winner": entry, "from": trace[entry]["stage"]})
-        return list(best_pts)
+        return best
 
     exact = _exact_candidate(bundle, n, cfg)
     ended = exact is not None and bundle.captures(exact[1])
     if not ended:
         steps: list = []
-        greedy_pts = _greedy_points(bundle, n, cfg, steps)
+        greedy = _greedy_points(bundle, n, cfg, steps)
         greedy_energy = steps[-1]["energy"] if steps else 0.0
-        add(greedy_pts, greedy_energy, {"stage": "greedy", "steps": steps, "energy": greedy_energy})
+        add(greedy, greedy_energy, {"stage": "greedy", "steps": steps, "energy": greedy_energy})
         ended = bundle.captures(greedy_energy)
     if exact is not None:
-        pts, val, stats = exact
-        add(pts, val, {"stage": "exact", "energy": val, **stats})
+        params, val, stats = exact
+        add(params, val, {"stage": "exact", "energy": val, **stats})
     lanes = []
     for w in warm:
-        params = bundle.make_tuple(w, cfg)
-        if ended or params.orders.count(1) < n:  # a double node starts no lane
-            val = bundle.read(params).energy
+        if ended or w.orders.count(1) < n:  # a double node starts no lane
+            val = bundle.read(w).energy
             add(w, val, {"stage": "warm", "energy": val})
         else:
             lanes.append(w)
     if ended:
         return select()
 
-    starts = [_as_x(pts) for pts in (greedy_pts, *lanes) if len(pts) == n]
+    starts = [_as_x(p.points) for p in (greedy, *lanes) if len(p) == n]
 
     rng = np.random.default_rng(cfg.seed)
     grid = _search_grid(bundle, cfg)
@@ -1484,8 +1481,8 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
     starts.extend(_as_x(s) for s in _stratified_seeds(rng, radius, n, cfg.multistart - n_top))
 
     distinct = list({x0.tobytes(): x0 for x0 in starts}.values())  # equal starts, equal searches
-    for pts, val, stats in _lane_searches(bundle, cfg, distinct):
-        add(pts, val, {"stage": "local", "energy": val, **stats})
+    for params, val, stats in _lane_searches(bundle, cfg, distinct):
+        add(params, val, {"stage": "local", "energy": val, **stats})
 
     _merge_polish(bundle, cfg, candidates, trace)
     return select()
@@ -1494,18 +1491,18 @@ def _nbest_points(bundle: _Bundle, n: int, cfg: OptimizerConfig, trace: list, wa
 # -- public engines ------------------------------------------------------------
 
 
-def _result(bundle: _Bundle, cfg, method: str, points=None, trace=()) -> ApproximationResult:
-    """The result for the tuple of ``points``, finalized on the bundle, or,
-    without points, the zero-node result; coefficients have one row per
+def _result(bundle: _Bundle, cfg, method: str, params=None, trace=()) -> ApproximationResult:
+    """The result for the winner's ``ParamTuple``, finalized on the bundle,
+    or, without params, the zero-node result; coefficients have one row per
     realization, in an array the result owns.  A winner that a search on the
     bundle itself ranked is read from that ranking's finalization."""
     norm = math.sqrt(bundle.total_sq)
-    if points is None:
-        params = bundle.make_tuple((), cfg)
+    if params is None:
+        params = bundle.empty(cfg)
         coeffs = np.zeros((len(bundle.probs), 0), dtype=np.complex128)
         cap, residual, degraded = 0.0, norm, False
     else:
-        params, coeffs, cap, residual, degraded = bundle.finalize(points, cfg)
+        params, coeffs, cap, residual, degraded = bundle.finalize(params)
         coeffs = coeffs.copy()  # the read keeps its own read-only
     return ApproximationResult(params, coeffs, cap, residual, norm, method, list(trace), degraded)
 
@@ -1552,7 +1549,7 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
         rank = len(factor.probs)
         opening = [{"stage": "compress", "realizations": len(bundle.probs), "rank": rank}]
     results: list[ApproximationResult] = []
-    prev: list = []
+    prev = None
     for k in range(n + 1) if sweep else (n,):
         trace = list(opening)
         if k == 0 or not searched:
@@ -1561,9 +1558,8 @@ def _run(bundle: _Bundle, n: int, config, method: str, sweep: bool) -> list[Appr
             res = _result(bundle, cfg, method, _greedy_points(factor, k, cfg, trace), trace)
         else:
             warm = [_extend_greedily(factor, prev, k, cfg)] if prev else []
-            best = _nbest_points(factor, k, cfg, trace, warm)
-            res = _result(bundle, cfg, method, best, trace)
-            prev = list(res.params.points)
+            res = _result(bundle, cfg, method, _nbest_points(factor, k, cfg, trace, warm), trace)
+            prev = res.params
         if method != "stochastic_nbest":
             res.coefficients = res.coefficients[0]
         results.append(res)

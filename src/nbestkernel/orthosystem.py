@@ -74,15 +74,18 @@ def _gram_schmidt_impl(
     basis = np.zeros((len(params), n1), dtype=np.complex128)
     resid = np.zeros(len(params))
     for k, (center, order) in enumerate(zip(params.centers, params.orders)):
-        v = multiple_kernel(spec, center, order).coeffs.copy()
-        scale = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
-        # Modified Gram-Schmidt plus one full reorthogonalization pass;
-        # kernels of nearby nodes are nearly parallel and a single pass leaks.
-        for _ in range(2):
-            if k:
-                proj = (w * v) @ basis[:k].conj().T
-                v -= proj @ basis[:k]
-        r = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
+        if allow_partial and order > spec.max_degree:  # no kernel of this order: the prefix ends
+            r = scale = 0.0
+        else:
+            v = multiple_kernel(spec, center, order).coeffs.copy()
+            scale = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
+            # Modified Gram-Schmidt plus one full reorthogonalization pass;
+            # kernels of nearby nodes are nearly parallel and a single pass leaks.
+            for _ in range(2):
+                if k:
+                    proj = (w * v) @ basis[:k].conj().T
+                    v -= proj @ basis[:k]
+            r = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
         if r <= eps_degenerate * scale:
             if allow_partial:
                 prefix = ParamTuple(params.points[:k], params.merge_tol, params.radius_cap)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -30,6 +31,7 @@ from nbestkernel import (
     residual_decay_sweep,
     zero_function,
 )
+from nbestkernel import cli
 from nbestkernel import engine as engine_module
 from nbestkernel.engine import (
     _as_x,
@@ -48,7 +50,7 @@ from nbestkernel.engine import (
     _search_grid,
     minimize,
 )
-from nbestkernel.errors import DomainError
+from nbestkernel.errors import DegreeError, DomainError
 from nbestkernel.stochastic import Ensemble, kernel_mix, stochastic_nbest
 
 FAST = OptimizerConfig(grid_density=16, multistart=4, max_iter=800, seed=3)
@@ -324,8 +326,8 @@ def test_merge_polish_merges_a_pair_of_any_separation():
     split = (SINGLE_NODE, DOUBLE_NODE - 0.015, DOUBLE_NODE + 0.015)
     worse = (SINGLE_NODE, DOUBLE_NODE, 0.0)
     candidates = [
-        (pts, bundle.read(bundle.make_tuple(pts, cfg)).energy, k)
-        for k, pts in enumerate((worse, split))
+        (params, bundle.read(params).energy, k)
+        for k, params in enumerate(bundle.make_tuple(pts, cfg) for pts in (worse, split))
     ]
     assert candidates[0][1] < candidates[1][1] < bundle.total_sq
     trace = [{"stage": "local"}, {"stage": "local"}]
@@ -333,9 +335,9 @@ def test_merge_polish_merges_a_pair_of_any_separation():
     # the best candidate's pair, 0.03 apart, became one order-2 node
     assert trace[-1]["stage"] == "merge-polish"
     assert trace[-1]["merged_from"] == 1
-    merged_pts, _, entry = candidates[-1]
+    merged, _, entry = candidates[-1]
     assert entry == len(trace) - 1
-    params, _, _, residual, _ = bundle.finalize(merged_pts, cfg)
+    params, _, _, residual, _ = bundle.finalize(merged)
     assert sorted(params.orders) == [1, 1, 2]
     assert residual <= 1e-6 * math.sqrt(bundle.total_sq)
 
@@ -344,14 +346,14 @@ def test_multistart_skips_a_warm_start_equal_to_the_greedy_tuple():
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, _random_signal(spec, 31))
     cfg = OptimizerConfig(grid_density=12, multistart=2, max_iter=40, seed=5)
-    greedy_pts = _greedy_points(bundle, 2, cfg, [])
+    greedy = _greedy_points(bundle, 2, cfg, [])
     trace: list = []
     warm_trace: list = []
     plain = _nbest_points(bundle, 2, cfg, trace)
-    warmed = _nbest_points(bundle, 2, cfg, warm_trace, [tuple(greedy_pts)])
+    warmed = _nbest_points(bundle, 2, cfg, warm_trace, [greedy])
     # one search from the greedy tuple, one from each multistart seed
     assert sum(e["stage"] == "local" for e in warm_trace) == 1 + cfg.multistart
-    assert warmed == plain and warm_trace == trace
+    assert warmed.points == plain.points and warm_trace == trace
 
 
 def test_merge_polish_skips_exact_capture():
@@ -442,13 +444,15 @@ def test_greedy_from_a_prefix_of_its_run_repeats_the_run(family):
     spec = MERGE_SPACES[family]
     bundle = _Bundle.single(spec, _random_signal(spec, 21))
     n = 3
-    pts = _greedy_points(bundle, n, SWEEP_CFG, [])
+    pts = _greedy_points(bundle, n, SWEEP_CFG, []).points
     assert len(pts) == n
     for k in range(n):
-        assert _greedy_points(bundle, n, SWEEP_CFG, [], prefix=pts[:k]) == pts
+        prefix = bundle.make_tuple(pts[:k], SWEEP_CFG)
+        assert _greedy_points(bundle, n, SWEEP_CFG, [], prefix=prefix).points == pts
     # a prefix from elsewhere stays fixed, and steps count from its end
     steps: list = []
-    assert _greedy_points(bundle, 2, SWEEP_CFG, steps, prefix=[0.1j])[0] == 0.1j
+    prefix = bundle.make_tuple([0.1j], SWEEP_CFG)
+    assert _greedy_points(bundle, 2, SWEEP_CFG, steps, prefix=prefix).points[0] == 0.1j
     assert [s["step"] for s in steps] == [2]
 
 
@@ -460,7 +464,7 @@ def test_greedy_steps_are_kept_per_bundle(monkeypatch):
     spec = MERGE_SPACES["hardy"]
     bundle = _Bundle.single(spec, _random_signal(spec, 21))
     first: list = []
-    pts = _greedy_points(bundle, 3, SWEEP_CFG, first)
+    pts = _greedy_points(bundle, 3, SWEEP_CFG, first).points
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a kept greedy step was searched again")
@@ -469,7 +473,7 @@ def test_greedy_steps_are_kept_per_bundle(monkeypatch):
     monkeypatch.setattr(engine_module, "_grid_increments", forbidden)
     for cfg in (SWEEP_CFG, OptimizerConfig(grid_density=12, multistart=5, max_iter=40, seed=9)):
         again: list = []
-        assert _greedy_points(bundle, 3, cfg, again) == pts
+        assert _greedy_points(bundle, 3, cfg, again).points == pts
         assert again == first
     with pytest.raises(AssertionError, match="searched again"):
         _greedy_points(bundle, 3, OptimizerConfig(grid_density=13, multistart=2, max_iter=40, seed=5), [])
@@ -537,7 +541,7 @@ def test_sweep_extends_a_greedy_winner_without_repeating_greedy(monkeypatch):
     assert len(searches) == len(set(searches))
     factor, prev, k, points = warm[-1]
     assert k == 3 and prev == list(results[2].params.points)
-    assert points == _greedy_points(factor, k, cfg, [], prefix=prev)
+    assert points == list(_greedy_points(factor, k, cfg, [], prefix=factor.make_tuple(prev, cfg)))
 
 
 def test_sweep_extends_greedy_after_a_lane_refound_its_tuple(monkeypatch):
@@ -570,7 +574,7 @@ def test_sweep_extends_greedy_after_a_lane_refound_its_tuple(monkeypatch):
     assert any(entry["stage"] == "local" and entry.get("same_as") == 0 for entry in row)
     assert len(searches) == len(set(searches))
     assert [key[1] for key in searches if len(key[1]) == 2] == [results[2].params.points]
-    assert warm[3] == [complex(*step["node"]) for step in results[3].trace[0]["steps"]]
+    assert list(warm[3]) == [complex(*step["node"]) for step in results[3].trace[0]["steps"]]
 
 
 def test_sweep_warm_start_with_a_double_node_joins_as_it_is(monkeypatch):
@@ -928,13 +932,13 @@ def test_lanes_of_a_search_report_their_own_stats():
     assert len(lanes) == len(starts)
     for start, (pts, val, stats) in zip(starts, lanes):
         alone: dict = {}
-        assert _local_search(bundle, cfg, start, stats=alone) == (pts, val)
+        params, energy = _local_search(bundle, cfg, start, stats=alone)
+        assert (params.points, energy) == (pts.points, val)
         assert stats == alone
     pts, val, stats = lanes[1]
     assert stats == {"polish_nfev": 1, "polish_message": "ABNORMAL: "}
-    coincident = bundle.make_tuple(pts, cfg)
-    assert coincident.orders == (1, 2)
-    assert val == bundle.read(coincident).energy
+    assert pts.orders == (1, 2)
+    assert val == bundle.read(pts).energy
     assert lanes[0][2]["polish_nfev"] > 1 and lanes[2][2]["polish_nfev"] > 1
 
 
@@ -942,7 +946,7 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
     spec = MERGE_SPACES["bergman"]
     bundle = _Bundle.single(spec, _random_signal(spec, 33))
     cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=40, seed=2)
-    greedy_pts = _greedy_points(bundle, 2, cfg, [])
+    greedy = _greedy_points(bundle, 2, cfg, [])
     searched: list = []
 
     def recording(bundle, cfg, starts):
@@ -951,11 +955,11 @@ def test_multistart_trace_has_one_entry_per_distinct_start_in_order(monkeypatch)
 
     monkeypatch.setattr(engine_module, "_lane_searches", recording)
     trace: list = []
-    _nbest_points(bundle, 2, cfg, trace, [tuple(greedy_pts)])
+    _nbest_points(bundle, 2, cfg, trace, [greedy])
     local = [entry for entry in trace if entry["stage"] == "local"]
     # the warm start equals the greedy tuple, so it is searched once
     assert len(searched) == len(local) == 1 + cfg.multistart
-    assert np.array_equal(searched[0], _as_x(greedy_pts))
+    assert np.array_equal(searched[0], _as_x(greedy.points))
     at = [i for i, entry in enumerate(trace) if entry["stage"] == "local"]
     for start, entry, i in zip(searched, local, at):
         stats: dict = {}
@@ -1166,11 +1170,11 @@ def test_energy_and_finalize_are_invariant_under_permutations(family, radii, ang
     bundle = _Bundle.single(spec, f)
     cfg = OptimizerConfig()
     want = energy(spec, f, ParamTuple(tuple(pts)))
-    _, _, fin_energy, fin_residual, degraded = bundle.finalize(pts, cfg)
+    _, _, fin_energy, fin_residual, degraded = bundle.finalize(bundle.make_tuple(pts, cfg))
     assert not degraded
     for perm in itertools.permutations(pts):
         assert energy(spec, f, ParamTuple(perm)) == pytest.approx(want, rel=1e-12)
-        _, _, e, r, _ = bundle.finalize(perm, cfg)
+        _, _, e, r, _ = bundle.finalize(bundle.make_tuple(perm, cfg))
         assert e == pytest.approx(fin_energy, rel=1e-12)
         assert r == pytest.approx(fin_residual, rel=1e-12)
 
@@ -1391,6 +1395,94 @@ def test_more_nodes_than_coefficients_end_at_the_captured_tuple(n):
         assert res.residual <= 1e-13 * res.norm
 
 
+DEGREE8_SPACE = SpaceSpec("hardy", 0.0, 8, radius_cap=0.05)
+MERGING_CFG = OptimizerConfig(multistart=1, merge_tol=0.5)
+
+
+def _degree8_polynomial():
+    rng = np.random.default_rng(0)
+    return as_element(DEGREE8_SPACE, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_a_lane_whose_nodes_merge_above_the_degree_is_read_on_its_prefix(n):
+    """On a degree-8 space whose search disc lies within the merge tolerance,
+    every lane's n nodes merge into one node of order n > N.  The lane
+    starts outside the search domain and stops at once; MGS ends its tuple's
+    basis at the first node of an order above N, as at a degenerate node, so
+    the search returns a degraded result whose energy and residual still add
+    up to the norm.  Public Gram-Schmidt and kernels keep refusing that
+    order."""
+    f = _degree8_polynomial()
+    res = nbest(DEGREE8_SPACE, f, n, MERGING_CFG)
+    assert res.degraded and max(res.params.orders) == DEGREE8_SPACE.max_degree
+    assert abs(res.energy + res.residual**2 - res.norm**2) <= 1e-8 * res.norm**2
+    merged = ParamTuple((0.0,) * n, 0.5, DEGREE8_SPACE.radius_cap)
+    with pytest.raises(DegreeError):
+        gram_schmidt(DEGREE8_SPACE, merged)
+    with pytest.raises(DegreeError):
+        multiple_kernel(DEGREE8_SPACE, 0.0, n)
+
+
+def test_the_cli_runs_a_search_whose_lane_merges_above_the_degree(tmp_path):
+    config = {
+        "task": "nbest",
+        "space": {"family": "hardy", "degree": 8, "radius_cap": 0.05},
+        "signal": {"coefficients": [[z.real, z.imag] for z in _degree8_polynomial().coeffs.tolist()]},
+        "n": 9,
+        "optimizer": {"multistart": 1, "merge_tol": 0.5},
+    }
+    assert cli.run_task(cli.parse_config(json.dumps(config)), tmp_path) == 0
+
+
+def test_a_sweep_builds_each_tuple_once_where_its_search_ends(monkeypatch):
+    """Every ``ParamTuple`` that the engine builds over a residual decay
+    sweep is a search's end, one per ``_Objective.params`` call, a Prony
+    candidate, the trim of a degraded tuple in ``finalize``, or the empty
+    tuple, once per bundle: every later stage hands on the tuple it was
+    given, and none is built from its points again."""
+    spec = SpaceSpec.hardy(max_degree=64, radius_cap=0.8)
+    cfg = OptimizerConfig(grid_density=12, multistart=4, max_iter=200, seed=3)
+    stages: list = []
+    built: list = []  # (the innermost stage that built it, the tuple)
+    ends: list = []
+    trims: list = []
+
+    class Counting(ParamTuple):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append((stages[-1] if stages else None, self))
+
+    def staged(name, fn, out):
+        def wrapped(*args, **kwargs):
+            stages.append(name)
+            try:
+                got = fn(*args, **kwargs)
+            finally:
+                stages.pop()
+            out.append((args, got))
+            return got
+
+        return wrapped
+
+    monkeypatch.setattr(engine_module, "ParamTuple", Counting)
+    monkeypatch.setattr(engine_module._Objective, "params", staged("end", engine_module._Objective.params, ends))
+    monkeypatch.setattr(_Bundle, "finalize", staged("trim", _Bundle.finalize, trims))
+    prony: list = []
+    monkeypatch.setattr(engine_module, "_prony_candidate", staged("prony", engine_module._prony_candidate, prony))
+    results = residual_decay_sweep(spec, _random_signal(spec, 11), 3, cfg)
+    assert len(results) == 4 and not any(r.degraded for r in results)
+    kinds = [stage if len(params) else "empty" for stage, params in built]
+    assert set(kinds) <= {"end", "prony", "trim", "empty"}
+    assert kinds.count("empty") == 1
+    assert [params for stage, params in built if stage == "end"] == [got for _, got in ends]
+    assert len(ends) > 0
+    assert kinds.count("prony") <= len(prony)
+    # a trim is the tuple finalize returns for a longer, degraded one
+    trimmed = [(args[1], got[0]) for args, got in trims if got[4] and len(got[0]) < len(args[1])]
+    assert [params for stage, params in built if stage == "trim"] == [out for _, out in trimmed]
+
+
 @pytest.mark.parametrize("family", sorted(EXACT_SPACES))
 def test_sweep_past_the_capture_of_a_signal_that_is_no_exact_mix(family):
     """An exact mix plus a polynomial of 1e-9 of its norm is declined by the
@@ -1425,8 +1517,8 @@ def _degraded_warm_search():
     cfg = OptimizerConfig(multistart=4, grid_density=12, max_iter=60, seed=1, merge_tol=1e-14)
     a, b, c, d = EXACT_NODES
     bundle = _Bundle.single(spec, kernel_mix(spec, [(a, 1.0, 1), (b, EXACT_WEIGHTS[1], 1)]))
-    warm = [(a, b, a + 1e-12), (c, c + 1e-12, d)]
-    assert all(bundle.read(bundle.make_tuple(w, cfg)).degraded for w in warm)
+    warm = [bundle.make_tuple(w, cfg) for w in [(a, b, a + 1e-12), (c, c + 1e-12, d)]]
+    assert all(bundle.read(w).degraded for w in warm)
     trace: list = []
     best = _nbest_points(bundle, 3, cfg, trace, warm=warm)
     assert [e["stage"] for e in trace] == ["exact", "warm", "warm", "select"]
@@ -1577,7 +1669,7 @@ def test_candidates_are_one_tuple_only_where_their_nodes_pair_up_within_merge_to
     cfg, tol = EXACT_CFG, EXACT_CFG.merge_tol
     a, b = EXACT_NODES[:2]
     bundle = _Bundle.single(spec, kernel_mix(spec, [(a, 1.0, 1), (b, EXACT_WEIGHTS[1], 1)]))
-    c, d = engine_module._exact_candidate(bundle, 3, cfg)[0]
+    c, d = engine_module._exact_candidate(bundle, 3, cfg)[0].points
     summed = []
     residual = _Bundle._residual
 
@@ -1587,6 +1679,7 @@ def test_candidates_are_one_tuple_only_where_their_nodes_pair_up_within_merge_to
 
     monkeypatch.setattr(_Bundle, "_residual", counted)
     warm = [(d + 0.9 * tol, c), (c + 2 * tol, d), (c, c, d), (d, c + 0.5 * tol, c), (c, d, d)]
+    warm = [bundle.make_tuple(w, cfg) for w in warm]
     trace: list = []
     _nbest_points(bundle, 3, cfg, trace, warm=warm)
     assert [e["stage"] for e in trace] == ["exact", *["warm"] * 5, "select"]

@@ -225,7 +225,8 @@ def test_analytic_gradient_matches_central_differences(family, case):
     bundle = _Bundle.single(spec, _signal(spec, 5))
     prefix, pts, orders = GRADIENT_CASES[case]
     x = _as_x(pts)
-    objective = _Objective(bundle, OptimizerConfig(), len(pts), prefix, orders)
+    cfg = OptimizerConfig()
+    objective = _Objective(bundle, cfg, len(pts), bundle.make_tuple(prefix, cfg) if prefix else (), orders)
     value, grad = objective.value_and_grad(x)
     assert value == pytest.approx(_negated_energy(objective)(x), rel=1e-14)
     fd = _central_differences(_negated_energy(objective), x)
@@ -289,7 +290,8 @@ def test_ill_conditioned_tuple_is_exact_without_warning():
 
 def _lane_objective(bundle, count, prefix=()):
     """An objective whose merge tolerance lets a test build merged lanes."""
-    return _Objective(bundle, OptimizerConfig(merge_tol=1e-7), count, prefix)
+    cfg = OptimizerConfig(merge_tol=1e-7)
+    return _Objective(bundle, cfg, count, bundle.make_tuple(prefix, cfg) if prefix else ())
 
 
 def _ensemble_bundle(spec, m):
@@ -457,7 +459,7 @@ def test_span_gradient_matches_central_differences(family, m):
     splits = [s * e for s in (1e-1, 1e-2, 1e-3) for e in (1, 1j)]
     nodes = [0.3 - 0.2j] + [c + split for c in prefix[:2] for split in splits]
     for a in nodes:
-        objective = _Objective(bundle, OptimizerConfig(), 1, prefix)
+        objective = _Objective(bundle, OptimizerConfig(), 1, bundle.make_tuple(prefix, OptimizerConfig()))
         x = _as_x([a])
         value, grad = objective.value_and_grad(x)
 
@@ -489,10 +491,10 @@ def _near_capture_bundle(spec, m, level):
     rest = weights[:, 2:] * poly
     probs = np.full(m, 1.0 / m)
     cfg = OptimizerConfig()
-    left = _Bundle(spec, rest, probs).finalize(NEAR_CAPTURE_PREFIX, cfg)[3]
+    left = _Bundle(spec, rest, probs).finalize(ParamTuple(NEAR_CAPTURE_PREFIX, cfg.merge_tol, spec.radius_cap))[3]
     scale = level * np.sqrt(_Bundle(spec, mix, probs).total_sq) / left
     bundle = _Bundle(spec, mix + scale * rest, probs)
-    residual = bundle.finalize(NEAR_CAPTURE_PREFIX, cfg)[3]
+    residual = bundle.finalize(bundle.make_tuple(NEAR_CAPTURE_PREFIX, cfg))[3]
     assert 0.5 * level <= residual / np.sqrt(bundle.total_sq) <= 2.0 * level
     if m == 1:
         return bundle
@@ -542,7 +544,7 @@ def test_span_near_capture_matches_mgs_and_central_differences(family, m, level)
         assert not cap.failed[0]
         ref = bundle.read(bundle.make_tuple(prefix, cfg).extended(a)).energy
         assert abs(cap.value[0] - ref) <= 1e-12 * bundle.total_sq
-        objective = _Objective(bundle, cfg, 1, prefix)
+        objective = _Objective(bundle, cfg, 1, bundle.make_tuple(prefix, cfg))
         x = _as_x([a])
         _, grad = objective.value_and_grad(x)
 
@@ -556,7 +558,7 @@ def test_span_near_capture_matches_mgs_and_central_differences(family, m, level)
 def _span_objective(bundle, cfg, prefix, a):
     """The search objective's value and gradient at one node appended to
     ``prefix``; only building the prefix's span may run MGS."""
-    objective = _Objective(bundle, cfg, 1, prefix)
+    objective = _Objective(bundle, cfg, 1, bundle.make_tuple(prefix, cfg))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
         return objective.value_and_grad(_as_x([a]))
@@ -615,7 +617,7 @@ def test_finalize_keeps_pythagoras_on_a_degraded_tuple(family, m):
     bundle = _Bundle.single(spec, _signal(spec, 18)) if m == 1 else _ensemble_bundle(spec, m)
     cfg = OptimizerConfig(merge_tol=1e-15)
     a = -0.2 + 0.4j
-    params, coeffs, cap, residual, degraded = bundle.finalize((0.5, a, a + 1e-12), cfg)
+    params, coeffs, cap, residual, degraded = bundle.finalize(bundle.make_tuple((0.5, a, a + 1e-12), cfg))
     assert degraded
     assert params.points == (0.5, a)
     span = bundle.read(params)
@@ -693,7 +695,7 @@ def test_objective_falls_back_to_the_mgs_reference_in_one_place(m, monkeypatch):
     bundle = _Bundle.single(spec, _signal(spec, 17)) if m == 1 else _ensemble_bundle(spec, m)
     cfg = OptimizerConfig(merge_tol=1e-15)
     prefix = SPAN_PREFIXES["2"]
-    on_span = _Objective(bundle, cfg, 1, prefix)  # the prefix's span runs MGS once
+    on_span = _Objective(bundle, cfg, 1, bundle.make_tuple(prefix, cfg))  # the prefix's span runs MGS once
     monkeypatch.setattr(engine, "_gram_schmidt_impl", _no_mgs)
     names = ["plain", "mirrored", "merged", "pivot_floor"]
     xs = np.array([_as_x(BATCH_LANES[k]) for k in names])

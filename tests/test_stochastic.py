@@ -322,8 +322,8 @@ def test_factor_matches_full_ensemble(family, shape, zero_weights, radii, angles
     assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
 
     cfg = OptimizerConfig()
-    _, _, got_energy, got_residual, _ = factor.finalize(points, cfg)
-    _, _, want_energy, want_residual, _ = full.finalize(points, cfg)
+    _, _, got_energy, got_residual, _ = factor.finalize(factor.make_tuple(points, cfg))
+    _, _, want_energy, want_residual, _ = full.finalize(full.make_tuple(points, cfg))
     assert abs(got_residual**2 - want_residual**2) <= 1e-12 * scale
     assert abs(got_energy - want_energy) <= 1e-12 * scale
 
@@ -362,8 +362,7 @@ def test_full_rank_search_is_the_uncompressed_search(hardy_small):
     res = stochastic_nbest(e, 2, FAST)
     bundle = _Bundle(e.spec, e.matrix, e.probs)
     trace = [{"stage": "compress", "realizations": 6, "rank": 6}]
-    points = _nbest_points(bundle, 2, FAST, trace)
-    params, coeffs, cap, residual, _ = bundle.finalize(points, FAST)
+    params, coeffs, cap, residual, _ = bundle.finalize(_nbest_points(bundle, 2, FAST, trace))
     assert res.params.points == params.points
     assert np.array_equal(res.coefficients, coeffs)
     assert (res.expected_energy, res.expected_residual) == (cap, residual)
@@ -531,7 +530,7 @@ def test_finalize_sums_the_residual_unflushed_to_the_flushed_bits(m, scale):
     bundle = _Bundle(spec, matrix, np.full(m, 1.0 / m))
     cfg = OptimizerConfig()
     points = (0.5 + 0.1j, -0.3 + 0.4j)
-    _, _, _, got, _ = bundle.finalize(points, cfg)
+    _, _, _, got, _ = bundle.finalize(bundle.make_tuple(points, cfg))
     read = bundle.read(bundle.make_tuple(points, cfg))
     resid_sq, flushed = np.empty(m), 0
     for rows in bundle._blocks():
@@ -608,7 +607,7 @@ def test_row_block_passes_equal_whole_array_formulas(m):
         assert np.array_equal(read.basis, basis)
         same(read.energy, energy)
 
-        _, got_coeffs, got_energy, got_residual, _ = bundle.finalize(params.points, cfg)
+        _, got_coeffs, got_energy, got_residual, _ = bundle.finalize(bundle.make_tuple(params.points, cfg))
         same_rows(got_coeffs, coeffs)
         same(got_energy, energy)
         resid_sq = np.sum(w * np.abs(residual) ** 2, axis=1)
